@@ -1,14 +1,16 @@
-// Ablation for the proactive pruning layer: each pass (aux, ree, lpi)
-// toggled alone and the full stack, against pruning-off, reporting the
-// work-defining counters the passes exist to shrink — search_nodes and
-// intersected elements — plus wall time and the embedding count.
+// Ablation for the proactive pruning layer: the `none` ablation (no
+// pass, not even the default label-pair filter), aux and ree alone,
+// the default (lpi), aux on top of the default, and the full stack,
+// reporting the work-defining counters the passes exist to shrink —
+// search_nodes and intersected elements — plus wall time and the
+// embedding count.
 //
 // Two panels:
 //  - hetero-dup: a synthetic Table-IV-style heterogeneous graph made
 //    of disjoint hub gadgets with duplicate-adjacency decoy vertices
 //    whose deeper closure fails. Every pass provably bites here, and
 //    the run cross-checks that every configuration returns the exact
-//    same sorted embedding set as pruning-off at 1 and 8 threads.
+//    same sorted embedding set as `none` at 1 and 8 threads.
 //  - Patent: sampled dense patterns on the paper's labeled citation
 //    graph, showing the passes on organic skew.
 
@@ -28,29 +30,18 @@ namespace csce {
 namespace {
 
 struct Config {
-  const char* name;
+  const char* name;  // a --prune spelling
   PruneOptions prune;
 };
 
 std::vector<Config> Configs() {
   std::vector<Config> configs;
-  configs.push_back({"off", PruneOptions{}});
-  {
-    PruneOptions p;
-    p.aux = true;
-    configs.push_back({"aux", p});
+  for (const char* spec :
+       {"none", "none,aux", "none,ree", "lpi", "aux,lpi", "all"}) {
+    Config c{spec, {}};
+    CSCE_CHECK(ParsePruneList(spec, &c.prune).ok());
+    configs.push_back(c);
   }
-  {
-    PruneOptions p;
-    p.ree = true;
-    configs.push_back({"ree", p});
-  }
-  {
-    PruneOptions p;
-    p.lpi = true;
-    configs.push_back({"lpi", p});
-  }
-  configs.push_back({"all", AllPruneOptions()});
   return configs;
 }
 
@@ -175,28 +166,28 @@ void RunPanel(const char* name, const Ccsr& index,
               const std::vector<Graph>& patterns, bool crosscheck_rows,
               bench::BenchJson* json) {
   CsceMatcher matcher(&index);
-  std::printf("%-12s %6s %14s %18s %10s %12s\n", name, "cfg", "search_nodes",
+  std::printf("%-12s %12s %14s %18s %10s %12s\n", name, "cfg", "search_nodes",
               "intersect_elems", "mean_s", "embeddings");
 
   std::vector<std::vector<VertexId>> want_rows;
-  Totals off = RunConfig(matcher, patterns, PruneOptions{}, 1,
-                         crosscheck_rows ? &want_rows : nullptr);
+  Totals none = RunConfig(matcher, patterns, NoPruneOptions(), 1,
+                          crosscheck_rows ? &want_rows : nullptr);
   for (const Config& config : Configs()) {
     std::vector<std::vector<VertexId>> rows;
     Totals t = RunConfig(matcher, patterns, config.prune, 1,
                          crosscheck_rows ? &rows : nullptr);
-    bool identical = t.embeddings == off.embeddings;
+    bool identical = t.embeddings == none.embeddings;
     if (crosscheck_rows) {
       identical = identical && rows == want_rows;
       // The point of the exercise: pruning may change the work, never
       // the answer — at one thread or eight.
       std::vector<std::vector<VertexId>> rows8;
       Totals t8 = RunConfig(matcher, patterns, config.prune, 8, &rows8);
-      identical = identical && t8.embeddings == off.embeddings &&
+      identical = identical && t8.embeddings == none.embeddings &&
                   rows8 == want_rows;
       CSCE_CHECK(identical);
     }
-    std::printf("%-12s %6s %14llu %18llu %10.4f %12llu%s\n", "",
+    std::printf("%-12s %12s %14llu %18llu %10.4f %12llu%s\n", "",
                 config.name,
                 static_cast<unsigned long long>(t.search_nodes),
                 static_cast<unsigned long long>(t.intersect_elements),
@@ -210,7 +201,7 @@ void RunPanel(const char* name, const Ccsr& index,
     row.Set("intersect_elements", t.intersect_elements);
     row.Set("mean_seconds", t.seconds / patterns.size());
     row.Set("embeddings", t.embeddings);
-    row.Set("identical_to_off", identical);
+    row.Set("identical_to_none", identical);
     json->AddRow(std::move(row));
   }
   std::printf("\n");
@@ -244,8 +235,10 @@ int main() {
     RunPanel("Patent-5", index, patterns, /*crosscheck_rows=*/false, &json);
   }
 
-  std::printf("off = pruning disabled; aux/ree/lpi = one pass alone; all = "
-              "the full stack. hetero-dup rows are cross-checked "
-              "byte-identical to off at 1 and 8 threads.\n");
+  std::printf("none = every pass off (the ablation); none,aux / none,ree = "
+              "one pass alone; lpi = the default label-pair filter; aux,lpi "
+              "= aux on top of the default; all = the full stack. "
+              "hetero-dup rows are cross-checked byte-identical to none at "
+              "1 and 8 threads.\n");
   return 0;
 }

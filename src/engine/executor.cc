@@ -123,7 +123,7 @@ Status Executor::Prepare(const ExecOptions& options) {
   // Shard-local CCSRs only hold edges incident to owned vertices, so
   // label masks and rows seen here can be partial: every prune pass is
   // forced off in shard mode (see ExecOptions::prune).
-  prune_ = sharded_ ? PruneOptions{} : options.prune;
+  prune_ = sharded_ ? NoPruneOptions() : options.prune;
   last_lpi_removed_ = 0;
   last_lpi_shrink_pct_ = -1;
   mapping_by_pos_.assign(n, kInvalidVertex);
@@ -437,11 +437,13 @@ void Executor::ComputeCandidates(uint32_t depth,
     }
   }
 
-  // LPI label-pair prefilter (prune pass "lpi"): a candidate must have
-  // neighbors covering every label bit the pattern demands around this
-  // vertex at later positions. The masks fold labels mod 64
+  // Label-pair prefilter (prune pass "lpi", on by default): a candidate
+  // must have neighbors covering every label bit the pattern demands
+  // around this vertex at later positions. The masks fold labels mod 64
   // (Ccsr::LabelBit), so the test is conservative — it only removes
   // vertices that provably cannot satisfy some later edge constraint.
+  // The planner clears bits the candidate source already guarantees,
+  // so many positions carry zero masks and skip this pass.
   last_lpi_removed_ = 0;
   last_lpi_shrink_pct_ = -1;
   const uint64_t lpi_out = prune_.lpi ? pos.lpi_req_out : 0;

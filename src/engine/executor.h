@@ -110,12 +110,13 @@ struct ExecOptions {
   /// CCSR holding every edge incident to an owned vertex (the 1-hop
   /// replication ShardPlan::ExtractShard guarantees).
   const ShardSpec* shard = nullptr;
-  /// Proactive pruning passes to act on (engine/prune/prune.h); the
-  /// matcher forwards Plan::prune, so only passes the plan compiled
-  /// directives for have any effect. All passes are force-disabled in
-  /// shard mode: a shard CCSR holds only the edges incident to owned
-  /// vertices (1-hop replication), so shard-local label masks and rows
-  /// are partial and pruning on them could drop real embeddings.
+  /// Proactive pruning passes to act on (engine/prune/prune.h; the
+  /// label-pair filter is on by default); the matcher forwards
+  /// Plan::prune, so only passes the plan compiled directives for have
+  /// any effect. All passes are force-disabled in shard mode: a shard
+  /// CCSR holds only the edges incident to owned vertices (1-hop
+  /// replication), so shard-local label masks and rows are partial and
+  /// pruning on them could drop real embeddings.
   PruneOptions prune;
   /// Test-only fault injection: after this position first stores its
   /// SCE cache entry, the cached candidate vector is corrupted (its

@@ -68,7 +68,8 @@ struct MatchResult {
   uint64_t morsels_claimed = 0;
   double worker_idle_seconds = 0.0;
   /// Proactive-pruning counters (see ExecStats for semantics and
-  /// thread-count-invariance notes); all 0 with pruning off.
+  /// thread-count-invariance notes); the prune_* ones are 0 under
+  /// `--prune=none`.
   uint64_t intersect_elements = 0;
   uint64_t prune_candidates_removed = 0;
   uint64_t prune_extensions_skipped = 0;

@@ -8,20 +8,26 @@ PruneOptions AllPruneOptions() {
   return o;
 }
 
+PruneOptions NoPruneOptions() {
+  PruneOptions o;
+  o.aux = o.ree = o.lpi = false;
+  return o;
+}
+
 Status ParsePruneList(std::string_view spec, PruneOptions* out) {
   PruneOptions parsed;
+  if (spec.empty()) {
+    *out = parsed;
+    return Status::OK();
+  }
   size_t start = 0;
-  bool saw_token = false;
-  while (start <= spec.size()) {
+  while (true) {
     size_t comma = spec.find(',', start);
     if (comma == std::string_view::npos) comma = spec.size();
     std::string_view token = spec.substr(start, comma - start);
-    start = comma + 1;
     if (token.empty()) {
-      if (spec.empty()) break;  // "" == none
       return Status::InvalidArgument("empty prune pass name in list");
     }
-    saw_token = true;
     if (token == "aux") {
       parsed.aux = true;
     } else if (token == "ree") {
@@ -31,22 +37,24 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
     } else if (token == "all") {
       parsed = AllPruneOptions();
     } else if (token == "none") {
-      parsed = PruneOptions{};
+      parsed = NoPruneOptions();
     } else {
       return Status::InvalidArgument(
           "unknown prune pass \"" + std::string(token) +
           "\" (expected aux, ree, lpi, all, or none)");
     }
     if (comma == spec.size()) break;
+    start = comma + 1;
   }
-  (void)saw_token;
   *out = parsed;
   return Status::OK();
 }
 
 std::string PruneOptionsToString(const PruneOptions& options) {
   if (!options.any()) return "none";
-  std::string s;
+  // Without the default filter the list must start from `none`, or it
+  // would parse back with lpi on.
+  std::string s = options.lpi ? "" : "none";
   auto add = [&s](const char* name) {
     if (!s.empty()) s += ',';
     s += name;

@@ -10,9 +10,15 @@ namespace csce {
 
 /// Selection of proactive pruning passes (ROADMAP item 3). All three
 /// passes are semantics-preserving: with any subset enabled the engine
-/// produces byte-identical sorted embeddings to pruning-off — they only
-/// shrink the work done to find them.
+/// produces byte-identical sorted embeddings to the `none` ablation —
+/// they only shrink the work done to find them.
 ///
+///  - lpi: label-pair index (l2Match-style), ON by default. A
+///    per-vertex neighboring-label bitmask built at CCSR load
+///    (persisted as an optional v2 section) filters candidates that
+///    cannot serve the pattern's still-unmatched neighbor labels. It is
+///    a fixed part of candidate computation; only the `none` ablation
+///    turns it off.
 ///  - aux: auxiliary-graph projections (GraphMini-style). The planner
 ///    marks positions whose candidate intersection can be built
 ///    incrementally while ancestor vertices are placed; empty partial
@@ -20,14 +26,10 @@ namespace csce {
 ///  - ree: redundant-extension elimination (CEMR-style). Siblings whose
 ///    adjacency is provably interchangeable with an already-enumerated
 ///    zero-embedding sibling are skipped without descending.
-///  - lpi: label-pair index (l2Match-style). A per-vertex neighboring-
-///    label bitmask built at CCSR load (persisted as an optional v2
-///    section) filters candidates that cannot serve the pattern's
-///    still-unmatched neighbor labels.
 struct PruneOptions {
   bool aux = false;
   bool ree = false;
-  bool lpi = false;
+  bool lpi = true;
 
   bool any() const { return aux || ree || lpi; }
 
@@ -39,13 +41,21 @@ struct PruneOptions {
 /// All passes on — the `--prune=all` spelling.
 PruneOptions AllPruneOptions();
 
-/// Parses a comma-separated pass list ("aux,ree,lpi", "all", "none", or
-/// "" meaning none) into `out`. Unknown pass names are rejected with
-/// InvalidArgument naming the offending token; `out` is untouched on
-/// error.
+/// Every pass off, the label-pair filter included — the `--prune=none`
+/// ablation. Unfiltered reference runs (crosschecks, bench_prune) use it.
+PruneOptions NoPruneOptions();
+
+/// Parses a comma-separated pass list into `out`, left to right,
+/// starting from the default (`lpi`): `aux` and `ree` add to the
+/// default filter, `lpi` is a no-op unless it follows `none`, `all`
+/// sets every pass and `none` clears every pass. So "" is the default,
+/// "aux" is aux+lpi, and "none,aux" is aux alone. Unknown pass names
+/// are rejected with InvalidArgument naming the offending token; `out`
+/// is untouched on error.
 Status ParsePruneList(std::string_view spec, PruneOptions* out);
 
-/// Canonical round-trippable spelling: "none", "aux,ree,lpi", ...
+/// Canonical round-trippable spelling: "none", "lpi" (the default),
+/// "aux,ree,lpi", "none,aux", ...
 std::string PruneOptionsToString(const PruneOptions& options);
 
 }  // namespace csce

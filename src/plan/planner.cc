@@ -158,6 +158,53 @@ bool SameBaseCandidates(const PlanPosition& a, const PlanPosition& b) {
   return true;
 }
 
+// Label-pair filter masks (engine/prune/prune.h, pass "lpi"). Each
+// backward edge constraint at a later position q demands that the
+// vertex placed at position e.pos can still reach a neighbor with q's
+// label in the right direction; folded into per-position bitmasks
+// checked against the CCSR label-pair index. Edges toward EARLIER
+// positions are already enforced by intersection.
+//
+// Bits the position's candidate source already guarantees are then
+// cleared, so the executor skips the filter pass outright when both
+// masks end up zero:
+//  - a seeded position drawn from cluster (a -> b) sources has an
+//    out-neighbor labelled b (targets: an in-neighbor labelled a);
+//  - a position drawn from Out(f(p)) has an in-neighbor labelled like
+//    p (In(f(p)): an out-neighbor).
+// Undirected graphs keep one mask (Ccsr::InLabelMask == OutLabelMask),
+// carried in lpi_req_out.
+void CompileLabelPairMasks(bool directed, Plan* plan) {
+  std::vector<PlanPosition>& positions = plan->positions;
+  for (const PlanPosition& q : positions) {
+    const uint64_t bit = Ccsr::LabelBit(q.label);
+    for (const EdgeConstraint& e : q.edges) {
+      PlanPosition& dep = positions[e.pos];
+      (e.incoming ? dep.lpi_req_in : dep.lpi_req_out) |= bit;
+    }
+  }
+  for (PlanPosition& pos : positions) {
+    // `out_side`: the guaranteed neighbor is an out-neighbor.
+    auto implied = [&](bool out_side, Label l) {
+      (out_side || !directed ? pos.lpi_req_out : pos.lpi_req_in) &=
+          ~Ccsr::LabelBit(l);
+    };
+    for (const EdgeConstraint& e : pos.edges) {
+      implied(/*out_side=*/e.incoming, positions[e.pos].label);
+    }
+    if (pos.edges.empty() && pos.seed_valid) {
+      const ClusterId& c = pos.seed_cluster;
+      if (!directed) {
+        implied(true, c.src_label == pos.label ? c.dst_label : c.src_label);
+      } else if (pos.seed_use_sources) {
+        implied(true, c.dst_label);
+      } else {
+        implied(false, c.src_label);
+      }
+    }
+  }
+}
+
 }  // namespace
 
 Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
@@ -252,24 +299,7 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
   // the plan so the executor, the morsel workers, and (over the wire)
   // the shard workers all act on one consistent directive set.
   plan.prune = options.prune;
-  if (options.prune.lpi) {
-    // Each backward edge constraint at a later position q demands that
-    // the vertex placed at position e.pos can still reach a neighbor
-    // with q's label in the right direction. Folded into per-position
-    // bitmasks checked against the CCSR label-pair index; edges toward
-    // EARLIER positions are already enforced by intersection.
-    for (uint32_t q = 0; q < n; ++q) {
-      const uint64_t bit = Ccsr::LabelBit(plan.positions[q].label);
-      for (const EdgeConstraint& e : plan.positions[q].edges) {
-        PlanPosition& dep = plan.positions[e.pos];
-        if (e.incoming) {
-          dep.lpi_req_in |= bit;
-        } else {
-          dep.lpi_req_out |= bit;
-        }
-      }
-    }
-  }
+  if (options.prune.lpi) CompileLabelPairMasks(pattern.directed(), &plan);
   if (options.prune.aux) {
     ChooseAuxTargets(data_, &plan);
   }

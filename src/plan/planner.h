@@ -66,8 +66,10 @@ struct PlanPosition {
   // --- Proactive pruning directives (engine/prune/prune.h) ----------
   /// lpi: neighbor-label bitmasks every candidate at this position must
   /// cover — one bit per pattern neighbor matched at a LATER position,
-  /// folded the same way as Ccsr::LabelBit. Zero masks disable the
-  /// filter. Emitted only when PlanOptions::prune.lpi is set.
+  /// folded the same way as Ccsr::LabelBit, minus the bits the
+  /// position's candidate source already guarantees. Zero masks skip
+  /// the filter. Compiled unless PlanOptions::prune is the `none`
+  /// ablation.
   uint64_t lpi_req_out = 0;
   uint64_t lpi_req_in = 0;
   /// aux: maintain an incremental adjacency projection for this

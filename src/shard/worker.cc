@@ -198,11 +198,12 @@ Status ShardWorker::HandlePlan(const wire::PlanRequest& req) {
   // slice is what this worker's morsel loop drains.
   {
     Executor probe(ccsr_, qc_, plan_);
-    // Deliberately default options: in particular no prune passes. The
-    // probe runs against the shard-local CCSR, whose label masks and
-    // rows are partial (1-hop replication), so any proactive pruning
-    // here could drop owned roots that complete on other shards.
+    // Deliberately no prune passes, not even the default label-pair
+    // filter. The probe runs against the shard-local CCSR, whose label
+    // masks and rows are partial (1-hop replication), so any proactive
+    // pruning here could drop owned roots that complete on other shards.
     ExecOptions probe_options;
+    probe_options.prune = NoPruneOptions();
     std::vector<VertexId> roots;
     CSCE_RETURN_IF_ERROR(probe.ComputeRootCandidates(probe_options, &roots));
     owned_roots_.clear();

@@ -87,21 +87,40 @@ TEST(FlagsTest, EmptyFlagNameRejected) {
 // --- --prune / CSCE_PRUNE pass-list parsing (csce_match, csce_serve) -
 
 TEST(PruneListTest, IndividualPassesAndCombinations) {
+  // The label-pair filter is the default; aux and ree add to it.
   PruneOptions p;
+  EXPECT_FALSE(p.aux);
+  EXPECT_FALSE(p.ree);
+  EXPECT_TRUE(p.lpi);
+
   ASSERT_TRUE(ParsePruneList("aux", &p).ok());
   EXPECT_TRUE(p.aux);
   EXPECT_FALSE(p.ree);
-  EXPECT_FALSE(p.lpi);
+  EXPECT_TRUE(p.lpi);
 
-  p = PruneOptions{};
-  ASSERT_TRUE(ParsePruneList("ree,lpi", &p).ok());
+  p = NoPruneOptions();
+  ASSERT_TRUE(ParsePruneList("ree", &p).ok());
   EXPECT_FALSE(p.aux);
   EXPECT_TRUE(p.ree);
   EXPECT_TRUE(p.lpi);
 
-  p = PruneOptions{};
+  ASSERT_TRUE(ParsePruneList("lpi", &p).ok());
+  EXPECT_EQ(p, PruneOptions{});
+
+  ASSERT_TRUE(ParsePruneList("aux,ree", &p).ok());
+  EXPECT_EQ(p, AllPruneOptions());
   ASSERT_TRUE(ParsePruneList("aux,ree,lpi", &p).ok());
   EXPECT_EQ(p, AllPruneOptions());
+
+  // Only `none` turns the filter off; passes after it start from zero.
+  ASSERT_TRUE(ParsePruneList("none,aux", &p).ok());
+  EXPECT_TRUE(p.aux);
+  EXPECT_FALSE(p.ree);
+  EXPECT_FALSE(p.lpi);
+  ASSERT_TRUE(ParsePruneList("none,lpi", &p).ok());
+  EXPECT_EQ(p, PruneOptions{});
+  ASSERT_TRUE(ParsePruneList("aux,none", &p).ok());
+  EXPECT_EQ(p, NoPruneOptions());
 }
 
 TEST(PruneListTest, AllNoneAndEmptySpellings) {
@@ -111,14 +130,18 @@ TEST(PruneListTest, AllNoneAndEmptySpellings) {
 
   ASSERT_TRUE(ParsePruneList("none", &p).ok());
   EXPECT_FALSE(p.any());
+  EXPECT_EQ(p, NoPruneOptions());
 
-  p = AllPruneOptions();
+  // An empty spec (what the tools parse when neither --prune nor
+  // CSCE_PRUNE is set) keeps the default filter on.
+  p = NoPruneOptions();
   ASSERT_TRUE(ParsePruneList("", &p).ok());
-  EXPECT_FALSE(p.any());
+  EXPECT_EQ(p, PruneOptions{});
+  EXPECT_TRUE(p.lpi);
 }
 
 TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
-  PruneOptions p;
+  PruneOptions p = NoPruneOptions();
   p.aux = true;
   Status st = ParsePruneList("aux,cemr", &p);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
@@ -130,18 +153,28 @@ TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
 
   EXPECT_EQ(ParsePruneList("aux,,lpi", &p).code(),
             StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParsePruneList("aux,", &p).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PruneListTest, RoundTripsThroughToString) {
-  for (const char* spec : {"none", "aux", "ree", "lpi", "aux,ree", "aux,lpi",
-                           "ree,lpi", "aux,ree,lpi"}) {
+  // Canonical spellings print back verbatim, one per pass subset.
+  for (const char* spec :
+       {"none", "lpi", "aux,lpi", "ree,lpi", "aux,ree,lpi", "none,aux",
+        "none,ree", "none,aux,ree"}) {
     PruneOptions p;
     ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     EXPECT_EQ(PruneOptionsToString(p), spec);
+  }
+  // Every other spelling parses back to the same options.
+  for (const char* spec : {"", "aux", "ree", "aux,ree", "all", "none,lpi",
+                           "none,aux,lpi", "ree,none,aux"}) {
+    PruneOptions p;
+    ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     PruneOptions q;
     ASSERT_TRUE(ParsePruneList(PruneOptionsToString(p), &q).ok()) << spec;
-    EXPECT_EQ(p, q);
+    EXPECT_EQ(p, q) << spec;
   }
+  EXPECT_EQ(PruneOptionsToString(PruneOptions{}), "lpi");
 }
 
 }  // namespace

@@ -16,6 +16,21 @@
 namespace csce {
 namespace {
 
+// Time limit for the large-pattern test below. Its slowest variant
+// (vertex-induced) takes ~0.3 s in an optimized build, ~2 s under
+// ASan+UBSan and ~7 s under TSan, so sanitizer builds get more room.
+#if defined(__SANITIZE_THREAD__) || defined(__SANITIZE_ADDRESS__)
+constexpr double kLargePatternLimitSeconds = 30;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer) || __has_feature(address_sanitizer)
+constexpr double kLargePatternLimitSeconds = 30;
+#else
+constexpr double kLargePatternLimitSeconds = 5;
+#endif
+#else
+constexpr double kLargePatternLimitSeconds = 5;
+#endif
+
 struct DatasetCase {
   const char* name;
   Graph (*make)();
@@ -86,10 +101,11 @@ INSTANTIATE_TEST_SUITE_P(
                                          MatchVariant::kHomomorphic)));
 
 TEST(IntegrationTest, LargePatternPlansAndExecutesWithLimit) {
-  // A 32-vertex pattern through the whole pipeline; count capped so the
-  // test stays quick, the point is that nothing breaks at this scale.
-  // (Larger sizes can legitimately time out before the first embedding
-  // — finding one embedding of a 64-vertex pattern is itself NP-hard.)
+  // A 32-vertex pattern through the whole pipeline with the default
+  // options, count capped. Every variant must find the pattern in its
+  // source graph; with the label-pair filter on, all three finish in
+  // well under a second, so the short limit fails a regression fast
+  // instead of letting it wait out a long timeout.
   Graph data = datasets::Patent(20);
   Ccsr index = Ccsr::Build(data);
   CsceMatcher matcher(&index);
@@ -103,13 +119,13 @@ TEST(IntegrationTest, LargePatternPlansAndExecutesWithLimit) {
     MatchOptions options;
     options.variant = variant;
     options.max_embeddings = 1000;
-    options.time_limit_seconds = 30;
+    options.time_limit_seconds = kLargePatternLimitSeconds;
     MatchResult result;
     ASSERT_TRUE(matcher.Match(pattern, options, &result).ok());
-    // Dense (induced) patterns occur at least once in their source.
-    if (variant != MatchVariant::kVertexInduced && !result.timed_out) {
-      EXPECT_GE(result.embeddings, 1u) << VariantName(variant);
-    }
+    // Sampled patterns are induced subgraphs of their source, so they
+    // occur at least once under every variant.
+    EXPECT_FALSE(result.timed_out) << VariantName(variant);
+    EXPECT_GE(result.embeddings, 1u) << VariantName(variant);
   }
 }
 

@@ -279,13 +279,13 @@ Graph PruneTriCopies(uint32_t copies) {
   return testing::MakeGraph(false, vlabels, edges);
 }
 
-MetricsSnapshot RunPruneWorkload(uint32_t threads) {
+MetricsSnapshot RunPruneWorkload(uint32_t threads, PruneOptions prune) {
   MetricRegistry::Global().ResetForTesting();
   MatchOptions options;
   options.variant = MatchVariant::kEdgeInduced;
   options.num_threads = threads;
   options.morsel_size = 1;
-  options.plan.prune = AllPruneOptions();
+  options.plan.prune = prune;
 
   Ccsr star = Ccsr::Build(PruneStarCopies(8));
   Graph star_pattern = testing::MakeGraph(false, {kLA, kLB, kLC, kLD},
@@ -302,18 +302,32 @@ MetricsSnapshot RunPruneWorkload(uint32_t threads) {
 }
 
 TEST(EngineMetricsTest, PruneCountersThreadCountInvariant) {
-  MetricsSnapshot serial = RunPruneWorkload(1);
+  MetricsSnapshot serial = RunPruneWorkload(1, AllPruneOptions());
   // The workload actually prunes: 6 lpi removals and >=5 skipped
   // extensions per gadget copy.
   EXPECT_GE(GlobalCounter(serial, "prune.candidates_removed"), 8u * 6u);
   EXPECT_GE(GlobalCounter(serial, "prune.extensions_skipped"), 8u * 5u);
   EXPECT_GT(serial.histograms["prune.shrink_ratio_pct"].count, 0u);
 
-  MetricsSnapshot parallel = RunPruneWorkload(8);
+  MetricsSnapshot parallel = RunPruneWorkload(8, AllPruneOptions());
   EXPECT_EQ(GlobalCounter(parallel, "prune.candidates_removed"),
             GlobalCounter(serial, "prune.candidates_removed"));
   EXPECT_EQ(GlobalCounter(parallel, "prune.extensions_skipped"),
             GlobalCounter(serial, "prune.extensions_skipped"));
+  EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
+            serial.histograms["prune.shrink_ratio_pct"].count);
+}
+
+TEST(EngineMetricsTest, DefaultFilterCountersThreadCountInvariant) {
+  // Default options: the label-pair filter alone, as every run has it.
+  MetricsSnapshot serial = RunPruneWorkload(1, PruneOptions{});
+  EXPECT_GE(GlobalCounter(serial, "prune.candidates_removed"), 8u * 6u);
+  EXPECT_EQ(GlobalCounter(serial, "prune.extensions_skipped"), 0u);
+  EXPECT_GT(serial.histograms["prune.shrink_ratio_pct"].count, 0u);
+
+  MetricsSnapshot parallel = RunPruneWorkload(8, PruneOptions{});
+  EXPECT_EQ(GlobalCounter(parallel, "prune.candidates_removed"),
+            GlobalCounter(serial, "prune.candidates_removed"));
   EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
             serial.histograms["prune.shrink_ratio_pct"].count);
 }

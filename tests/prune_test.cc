@@ -1,10 +1,12 @@
 // Proactive-pruning differential crosschecks: every subset of the
 // {aux, ree, lpi} pass family must yield byte-identical sorted
-// embedding sets — and equal counts — to pruning-off, across thread
-// counts, shard counts, and mmap'd v2 artifacts (whose label-pair
-// index sections feed the lpi pass from disk). The passes only shrink
-// the work; a crafted workload additionally pins down that each pass
-// actually fires (counters move) and actually helps (search shrinks).
+// embedding sets — and equal counts — to the explicit `none` ablation
+// (the default keeps lpi on, so references never use PruneOptions{}),
+// across thread counts, shard counts, and mmap'd v2 artifacts (whose
+// label-pair index sections feed the lpi pass from disk). The passes
+// only shrink the work; a crafted workload additionally pins down that
+// each pass actually fires (counters move) and actually helps (search
+// shrinks).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ccsr/ccsr.h"
@@ -25,6 +28,7 @@
 #include "engine/prune/prune.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
+#include "plan/planner.h"
 #include "shard/coordinator.h"
 #include "shard/shard_plan.h"
 #include "tests/test_util.h"
@@ -49,7 +53,7 @@ std::vector<std::vector<VertexId>> SortedRows(
   return rows;
 }
 
-// The eight pass subsets, pruning-off first.
+// The eight pass subsets, `none` first.
 std::vector<PruneOptions> AllSubsets() {
   std::vector<PruneOptions> subsets;
   for (int bits = 0; bits < 8; ++bits) {
@@ -128,7 +132,8 @@ TEST_F(PruneCrosscheckTest, EverySubsetByteIdenticalAcrossThreadCounts) {
     for (MatchVariant variant :
          {MatchVariant::kEdgeInduced, MatchVariant::kHomomorphic}) {
       MatchSnapshot want =
-          RunMatch(*index_, *pattern, variant, PruneOptions{}, /*threads=*/1);
+          RunMatch(*index_, *pattern, variant, NoPruneOptions(),
+                   /*threads=*/1);
       for (const PruneOptions& prune : AllSubsets()) {
         for (uint32_t threads : {1u, 8u}) {
           MatchSnapshot got =
@@ -161,7 +166,7 @@ TEST_F(PruneCrosscheckTest, MmapV2ArtifactAgreesWithInMemory) {
   ASSERT_TRUE(
       SamplePattern(*data_, 5, PatternDensity::kDense, rng, &pattern).ok());
   MatchSnapshot want = RunMatch(*index_, pattern, MatchVariant::kEdgeInduced,
-                                PruneOptions{}, /*threads=*/1);
+                                NoPruneOptions(), /*threads=*/1);
   for (const PruneOptions& prune : AllSubsets()) {
     for (uint32_t threads : {1u, 8u}) {
       MatchSnapshot got = RunMatch(borrowed, pattern,
@@ -183,7 +188,7 @@ TEST_F(PruneCrosscheckTest, ShardedRunsStayIdenticalWithPruneRequested) {
   ASSERT_TRUE(
       SamplePattern(*data_, 5, PatternDensity::kDense, rng, &pattern).ok());
   MatchSnapshot want = RunMatch(*index_, pattern, MatchVariant::kEdgeInduced,
-                                PruneOptions{}, /*threads=*/1);
+                                NoPruneOptions(), /*threads=*/1);
   for (uint32_t shards : {1u, 2u, 4u}) {
     for (uint32_t threads : {1u, 8u}) {
       std::unique_ptr<shard::InProcessCluster> cluster;
@@ -348,11 +353,10 @@ TEST_F(PruneFiringTest, LpiRemovesLabelDeficientCandidates) {
   Ccsr index = Ccsr::Build(data);
   Graph star = StarPattern();
   MatchSnapshot off =
-      RunMatch(index, star, MatchVariant::kEdgeInduced, PruneOptions{}, 1);
-  PruneOptions lpi;
-  lpi.lpi = true;
+      RunMatch(index, star, MatchVariant::kEdgeInduced, NoPruneOptions(), 1);
+  // The default options are exactly the label-pair filter.
   MatchSnapshot got =
-      RunMatch(index, star, MatchVariant::kEdgeInduced, lpi, 1);
+      RunMatch(index, star, MatchVariant::kEdgeInduced, PruneOptions{}, 1);
   EXPECT_EQ(got.result.embeddings, 1u);
   EXPECT_EQ(got.rows, off.rows);
   // Every decoy lacks a D neighbor, so the label-pair prefilter drops
@@ -366,8 +370,8 @@ TEST_F(PruneFiringTest, ReeSkipsInterchangeableZeroEmbeddingSiblings) {
   Ccsr index = Ccsr::Build(data);
   Graph star = TriPendantPattern();
   MatchSnapshot off =
-      RunMatch(index, star, MatchVariant::kEdgeInduced, PruneOptions{}, 1);
-  PruneOptions ree;
+      RunMatch(index, star, MatchVariant::kEdgeInduced, NoPruneOptions(), 1);
+  PruneOptions ree = NoPruneOptions();
   ree.ree = true;
   MatchSnapshot got =
       RunMatch(index, star, MatchVariant::kEdgeInduced, ree, 1);
@@ -380,8 +384,8 @@ TEST_F(PruneFiringTest, ReeSkipsInterchangeableZeroEmbeddingSiblings) {
 
 TEST_F(PruneFiringTest, AuxEmptyCutsDecoySubtrees) {
   MatchSnapshot off = RunMatch(index_, pattern_, MatchVariant::kEdgeInduced,
-                               PruneOptions{}, 1);
-  PruneOptions aux;
+                               NoPruneOptions(), 1);
+  PruneOptions aux = NoPruneOptions();
   aux.aux = true;
   MatchSnapshot got =
       RunMatch(index_, pattern_, MatchVariant::kEdgeInduced, aux, 1);
@@ -399,7 +403,7 @@ TEST_F(PruneFiringTest, AuxEmptyCutsDecoySubtrees) {
 
 TEST_F(PruneFiringTest, FullStackPrunesAtLeastAsMuchAsBestSinglePass) {
   MatchSnapshot off = RunMatch(index_, pattern_, MatchVariant::kEdgeInduced,
-                               PruneOptions{}, 1);
+                               NoPruneOptions(), 1);
   uint64_t best_single = off.result.search_nodes;
   for (const PruneOptions& prune : AllSubsets()) {
     if (!prune.any()) continue;
@@ -413,6 +417,101 @@ TEST_F(PruneFiringTest, FullStackPrunesAtLeastAsMuchAsBestSinglePass) {
                                AllPruneOptions(), 1);
   EXPECT_EQ(all.rows, off.rows);
   EXPECT_LE(all.result.search_nodes, best_single);
+}
+
+// ---------------------------------------------------------------------
+// Planner: default PlanOptions compile the label-pair masks, `none`
+// compiles none, and no mask keeps a bit its candidate source already
+// guarantees.
+
+// Label bits a candidate at `pos` is guaranteed to carry in its
+// out- (first) and in- (second) masks by the way it is drawn.
+std::pair<uint64_t, uint64_t> ImpliedBits(const Plan& plan,
+                                          const PlanPosition& pos,
+                                          bool directed) {
+  uint64_t out = 0, in = 0;
+  for (const EdgeConstraint& e : pos.edges) {
+    const uint64_t bit = Ccsr::LabelBit(plan.positions[e.pos].label);
+    (e.incoming || !directed ? out : in) |= bit;
+  }
+  if (pos.edges.empty() && pos.seed_valid) {
+    const ClusterId& c = pos.seed_cluster;
+    if (!directed) {
+      out |= Ccsr::LabelBit(c.src_label == pos.label ? c.dst_label
+                                                     : c.src_label);
+    } else if (pos.seed_use_sources) {
+      out |= Ccsr::LabelBit(c.dst_label);
+    } else {
+      in |= Ccsr::LabelBit(c.src_label);
+    }
+  }
+  return {out, in};
+}
+
+TEST(PrunePlanTest, DefaultCompilesLabelPairMasksNoneDoesNot) {
+  Graph data = StarDecoyGraph();
+  Ccsr index = Ccsr::Build(data);
+  Graph star = StarPattern();
+  Planner planner(&index);
+
+  Plan plan;
+  ASSERT_TRUE(planner
+                  .MakePlan(star, MatchVariant::kEdgeInduced, PlanOptions{},
+                            &plan)
+                  .ok());
+  // B roots the plan, seeded from the (A,B) cluster. All three of its
+  // neighbors come later, but the seed already guarantees an A
+  // neighbor, so only the C and D bits stay.
+  const PlanPosition& root = plan.positions[0];
+  ASSERT_EQ(root.label, kB);
+  ASSERT_TRUE(root.seed_valid);
+  EXPECT_EQ(root.lpi_req_out, Ccsr::LabelBit(kC) | Ccsr::LabelBit(kD));
+
+  PlanOptions none;
+  none.prune = NoPruneOptions();
+  ASSERT_TRUE(
+      planner.MakePlan(star, MatchVariant::kEdgeInduced, none, &plan).ok());
+  for (const PlanPosition& pos : plan.positions) {
+    EXPECT_EQ(pos.lpi_req_out, 0u);
+    EXPECT_EQ(pos.lpi_req_in, 0u);
+  }
+}
+
+TEST(PrunePlanTest, MasksOmitBitsTheCandidateSourceImplies) {
+  // Undirected (Patent) and directed (Subcategory) data, every variant:
+  // the trimmed masks never repeat a guaranteed bit, and the default
+  // still finds exactly the `none` embeddings (the crosschecks above
+  // cover undirected data only).
+  for (const Graph& data : {datasets::Patent(60), datasets::Subcategory()}) {
+    Ccsr index = Ccsr::Build(data);
+    Planner planner(&index);
+    Rng rng(13);
+    for (int i = 0; i < 3; ++i) {
+      Graph pattern;
+      ASSERT_TRUE(SamplePattern(data, 5, PatternDensity::kDense, rng,
+                                &pattern)
+                      .ok());
+      for (MatchVariant variant :
+           {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+            MatchVariant::kHomomorphic}) {
+        Plan plan;
+        ASSERT_TRUE(
+            planner.MakePlan(pattern, variant, PlanOptions{}, &plan).ok());
+        for (const PlanPosition& pos : plan.positions) {
+          auto [out, in] = ImpliedBits(plan, pos, data.directed());
+          EXPECT_EQ(pos.lpi_req_out & out, 0u);
+          EXPECT_EQ(pos.lpi_req_in & in, 0u);
+          if (!data.directed()) EXPECT_EQ(pos.lpi_req_in, 0u);
+        }
+        MatchSnapshot want =
+            RunMatch(index, pattern, variant, NoPruneOptions(), 1);
+        MatchSnapshot got =
+            RunMatch(index, pattern, variant, PruneOptions{}, 1);
+        EXPECT_EQ(got.rows, want.rows) << VariantName(variant);
+        EXPECT_LE(got.result.search_nodes, want.result.search_nodes);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -57,6 +57,9 @@ Baseline SingleNode(const Ccsr& index, const Graph& pattern,
   CsceMatcher matcher(&index);
   MatchOptions options;
   options.variant = variant;
+  // Shard workers run without the label-pair filter, so the reference
+  // for equal search_nodes is the `none` ablation.
+  options.plan.prune = NoPruneOptions();
   std::vector<VertexId> flat;
   MatchResult result;
   Status st = matcher.MatchWithCallback(

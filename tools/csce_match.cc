@@ -68,7 +68,8 @@ int main(int argc, char** argv) {
                  "[--time-limit=s] [--max=n] [--print=n] [--threads=n] "
                  "[--explain] [--no-sce] [--no-nec] [--no-ldsf] "
                  "[--no-tiebreak] [--cost-based] [--self-check] "
-                 "[--prune=aux,ree,lpi|all|none] "
+                 "[--prune=aux,ree|all|none (adds to the default lpi "
+                 "filter; only none turns it off)] "
                  "[--metrics-json=f.json] [--trace=f.json]\n");
     return 2;
   }
@@ -140,6 +141,8 @@ int main(int argc, char** argv) {
   options.self_check = flags.GetBool("self-check");
   // Proactive pruning passes: --prune wins over the CSCE_PRUNE
   // environment default (mirroring the --mmap / CSCE_CCSR_MMAP pair).
+  // With neither set the spec is "", which parses to the default
+  // label-pair filter.
   {
     const char* prune_env = std::getenv("CSCE_PRUNE");
     std::string prune_spec =

@@ -25,8 +25,9 @@
 // own shard artifact the same way. --memory-cap=N bounds each mapping's
 // paging-advice window to N bytes.
 //
-// Proactive pruning: --prune=aux,ree,lpi (or CSCE_PRUNE= in the
-// environment; the flag wins) enables the selected pruning passes for
+// Proactive pruning: the label-pair filter (lpi) is on by default;
+// --prune=aux,ree (or CSCE_PRUNE= in the environment; the flag wins)
+// adds passes on top of it and --prune=none turns every pass off, for
 // every query of the session, including sharded sessions — where the
 // coordinator forwards the pass set with the plan, and the shard
 // workers' executors force-disable it (shard-local indexes are
@@ -637,7 +638,8 @@ int main(int argc, char** argv) {
                  "--queries=(workload.txt | -) [--threads=n] [--inflight=n] "
                  "[--mmap] [--memory-cap=bytes] "
                  "[--threads-per-query=n] [--deadline=s] [--repeat=n] "
-                 "[--prune=aux,ree,lpi|all|none] "
+                 "[--prune=aux,ree|all|none (adds to the default lpi "
+                 "filter; only none turns it off)] "
                  "[--no-share-views] [--quiet] [--metrics-json=f.json] "
                  "[--shards=n [--workers=n] [--shard-strategy=hash|label] "
                  "[--self-check] [--listen=h:p] [--fault-plan=spec] "
@@ -648,6 +650,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   {
+    // Absent flag and environment: "" parses to the default filter.
     const char* prune_env = std::getenv("CSCE_PRUNE");
     std::string prune_spec =
         flags.GetString("prune", prune_env != nullptr ? prune_env : "");
