@@ -1,6 +1,6 @@
 // Ablation for the proactive pruning layer: the `none` ablation (no
-// pass, not even the default label-pair filter), aux and ree alone,
-// the default (lpi), aux on top of the default, and the full stack,
+// pass, not even the default ones), aux, lpi and fs alone, the default
+// (lpi,fs), and the full stack,
 // reporting the work-defining counters the passes exist to shrink —
 // search_nodes and intersected elements — plus wall time and the
 // embedding count.
@@ -37,7 +37,7 @@ struct Config {
 std::vector<Config> Configs() {
   std::vector<Config> configs;
   for (const char* spec :
-       {"none", "none,aux", "none,ree", "lpi", "aux,lpi", "all"}) {
+       {"none", "none,aux", "none,lpi", "none,fs", "lpi,fs", "all"}) {
     Config c{spec, {}};
     CSCE_CHECK(ParsePruneList(spec, &c.prune).ok());
     configs.push_back(c);
@@ -55,8 +55,9 @@ constexpr Label kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
 // reach dy, and only then dies on the empty E closure. So:
 //  - lpi removes the decoys at the B root (no E-labeled neighbor),
 //  - aux empty-cuts them there (empty E-projection),
-//  - ree skips c1 after c0's subtree completes with zero embeddings,
-// and every pass shaves both search nodes and intersected elements.
+//  - fs cannot skip c1 after c0's subtree fails: the empty E closure
+//    depends on C's mapping, so c1 must be tried,
+// and lpi and aux shave both search nodes and intersected elements.
 // The junk pairs tune cluster sizes: B-E pairs keep (B,D) the seed
 // cluster (its sources include the decoys via dy), and C-E pairs keep
 // (C,E) large so the planner orders D before E; a0 only pads decoy
@@ -235,10 +236,10 @@ int main() {
     RunPanel("Patent-5", index, patterns, /*crosscheck_rows=*/false, &json);
   }
 
-  std::printf("none = every pass off (the ablation); none,aux / none,ree = "
-              "one pass alone; lpi = the default label-pair filter; aux,lpi "
-              "= aux on top of the default; all = the full stack. "
-              "hetero-dup rows are cross-checked byte-identical to none at "
-              "1 and 8 threads.\n");
+  std::printf("none = every pass off (the ablation); none,aux / none,lpi / "
+              "none,fs = one pass alone; lpi,fs = the default (label-pair "
+              "filter plus failing-set backjumping); all = aux on top of "
+              "the default. hetero-dup rows are cross-checked "
+              "byte-identical to none at 1 and 8 threads.\n");
   return 0;
 }

@@ -60,7 +60,7 @@ CSCE_MAP_PRIMITIVE void ReadHeader(const char* map, V2Header* out) {
 
 Status MmapCcsr::Open(const std::string& path, const Options& options,
                       std::unique_ptr<MmapCcsr>* out) {
-  std::unique_ptr<MmapCcsr> m(new MmapCcsr());
+  auto m = std::make_unique<MmapCcsr>(OpenKey{});
   CSCE_RETURN_IF_ERROR(m->Init(path, options));
   *out = std::move(m);
   return Status::OK();

@@ -68,6 +68,14 @@ class MmapCcsr : public CcsrPager {
 
   ~MmapCcsr() override;
 
+  /// Only Open() can name the key, so only Open() constructs (through
+  /// std::make_unique, which needs a public constructor).
+  class OpenKey {
+    friend class MmapCcsr;
+    OpenKey() = default;
+  };
+  explicit MmapCcsr(OpenKey) {}
+
   MmapCcsr(const MmapCcsr&) = delete;
   MmapCcsr& operator=(const MmapCcsr&) = delete;
 
@@ -98,8 +106,6 @@ class MmapCcsr : public CcsrPager {
     uint64_t offset = 0;
     uint64_t length = 0;
   };
-
-  MmapCcsr() = default;
 
   Status Init(const std::string& path, const Options& options);
   void Advise(const Block& b, int advice) const;

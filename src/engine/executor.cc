@@ -53,16 +53,6 @@ struct EngineMetrics {
   }
 };
 
-/// splitmix64-style finalizer for the REE row-length fingerprint.
-uint64_t MixHash(uint64_t x) {
-  x ^= x >> 33;
-  x *= 0xff51afd7ed558ccdull;
-  x ^= x >> 29;
-  x *= 0xc4ceb9fe1a85ec53ull;
-  x ^= x >> 32;
-  return x;
-}
-
 }  // namespace
 
 Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
@@ -165,6 +155,19 @@ Status Executor::Prepare(const ExecOptions& options) {
                          ? static_cast<uint32_t>(pos.cache_alias)
                          : j;
   }
+  for (const auto& [a, b] : options.restrictions) {
+    if (a >= n || b >= n) {
+      return Status::InvalidArgument("restriction vertex out of range");
+    }
+    uint32_t pa = pos_of[a];
+    uint32_t pb = pos_of[b];
+    // Enforce at the later position against the earlier mapping.
+    if (pa < pb) {
+      restrictions_[pb].push_back(Restriction{pa, /*require_greater=*/true});
+    } else {
+      restrictions_[pa].push_back(Restriction{pb, /*require_greater=*/false});
+    }
+  }
 
   // Zero-allocation setup: size every hot-path buffer to its worst
   // case now, so ComputeCandidates never grows anything.
@@ -196,8 +199,15 @@ Status Executor::Prepare(const ExecOptions& options) {
     caches_[j].dep_snapshot.resize(plan_.positions[j].deps.size());
   }
   // --- Proactive pruning state (engine/prune/) ----------------------
+  fs_words_ = static_cast<uint32_t>((n + 63) / 64);
+  if (prune_.fs) {
+    BuildAncestorSets();
+    fs_.assign(n * fs_words_, 0);
+  }
+  aux_cut_sets_.clear();
   aux_steps_.assign(n, {});
   aux_span_.assign(n, std::span<const VertexId>{});
+  aux_seed_.assign(n, std::span<const VertexId>{});
   aux_steps_done_.assign(n, 0);
   aux_steps_total_.assign(n, 0);
   std::vector<size_t> aux_buf_bounds;
@@ -216,6 +226,17 @@ Status Executor::Prepare(const ExecOptions& options) {
       size_t bound = std::numeric_limits<size_t>::max();
       for (uint32_t s = 0; s < idx.size(); ++s) {
         const ResolvedEdge& e = edges_[t][idx[s]];
+        // A cut at step s fails because of the edge positions absorbed
+        // so far: their anc sets, accumulated along the chain.
+        const size_t cut_set = aux_cut_sets_.size();
+        if (prune_.fs) {
+          aux_cut_sets_.resize(cut_set + fs_words_);
+          for (uint32_t w = 0; w < fs_words_; ++w) {
+            aux_cut_sets_[cut_set + w] =
+                Anc(e.pos)[w] |
+                (s == 0 ? 0 : aux_cut_sets_[cut_set - fs_words_ + w]);
+          }
+        }
         size_t rows = e.view == nullptr
                           ? 0
                           : (e.incoming ? e.view->MaxInRowLength()
@@ -228,7 +249,8 @@ Status Executor::Prepare(const ExecOptions& options) {
           buf = static_cast<int32_t>(aux_buf_bounds.size());
           aux_buf_bounds.push_back(bound);
         }
-        aux_steps_[e.pos].push_back(AuxStep{t, s, e.view, e.incoming, buf});
+        aux_steps_[e.pos].push_back(
+            AuxStep{t, s, e.view, e.incoming, buf, cut_set});
       }
     }
   }
@@ -239,35 +261,6 @@ Status Executor::Prepare(const ExecOptions& options) {
   for (size_t i = 0; i < aux_buf_bounds.size(); ++i) {
     aux_bufs_[i].Reserve(aux_buf_bounds[i] + setops::kOutPad);
   }
-  ree_tables_.assign(n, ReeTable{});
-  ree_active_.assign(n, 0);
-  ree_views_.clear();
-  // Restrictions compare sibling values directly, so swapping two
-  // interchangeable siblings is not result-preserving under them:
-  // REE requires an unrestricted run.
-  if (prune_.ree && options.restrictions.empty()) {
-    bool any_ree = false;
-    for (uint32_t j = 0; j < n; ++j) {
-      ree_active_[j] = plan_.positions[j].ree_enabled && j > 0 && j + 1 < n;
-      any_ree |= ree_active_[j] != 0;
-    }
-    if (any_ree) {
-      for (uint32_t j = 0; j < n; ++j) {
-        for (const ResolvedEdge& e : edges_[j]) {
-          if (e.view != nullptr) ree_views_.push_back(e.view);
-        }
-        for (const ResolvedNegation& rn : negs_[j]) {
-          for (const auto& removal : rn.removals) {
-            ree_views_.push_back(removal.first);
-          }
-        }
-      }
-      std::sort(ree_views_.begin(), ree_views_.end());
-      ree_views_.erase(std::unique(ree_views_.begin(), ree_views_.end()),
-                       ree_views_.end());
-    }
-  }
-
   lists_.clear();
   lists_.reserve(max_lists);
   neg_lists_.clear();
@@ -311,19 +304,6 @@ Status Executor::Prepare(const ExecOptions& options) {
     for (std::vector<VertexId>& b : ship_buckets_) b.clear();
   }
 
-  for (const auto& [a, b] : options.restrictions) {
-    if (a >= n || b >= n) {
-      return Status::InvalidArgument("restriction vertex out of range");
-    }
-    uint32_t pa = pos_of[a];
-    uint32_t pb = pos_of[b];
-    // Enforce at the later position against the earlier mapping.
-    if (pa < pb) {
-      restrictions_[pb].push_back(Restriction{pa, /*require_greater=*/true});
-    } else {
-      restrictions_[pa].push_back(Restriction{pb, /*require_greater=*/false});
-    }
-  }
   return Status::OK();
 }
 
@@ -344,12 +324,37 @@ bool Executor::CheckDeadline() {
   return true;
 }
 
-bool Executor::PassesRestrictions(uint32_t depth, VertexId v) const {
+void Executor::BuildAncestorSets() {
+  const uint32_t n = static_cast<uint32_t>(plan_.positions.size());
+  anc_.assign(static_cast<size_t>(n) * fs_words_, 0);
+  for (uint32_t j = 0; j < n; ++j) {
+    uint64_t* anc = &anc_[j * fs_words_];
+    anc[j / 64] |= uint64_t{1} << (j % 64);
+    // Every direct ancestor is an earlier position, whose set is final:
+    // OR-ing it in closes anc(j) transitively.
+    auto add = [&](uint32_t d) {
+      for (uint32_t w = 0; w < fs_words_; ++w) anc[w] |= Anc(d)[w];
+    };
+    for (uint32_t d : plan_.positions[j].deps) add(d);
+    // An NEC-aliased position reuses its slot owner's cached set while
+    // the owner's dependencies are unchanged.
+    for (uint32_t d : plan_.positions[cache_slot_[j]].deps) add(d);
+    for (const Restriction& r : restrictions_[j]) add(r.other_pos);
+  }
+}
+
+void Executor::FsUnion(uint32_t depth, const uint64_t* set) {
+  uint64_t* fs = FailingSet(depth);
+  for (uint32_t w = 0; w < fs_words_; ++w) fs[w] |= set[w];
+}
+
+const Executor::Restriction* Executor::FailedRestriction(uint32_t depth,
+                                                         VertexId v) const {
   for (const Restriction& r : restrictions_[depth]) {
     VertexId other = mapping_by_pos_[r.other_pos];
-    if (r.require_greater ? (v <= other) : (v >= other)) return false;
+    if (r.require_greater ? (v <= other) : (v >= other)) return &r;
   }
-  return true;
+  return nullptr;
 }
 
 void Executor::ComputeCandidates(uint32_t depth,
@@ -515,19 +520,25 @@ void Executor::ComputeCandidates(uint32_t depth,
   stats_.candidate_set_size.RecordCount(out->size());
 }
 
-bool Executor::RunAuxSteps(uint32_t depth) {
+const Executor::AuxStep* Executor::RunAuxSteps(uint32_t depth) {
   const VertexId w = mapping_by_pos_[depth];
   for (const AuxStep& s : aux_steps_[depth]) {
-    if (s.view == nullptr) return false;  // empty cluster: always cuts
+    if (s.view == nullptr) return &s;  // empty cluster: always cuts
     std::span<const VertexId> row =
         s.incoming ? s.view->In(w) : s.view->Out(w);
     if (s.step == 0) {
       // Zero copy: the first row IS the partial projection. The span
       // stays valid for the whole subtree (cluster storage is stable).
+      aux_seed_[s.target] = row;
       aux_span_[s.target] = row;
       aux_steps_done_[s.target] = 1;
     } else {
-      std::span<const VertexId> prev = aux_span_[s.target];
+      // Refine step s-1's output, not the target's current span: a
+      // sibling re-running step s must not intersect its own previous
+      // result. A target's step buffers are consecutive.
+      std::span<const VertexId> prev = s.step == 1
+                                           ? aux_seed_[s.target]
+                                           : aux_bufs_[s.buf - 1].span();
       setops::VertexScratch& buf = aux_bufs_[s.buf];
       // No-op compare in the steady state: Prepare sized each step
       // buffer to the shortest absorbed row's maximum length.
@@ -537,63 +548,9 @@ bool Executor::RunAuxSteps(uint32_t depth) {
       aux_span_[s.target] = buf.span();
       aux_steps_done_[s.target] = s.step + 1;
     }
-    if (aux_span_[s.target].empty()) return false;
+    if (aux_span_[s.target].empty()) return &s;
   }
-  return true;
-}
-
-uint64_t Executor::ReeKey(VertexId v) const {
-  uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const ClusterView* view : ree_views_) {
-    h = MixHash(h ^ view->Out(v).size());
-    if (view->id().directed) h = MixHash(h ^ view->In(v).size());
-  }
-  return h;
-}
-
-bool Executor::ReeInterchangeable(VertexId a, VertexId b) const {
-  auto rows_equal = [&](std::span<const VertexId> ra,
-                        std::span<const VertexId> rb) {
-    if (ra.size() != rb.size()) return false;
-    for (size_t i = 0; i < ra.size(); ++i) {
-      // Element-wise equal, and neither row may touch a or b: a row
-      // containing one of them means the (a b) transposition would
-      // alter adjacency (self-loop / mutual-arc asymmetry).
-      if (ra[i] != rb[i] || ra[i] == a || ra[i] == b) return false;
-    }
-    return true;
-  };
-  for (const ClusterView* view : ree_views_) {
-    if (!rows_equal(view->Out(a), view->Out(b))) return false;
-    if (view->id().directed && !rows_equal(view->In(a), view->In(b))) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool Executor::ReeSkip(uint32_t depth, VertexId v) {
-  const ReeTable& table = ree_tables_[depth];
-  if (table.count == 0) return false;  // common case: no key to compute
-  const uint64_t key = ReeKey(v);
-  for (uint32_t i = 0; i < table.count; ++i) {
-    if (table.slots[i].key == key &&
-        ReeInterchangeable(table.slots[i].v, v)) {
-      return true;
-    }
-  }
-  return false;
-}
-
-void Executor::ReeInsert(uint32_t depth, VertexId v) {
-  ReeTable& table = ree_tables_[depth];
-  const uint64_t key = ReeKey(v);
-  if (table.count < kReeTableEntries) {
-    table.slots[table.count++] = ReeEntry{key, v};
-  } else {
-    table.slots[table.next] = ReeEntry{key, v};
-    table.next = (table.next + 1) % kReeTableEntries;
-  }
+  return nullptr;
 }
 
 std::span<const VertexId> Executor::Candidates(uint32_t depth) {
@@ -785,6 +742,18 @@ bool Executor::EnumerateOver(uint32_t depth,
                              std::span<const VertexId> candidates) {
   const bool last = depth + 1 == plan_.positions.size();
   const VertexId u = plan_.positions[depth].u;
+  // Failing sets (prune pass "fs"). Siblings are never skipped at the
+  // root, so every root subtree is searched identically whether the
+  // roots run serially or split into morsels; depth 1 then has no
+  // reader for its own set. `produce` stays on until an embedding shows
+  // the set is "every position" (the caller sees that in the counter).
+  const bool consume = prune_.fs && depth > 0;
+  bool produce = prune_.fs && depth > 1;
+  if (produce) {
+    // Every class below contains anc(depth); an empty candidate set is
+    // exactly that.
+    std::copy_n(Anc(depth), fs_words_, FailingSet(depth));
+  }
 
   // Count-only fast path: no per-candidate state is needed at the last
   // position of a homomorphic, unrestricted, callback-free query.
@@ -796,45 +765,60 @@ bool Executor::EnumerateOver(uint32_t depth,
   }
 
   const bool aux_here = !aux_steps_[depth].empty();
-  const bool ree_here = ree_active_[depth] != 0;
-  if (ree_here) {
-    // The memo only holds under the current prefix: every new sibling
-    // loop at this depth starts empty.
-    ree_tables_[depth].count = 0;
-    ree_tables_[depth].next = 0;
-  }
-  for (VertexId v : candidates) {
+  for (size_t i = 0; i < candidates.size(); ++i) {
+    const VertexId v = candidates[i];
     ++stats_.search_nodes;
     if (!CheckDeadline()) return false;
-    if (injective_ && used_.Test(v)) continue;
-    if (!restrictions_[depth].empty() && !PassesRestrictions(depth, v)) {
+    if (injective_ && used_.Test(v)) {
+      if (produce) {
+        // Conflict: anc(depth) plus anc of the position holding v.
+        uint32_t holder = 0;
+        while (mapping_by_pos_[holder] != v) ++holder;
+        CSCE_DCHECK(holder < depth);
+        FsUnion(depth, Anc(holder));
+      }
       continue;
+    }
+    if (!restrictions_[depth].empty()) {
+      if (const Restriction* r = FailedRestriction(depth, v)) {
+        if (produce) FsUnion(depth, Anc(r->other_pos));
+        continue;
+      }
     }
     mapping_by_pos_[depth] = v;
     mapping_by_vertex_[u] = v;
     if (last) {
       if (!Emit()) return false;
-    } else {
-      if (aux_here && !RunAuxSteps(depth)) {
+      produce = false;
+      continue;
+    }
+    if (aux_here) {
+      if (const AuxStep* cut = RunAuxSteps(depth)) {
         // Some later position's projection is already empty under v:
         // no extension of this prefix can complete.
         ++stats_.prune_extensions_skipped;
+        if (produce) FsUnion(depth, &aux_cut_sets_[cut->cut_set]);
         continue;
       }
-      if (ree_here && ReeSkip(depth, v)) {
-        ++stats_.prune_extensions_skipped;
-        continue;
+    }
+    const uint64_t embeddings_before = stats_.embeddings;
+    if (injective_) used_.Set(v);
+    bool keep_going = Enumerate(depth + 1);
+    if (injective_) used_.Clear(v);
+    if (!keep_going) return false;
+    if (stats_.embeddings != embeddings_before) {
+      produce = false;
+    } else if (consume) {
+      const uint64_t* child = FailingSet(depth + 1);
+      if (((child[depth / 64] >> (depth % 64)) & 1) == 0) {
+        // v's subtree failed for reasons v does not affect: every
+        // remaining sibling fails the same way. Backjump with the
+        // child's set.
+        stats_.prune_extensions_skipped += candidates.size() - i - 1;
+        if (produce) std::copy_n(child, fs_words_, FailingSet(depth));
+        break;
       }
-      const uint64_t embeddings_before = stats_.embeddings;
-      if (injective_) used_.Set(v);
-      bool keep_going = Enumerate(depth + 1);
-      if (injective_) used_.Clear(v);
-      if (!keep_going) return false;
-      // Only a COMPLETED empty subtree is proof: an aborted one
-      // (limit/timeout) returned above and never reaches the memo.
-      if (ree_here && stats_.embeddings == embeddings_before) {
-        ReeInsert(depth, v);
-      }
+      if (produce) FsUnion(depth, child);
     }
   }
   mapping_by_pos_[depth] = kInvalidVertex;

@@ -1,7 +1,6 @@
 #ifndef CSCE_ENGINE_EXECUTOR_H_
 #define CSCE_ENGINE_EXECUTOR_H_
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -111,12 +110,11 @@ struct ExecOptions {
   /// replication ShardPlan::ExtractShard guarantees).
   const ShardSpec* shard = nullptr;
   /// Proactive pruning passes to act on (engine/prune/prune.h; the
-  /// label-pair filter is on by default); the matcher forwards
-  /// Plan::prune, so only passes the plan compiled directives for have
-  /// any effect. All passes are force-disabled in shard mode: a shard
-  /// CCSR holds only the edges incident to owned vertices (1-hop
-  /// replication), so shard-local label masks and rows are partial and
-  /// pruning on them could drop real embeddings.
+  /// label-pair filter and failing-set backjumping are on by default);
+  /// the matcher forwards Plan::prune. All passes are force-disabled in
+  /// shard mode: a shard CCSR holds only the edges incident to owned
+  /// vertices (1-hop replication), so shard-local label masks and rows
+  /// are partial and pruning on them could drop real embeddings.
   PruneOptions prune;
   /// Test-only fault injection: after this position first stores its
   /// SCE cache entry, the cached candidate vector is corrupted (its
@@ -156,9 +154,10 @@ struct ExecStats {
   /// total depends only on how often each set is consumed — it is
   /// thread-count-invariant (asserted in metrics_test.cc).
   uint64_t prune_candidates_removed = 0;
-  /// Extensions discarded before recursing: aux empty-cuts plus REE
-  /// sibling skips. Both are deterministic per (prefix, candidate), so
-  /// the total is thread-count-invariant on uninterrupted runs.
+  /// Extensions discarded without descending: aux empty-cuts plus the
+  /// siblings a failing-set backjump skipped. Both are deterministic
+  /// per prefix and backjumps never fire at the root, so the total is
+  /// thread-count-invariant on uninterrupted runs.
   uint64_t prune_extensions_skipped = 0;
   /// Candidate sets served from a completed aux projection instead of
   /// a fresh intersection chain. Thread-count-VARIANT (compute/reuse
@@ -185,7 +184,8 @@ struct ExecStats {
 /// bound per position (the shortest incident cluster row, the seed
 /// endpoint count, or the label frequency) and reserves every scratch
 /// buffer once — the per-slot cache storage, a per-depth ping-pong
-/// partner for chained intersections, and the negation mark bitmap.
+/// partner for chained intersections, the negation mark bitmap, and
+/// the failing-set word arrays.
 /// After Prepare() the enumeration performs no heap allocation; the
 /// VertexScratch hot-growth counter is the test hook proving it.
 class Executor {
@@ -278,29 +278,24 @@ class Executor {
   CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
   CSCE_HOT_PATH void ComputeCandidates(uint32_t depth,
                                        setops::VertexScratch* out);
+  struct AuxStep;
   /// Runs the aux projection steps triggered by the mapping just
-  /// placed at `depth` (prune pass "aux"). Returns false when a
-  /// partial projection became empty: some not-yet-matched position's
-  /// candidate set is already known to be empty, so the subtree under
-  /// this placement cannot produce an embedding and is cut.
-  CSCE_HOT_PATH bool RunAuxSteps(uint32_t depth);
-  /// REE probe (prune pass "ree"): true if `v` is interchangeable with
-  /// a memoized zero-embedding sibling at `depth`, so its subtree is
-  /// provably empty and may be skipped.
-  CSCE_HOT_PATH bool ReeSkip(uint32_t depth, VertexId v);
-  /// Memoizes `v` after its subtree completed with zero embeddings.
-  CSCE_HOT_PATH void ReeInsert(uint32_t depth, VertexId v);
-  /// Fingerprint of v's row lengths across every plan-relevant view
-  /// (cheap necessary condition for interchangeability).
-  CSCE_HOT_PATH uint64_t ReeKey(VertexId v) const;
-  /// Exact check: a and b have element-wise identical rows in every
-  /// plan-relevant view, in both directions, and no row touches a or b
-  /// (which would make the (a b) swap alter adjacency). Then swapping
-  /// a and b is an automorphism of the plan-relevant part of the data
-  /// graph that fixes the current prefix, so their subtrees hold
-  /// equally many embeddings.
-  CSCE_HOT_PATH bool ReeInterchangeable(VertexId a, VertexId b) const;
-  CSCE_HOT_PATH bool PassesRestrictions(uint32_t depth, VertexId v) const;
+  /// placed at `depth` (prune pass "aux"). Returns the step whose
+  /// partial projection became empty, or nullptr: some not-yet-matched
+  /// position's candidate set is already known to be empty, so the
+  /// subtree under this placement cannot produce an embedding and is
+  /// cut.
+  CSCE_HOT_PATH const AuxStep* RunAuxSteps(uint32_t depth);
+  /// The restriction `v` violates at `depth`, or nullptr.
+  CSCE_HOT_PATH const Restriction* FailedRestriction(uint32_t depth,
+                                                     VertexId v) const;
+  /// Failing-set words (prune pass "fs"): anc(j) of position j, and the
+  /// failing set EnumerateOver(depth) leaves for its caller.
+  const uint64_t* Anc(uint32_t j) const { return &anc_[j * fs_words_]; }
+  uint64_t* FailingSet(uint32_t depth) { return &fs_[depth * fs_words_]; }
+  CSCE_HOT_PATH void FsUnion(uint32_t depth, const uint64_t* set);
+  /// Builds anc(j) for every position (see Prepare).
+  void BuildAncestorSets();
   CSCE_HOT_PATH bool Emit();
   CSCE_HOT_PATH bool CheckDeadline();
 
@@ -339,7 +334,7 @@ class Executor {
   /// position, bucketed by the dependency depth whose placement
   /// triggers it. Steps of one target form a chain in dependency
   /// order: step 0 seeds the target's span from the dependency's row
-  /// (zero copy), step s >= 1 intersects the previous span with the
+  /// (zero copy), step s >= 1 intersects step s-1's output with the
   /// next row into its own buffer. One buffer per step — not a
   /// ping-pong pair — because the spans of steps 0..s stay live while
   /// the recursion between two dependency depths explores siblings.
@@ -349,32 +344,29 @@ class Executor {
     const ClusterView* view;  // nullptr: empty cluster, always cuts
     bool incoming;
     int32_t buf;  // aux_bufs_ index; -1 for step 0
+    /// Offset into aux_cut_sets_ of the failing set a cut at this
+    /// step reports (fs pass only).
+    size_t cut_set;
   };
   std::vector<std::vector<AuxStep>> aux_steps_;      // per dep depth
   std::vector<std::span<const VertexId>> aux_span_;  // per target position
+  std::vector<std::span<const VertexId>> aux_seed_;  // per target: step 0 row
   std::vector<uint32_t> aux_steps_done_;             // per target position
   std::vector<uint32_t> aux_steps_total_;  // per target (0 = not aux)
   std::vector<setops::VertexScratch> aux_bufs_;
-  /// REE sibling memo: per depth, a small ring of fingerprints of
-  /// candidates whose completed subtree held zero embeddings under the
-  /// current prefix. Reset whenever a sibling loop starts at that
-  /// depth (the memo is only valid for one prefix).
-  static constexpr uint32_t kReeTableEntries = 8;
-  struct ReeEntry {
-    uint64_t key;
-    VertexId v;
-  };
-  struct ReeTable {
-    std::array<ReeEntry, kReeTableEntries> slots;
-    uint32_t count = 0;
-    uint32_t next = 0;  // ring eviction cursor once full
-  };
-  std::vector<ReeTable> ree_tables_;  // per depth
-  std::vector<uint8_t> ree_active_;   // per depth, resolved in Prepare
-  /// Every distinct cluster view the plan consults (edge constraints
-  /// and negation removals): REE interchangeability must hold across
-  /// all of them.
-  std::vector<const ClusterView*> ree_views_;
+  /// Union of anc(p) over each aux step's absorbed edge positions,
+  /// fs_words_ per step (built only when both aux and fs are on).
+  std::vector<uint64_t> aux_cut_sets_;
+  /// Failing sets, DAF-style (prune pass "fs"): flat arrays of
+  /// fs_words_ = ceil(n / 64) words per position, sized in Prepare.
+  /// anc_ holds anc(j): j, its dependency positions, the NEC slot
+  /// owner's dependencies and its restriction partners, closed
+  /// transitively — every position whose mapping can change j's
+  /// candidate set. fs_ holds, per depth, the failing set of the
+  /// prefix EnumerateOver(depth) extended.
+  uint32_t fs_words_ = 0;
+  std::vector<uint64_t> anc_;
+  std::vector<uint64_t> fs_;
   /// LPI bookkeeping of the most recent ComputeCandidates call, copied
   /// into the SCE cache entry so reuses can re-add the contribution
   /// (thread-count invariance; see ExecStats::prune_candidates_removed).

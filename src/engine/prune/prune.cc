@@ -4,13 +4,13 @@ namespace csce {
 
 PruneOptions AllPruneOptions() {
   PruneOptions o;
-  o.aux = o.ree = o.lpi = true;
+  o.aux = o.fs = o.lpi = true;
   return o;
 }
 
 PruneOptions NoPruneOptions() {
   PruneOptions o;
-  o.aux = o.ree = o.lpi = false;
+  o.aux = o.fs = o.lpi = false;
   return o;
 }
 
@@ -30,8 +30,8 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
     }
     if (token == "aux") {
       parsed.aux = true;
-    } else if (token == "ree") {
-      parsed.ree = true;
+    } else if (token == "fs") {
+      parsed.fs = true;
     } else if (token == "lpi") {
       parsed.lpi = true;
     } else if (token == "all") {
@@ -41,7 +41,7 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
     } else {
       return Status::InvalidArgument(
           "unknown prune pass \"" + std::string(token) +
-          "\" (expected aux, ree, lpi, all, or none)");
+          "\" (expected aux, lpi, fs, all, or none)");
     }
     if (comma == spec.size()) break;
     start = comma + 1;
@@ -52,16 +52,16 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
 
 std::string PruneOptionsToString(const PruneOptions& options) {
   if (!options.any()) return "none";
-  // Without the default filter the list must start from `none`, or it
-  // would parse back with lpi on.
-  std::string s = options.lpi ? "" : "none";
+  // Without both default passes the list must start from `none`, or it
+  // would parse back with the missing one on.
+  std::string s = options.lpi && options.fs ? "" : "none";
   auto add = [&s](const char* name) {
     if (!s.empty()) s += ',';
     s += name;
   };
   if (options.aux) add("aux");
-  if (options.ree) add("ree");
   if (options.lpi) add("lpi");
+  if (options.fs) add("fs");
   return s;
 }
 

@@ -10,7 +10,7 @@ namespace csce {
 
 /// Selection of proactive pruning passes (ROADMAP item 3). All three
 /// passes are semantics-preserving: with any subset enabled the engine
-/// produces byte-identical sorted embeddings to the `none` ablation —
+/// emits the same embeddings in the same order as the `none` ablation —
 /// they only shrink the work done to find them.
 ///
 ///  - lpi: label-pair index (l2Match-style), ON by default. A
@@ -23,39 +23,43 @@ namespace csce {
 ///    marks positions whose candidate intersection can be built
 ///    incrementally while ancestor vertices are placed; empty partial
 ///    projections cut whole subtrees early.
-///  - ree: redundant-extension elimination (CEMR-style). Siblings whose
-///    adjacency is provably interchangeable with an already-enumerated
-///    zero-embedding sibling are skipped without descending.
+///  - fs: failing-set backjumping (DAF-style), ON by default. Every
+///    search node below the root computes the set of plan positions
+///    whose mappings made its subtree fail; when a child's set does not
+///    contain the current position, every remaining sibling would fail
+///    the same way and is skipped. Only the `none` ablation turns it
+///    off.
 struct PruneOptions {
   bool aux = false;
-  bool ree = false;
+  bool fs = true;
   bool lpi = true;
 
-  bool any() const { return aux || ree || lpi; }
+  bool any() const { return aux || fs || lpi; }
 
   friend bool operator==(const PruneOptions& a, const PruneOptions& b) {
-    return a.aux == b.aux && a.ree == b.ree && a.lpi == b.lpi;
+    return a.aux == b.aux && a.fs == b.fs && a.lpi == b.lpi;
   }
 };
 
 /// All passes on — the `--prune=all` spelling.
 PruneOptions AllPruneOptions();
 
-/// Every pass off, the label-pair filter included — the `--prune=none`
-/// ablation. Unfiltered reference runs (crosschecks, bench_prune) use it.
+/// Every pass off, the default filter and backjumping included — the
+/// `--prune=none` ablation. Unpruned reference runs (crosschecks,
+/// bench_prune) use it.
 PruneOptions NoPruneOptions();
 
 /// Parses a comma-separated pass list into `out`, left to right,
-/// starting from the default (`lpi`): `aux` and `ree` add to the
-/// default filter, `lpi` is a no-op unless it follows `none`, `all`
-/// sets every pass and `none` clears every pass. So "" is the default,
-/// "aux" is aux+lpi, and "none,aux" is aux alone. Unknown pass names
-/// are rejected with InvalidArgument naming the offending token; `out`
-/// is untouched on error.
+/// starting from the default (`lpi,fs`): `aux` adds to the default,
+/// `lpi` and `fs` are no-ops unless they follow `none`, `all` sets
+/// every pass and `none` clears every pass. So "" is the default,
+/// "aux" is aux+lpi+fs, and "none,aux" is aux alone. Unknown pass
+/// names are rejected with InvalidArgument naming the offending token;
+/// `out` is untouched on error.
 Status ParsePruneList(std::string_view spec, PruneOptions* out);
 
-/// Canonical round-trippable spelling: "none", "lpi" (the default),
-/// "aux,ree,lpi", "none,aux", ...
+/// Canonical round-trippable spelling: "none", "lpi,fs" (the default),
+/// "aux,lpi,fs", "none,aux", "none,lpi", ...
 std::string PruneOptionsToString(const PruneOptions& options);
 
 }  // namespace csce

@@ -303,14 +303,6 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
   if (options.prune.aux) {
     ChooseAuxTargets(data_, &plan);
   }
-  if (options.prune.ree) {
-    // Never the root (morsel splitting would make skip counts depend on
-    // the thread count) and never the last position (the count-only
-    // fast path has no subtree to memoize).
-    for (uint32_t j = 1; j + 1 < n; ++j) {
-      plan.positions[j].ree_enabled = true;
-    }
-  }
 
   // NEC cache sharing: positions with identical base-candidate
   // definitions share one cache slot. ComputeNecClasses narrows the

@@ -77,11 +77,6 @@ struct PlanPosition {
   /// projections cut the subtree early). Chosen by the cost model;
   /// emitted only when PlanOptions::prune.aux is set.
   bool aux_enabled = false;
-  /// ree: the executor may skip siblings at this position whose
-  /// adjacency is interchangeable with an already-enumerated
-  /// zero-embedding sibling. Emitted only when PlanOptions::prune.ree
-  /// is set, never for the first or last position.
-  bool ree_enabled = false;
 };
 
 /// A compiled matching plan: the optimized order Phi* plus per-position

@@ -187,7 +187,11 @@ CSCE_WIRE_PRIMITIVE Status PayloadReader::VecU32(std::vector<uint32_t>* v) {
   // The count must be backed by bytes before the vector is sized.
   CSCE_RETURN_IF_ERROR(Need(static_cast<size_t>(count) * sizeof(uint32_t)));
   v->resize(count);
-  std::memcpy(v->data(), data_.data() + pos_, count * sizeof(uint32_t));
+  // An empty vector's data() may be null, and memcpy from/to null is
+  // undefined even for zero bytes.
+  if (count > 0) {
+    std::memcpy(v->data(), data_.data() + pos_, count * sizeof(uint32_t));
+  }
   pos_ += static_cast<size_t>(count) * sizeof(uint32_t);
   return Status::OK();
 }
@@ -330,7 +334,7 @@ void EncodePlan(const Plan& plan, PayloadWriter* w) {
   w->U8(static_cast<uint8_t>(plan.variant));
   w->U8(plan.use_sce ? 1 : 0);
   w->U8(static_cast<uint8_t>((plan.prune.aux ? 1 : 0) |
-                             (plan.prune.ree ? 2 : 0) |
+                             (plan.prune.fs ? 2 : 0) |
                              (plan.prune.lpi ? 4 : 0)));
   w->VecU32(plan.order);
   w->U32(static_cast<uint32_t>(plan.positions.size()));
@@ -360,7 +364,6 @@ void EncodePlan(const Plan& plan, PayloadWriter* w) {
     w->U64(pos.lpi_req_out);
     w->U64(pos.lpi_req_in);
     w->U8(pos.aux_enabled ? 1 : 0);
-    w->U8(pos.ree_enabled ? 1 : 0);
   }
 }
 
@@ -376,7 +379,7 @@ Status DecodePlan(PayloadReader* r, Plan* out) {
   CSCE_RETURN_IF_ERROR(r->U8(&prune_bits));
   if (prune_bits > 7) return Status::Corruption("unknown prune pass bits");
   out->prune.aux = (prune_bits & 1) != 0;
-  out->prune.ree = (prune_bits & 2) != 0;
+  out->prune.fs = (prune_bits & 2) != 0;
   out->prune.lpi = (prune_bits & 4) != 0;
   CSCE_RETURN_IF_ERROR(r->VecU32(&out->order));
   uint32_t npos = 0;
@@ -441,8 +444,6 @@ Status DecodePlan(PayloadReader* r, Plan* out) {
     CSCE_RETURN_IF_ERROR(r->U64(&pos.lpi_req_in));
     CSCE_RETURN_IF_ERROR(r->U8(&flag));
     pos.aux_enabled = flag != 0;
-    CSCE_RETURN_IF_ERROR(r->U8(&flag));
-    pos.ree_enabled = flag != 0;
   }
   return Status::OK();
 }

@@ -41,7 +41,9 @@ inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 /// rejects the worker instead of mis-decoding its frames).
 /// v2: CRC-carrying 20-byte frame header + handshake/heartbeat frames.
 /// v3: LoadRequest carries out-of-core options (use_mmap, memory cap).
-inline constexpr uint32_t kProtocolVersion = 3;
+/// v4: plan prune bit 2 carries failing-set backjumping; the
+///     per-position redundant-extension byte is gone.
+inline constexpr uint32_t kProtocolVersion = 4;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 /// Table-driven, byte-at-a-time: frames are small (task batches cap in

@@ -87,37 +87,46 @@ TEST(FlagsTest, EmptyFlagNameRejected) {
 // --- --prune / CSCE_PRUNE pass-list parsing (csce_match, csce_serve) -
 
 TEST(PruneListTest, IndividualPassesAndCombinations) {
-  // The label-pair filter is the default; aux and ree add to it.
+  // The label-pair filter and failing-set backjumping are the default;
+  // aux adds to them.
   PruneOptions p;
   EXPECT_FALSE(p.aux);
-  EXPECT_FALSE(p.ree);
+  EXPECT_TRUE(p.fs);
   EXPECT_TRUE(p.lpi);
 
   ASSERT_TRUE(ParsePruneList("aux", &p).ok());
   EXPECT_TRUE(p.aux);
-  EXPECT_FALSE(p.ree);
+  EXPECT_TRUE(p.fs);
   EXPECT_TRUE(p.lpi);
 
   p = NoPruneOptions();
-  ASSERT_TRUE(ParsePruneList("ree", &p).ok());
-  EXPECT_FALSE(p.aux);
-  EXPECT_TRUE(p.ree);
-  EXPECT_TRUE(p.lpi);
-
+  ASSERT_TRUE(ParsePruneList("fs", &p).ok());
+  EXPECT_EQ(p, PruneOptions{});
   ASSERT_TRUE(ParsePruneList("lpi", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
+  ASSERT_TRUE(ParsePruneList("lpi,fs", &p).ok());
+  EXPECT_EQ(p, PruneOptions{});
 
-  ASSERT_TRUE(ParsePruneList("aux,ree", &p).ok());
+  ASSERT_TRUE(ParsePruneList("aux,fs", &p).ok());
   EXPECT_EQ(p, AllPruneOptions());
-  ASSERT_TRUE(ParsePruneList("aux,ree,lpi", &p).ok());
+  ASSERT_TRUE(ParsePruneList("aux,lpi,fs", &p).ok());
   EXPECT_EQ(p, AllPruneOptions());
 
-  // Only `none` turns the filter off; passes after it start from zero.
+  // Only `none` turns the default passes off; passes after it start
+  // from zero.
   ASSERT_TRUE(ParsePruneList("none,aux", &p).ok());
   EXPECT_TRUE(p.aux);
-  EXPECT_FALSE(p.ree);
+  EXPECT_FALSE(p.fs);
+  EXPECT_FALSE(p.lpi);
+  ASSERT_TRUE(ParsePruneList("none,fs", &p).ok());
+  EXPECT_FALSE(p.aux);
+  EXPECT_TRUE(p.fs);
   EXPECT_FALSE(p.lpi);
   ASSERT_TRUE(ParsePruneList("none,lpi", &p).ok());
+  EXPECT_FALSE(p.aux);
+  EXPECT_FALSE(p.fs);
+  EXPECT_TRUE(p.lpi);
+  ASSERT_TRUE(ParsePruneList("none,lpi,fs", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
   ASSERT_TRUE(ParsePruneList("aux,none", &p).ok());
   EXPECT_EQ(p, NoPruneOptions());
@@ -133,11 +142,12 @@ TEST(PruneListTest, AllNoneAndEmptySpellings) {
   EXPECT_EQ(p, NoPruneOptions());
 
   // An empty spec (what the tools parse when neither --prune nor
-  // CSCE_PRUNE is set) keeps the default filter on.
+  // CSCE_PRUNE is set) keeps the default passes on.
   p = NoPruneOptions();
   ASSERT_TRUE(ParsePruneList("", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
   EXPECT_TRUE(p.lpi);
+  EXPECT_TRUE(p.fs);
 }
 
 TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
@@ -148,8 +158,17 @@ TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
   EXPECT_NE(st.ToString().find("cemr"), std::string::npos) << st.ToString();
   // Out-parameter untouched on error.
   EXPECT_TRUE(p.aux);
-  EXPECT_FALSE(p.ree);
+  EXPECT_FALSE(p.fs);
   EXPECT_FALSE(p.lpi);
+
+  // `ree` names no pass, so it is rejected like any unknown name.
+  st = ParsePruneList("ree", &p);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("ree"), std::string::npos) << st.ToString();
+  EXPECT_EQ(ParsePruneList("none,aux,ree", &p).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_TRUE(p.aux);
+  EXPECT_FALSE(p.fs);
 
   EXPECT_EQ(ParsePruneList("aux,,lpi", &p).code(),
             StatusCode::kInvalidArgument);
@@ -159,22 +178,22 @@ TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
 TEST(PruneListTest, RoundTripsThroughToString) {
   // Canonical spellings print back verbatim, one per pass subset.
   for (const char* spec :
-       {"none", "lpi", "aux,lpi", "ree,lpi", "aux,ree,lpi", "none,aux",
-        "none,ree", "none,aux,ree"}) {
+       {"none", "lpi,fs", "aux,lpi,fs", "none,aux", "none,lpi", "none,fs",
+        "none,aux,lpi", "none,aux,fs"}) {
     PruneOptions p;
     ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     EXPECT_EQ(PruneOptionsToString(p), spec);
   }
   // Every other spelling parses back to the same options.
-  for (const char* spec : {"", "aux", "ree", "aux,ree", "all", "none,lpi",
-                           "none,aux,lpi", "ree,none,aux"}) {
+  for (const char* spec : {"", "aux", "fs", "lpi", "aux,fs", "all",
+                           "none,lpi,fs", "none,aux,lpi,fs", "fs,none,aux"}) {
     PruneOptions p;
     ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     PruneOptions q;
     ASSERT_TRUE(ParsePruneList(PruneOptionsToString(p), &q).ok()) << spec;
     EXPECT_EQ(p, q) << spec;
   }
-  EXPECT_EQ(PruneOptionsToString(PruneOptions{}), "lpi");
+  EXPECT_EQ(PruneOptionsToString(PruneOptions{}), "lpi,fs");
 }
 
 }  // namespace

@@ -218,7 +218,7 @@ TEST(EngineMetricsTest, ParallelCountersMatchSerial) {
 // are deliberately NOT asserted — morsel splitting legitimately moves
 // work between the aux-projection and per-morsel recomputation paths.)
 
-constexpr Label kLA = 0, kLB = 1, kLC = 2, kLD = 3;
+constexpr Label kLA = 0, kLB = 1, kLC = 2, kLD = 3, kLE = 4;
 
 // N disjoint copies of the star-decoy gadget (see prune_test.cc): six
 // B-decoys per copy that the lpi mask removes, with enough root
@@ -250,30 +250,44 @@ Graph PruneStarCopies(uint32_t copies) {
   return testing::MakeGraph(false, vlabels, edges);
 }
 
-// N disjoint copies of the triangle-plus-pendant gadget whose decoy
-// subtrees are skipped by ree/aux (see prune_test.cc).
-Graph PruneTriCopies(uint32_t copies) {
+// N disjoint copies of a hub gadget for a triangle A-B-C with a
+// pendant path A-D-E, planned in that order. Per copy, hub `a1`
+// carries a 6x6 B-C block of triangles and one D neighbor with no E
+// neighbor. The label-pair filter keeps a1 (it has B, C and D
+// neighbors) and only empties D's candidates after each triangle;
+// failing-set backjumping then skips the rest of the block, because
+// D's candidate set depends on A's mapping alone.
+Graph PruneHubCopies(uint32_t copies) {
   std::vector<Label> vlabels;
   std::vector<Edge> edges;
   for (uint32_t k = 0; k < copies; ++k) {
     const VertexId base = static_cast<VertexId>(vlabels.size());
-    // a, b_good, c_good, pendant d, cj, dj
-    vlabels.insert(vlabels.end(), {kLA, kLB, kLC, kLD, kLC, kLD});
+    // a0, b0, c0, d0, e0, hub a1, d1
+    vlabels.insert(vlabels.end(), {kLA, kLB, kLC, kLD, kLE, kLA, kLD});
     edges.push_back({base + 0, base + 1});
     edges.push_back({base + 0, base + 2});
     edges.push_back({base + 1, base + 2});
     edges.push_back({base + 0, base + 3});
+    edges.push_back({base + 3, base + 4});
+    edges.push_back({base + 5, base + 6});
+    const VertexId first_b = static_cast<VertexId>(vlabels.size());
+    for (uint32_t i = 0; i < 6; ++i) vlabels.push_back(kLB);
+    const VertexId first_c = static_cast<VertexId>(vlabels.size());
+    for (uint32_t i = 0; i < 6; ++i) vlabels.push_back(kLC);
     for (uint32_t i = 0; i < 6; ++i) {
-      const VertexId b = static_cast<VertexId>(vlabels.size());
-      vlabels.push_back(kLB);
-      edges.push_back({base + 0, b});
-      edges.push_back({b, base + 4});
+      edges.push_back({base + 5, first_b + i});
+      edges.push_back({base + 5, first_c + i});
+      for (uint32_t j = 0; j < 6; ++j) {
+        edges.push_back({first_b + i, first_c + j});
+      }
     }
-    for (uint32_t i = 0; i < 6; ++i) {
-      const VertexId c = static_cast<VertexId>(vlabels.size());
-      vlabels.push_back(kLC);
-      edges.push_back({base + 0, c});
-      edges.push_back({c, base + 5});
+    // Junk A-D and D-E pairs keep the pendant's clusters large, so the
+    // planner orders the triangle first.
+    for (uint32_t i = 0; i < 10; ++i) {
+      const VertexId a = static_cast<VertexId>(vlabels.size());
+      vlabels.insert(vlabels.end(), {kLA, kLD, kLD, kLE});
+      edges.push_back({a, a + 1});
+      edges.push_back({a + 2, a + 3});
     }
   }
   return testing::MakeGraph(false, vlabels, edges);
@@ -293,10 +307,11 @@ MetricsSnapshot RunPruneWorkload(uint32_t threads, PruneOptions prune) {
   MatchResult result;
   CSCE_CHECK(CsceMatcher(&star).Match(star_pattern, options, &result).ok());
 
-  Ccsr tri = Ccsr::Build(PruneTriCopies(8));
-  Graph tri_pattern = testing::MakeGraph(
-      false, {kLA, kLB, kLC, kLD}, {{0, 1}, {1, 2}, {0, 2}, {0, 3}});
-  CSCE_CHECK(CsceMatcher(&tri).Match(tri_pattern, options, &result).ok());
+  Ccsr hub = Ccsr::Build(PruneHubCopies(8));
+  Graph hub_pattern =
+      testing::MakeGraph(false, {kLA, kLB, kLC, kLD, kLE},
+                         {{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}});
+  CSCE_CHECK(CsceMatcher(&hub).Match(hub_pattern, options, &result).ok());
 
   return MetricRegistry::Global().Snapshot();
 }
@@ -314,20 +329,29 @@ TEST(EngineMetricsTest, PruneCountersThreadCountInvariant) {
             GlobalCounter(serial, "prune.candidates_removed"));
   EXPECT_EQ(GlobalCounter(parallel, "prune.extensions_skipped"),
             GlobalCounter(serial, "prune.extensions_skipped"));
+  EXPECT_EQ(GlobalCounter(parallel, "engine.search_nodes"),
+            GlobalCounter(serial, "engine.search_nodes"));
   EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
             serial.histograms["prune.shrink_ratio_pct"].count);
 }
 
 TEST(EngineMetricsTest, DefaultFilterCountersThreadCountInvariant) {
-  // Default options: the label-pair filter alone, as every run has it.
+  // Default options, as every run has them: the label-pair filter and
+  // failing-set backjumping. Backjumps never fire at the root, so the
+  // siblings they skip — and the search nodes left — do not depend on
+  // how the roots are split into morsels.
   MetricsSnapshot serial = RunPruneWorkload(1, PruneOptions{});
   EXPECT_GE(GlobalCounter(serial, "prune.candidates_removed"), 8u * 6u);
-  EXPECT_EQ(GlobalCounter(serial, "prune.extensions_skipped"), 0u);
+  EXPECT_GE(GlobalCounter(serial, "prune.extensions_skipped"), 8u * 5u);
   EXPECT_GT(serial.histograms["prune.shrink_ratio_pct"].count, 0u);
 
   MetricsSnapshot parallel = RunPruneWorkload(8, PruneOptions{});
   EXPECT_EQ(GlobalCounter(parallel, "prune.candidates_removed"),
             GlobalCounter(serial, "prune.candidates_removed"));
+  EXPECT_EQ(GlobalCounter(parallel, "prune.extensions_skipped"),
+            GlobalCounter(serial, "prune.extensions_skipped"));
+  EXPECT_EQ(GlobalCounter(parallel, "engine.search_nodes"),
+            GlobalCounter(serial, "engine.search_nodes"));
   EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
             serial.histograms["prune.shrink_ratio_pct"].count);
 }

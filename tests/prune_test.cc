@@ -1,5 +1,5 @@
 // Proactive-pruning differential crosschecks: every subset of the
-// {aux, ree, lpi} pass family must yield byte-identical sorted
+// {aux, fs, lpi} pass family must yield byte-identical sorted
 // embedding sets — and equal counts — to the explicit `none` ablation
 // (the default keeps lpi on, so references never use PruneOptions{}),
 // across thread counts, shard counts, and mmap'd v2 artifacts (whose
@@ -59,7 +59,7 @@ std::vector<PruneOptions> AllSubsets() {
   for (int bits = 0; bits < 8; ++bits) {
     PruneOptions p;
     p.aux = (bits & 1) != 0;
-    p.ree = (bits & 2) != 0;
+    p.fs = (bits & 2) != 0;
     p.lpi = (bits & 4) != 0;
     subsets.push_back(p);
   }
@@ -129,8 +129,11 @@ TEST_F(PruneCrosscheckTest, EverySubsetByteIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(
       SamplePattern(*data_, 5, PatternDensity::kSparse, rng, &sparse).ok());
   for (const Graph* pattern : {&dense, &sparse}) {
+    // Vertex-induced plans carry negations, so aux cuts and failing
+    // sets compose with the negation dependencies there.
     for (MatchVariant variant :
-         {MatchVariant::kEdgeInduced, MatchVariant::kHomomorphic}) {
+         {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+          MatchVariant::kHomomorphic}) {
       MatchSnapshot want =
           RunMatch(*index_, *pattern, variant, NoPruneOptions(),
                    /*threads=*/1);
@@ -233,11 +236,124 @@ TEST_F(PruneCrosscheckTest, SelfCheckCleanWithAllPassesOn) {
 }
 
 // ---------------------------------------------------------------------
+// Large patterns (the paper's 8-2000-vertex regime), where backjumps
+// fire. The passes only skip subtrees that cannot produce an
+// embedding, so at one thread the *ordered* callback sequence — and
+// with it the first k embeddings — equals the `none` run's. Patent
+// with 200 labels (the paper's scalability variant) keeps the
+// unpruned reference fast enough to run at these sizes.
+
+struct OrderedRun {
+  MatchResult result;
+  std::vector<VertexId> sequence;  // mappings in emission order
+};
+
+OrderedRun RunOrdered(const Ccsr& index, const Graph& pattern,
+                      MatchVariant variant, PruneOptions prune,
+                      uint64_t max_embeddings) {
+  CsceMatcher matcher(&index);
+  MatchOptions options;
+  options.variant = variant;
+  options.max_embeddings = max_embeddings;
+  // A guard, not a budget: the sweep finishes in milliseconds, and a
+  // timed-out reference fails the test instead of being skipped.
+  options.time_limit_seconds = 20.0;
+  options.plan.prune = prune;
+  OrderedRun run;
+  Status st = matcher.MatchWithCallback(
+      pattern, options,
+      [&](std::span<const VertexId> mapping) {
+        run.sequence.insert(run.sequence.end(), mapping.begin(),
+                            mapping.end());
+        return true;
+      },
+      &run.result);
+  CSCE_CHECK(st.ok());
+  return run;
+}
+
+class PruneLargePatternTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    data_ = new Graph(datasets::Patent(200));
+    index_ = new Ccsr(Ccsr::Build(*data_));
+  }
+  static void TearDownTestSuite() {
+    delete index_;
+    index_ = nullptr;
+    delete data_;
+    data_ = nullptr;
+  }
+
+  // Every pass subset against `none` on `pattern`, all three variants.
+  // Returns the siblings the fs subsets skipped.
+  static uint64_t CheckAgainstNone(const Graph& pattern,
+                                   uint64_t max_embeddings) {
+    uint64_t skipped = 0;
+    for (MatchVariant variant :
+         {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+          MatchVariant::kHomomorphic}) {
+      OrderedRun want = RunOrdered(*index_, pattern, variant,
+                                   NoPruneOptions(), max_embeddings);
+      EXPECT_FALSE(want.result.timed_out) << VariantName(variant);
+      for (const PruneOptions& prune : AllSubsets()) {
+        OrderedRun got =
+            RunOrdered(*index_, pattern, variant, prune, max_embeddings);
+        const std::string where = std::string(VariantName(variant)) +
+                                  " n=" +
+                                  std::to_string(pattern.NumVertices()) +
+                                  " prune=" + PruneOptionsToString(prune);
+        EXPECT_FALSE(got.result.timed_out) << where;
+        EXPECT_EQ(got.result.embeddings, want.result.embeddings) << where;
+        EXPECT_EQ(got.sequence, want.sequence) << where;
+        EXPECT_LE(got.result.search_nodes, want.result.search_nodes)
+            << where;
+        if (prune.fs && !prune.aux) {
+          skipped += got.result.prune_extensions_skipped;
+        }
+      }
+    }
+    return skipped;
+  }
+
+  static Graph* data_;
+  static Ccsr* index_;
+};
+
+Graph* PruneLargePatternTest::data_ = nullptr;
+Ccsr* PruneLargePatternTest::index_ = nullptr;
+
+TEST_F(PruneLargePatternTest, OrderedFirstKMatchesNoneAt16To64Vertices) {
+  Rng rng(7);
+  uint64_t skipped = 0;
+  for (uint32_t size : {16u, 32u, 64u}) {
+    for (PatternDensity density :
+         {PatternDensity::kDense, PatternDensity::kSparse}) {
+      Graph pattern;
+      ASSERT_TRUE(SamplePattern(*data_, size, density, rng, &pattern).ok());
+      skipped += CheckAgainstNone(pattern, /*max_embeddings=*/100);
+    }
+  }
+  // The sweep is in the regime it claims to cover: backjumps fired.
+  EXPECT_GT(skipped, 0u);
+}
+
+TEST_F(PruneLargePatternTest, MultiWordFailingSetsAbove64Positions) {
+  // More than 64 plan positions: anc and failing sets span two words.
+  Rng rng(11);
+  Graph pattern;
+  ASSERT_TRUE(
+      SamplePattern(*data_, 96, PatternDensity::kSparse, rng, &pattern)
+          .ok());
+  ASSERT_GE(pattern.NumVertices(), 80u);
+  EXPECT_GT(CheckAgainstNone(pattern, /*max_embeddings=*/1000), 0u);
+}
+
+// ---------------------------------------------------------------------
 // Crafted workload where each pass provably fires. One A-hub `a0`
 // carries a real triangle (b_good, c_good) plus `kDecoys` B-decoys that
-// are adjacent only to {a0, x}: degree 2 (so the LDF keeps them), no C
-// neighbor (so their subtrees are empty), and element-wise identical
-// adjacency rows (so they are REE-interchangeable). C-filler vertices
+// are adjacent only to {a0, x}: degree 2 (so the LDF keeps them) and
+// no C neighbor (so their subtrees are empty). C-filler vertices
 // hanging off `x` inflate the C label frequency so the planner roots
 // the A-B-C path pattern at its unique-A end — making B (with its
 // decoys) the enumerated middle position rather than a set already
@@ -268,7 +384,7 @@ Graph TrianglePattern() {
                                   {{0, 1}, {1, 2}, {0, 2}});
 }
 
-// Star-pattern workload for the lpi/ree firing tests. The pattern is
+// Star-pattern workload for the lpi firing test. The pattern is
 // a star around B (A-B, B-C, B-D); the unique A vertex roots the plan,
 // so B's candidates arrive via the backward A-edge — the full b-row of
 // `a0`, decoys included — while the C- and D-edges point forward. The
@@ -285,8 +401,8 @@ Graph StarDecoyGraph() {
   for (uint32_t i = 0; i < kDecoys; ++i) {
     const VertexId b = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kB);
-    // Degree 3 (the LDF keeps them), element-wise identical rows
-    // (REE-interchangeable), no D neighbor (their subtrees are empty).
+    // Degree 3 (the LDF keeps them), no D neighbor (their subtrees
+    // are empty).
     edges.push_back({b, 0});
     edges.push_back({b, 1});
     edges.push_back({b, 2});
@@ -305,28 +421,37 @@ Graph StarPattern() {
                                   {{0, 1}, {1, 2}, {1, 3}});
 }
 
-// REE workload: triangle A-B-C plus a pendant D on A. The pendant
-// makes the triangle-closing position a middle one (REE never runs at
-// the root or the last position). Decoy Bs (adjacent {a0, cj}) and
-// junk Cs (adjacent {a0, dj}) balance the (A,B)/(A,C) cluster sizes so
-// that whichever of B/C the planner orders second has interchangeable
-// siblings whose subtrees die in the closing intersection — cj/dj are
-// not adjacent to a0, so those prefixes complete with zero embeddings.
-Graph TriPendantGraph() {
-  // a0=0 (A), b_good=1 (B), c_good=2 (C), x0=3 (D), cj=4 (C), dj=5 (D).
-  std::vector<Label> vlabels = {kA, kB, kC, kD, kC, kD};
+// Backjumping workload: triangle A-B-C plus a pendant D on A. Hub
+// `a1` carries a complete B x C bipartite block of triangles but no D
+// neighbor; `a0` carries one triangle and its D. The pendant has no
+// descendants, so the planner orders it last: under `a1` every
+// triangle completes and only then does D's candidate set (a1's
+// D-row) come up empty. That failure depends on A's mapping alone, so
+// the first empty D subtree proves every remaining B/C sibling under
+// `a1` fails too. Junk A-D pairs keep the (A,D) cluster from being
+// the smallest seed for a D root.
+constexpr uint32_t kBlock = 6;
+
+Graph HubPendantGraph() {
+  // a0=0 (A), b0=1 (B), c0=2 (C), d0=3 (D), a1=4 (A).
+  std::vector<Label> vlabels = {kA, kB, kC, kD, kA};
   std::vector<Edge> edges = {{0, 1}, {0, 2}, {1, 2}, {0, 3}};
-  for (uint32_t i = 0; i < kDecoys; ++i) {
-    const VertexId b = static_cast<VertexId>(vlabels.size());
-    vlabels.push_back(kB);
-    edges.push_back({0, b});
-    edges.push_back({b, 4});
+  const VertexId first_b = static_cast<VertexId>(vlabels.size());
+  for (uint32_t i = 0; i < kBlock; ++i) vlabels.push_back(kB);
+  const VertexId first_c = static_cast<VertexId>(vlabels.size());
+  for (uint32_t i = 0; i < kBlock; ++i) vlabels.push_back(kC);
+  for (uint32_t i = 0; i < kBlock; ++i) {
+    edges.push_back({4, first_b + i});
+    edges.push_back({4, first_c + i});
+    for (uint32_t j = 0; j < kBlock; ++j) {
+      edges.push_back({first_b + i, first_c + j});
+    }
   }
-  for (uint32_t i = 0; i < kDecoys; ++i) {
-    const VertexId c = static_cast<VertexId>(vlabels.size());
-    vlabels.push_back(kC);
-    edges.push_back({0, c});
-    edges.push_back({c, 5});
+  for (uint32_t i = 0; i < kJunkPairs; ++i) {
+    const VertexId a = static_cast<VertexId>(vlabels.size());
+    vlabels.push_back(kA);
+    vlabels.push_back(kD);
+    edges.push_back({a, a + 1});
   }
   return csce::testing::MakeGraph(false, vlabels, edges);
 }
@@ -365,21 +490,27 @@ TEST_F(PruneFiringTest, LpiRemovesLabelDeficientCandidates) {
   EXPECT_LT(got.result.search_nodes, off.result.search_nodes);
 }
 
-TEST_F(PruneFiringTest, ReeSkipsInterchangeableZeroEmbeddingSiblings) {
-  Graph data = TriPendantGraph();
+TEST_F(PruneFiringTest, FailingSetsSkipDoomedSiblings) {
+  Graph data = HubPendantGraph();
   Ccsr index = Ccsr::Build(data);
-  Graph star = TriPendantPattern();
-  MatchSnapshot off =
-      RunMatch(index, star, MatchVariant::kEdgeInduced, NoPruneOptions(), 1);
-  PruneOptions ree = NoPruneOptions();
-  ree.ree = true;
-  MatchSnapshot got =
-      RunMatch(index, star, MatchVariant::kEdgeInduced, ree, 1);
-  EXPECT_EQ(got.result.embeddings, 1u);
-  EXPECT_EQ(got.rows, off.rows);
-  // The first decoy's subtree completes empty; the remaining decoys
-  // have identical rows and are skipped without descending.
-  EXPECT_GE(got.result.prune_extensions_skipped, kDecoys - 1);
+  Graph pattern = TriPendantPattern();
+  for (MatchVariant variant :
+       {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+        MatchVariant::kHomomorphic}) {
+    MatchSnapshot off = RunMatch(index, pattern, variant, NoPruneOptions(), 1);
+    PruneOptions fs = NoPruneOptions();
+    fs.fs = true;
+    MatchSnapshot got = RunMatch(index, pattern, variant, fs, 1);
+    EXPECT_EQ(got.result.embeddings, 1u) << VariantName(variant);
+    EXPECT_EQ(got.rows, off.rows) << VariantName(variant);
+    // Under a1 the first completed triangle's empty D subtree backjumps
+    // over the rest of the block.
+    EXPECT_LT(got.result.search_nodes, off.result.search_nodes)
+        << VariantName(variant);
+    EXPECT_GE(got.result.prune_extensions_skipped, kBlock - 1)
+        << VariantName(variant);
+    EXPECT_EQ(off.result.prune_extensions_skipped, 0u);
+  }
 }
 
 TEST_F(PruneFiringTest, AuxEmptyCutsDecoySubtrees) {

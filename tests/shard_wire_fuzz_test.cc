@@ -144,6 +144,7 @@ TEST(ShardWireTest, PlanRequestRoundTrip) {
   EXPECT_EQ(out.time_limit_seconds, msg.time_limit_seconds);
   EXPECT_EQ(out.pattern.NumVertices(), msg.pattern.NumVertices());
   EXPECT_EQ(out.pattern.NumEdges(), msg.pattern.NumEdges());
+  EXPECT_EQ(out.plan.prune, msg.plan.prune);
   ASSERT_EQ(out.plan.order, msg.plan.order);
   ASSERT_EQ(out.plan.positions.size(), msg.plan.positions.size());
   for (size_t j = 0; j < out.plan.positions.size(); ++j) {
@@ -158,7 +159,29 @@ TEST(ShardWireTest, PlanRequestRoundTrip) {
     EXPECT_EQ(a.seed_valid, b.seed_valid);
     EXPECT_EQ(a.min_out_degree, b.min_out_degree);
     EXPECT_EQ(a.min_in_degree, b.min_in_degree);
+    EXPECT_EQ(a.lpi_req_out, b.lpi_req_out);
+    EXPECT_EQ(a.lpi_req_in, b.lpi_req_in);
+    EXPECT_EQ(a.aux_enabled, b.aux_enabled);
   }
+}
+
+TEST(ShardWireTest, ZeroLengthVectorConsumesOnlyItsCount) {
+  // An empty vector has no element bytes to copy (and a null data()):
+  // decoding it must read the 4-byte count and nothing else.
+  PayloadWriter w;
+  w.VecU32({});
+  w.U32(0xABCD1234u);
+  const std::string bytes = w.Take();
+  ASSERT_EQ(bytes.size(), 8u);
+  PayloadReader r(bytes);
+  std::vector<uint32_t> v = {5, 6};
+  ASSERT_TRUE(r.VecU32(&v).ok());
+  EXPECT_TRUE(v.empty());
+  EXPECT_EQ(bytes.size() - r.remaining(), 4u);
+  uint32_t next = 0;
+  ASSERT_TRUE(r.U32(&next).ok());
+  EXPECT_EQ(next, 0xABCD1234u);
+  EXPECT_TRUE(r.ExpectEnd().ok());
 }
 
 TEST(ShardWireTest, TaskBatchRoundTrip) {

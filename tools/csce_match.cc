@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
                  "[--time-limit=s] [--max=n] [--print=n] [--threads=n] "
                  "[--explain] [--no-sce] [--no-nec] [--no-ldsf] "
                  "[--no-tiebreak] [--cost-based] [--self-check] "
-                 "[--prune=aux,ree|all|none (adds to the default lpi "
-                 "filter; only none turns it off)] "
+                 "[--prune=aux|all|none (adds to the default lpi,fs "
+                 "passes; only none turns them off)] "
                  "[--metrics-json=f.json] [--trace=f.json]\n");
     return 2;
   }

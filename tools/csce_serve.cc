@@ -25,8 +25,9 @@
 // own shard artifact the same way. --memory-cap=N bounds each mapping's
 // paging-advice window to N bytes.
 //
-// Proactive pruning: the label-pair filter (lpi) is on by default;
-// --prune=aux,ree (or CSCE_PRUNE= in the environment; the flag wins)
+// Proactive pruning: the label-pair filter (lpi) and failing-set
+// backjumping (fs) are on by default; --prune=aux (or CSCE_PRUNE= in
+// the environment; the flag wins)
 // adds passes on top of it and --prune=none turns every pass off, for
 // every query of the session, including sharded sessions — where the
 // coordinator forwards the pass set with the plan, and the shard
@@ -638,8 +639,8 @@ int main(int argc, char** argv) {
                  "--queries=(workload.txt | -) [--threads=n] [--inflight=n] "
                  "[--mmap] [--memory-cap=bytes] "
                  "[--threads-per-query=n] [--deadline=s] [--repeat=n] "
-                 "[--prune=aux,ree|all|none (adds to the default lpi "
-                 "filter; only none turns it off)] "
+                 "[--prune=aux|all|none (adds to the default lpi,fs "
+                 "passes; only none turns them off)] "
                  "[--no-share-views] [--quiet] [--metrics-json=f.json] "
                  "[--shards=n [--workers=n] [--shard-strategy=hash|label] "
                  "[--self-check] [--listen=h:p] [--fault-plan=spec] "
