@@ -1,5 +1,5 @@
 // Set-operation kernel microbenchmark: times every compiled-in kernel
-// (scalar reference, SSE, AVX2) over a list-size x selectivity x skew
+// (scalar reference, AVX2) over a list-size x selectivity x skew
 // grid, for both intersection and difference, and closes with an
 // end-to-end Patent homomorphic count under each kernel. Each timed
 // row double-checks the kernel's output length against the scalar
@@ -38,9 +38,6 @@ uint32_t EnvOr(const char* name, uint32_t fallback) {
 
 std::vector<setops::Kernel> CompiledKernels() {
   std::vector<setops::Kernel> kernels = {setops::Kernel::kScalar};
-  if (setops::KernelSupported(setops::Kernel::kSse)) {
-    kernels.push_back(setops::Kernel::kSse);
-  }
   if (setops::KernelSupported(setops::Kernel::kAvx2)) {
     kernels.push_back(setops::Kernel::kAvx2);
   }

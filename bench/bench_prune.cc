@@ -1,15 +1,14 @@
 // Ablation for the proactive pruning layer: the `none` ablation (no
-// pass, not even the default ones), aux, lpi and fs alone, the default
-// (lpi,fs), and the full stack,
-// reporting the work-defining counters the passes exist to shrink —
+// pass, not even the default ones), lpi and fs alone, and the default
+// (lpi,fs), reporting the work-defining counters the passes exist to shrink —
 // search_nodes and intersected elements — plus wall time and the
 // embedding count.
 //
 // Two panels:
 //  - hetero-dup: a synthetic Table-IV-style heterogeneous graph made
 //    of disjoint hub gadgets with duplicate-adjacency decoy vertices
-//    whose deeper closure fails. Every pass provably bites here, and
-//    the run cross-checks that every configuration returns the exact
+//    whose deeper closure fails. The label-pair filter provably bites
+//    here, and the run cross-checks that every configuration returns the exact
 //    same sorted embedding set as `none` at 1 and 8 threads.
 //  - Patent: sampled dense patterns on the paper's labeled citation
 //    graph, showing the passes on organic skew.
@@ -37,7 +36,7 @@ struct Config {
 std::vector<Config> Configs() {
   std::vector<Config> configs;
   for (const char* spec :
-       {"none", "none,aux", "none,lpi", "none,fs", "lpi,fs", "all"}) {
+       {"none", "none,lpi", "none,fs", "lpi,fs"}) {
     Config c{spec, {}};
     CSCE_CHECK(ParsePruneList(spec, &c.prune).ok());
     configs.push_back(c);
@@ -54,10 +53,9 @@ constexpr Label kA = 0, kB = 1, kC = 2, kD = 3, kE = 4;
 // interchangeable C children (c0, c1), pays a padded D intersection to
 // reach dy, and only then dies on the empty E closure. So:
 //  - lpi removes the decoys at the B root (no E-labeled neighbor),
-//  - aux empty-cuts them there (empty E-projection),
 //  - fs cannot skip c1 after c0's subtree fails: the empty E closure
 //    depends on C's mapping, so c1 must be tried,
-// and lpi and aux shave both search nodes and intersected elements.
+// and lpi shaves both search nodes and intersected elements.
 // The junk pairs tune cluster sizes: B-E pairs keep (B,D) the seed
 // cluster (its sources include the decoys via dy), and C-E pairs keep
 // (C,E) large so the planner orders D before E; a0 only pads decoy
@@ -236,10 +234,9 @@ int main() {
     RunPanel("Patent-5", index, patterns, /*crosscheck_rows=*/false, &json);
   }
 
-  std::printf("none = every pass off (the ablation); none,aux / none,lpi / "
-              "none,fs = one pass alone; lpi,fs = the default (label-pair "
-              "filter plus failing-set backjumping); all = aux on top of "
-              "the default. hetero-dup rows are cross-checked "
+  std::printf("none = every pass off (the ablation); none,lpi / none,fs = "
+              "one pass alone; lpi,fs = the default (label-pair filter plus "
+              "failing-set backjumping). hetero-dup rows are cross-checked "
               "byte-identical to none at 1 and 8 threads.\n");
   return 0;
 }

@@ -27,7 +27,6 @@ struct EngineMetrics {
   obs::Counter intersect_elements;
   obs::Counter prune_candidates_removed;
   obs::Counter prune_extensions_skipped;
-  obs::Counter prune_aux_hits;
   obs::Histogram candidate_set_size;
   obs::Histogram prune_shrink_ratio;
   obs::Histogram run_seconds;
@@ -44,7 +43,6 @@ struct EngineMetrics {
                            r.counter("engine.intersect_elements"),
                            r.counter("prune.candidates_removed"),
                            r.counter("prune.extensions_skipped"),
-                           r.counter("prune.aux_hits"),
                            r.histogram("engine.candidate_set_size"),
                            r.histogram("prune.shrink_ratio_pct"),
                            r.histogram("engine.run_seconds")};
@@ -204,63 +202,6 @@ Status Executor::Prepare(const ExecOptions& options) {
     BuildAncestorSets();
     fs_.assign(n * fs_words_, 0);
   }
-  aux_cut_sets_.clear();
-  aux_steps_.assign(n, {});
-  aux_span_.assign(n, std::span<const VertexId>{});
-  aux_seed_.assign(n, std::span<const VertexId>{});
-  aux_steps_done_.assign(n, 0);
-  aux_steps_total_.assign(n, 0);
-  std::vector<size_t> aux_buf_bounds;
-  if (prune_.aux) {
-    for (uint32_t t = 0; t < n; ++t) {
-      if (!plan_.positions[t].aux_enabled || edges_[t].empty()) continue;
-      // Chain the steps in dependency order — the planner emits edge
-      // constraints ordered by position, but sort defensively: the
-      // span must be refined as the prefix grows, never backwards.
-      std::vector<uint32_t> idx(edges_[t].size());
-      for (uint32_t i = 0; i < idx.size(); ++i) idx[i] = i;
-      std::stable_sort(idx.begin(), idx.end(), [&](uint32_t a, uint32_t b) {
-        return edges_[t][a].pos < edges_[t][b].pos;
-      });
-      aux_steps_total_[t] = static_cast<uint32_t>(idx.size());
-      size_t bound = std::numeric_limits<size_t>::max();
-      for (uint32_t s = 0; s < idx.size(); ++s) {
-        const ResolvedEdge& e = edges_[t][idx[s]];
-        // A cut at step s fails because of the edge positions absorbed
-        // so far: their anc sets, accumulated along the chain.
-        const size_t cut_set = aux_cut_sets_.size();
-        if (prune_.fs) {
-          aux_cut_sets_.resize(cut_set + fs_words_);
-          for (uint32_t w = 0; w < fs_words_; ++w) {
-            aux_cut_sets_[cut_set + w] =
-                Anc(e.pos)[w] |
-                (s == 0 ? 0 : aux_cut_sets_[cut_set - fs_words_ + w]);
-          }
-        }
-        size_t rows = e.view == nullptr
-                          ? 0
-                          : (e.incoming ? e.view->MaxInRowLength()
-                                        : e.view->MaxOutRowLength());
-        bound = std::min(bound, rows);
-        int32_t buf = -1;
-        if (s > 0) {
-          // Step s's result is at most as long as the shortest row it
-          // has absorbed so far; that bound is final at Prepare time.
-          buf = static_cast<int32_t>(aux_buf_bounds.size());
-          aux_buf_bounds.push_back(bound);
-        }
-        aux_steps_[e.pos].push_back(
-            AuxStep{t, s, e.view, e.incoming, buf, cut_set});
-      }
-    }
-  }
-  if (aux_bufs_.size() != aux_buf_bounds.size()) {
-    aux_bufs_.clear();
-    aux_bufs_.resize(aux_buf_bounds.size());
-  }
-  for (size_t i = 0; i < aux_buf_bounds.size(); ++i) {
-    aux_bufs_[i].Reserve(aux_buf_bounds[i] + setops::kOutPad);
-  }
   lists_.clear();
   lists_.reserve(max_lists);
   neg_lists_.clear();
@@ -383,14 +324,6 @@ void Executor::ComputeCandidates(uint32_t depth,
         if (gc_.VertexLabel(v) == pos.label) out->push_back(v);
       }
     }
-  } else if (prune_.aux && aux_steps_total_[depth] != 0 &&
-             aux_steps_done_[depth] == aux_steps_total_[depth]) {
-    // Aux projection (prune pass "aux"): the span has already absorbed
-    // every backward row along the current prefix. Intersecting sorted
-    // sets is order-independent, so the span IS the base candidate set
-    // the gather-and-intersect path below would produce.
-    ++stats_.prune_aux_hits;
-    out->Assign(aux_span_[depth]);
   } else {
     // Gather the neighbor lists and intersect smallest-first.
     lists_.clear();
@@ -520,39 +453,6 @@ void Executor::ComputeCandidates(uint32_t depth,
   stats_.candidate_set_size.RecordCount(out->size());
 }
 
-const Executor::AuxStep* Executor::RunAuxSteps(uint32_t depth) {
-  const VertexId w = mapping_by_pos_[depth];
-  for (const AuxStep& s : aux_steps_[depth]) {
-    if (s.view == nullptr) return &s;  // empty cluster: always cuts
-    std::span<const VertexId> row =
-        s.incoming ? s.view->In(w) : s.view->Out(w);
-    if (s.step == 0) {
-      // Zero copy: the first row IS the partial projection. The span
-      // stays valid for the whole subtree (cluster storage is stable).
-      aux_seed_[s.target] = row;
-      aux_span_[s.target] = row;
-      aux_steps_done_[s.target] = 1;
-    } else {
-      // Refine step s-1's output, not the target's current span: a
-      // sibling re-running step s must not intersect its own previous
-      // result. A target's step buffers are consecutive.
-      std::span<const VertexId> prev = s.step == 1
-                                           ? aux_seed_[s.target]
-                                           : aux_bufs_[s.buf - 1].span();
-      setops::VertexScratch& buf = aux_bufs_[s.buf];
-      // No-op compare in the steady state: Prepare sized each step
-      // buffer to the shortest absorbed row's maximum length.
-      buf.EnsureCapacity(std::min(prev.size(), row.size()) + setops::kOutPad);
-      stats_.intersect_elements += prev.size() + row.size();
-      buf.set_size(setops::Intersect(prev, row, buf.data()));
-      aux_span_[s.target] = buf.span();
-      aux_steps_done_[s.target] = s.step + 1;
-    }
-    if (aux_span_[s.target].empty()) return &s;
-  }
-  return nullptr;
-}
-
 std::span<const VertexId> Executor::Candidates(uint32_t depth) {
   uint32_t slot = cache_slot_[depth];
   CandidateCache& cache = caches_[slot];
@@ -572,12 +472,10 @@ std::span<const VertexId> Executor::Candidates(uint32_t depth) {
       // which NEC guarantees equals the slot owner's.
       const uint64_t removed = stats_.prune_candidates_removed;
       const uint64_t intersected = stats_.intersect_elements;
-      const uint64_t aux_hits = stats_.prune_aux_hits;
       ComputeCandidates(depth, &sce_oracle_scratch_);
       --stats_.candidate_sets_computed;  // oracle work, not engine work
       stats_.prune_candidates_removed = removed;
       stats_.intersect_elements = intersected;
-      stats_.prune_aux_hits = aux_hits;
       CSCE_CHECK(sce_oracle_scratch_ == cache.candidates)
           << "SCE cache mismatch at position " << depth << " (slot " << slot
           << "): cached " << cache.candidates.size()
@@ -764,7 +662,6 @@ bool Executor::EnumerateOver(uint32_t depth,
     return CheckDeadline();
   }
 
-  const bool aux_here = !aux_steps_[depth].empty();
   for (size_t i = 0; i < candidates.size(); ++i) {
     const VertexId v = candidates[i];
     ++stats_.search_nodes;
@@ -791,15 +688,6 @@ bool Executor::EnumerateOver(uint32_t depth,
       if (!Emit()) return false;
       produce = false;
       continue;
-    }
-    if (aux_here) {
-      if (const AuxStep* cut = RunAuxSteps(depth)) {
-        // Some later position's projection is already empty under v:
-        // no extension of this prefix can complete.
-        ++stats_.prune_extensions_skipped;
-        if (produce) FsUnion(depth, &aux_cut_sets_[cut->cut_set]);
-        continue;
-      }
     }
     const uint64_t embeddings_before = stats_.embeddings;
     if (injective_) used_.Set(v);
@@ -861,7 +749,6 @@ Status Executor::Run(const ExecOptions& options, ExecStats* stats) {
   m.intersect_elements.Add(stats_.intersect_elements);
   m.prune_candidates_removed.Add(stats_.prune_candidates_removed);
   m.prune_extensions_skipped.Add(stats_.prune_extensions_skipped);
-  m.prune_aux_hits.Add(stats_.prune_aux_hits);
   m.candidate_set_size.Merge(stats_.candidate_set_size);
   m.prune_shrink_ratio.Merge(stats_.prune_shrink_ratio);
   m.run_seconds.Record(stats_.seconds);
@@ -995,7 +882,6 @@ void Executor::FinishTasks(ExecStats* stats) {
   m.intersect_elements.Add(stats_.intersect_elements);
   m.prune_candidates_removed.Add(stats_.prune_candidates_removed);
   m.prune_extensions_skipped.Add(stats_.prune_extensions_skipped);
-  m.prune_aux_hits.Add(stats_.prune_aux_hits);
   m.candidate_set_size.Merge(stats_.candidate_set_size);
   m.prune_shrink_ratio.Merge(stats_.prune_shrink_ratio);
   m.run_seconds.Record(stats_.seconds);

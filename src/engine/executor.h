@@ -145,7 +145,7 @@ struct ExecStats {
   /// Run — the hot path never touches the metric registry.
   obs::LocalHistogram candidate_set_size;
   /// Summed input lengths of every set intersection the candidate
-  /// computation and the aux projections perform. Thread-count-VARIANT
+  /// computation performs. Thread-count-VARIANT
   /// (the compute/reuse split of SCE differs across workers); reported
   /// by bench_prune as the pruning work-reduction measure.
   uint64_t intersect_elements = 0;
@@ -154,15 +154,10 @@ struct ExecStats {
   /// total depends only on how often each set is consumed — it is
   /// thread-count-invariant (asserted in metrics_test.cc).
   uint64_t prune_candidates_removed = 0;
-  /// Extensions discarded without descending: aux empty-cuts plus the
-  /// siblings a failing-set backjump skipped. Both are deterministic
-  /// per prefix and backjumps never fire at the root, so the total is
-  /// thread-count-invariant on uninterrupted runs.
+  /// Siblings a failing-set backjump skipped without descending. Skips
+  /// are deterministic per prefix and never fire at the root, so the
+  /// total is thread-count-invariant on uninterrupted runs.
   uint64_t prune_extensions_skipped = 0;
-  /// Candidate sets served from a completed aux projection instead of
-  /// a fresh intersection chain. Thread-count-VARIANT (compute/reuse
-  /// split, like intersect_elements).
-  uint64_t prune_aux_hits = 0;
   /// LPI shrink ratio in percent of the base candidate set, recorded
   /// on compute AND reuse so the sample count equals computes+reuses —
   /// thread-count-invariant like prune_candidates_removed. Under
@@ -278,14 +273,6 @@ class Executor {
   CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
   CSCE_HOT_PATH void ComputeCandidates(uint32_t depth,
                                        setops::VertexScratch* out);
-  struct AuxStep;
-  /// Runs the aux projection steps triggered by the mapping just
-  /// placed at `depth` (prune pass "aux"). Returns the step whose
-  /// partial projection became empty, or nullptr: some not-yet-matched
-  /// position's candidate set is already known to be empty, so the
-  /// subtree under this placement cannot produce an embedding and is
-  /// cut.
-  CSCE_HOT_PATH const AuxStep* RunAuxSteps(uint32_t depth);
   /// The restriction `v` violates at `depth`, or nullptr.
   CSCE_HOT_PATH const Restriction* FailedRestriction(uint32_t depth,
                                                      VertexId v) const;
@@ -330,33 +317,6 @@ class Executor {
   // Proactive pruning (engine/prune/): the effective per-run pass set
   // (ExecOptions::prune, forced off in shard mode) plus its state.
   PruneOptions prune_;
-  /// One aux projection step per backward edge of an aux-enabled
-  /// position, bucketed by the dependency depth whose placement
-  /// triggers it. Steps of one target form a chain in dependency
-  /// order: step 0 seeds the target's span from the dependency's row
-  /// (zero copy), step s >= 1 intersects step s-1's output with the
-  /// next row into its own buffer. One buffer per step — not a
-  /// ping-pong pair — because the spans of steps 0..s stay live while
-  /// the recursion between two dependency depths explores siblings.
-  struct AuxStep {
-    uint32_t target;  // plan position whose projection this refines
-    uint32_t step;    // chain index (0 seeds the span)
-    const ClusterView* view;  // nullptr: empty cluster, always cuts
-    bool incoming;
-    int32_t buf;  // aux_bufs_ index; -1 for step 0
-    /// Offset into aux_cut_sets_ of the failing set a cut at this
-    /// step reports (fs pass only).
-    size_t cut_set;
-  };
-  std::vector<std::vector<AuxStep>> aux_steps_;      // per dep depth
-  std::vector<std::span<const VertexId>> aux_span_;  // per target position
-  std::vector<std::span<const VertexId>> aux_seed_;  // per target: step 0 row
-  std::vector<uint32_t> aux_steps_done_;             // per target position
-  std::vector<uint32_t> aux_steps_total_;  // per target (0 = not aux)
-  std::vector<setops::VertexScratch> aux_bufs_;
-  /// Union of anc(p) over each aux step's absorbed edge positions,
-  /// fs_words_ per step (built only when both aux and fs are on).
-  std::vector<uint64_t> aux_cut_sets_;
   /// Failing sets, DAF-style (prune pass "fs"): flat arrays of
   /// fs_words_ = ceil(n / 64) words per position, sized in Prepare.
   /// anc_ holds anc(j): j, its dependency positions, the NEC slot

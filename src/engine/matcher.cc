@@ -153,7 +153,6 @@ Status MatchImpl(const Ccsr& data, ClusterCache* cache, const Graph& pattern,
   result->intersect_elements = stats.intersect_elements;
   result->prune_candidates_removed = stats.prune_candidates_removed;
   result->prune_extensions_skipped = stats.prune_extensions_skipped;
-  result->prune_aux_hits = stats.prune_aux_hits;
   result->total_seconds = total.Seconds();
   result->peak_rss_bytes = PeakRssBytes();
 

@@ -73,7 +73,6 @@ struct MatchResult {
   uint64_t intersect_elements = 0;
   uint64_t prune_candidates_removed = 0;
   uint64_t prune_extensions_skipped = 0;
-  uint64_t prune_aux_hits = 0;
 
   // Plan/read diagnostics.
   SceStats sce;

@@ -2,15 +2,9 @@
 
 namespace csce {
 
-PruneOptions AllPruneOptions() {
-  PruneOptions o;
-  o.aux = o.fs = o.lpi = true;
-  return o;
-}
-
 PruneOptions NoPruneOptions() {
   PruneOptions o;
-  o.aux = o.fs = o.lpi = false;
+  o.fs = o.lpi = false;
   return o;
 }
 
@@ -28,20 +22,16 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
     if (token.empty()) {
       return Status::InvalidArgument("empty prune pass name in list");
     }
-    if (token == "aux") {
-      parsed.aux = true;
-    } else if (token == "fs") {
+    if (token == "fs") {
       parsed.fs = true;
     } else if (token == "lpi") {
       parsed.lpi = true;
-    } else if (token == "all") {
-      parsed = AllPruneOptions();
     } else if (token == "none") {
       parsed = NoPruneOptions();
     } else {
-      return Status::InvalidArgument(
-          "unknown prune pass \"" + std::string(token) +
-          "\" (expected aux, lpi, fs, all, or none)");
+      return Status::InvalidArgument("unknown prune pass \"" +
+                                     std::string(token) +
+                                     "\" (expected lpi, fs, or none)");
     }
     if (comma == spec.size()) break;
     start = comma + 1;
@@ -52,17 +42,10 @@ Status ParsePruneList(std::string_view spec, PruneOptions* out) {
 
 std::string PruneOptionsToString(const PruneOptions& options) {
   if (!options.any()) return "none";
-  // Without both default passes the list must start from `none`, or it
-  // would parse back with the missing one on.
-  std::string s = options.lpi && options.fs ? "" : "none";
-  auto add = [&s](const char* name) {
-    if (!s.empty()) s += ',';
-    s += name;
-  };
-  if (options.aux) add("aux");
-  if (options.lpi) add("lpi");
-  if (options.fs) add("fs");
-  return s;
+  if (options.lpi && options.fs) return "lpi,fs";
+  // A single pass must start from `none`, or it would parse back with
+  // the other default pass on.
+  return options.lpi ? "none,lpi" : "none,fs";
 }
 
 }  // namespace csce

@@ -6,9 +6,9 @@
 #include "graph/graph.h"
 
 // Internal: raw kernel entry points behind setops.h's dispatched API.
-// Each SIMD flavor lives in its own translation unit compiled with the
-// matching -m flags (see src/CMakeLists.txt); only that unit contains
-// wide instructions, so the library stays runnable on CPUs without
+// The AVX2 kernels live in their own translation unit compiled with
+// -mavx2 (see src/CMakeLists.txt); only that unit contains wide
+// instructions, so the library stays runnable on CPUs without
 // them as long as dispatch never selects an unsupported kernel.
 
 namespace csce {
@@ -29,10 +29,6 @@ size_t DifferenceScalar(const VertexId* a, size_t na, const VertexId* b,
 
 #if defined(__x86_64__) || defined(__i386__)
 #define CSCE_SETOPS_X86 1
-size_t IntersectSse(const VertexId* a, size_t na, const VertexId* b,
-                    size_t nb, VertexId* out);
-size_t DifferenceSse(const VertexId* a, size_t na, const VertexId* b,
-                     size_t nb, VertexId* out);
 size_t IntersectAvx2(const VertexId* a, size_t na, const VertexId* b,
                      size_t nb, VertexId* out);
 size_t DifferenceAvx2(const VertexId* a, size_t na, const VertexId* b,

@@ -126,15 +126,8 @@ Dispatch MakeDispatch(Kernel kernel) {
                 internal::DifferenceAvx2};
       }
       [[fallthrough]];
-    case Kernel::kSse:
-      if (KernelSupported(Kernel::kSse)) {
-        return {Kernel::kSse, internal::IntersectSse,
-                internal::DifferenceSse};
-      }
-      [[fallthrough]];
 #else
     case Kernel::kAvx2:
-    case Kernel::kSse:
 #endif
     case Kernel::kScalar:
     default:
@@ -161,8 +154,6 @@ const char* KernelName(Kernel kernel) {
   switch (kernel) {
     case Kernel::kScalar:
       return "scalar";
-    case Kernel::kSse:
-      return "sse";
     case Kernel::kAvx2:
       return "avx2";
   }
@@ -174,12 +165,9 @@ bool KernelSupported(Kernel kernel) {
     case Kernel::kScalar:
       return true;
 #ifdef CSCE_SETOPS_X86
-    case Kernel::kSse:
-      return __builtin_cpu_supports("ssse3") != 0;
     case Kernel::kAvx2:
       return __builtin_cpu_supports("avx2") != 0;
 #else
-    case Kernel::kSse:
     case Kernel::kAvx2:
       return false;
 #endif
@@ -196,15 +184,7 @@ Kernel ChooseKernelFromEnv() {
   if (force != nullptr && force[0] != '\0' && force[0] != '0') {
     return Kernel::kScalar;
   }
-  // NOLINTNEXTLINE(concurrency-mt-unsafe) -- same single-threaded init
-  if (const char* name = std::getenv("CSCE_SETOPS"); name != nullptr) {
-    if (std::strcmp(name, "scalar") == 0) return Kernel::kScalar;
-    if (std::strcmp(name, "sse") == 0) return Kernel::kSse;
-    if (std::strcmp(name, "avx2") == 0) return Kernel::kAvx2;
-  }
-  if (KernelSupported(Kernel::kAvx2)) return Kernel::kAvx2;
-  if (KernelSupported(Kernel::kSse)) return Kernel::kSse;
-  return Kernel::kScalar;
+  return KernelSupported(Kernel::kAvx2) ? Kernel::kAvx2 : Kernel::kScalar;
 }
 
 Kernel ActiveKernel() { return ActiveDispatch().kernel; }

@@ -20,12 +20,9 @@ namespace setops {
 /// prior output contents — so the executor can ping-pong preallocated
 /// scratch buffers with zero heap traffic.
 ///
-/// Dispatch: the widest kernel the CPU supports is selected once, at
-/// first use (AVX2 > SSE > scalar). `CSCE_FORCE_SCALAR=1` pins the
-/// portable scalar reference — the differential-testing oracle — and
-/// `CSCE_SETOPS=scalar|sse|avx2` pins a specific kernel (useful for
-/// exercising the SSE path on AVX2 hardware). An unsupported request
-/// falls back to the widest supported kernel.
+/// Dispatch: AVX2 is selected once, at first use, when the CPU supports
+/// it; otherwise the portable scalar reference — the differential-
+/// testing oracle — which `CSCE_FORCE_SCALAR=1` pins.
 ///
 /// SIMD output padding: the vector kernels store whole SIMD lanes and
 /// then advance by the matched count, so the output buffer must leave
@@ -35,9 +32,9 @@ namespace setops {
 /// The scalar kernel never touches the pad, so the contract is uniform.
 inline constexpr size_t kOutPad = 8;
 
-enum class Kernel : uint8_t { kScalar = 0, kSse = 1, kAvx2 = 2 };
+enum class Kernel : uint8_t { kScalar = 0, kAvx2 = 1 };
 
-/// Stable lowercase name ("scalar", "sse", "avx2") for logs/benches.
+/// Stable lowercase name ("scalar", "avx2") for logs/benches.
 const char* KernelName(Kernel kernel);
 
 /// Compiled in and supported by this CPU?
@@ -47,8 +44,8 @@ bool KernelSupported(Kernel kernel);
 Kernel ActiveKernel();
 
 /// The dispatch policy by itself: environment override, else widest
-/// supported. Exposed so tests can exercise CSCE_FORCE_SCALAR /
-/// CSCE_SETOPS handling without respawning the process.
+/// supported. Exposed so tests can exercise CSCE_FORCE_SCALAR handling
+/// without respawning the process.
 Kernel ChooseKernelFromEnv();
 
 /// Test-only: redirects the dispatched entry points to `kernel`

@@ -223,41 +223,4 @@ std::vector<VertexId> CostBasedOrder(const Graph& pattern, const Ccsr& gc,
   return beam[0].order;
 }
 
-void ChooseAuxTargets(const Ccsr* data, Plan* plan) {
-  for (uint32_t t = 0; t < plan->positions.size(); ++t) {
-    PlanPosition& pos = plan->positions[t];
-    const size_t k = pos.edges.size();
-    if (k == 0) continue;  // seeded position: nothing to project
-    const uint32_t d1 = pos.edges.front().pos;
-    if (k >= 2) {
-      // Multi-edge target: the prefix intersections are hoisted to the
-      // dependency depths and shared across the whole subtree between
-      // consecutive dependencies, so materializing always pays.
-      pos.aux_enabled = true;
-      continue;
-    }
-    if (t - d1 < 2) continue;  // single edge, no empty-cut window
-    // Single-edge target with a gap: the projection is just the
-    // dependency's row, known t-d1 levels early. Worth carrying only
-    // if that row can be empty — i.e. the cluster leaves some vertices
-    // of the dependency's label row-less on the relevant side.
-    if (data != nullptr) {
-      const EdgeConstraint& e = pos.edges.front();
-      const CompressedCluster* c = data->Find(e.cluster);
-      const Label dep_label = plan->positions[d1].label;
-      if (c != nullptr) {
-        const CompressedRowIndex& rows =
-            e.incoming && e.cluster.directed ? c->in_rows : c->out_rows;
-        // num_runs - 1 approximates the non-empty row count (each run
-        // boundary is one row-offset change) — the same statistic the
-        // cardinality model uses for distinct endpoints.
-        const uint64_t rows_with_arcs =
-            rows.num_runs() == 0 ? 0 : rows.num_runs() - 1;
-        if (rows_with_arcs >= data->LabelFrequency(dep_label)) continue;
-      }
-    }
-    pos.aux_enabled = true;
-  }
-}
-
 }  // namespace csce

@@ -35,19 +35,6 @@ double EstimateOrderCost(const Graph& pattern, const Ccsr& gc,
 std::vector<VertexId> CostBasedOrder(const Graph& pattern, const Ccsr& gc,
                                      uint32_t beam_width = 4);
 
-struct Plan;  // plan/planner.h
-
-/// Auxiliary-graph pruning directives (prune pass "aux"): marks the
-/// plan positions whose candidate intersection is worth materializing
-/// incrementally while the dependency vertices are placed, using the
-/// same cluster statistics as the cardinality model. A position
-/// qualifies when its projection is refined more than once before the
-/// position is reached (>= 2 backward edges), or when a single-edge
-/// projection becomes known >= 2 levels early AND the cluster leaves
-/// some vertices of the dependency's label row-less (so the empty-cut
-/// can actually fire). `data` may be null (structural criteria only).
-void ChooseAuxTargets(const Ccsr* data, Plan* plan);
-
 }  // namespace csce
 
 #endif  // CSCE_PLAN_COST_MODEL_H_

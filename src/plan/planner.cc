@@ -300,9 +300,6 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
   // the shard workers all act on one consistent directive set.
   plan.prune = options.prune;
   if (options.prune.lpi) CompileLabelPairMasks(pattern.directed(), &plan);
-  if (options.prune.aux) {
-    ChooseAuxTargets(data_, &plan);
-  }
 
   // NEC cache sharing: positions with identical base-candidate
   // definitions share one cache slot. ComputeNecClasses narrows the

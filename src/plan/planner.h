@@ -72,11 +72,6 @@ struct PlanPosition {
   /// ablation.
   uint64_t lpi_req_out = 0;
   uint64_t lpi_req_in = 0;
-  /// aux: maintain an incremental adjacency projection for this
-  /// position while its dependency vertices are placed (empty partial
-  /// projections cut the subtree early). Chosen by the cost model;
-  /// emitted only when PlanOptions::prune.aux is set.
-  bool aux_enabled = false;
 };
 
 /// A compiled matching plan: the optimized order Phi* plus per-position

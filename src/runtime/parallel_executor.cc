@@ -158,7 +158,6 @@ Status ParallelExecutor::Run(const ExecOptions& options,
         worker_stats[t].prune_candidates_removed;
     merged.prune_extensions_skipped +=
         worker_stats[t].prune_extensions_skipped;
-    merged.prune_aux_hits += worker_stats[t].prune_aux_hits;
     merged.prune_shrink_ratio.Merge(worker_stats[t].prune_shrink_ratio);
     merged.timed_out |= worker_stats[t].timed_out;
     busy_seconds += worker_stats[t].seconds;

@@ -333,8 +333,7 @@ Status DecodeClusterId(PayloadReader* r, ClusterId* out) {
 void EncodePlan(const Plan& plan, PayloadWriter* w) {
   w->U8(static_cast<uint8_t>(plan.variant));
   w->U8(plan.use_sce ? 1 : 0);
-  w->U8(static_cast<uint8_t>((plan.prune.aux ? 1 : 0) |
-                             (plan.prune.fs ? 2 : 0) |
+  w->U8(static_cast<uint8_t>((plan.prune.fs ? 2 : 0) |
                              (plan.prune.lpi ? 4 : 0)));
   w->VecU32(plan.order);
   w->U32(static_cast<uint32_t>(plan.positions.size()));
@@ -363,7 +362,6 @@ void EncodePlan(const Plan& plan, PayloadWriter* w) {
     w->U32(pos.min_in_degree);
     w->U64(pos.lpi_req_out);
     w->U64(pos.lpi_req_in);
-    w->U8(pos.aux_enabled ? 1 : 0);
   }
 }
 
@@ -377,8 +375,9 @@ Status DecodePlan(PayloadReader* r, Plan* out) {
   out->use_sce = use_sce != 0;
   uint8_t prune_bits = 0;
   CSCE_RETURN_IF_ERROR(r->U8(&prune_bits));
-  if (prune_bits > 7) return Status::Corruption("unknown prune pass bits");
-  out->prune.aux = (prune_bits & 1) != 0;
+  if ((prune_bits & ~6) != 0) {
+    return Status::Corruption("unknown prune pass bits");
+  }
   out->prune.fs = (prune_bits & 2) != 0;
   out->prune.lpi = (prune_bits & 4) != 0;
   CSCE_RETURN_IF_ERROR(r->VecU32(&out->order));
@@ -442,8 +441,6 @@ Status DecodePlan(PayloadReader* r, Plan* out) {
     CSCE_RETURN_IF_ERROR(r->U32(&pos.min_in_degree));
     CSCE_RETURN_IF_ERROR(r->U64(&pos.lpi_req_out));
     CSCE_RETURN_IF_ERROR(r->U64(&pos.lpi_req_in));
-    CSCE_RETURN_IF_ERROR(r->U8(&flag));
-    pos.aux_enabled = flag != 0;
   }
   return Status::OK();
 }

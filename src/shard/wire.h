@@ -43,7 +43,10 @@ inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 /// v3: LoadRequest carries out-of-core options (use_mmap, memory cap).
 /// v4: plan prune bit 2 carries failing-set backjumping; the
 ///     per-position redundant-extension byte is gone.
-inline constexpr uint32_t kProtocolVersion = 4;
+/// v5: plan prune bit 0 (auxiliary-graph projections) and its
+///     per-position byte are gone; bits 1 (fs) and 2 (lpi) are the
+///     only valid ones.
+inline constexpr uint32_t kProtocolVersion = 5;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 /// Table-driven, byte-at-a-time: frames are small (task batches cap in

@@ -84,18 +84,11 @@ TEST(FlagsTest, EmptyFlagNameRejected) {
             StatusCode::kInvalidArgument);
 }
 
-// --- --prune / CSCE_PRUNE pass-list parsing (csce_match, csce_serve) -
+// --- --prune pass-list parsing (csce_match, csce_serve) ------------
 
 TEST(PruneListTest, IndividualPassesAndCombinations) {
-  // The label-pair filter and failing-set backjumping are the default;
-  // aux adds to them.
+  // The label-pair filter and failing-set backjumping are the default.
   PruneOptions p;
-  EXPECT_FALSE(p.aux);
-  EXPECT_TRUE(p.fs);
-  EXPECT_TRUE(p.lpi);
-
-  ASSERT_TRUE(ParsePruneList("aux", &p).ok());
-  EXPECT_TRUE(p.aux);
   EXPECT_TRUE(p.fs);
   EXPECT_TRUE(p.lpi);
 
@@ -107,86 +100,82 @@ TEST(PruneListTest, IndividualPassesAndCombinations) {
   ASSERT_TRUE(ParsePruneList("lpi,fs", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
 
-  ASSERT_TRUE(ParsePruneList("aux,fs", &p).ok());
-  EXPECT_EQ(p, AllPruneOptions());
-  ASSERT_TRUE(ParsePruneList("aux,lpi,fs", &p).ok());
-  EXPECT_EQ(p, AllPruneOptions());
-
   // Only `none` turns the default passes off; passes after it start
   // from zero.
-  ASSERT_TRUE(ParsePruneList("none,aux", &p).ok());
-  EXPECT_TRUE(p.aux);
-  EXPECT_FALSE(p.fs);
-  EXPECT_FALSE(p.lpi);
   ASSERT_TRUE(ParsePruneList("none,fs", &p).ok());
-  EXPECT_FALSE(p.aux);
   EXPECT_TRUE(p.fs);
   EXPECT_FALSE(p.lpi);
   ASSERT_TRUE(ParsePruneList("none,lpi", &p).ok());
-  EXPECT_FALSE(p.aux);
   EXPECT_FALSE(p.fs);
   EXPECT_TRUE(p.lpi);
   ASSERT_TRUE(ParsePruneList("none,lpi,fs", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
-  ASSERT_TRUE(ParsePruneList("aux,none", &p).ok());
+  ASSERT_TRUE(ParsePruneList("lpi,none", &p).ok());
   EXPECT_EQ(p, NoPruneOptions());
 }
 
 TEST(PruneListTest, AllNoneAndEmptySpellings) {
   PruneOptions p;
-  ASSERT_TRUE(ParsePruneList("all", &p).ok());
-  EXPECT_EQ(p, AllPruneOptions());
-
   ASSERT_TRUE(ParsePruneList("none", &p).ok());
   EXPECT_FALSE(p.any());
   EXPECT_EQ(p, NoPruneOptions());
 
-  // An empty spec (what the tools parse when neither --prune nor
-  // CSCE_PRUNE is set) keeps the default passes on.
-  p = NoPruneOptions();
+  // An empty spec (what the tools parse without --prune) keeps the
+  // default passes on.
   ASSERT_TRUE(ParsePruneList("", &p).ok());
   EXPECT_EQ(p, PruneOptions{});
   EXPECT_TRUE(p.lpi);
   EXPECT_TRUE(p.fs);
+
+  // `all` would only repeat the default, so it is not a spelling.
+  p = NoPruneOptions();
+  Status st = ParsePruneList("all", &p);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.ToString().find("\"all\""), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(p, NoPruneOptions());
 }
 
 TEST(PruneListTest, UnknownPassRejectedAndOutUntouched) {
   PruneOptions p = NoPruneOptions();
-  p.aux = true;
-  Status st = ParsePruneList("aux,cemr", &p);
+  p.lpi = true;
+  Status st = ParsePruneList("lpi,cemr", &p);
   EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
   EXPECT_NE(st.ToString().find("cemr"), std::string::npos) << st.ToString();
   // Out-parameter untouched on error.
-  EXPECT_TRUE(p.aux);
-  EXPECT_FALSE(p.fs);
-  EXPECT_FALSE(p.lpi);
-
-  // `ree` names no pass, so it is rejected like any unknown name.
-  st = ParsePruneList("ree", &p);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(st.ToString().find("ree"), std::string::npos) << st.ToString();
-  EXPECT_EQ(ParsePruneList("none,aux,ree", &p).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(p.aux);
+  EXPECT_TRUE(p.lpi);
   EXPECT_FALSE(p.fs);
 
-  EXPECT_EQ(ParsePruneList("aux,,lpi", &p).code(),
+  // Deleted passes name nothing any more, so they are rejected like
+  // any unknown name, alone or inside a list.
+  for (const char* removed : {"ree", "aux"}) {
+    st = ParsePruneList(removed, &p);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << removed;
+    EXPECT_NE(st.ToString().find("\"" + std::string(removed) + "\""),
+              std::string::npos)
+        << st.ToString();
+    EXPECT_EQ(ParsePruneList("none," + std::string(removed), &p).code(),
+              StatusCode::kInvalidArgument)
+        << removed;
+  }
+  EXPECT_TRUE(p.lpi);
+  EXPECT_FALSE(p.fs);
+
+  EXPECT_EQ(ParsePruneList("lpi,,fs", &p).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(ParsePruneList("aux,", &p).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(ParsePruneList("lpi,", &p).code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PruneListTest, RoundTripsThroughToString) {
   // Canonical spellings print back verbatim, one per pass subset.
-  for (const char* spec :
-       {"none", "lpi,fs", "aux,lpi,fs", "none,aux", "none,lpi", "none,fs",
-        "none,aux,lpi", "none,aux,fs"}) {
+  for (const char* spec : {"none", "lpi,fs", "none,lpi", "none,fs"}) {
     PruneOptions p;
     ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     EXPECT_EQ(PruneOptionsToString(p), spec);
   }
   // Every other spelling parses back to the same options.
-  for (const char* spec : {"", "aux", "fs", "lpi", "aux,fs", "all",
-                           "none,lpi,fs", "none,aux,lpi,fs", "fs,none,aux"}) {
+  for (const char* spec :
+       {"", "fs", "lpi", "none,lpi,fs", "fs,none,lpi", "none,fs,fs"}) {
     PruneOptions p;
     ASSERT_TRUE(ParsePruneList(spec, &p).ok()) << spec;
     PruneOptions q;

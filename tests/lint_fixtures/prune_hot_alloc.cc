@@ -1,8 +1,8 @@
 // Negative fixture for csce_lint's hot-path-no-alloc over the prune
-// layer: an aux-projection step that grows its output buffer with
+// layer: a failing-set union that grows the per-depth word array with
 // std::vector::resize from inside the enumeration hot path, instead of
-// writing into a scratch buffer sized during Prepare. Never compiled
-// into the build — the lint self-test asserts the checker flags it.
+// writing into words sized during Prepare. Never compiled into the
+// build — the lint self-test asserts the checker flags it.
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -11,20 +11,19 @@
 
 namespace fixture {
 
-struct AuxStepState {
-  std::vector<uint32_t> buf;
+struct FailingSetState {
+  std::vector<uint64_t> words;
 };
 
-AuxStepState* StepState(uint32_t step);
+FailingSetState* DepthState(uint32_t depth);
 
-CSCE_HOT_PATH bool RunAuxProjection(const uint32_t* row, size_t n,
-                                    uint32_t step) {
-  AuxStepState* s = StepState(step);
+CSCE_HOT_PATH void UnionFailingSet(const uint64_t* anc, size_t n_words,
+                                   uint32_t depth) {
+  FailingSetState* s = DepthState(depth);
   // No project class defines resize in this fixture's model, so the
   // member call is judged as the allocating std container method.
-  s->buf.resize(n);
-  for (size_t i = 0; i < n; ++i) s->buf[i] = row[i];
-  return n != 0;
+  s->words.resize(n_words);
+  for (size_t w = 0; w < n_words; ++w) s->words[w] |= anc[w];
 }
 
 }  // namespace fixture

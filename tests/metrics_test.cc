@@ -214,9 +214,9 @@ TEST(EngineMetricsTest, ParallelCountersMatchSerial) {
 // prune.candidates_removed, prune.extensions_skipped and the
 // prune.shrink_ratio_pct sample count are work-defining: they depend
 // only on the (graph, pattern, plan), never on how the search tree is
-// split over workers. (prune.aux_hits and engine.intersect_elements
-// are deliberately NOT asserted — morsel splitting legitimately moves
-// work between the aux-projection and per-morsel recomputation paths.)
+// split over workers. (engine.intersect_elements is deliberately NOT
+// asserted — morsel splitting legitimately moves work between cached
+// and per-morsel recomputed candidate sets.)
 
 constexpr Label kLA = 0, kLB = 1, kLC = 2, kLD = 3, kLE = 4;
 
@@ -317,22 +317,33 @@ MetricsSnapshot RunPruneWorkload(uint32_t threads, PruneOptions prune) {
 }
 
 TEST(EngineMetricsTest, PruneCountersThreadCountInvariant) {
-  MetricsSnapshot serial = RunPruneWorkload(1, AllPruneOptions());
-  // The workload actually prunes: 6 lpi removals and >=5 skipped
-  // extensions per gadget copy.
-  EXPECT_GE(GlobalCounter(serial, "prune.candidates_removed"), 8u * 6u);
-  EXPECT_GE(GlobalCounter(serial, "prune.extensions_skipped"), 8u * 5u);
-  EXPECT_GT(serial.histograms["prune.shrink_ratio_pct"].count, 0u);
+  // Each pass alone (the default runs both, see below): only its own
+  // counter moves — 6 lpi removals or >=5 skipped extensions per gadget
+  // copy — and every work-defining counter is thread-count-invariant.
+  for (bool lpi : {true, false}) {
+    PruneOptions prune = NoPruneOptions();
+    prune.lpi = lpi;
+    prune.fs = !lpi;
+    MetricsSnapshot serial = RunPruneWorkload(1, prune);
+    const uint64_t removed = GlobalCounter(serial, "prune.candidates_removed");
+    const uint64_t skipped = GlobalCounter(serial, "prune.extensions_skipped");
+    if (lpi) {
+      EXPECT_GE(removed, 8u * 6u);
+      EXPECT_EQ(skipped, 0u);
+      EXPECT_GT(serial.histograms["prune.shrink_ratio_pct"].count, 0u);
+    } else {
+      EXPECT_EQ(removed, 0u);
+      EXPECT_GE(skipped, 8u * 5u);
+    }
 
-  MetricsSnapshot parallel = RunPruneWorkload(8, AllPruneOptions());
-  EXPECT_EQ(GlobalCounter(parallel, "prune.candidates_removed"),
-            GlobalCounter(serial, "prune.candidates_removed"));
-  EXPECT_EQ(GlobalCounter(parallel, "prune.extensions_skipped"),
-            GlobalCounter(serial, "prune.extensions_skipped"));
-  EXPECT_EQ(GlobalCounter(parallel, "engine.search_nodes"),
-            GlobalCounter(serial, "engine.search_nodes"));
-  EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
-            serial.histograms["prune.shrink_ratio_pct"].count);
+    MetricsSnapshot parallel = RunPruneWorkload(8, prune);
+    EXPECT_EQ(GlobalCounter(parallel, "prune.candidates_removed"), removed);
+    EXPECT_EQ(GlobalCounter(parallel, "prune.extensions_skipped"), skipped);
+    EXPECT_EQ(GlobalCounter(parallel, "engine.search_nodes"),
+              GlobalCounter(serial, "engine.search_nodes"));
+    EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
+              serial.histograms["prune.shrink_ratio_pct"].count);
+  }
 }
 
 TEST(EngineMetricsTest, DefaultFilterCountersThreadCountInvariant) {

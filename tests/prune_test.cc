@@ -1,5 +1,5 @@
 // Proactive-pruning differential crosschecks: every subset of the
-// {aux, fs, lpi} pass family must yield byte-identical sorted
+// {fs, lpi} pass family must yield byte-identical sorted
 // embedding sets — and equal counts — to the explicit `none` ablation
 // (the default keeps lpi on, so references never use PruneOptions{}),
 // across thread counts, shard counts, and mmap'd v2 artifacts (whose
@@ -53,14 +53,13 @@ std::vector<std::vector<VertexId>> SortedRows(
   return rows;
 }
 
-// The eight pass subsets, `none` first.
+// The four pass subsets, `none` first.
 std::vector<PruneOptions> AllSubsets() {
   std::vector<PruneOptions> subsets;
-  for (int bits = 0; bits < 8; ++bits) {
+  for (int bits = 0; bits < 4; ++bits) {
     PruneOptions p;
-    p.aux = (bits & 1) != 0;
-    p.fs = (bits & 2) != 0;
-    p.lpi = (bits & 4) != 0;
+    p.fs = (bits & 1) != 0;
+    p.lpi = (bits & 2) != 0;
     subsets.push_back(p);
   }
   return subsets;
@@ -129,8 +128,8 @@ TEST_F(PruneCrosscheckTest, EverySubsetByteIdenticalAcrossThreadCounts) {
   ASSERT_TRUE(
       SamplePattern(*data_, 5, PatternDensity::kSparse, rng, &sparse).ok());
   for (const Graph* pattern : {&dense, &sparse}) {
-    // Vertex-induced plans carry negations, so aux cuts and failing
-    // sets compose with the negation dependencies there.
+    // Vertex-induced plans carry negations, so failing sets compose
+    // with the negation dependencies there.
     for (MatchVariant variant :
          {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
           MatchVariant::kHomomorphic}) {
@@ -184,8 +183,8 @@ TEST_F(PruneCrosscheckTest, MmapV2ArtifactAgreesWithInMemory) {
 
 TEST_F(PruneCrosscheckTest, ShardedRunsStayIdenticalWithPruneRequested) {
   // Shard-local indexes are partial under 1-hop replication, so the
-  // executor force-disables every pass in shard mode; requesting the
-  // full stack must still produce the single-node answer bit-for-bit.
+  // executor force-disables every pass in shard mode; requesting both
+  // passes must still produce the single-node answer bit-for-bit.
   Rng rng(59);
   Graph pattern;
   ASSERT_TRUE(
@@ -202,7 +201,7 @@ TEST_F(PruneCrosscheckTest, ShardedRunsStayIdenticalWithPruneRequested) {
       shard::CoordinatorOptions options;
       options.collect_embeddings = true;
       options.self_check = true;
-      options.plan.prune = AllPruneOptions();
+      options.plan.prune = PruneOptions{};
       shard::ShardResult result;
       Status st = cluster->coordinator().Execute(pattern, options, &result);
       ASSERT_TRUE(st.ok()) << st.ToString();
@@ -227,7 +226,7 @@ TEST_F(PruneCrosscheckTest, SelfCheckCleanWithAllPassesOn) {
     MatchOptions options;
     options.num_threads = threads;
     options.self_check = true;
-    options.plan.prune = AllPruneOptions();
+    options.plan.prune = PruneOptions{};
     MatchResult result;
     ASSERT_TRUE(matcher.Match(pattern, options, &result).ok());
     EXPECT_EQ(result.embeddings_verified, result.embeddings)
@@ -308,9 +307,7 @@ class PruneLargePatternTest : public ::testing::Test {
         EXPECT_EQ(got.sequence, want.sequence) << where;
         EXPECT_LE(got.result.search_nodes, want.result.search_nodes)
             << where;
-        if (prune.fs && !prune.aux) {
-          skipped += got.result.prune_extensions_skipped;
-        }
+        if (prune.fs) skipped += got.result.prune_extensions_skipped;
       }
     }
     return skipped;
@@ -513,25 +510,6 @@ TEST_F(PruneFiringTest, FailingSetsSkipDoomedSiblings) {
   }
 }
 
-TEST_F(PruneFiringTest, AuxEmptyCutsDecoySubtrees) {
-  MatchSnapshot off = RunMatch(index_, pattern_, MatchVariant::kEdgeInduced,
-                               NoPruneOptions(), 1);
-  PruneOptions aux = NoPruneOptions();
-  aux.aux = true;
-  MatchSnapshot got =
-      RunMatch(index_, pattern_, MatchVariant::kEdgeInduced, aux, 1);
-  EXPECT_EQ(got.result.embeddings, 1u);
-  EXPECT_EQ(got.rows, off.rows);
-  // The triangle's closing position has two backward edges, so the
-  // cost model always materializes its projection; each decoy's empty
-  // partial projection cuts the subtree (or the final projection is
-  // served without re-intersecting — either way the counters move).
-  EXPECT_GE(got.result.prune_extensions_skipped +
-                got.result.prune_aux_hits,
-            1u);
-  EXPECT_LE(got.result.intersect_elements, off.result.intersect_elements);
-}
-
 TEST_F(PruneFiringTest, FullStackPrunesAtLeastAsMuchAsBestSinglePass) {
   MatchSnapshot off = RunMatch(index_, pattern_, MatchVariant::kEdgeInduced,
                                NoPruneOptions(), 1);
@@ -545,7 +523,7 @@ TEST_F(PruneFiringTest, FullStackPrunesAtLeastAsMuchAsBestSinglePass) {
     best_single = std::min(best_single, got.result.search_nodes);
   }
   MatchSnapshot all = RunMatch(index_, pattern_, MatchVariant::kEdgeInduced,
-                               AllPruneOptions(), 1);
+                               PruneOptions{}, 1);
   EXPECT_EQ(all.rows, off.rows);
   EXPECT_LE(all.result.search_nodes, best_single);
 }

@@ -29,7 +29,6 @@ constexpr VertexId kCanary = 0xDEADBEEFu;
 
 std::vector<Kernel> SupportedKernels() {
   std::vector<Kernel> kernels = {Kernel::kScalar};
-  if (setops::KernelSupported(Kernel::kSse)) kernels.push_back(Kernel::kSse);
   if (setops::KernelSupported(Kernel::kAvx2)) kernels.push_back(Kernel::kAvx2);
   return kernels;
 }
@@ -110,7 +109,7 @@ void ExpectAllKernelsAgree(const std::vector<VertexId>& a,
 // --- Differential fuzz ----------------------------------------------
 
 TEST(SetopsDifferentialTest, SizeGridAgainstReference) {
-  // Sizes straddling every block boundary (SSE 4, AVX2 8) plus large.
+  // Sizes straddling the AVX2 block boundary (8) plus large.
   const size_t kSizes[] = {0, 1, 2, 7, 8, 9, 31, 32, 33, 1000, 65536};
   Rng rng(0x5e70b5u);
   for (size_t na : kSizes) {
@@ -284,43 +283,26 @@ TEST(VertexScratchTest, AssignCompareAndMutate) {
 
 TEST(SetopsDispatchTest, EnvOverridesPinKernels) {
   // Each gtest case runs in its own process under ctest, but restore
-  // the variables anyway for in-process filters.
+  // the variable anyway for in-process filters.
   const char* saved_force = std::getenv("CSCE_FORCE_SCALAR");
-  const char* saved_setops = std::getenv("CSCE_SETOPS");
 
   setenv("CSCE_FORCE_SCALAR", "1", 1);
   EXPECT_EQ(setops::ChooseKernelFromEnv(), Kernel::kScalar);
+  setenv("CSCE_FORCE_SCALAR", "", 1);  // empty means off
+  const Kernel widest = setops::KernelSupported(Kernel::kAvx2)
+                            ? Kernel::kAvx2
+                            : Kernel::kScalar;
+  EXPECT_EQ(setops::ChooseKernelFromEnv(), widest);
   setenv("CSCE_FORCE_SCALAR", "0", 1);  // "0" means off
-  unsetenv("CSCE_SETOPS");
-  Kernel widest = setops::ChooseKernelFromEnv();
-  EXPECT_TRUE(setops::KernelSupported(widest));
+  EXPECT_EQ(setops::ChooseKernelFromEnv(), widest);
+  unsetenv("CSCE_FORCE_SCALAR");
+  EXPECT_EQ(setops::ChooseKernelFromEnv(), widest);
 
-  setenv("CSCE_SETOPS", "scalar", 1);
-  EXPECT_EQ(setops::ChooseKernelFromEnv(), Kernel::kScalar);
-  if (setops::KernelSupported(Kernel::kSse)) {
-    setenv("CSCE_SETOPS", "sse", 1);
-    EXPECT_EQ(setops::ChooseKernelFromEnv(), Kernel::kSse);
-  }
-  // FORCE_SCALAR wins over CSCE_SETOPS.
-  setenv("CSCE_FORCE_SCALAR", "1", 1);
-  setenv("CSCE_SETOPS", "avx2", 1);
-  EXPECT_EQ(setops::ChooseKernelFromEnv(), Kernel::kScalar);
-
-  if (saved_force != nullptr) {
-    setenv("CSCE_FORCE_SCALAR", saved_force, 1);
-  } else {
-    unsetenv("CSCE_FORCE_SCALAR");
-  }
-  if (saved_setops != nullptr) {
-    setenv("CSCE_SETOPS", saved_setops, 1);
-  } else {
-    unsetenv("CSCE_SETOPS");
-  }
+  if (saved_force != nullptr) setenv("CSCE_FORCE_SCALAR", saved_force, 1);
 }
 
 TEST(SetopsDispatchTest, KernelNamesAreStable) {
   EXPECT_STREQ(setops::KernelName(Kernel::kScalar), "scalar");
-  EXPECT_STREQ(setops::KernelName(Kernel::kSse), "sse");
   EXPECT_STREQ(setops::KernelName(Kernel::kAvx2), "avx2");
 }
 

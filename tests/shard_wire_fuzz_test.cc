@@ -161,7 +161,43 @@ TEST(ShardWireTest, PlanRequestRoundTrip) {
     EXPECT_EQ(a.min_in_degree, b.min_in_degree);
     EXPECT_EQ(a.lpi_req_out, b.lpi_req_out);
     EXPECT_EQ(a.lpi_req_in, b.lpi_req_in);
-    EXPECT_EQ(a.aux_enabled, b.aux_enabled);
+  }
+}
+
+TEST(ShardWireTest, PlanPruneByteAcceptsOnlyTheTwoPassBits) {
+  // The plan follows the pattern graph and two one-byte fields
+  // (variant, use_sce); its third byte carries the prune passes: bit 1
+  // failing-set backjumping, bit 2 the label-pair filter. Bit 0 named
+  // a pass that no longer exists, so a peer setting it is corrupt, as
+  // is any higher bit.
+  PlanRequest msg = MakePlanRequest();
+  PayloadWriter graph;
+  EncodeGraph(msg.pattern, &graph);
+  const size_t prune_at = graph.Take().size() + 2;
+  const std::string bytes = EncodePlanRequest(msg);
+  ASSERT_LT(prune_at, bytes.size());
+  ASSERT_EQ(static_cast<uint8_t>(bytes[prune_at]), 6u);  // lpi,fs default
+
+  for (uint8_t bits = 0; bits < 8; ++bits) {
+    std::string damaged = bytes;
+    damaged[prune_at] = static_cast<char>(bits);
+    PlanRequest out;
+    Status st = DecodePlanRequest(damaged, &out);
+    if ((bits & 1) != 0) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption) << int{bits};
+      continue;
+    }
+    ASSERT_TRUE(st.ok()) << int{bits} << ": " << st.ToString();
+    EXPECT_EQ(out.plan.prune.fs, (bits & 2) != 0);
+    EXPECT_EQ(out.plan.prune.lpi, (bits & 4) != 0);
+  }
+  for (int bits : {8, 0x10, 0x80, 0xff}) {
+    std::string damaged = bytes;
+    damaged[prune_at] = static_cast<char>(bits);
+    PlanRequest out;
+    EXPECT_EQ(DecodePlanRequest(damaged, &out).code(),
+              StatusCode::kCorruption)
+        << bits;
   }
 }
 

@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
                  "[--time-limit=s] [--max=n] [--print=n] [--threads=n] "
                  "[--explain] [--no-sce] [--no-nec] [--no-ldsf] "
                  "[--no-tiebreak] [--cost-based] [--self-check] "
-                 "[--prune=aux|all|none (adds to the default lpi,fs "
-                 "passes; only none turns them off)] "
+                 "[--prune=none|none,lpi|none,fs (the default is "
+                 "lpi,fs)] "
                  "[--metrics-json=f.json] [--trace=f.json]\n");
     return 2;
   }
@@ -139,19 +139,13 @@ int main(int argc, char** argv) {
   options.plan.use_cluster_tiebreak = !flags.GetBool("no-tiebreak");
   options.plan.use_cost_based = flags.GetBool("cost-based");
   options.self_check = flags.GetBool("self-check");
-  // Proactive pruning passes: --prune wins over the CSCE_PRUNE
-  // environment default (mirroring the --mmap / CSCE_CCSR_MMAP pair).
-  // With neither set the spec is "", which parses to the default
-  // label-pair filter.
-  {
-    const char* prune_env = std::getenv("CSCE_PRUNE");
-    std::string prune_spec =
-        flags.GetString("prune", prune_env != nullptr ? prune_env : "");
-    if (Status st = ParsePruneList(prune_spec, &options.plan.prune);
-        !st.ok()) {
-      std::fprintf(stderr, "--prune: %s\n", st.ToString().c_str());
-      return 2;
-    }
+  // Proactive pruning passes: without --prune the spec is "", which
+  // parses to the default label-pair filter plus backjumping.
+  if (Status st =
+          ParsePruneList(flags.GetString("prune", ""), &options.plan.prune);
+      !st.ok()) {
+    std::fprintf(stderr, "--prune: %s\n", st.ToString().c_str());
+    return 2;
   }
 
   if (options.self_check) {
@@ -215,11 +209,10 @@ int main(int argc, char** argv) {
   if (options.plan.prune.any()) {
     std::printf(
         "prune=%s candidates_removed=%llu extensions_skipped=%llu "
-        "aux_hits=%llu intersect_elements=%llu\n",
+        "intersect_elements=%llu\n",
         PruneOptionsToString(options.plan.prune).c_str(),
         static_cast<unsigned long long>(result.prune_candidates_removed),
         static_cast<unsigned long long>(result.prune_extensions_skipped),
-        static_cast<unsigned long long>(result.prune_aux_hits),
         static_cast<unsigned long long>(result.intersect_elements));
   }
   if (options.self_check) {

@@ -26,10 +26,9 @@
 // paging-advice window to N bytes.
 //
 // Proactive pruning: the label-pair filter (lpi) and failing-set
-// backjumping (fs) are on by default; --prune=aux (or CSCE_PRUNE= in
-// the environment; the flag wins)
-// adds passes on top of it and --prune=none turns every pass off, for
-// every query of the session, including sharded sessions — where the
+// backjumping (fs) are on by default; --prune=none turns every pass
+// off (--prune=none,lpi keeps only the filter), for every query of the
+// session, including sharded sessions — where the
 // coordinator forwards the pass set with the plan, and the shard
 // workers' executors force-disable it (shard-local indexes are
 // partial), keeping sharded results identical either way.
@@ -119,7 +118,7 @@
 
 namespace {
 
-/// Session-wide prune pass set (--prune / CSCE_PRUNE), stamped onto
+/// Session-wide prune pass set (--prune), stamped onto
 /// every parsed QueryJob. Set in main before the workload is read.
 csce::PruneOptions g_prune;
 
@@ -639,8 +638,8 @@ int main(int argc, char** argv) {
                  "--queries=(workload.txt | -) [--threads=n] [--inflight=n] "
                  "[--mmap] [--memory-cap=bytes] "
                  "[--threads-per-query=n] [--deadline=s] [--repeat=n] "
-                 "[--prune=aux|all|none (adds to the default lpi,fs "
-                 "passes; only none turns them off)] "
+                 "[--prune=none|none,lpi|none,fs (the default is "
+                 "lpi,fs)] "
                  "[--no-share-views] [--quiet] [--metrics-json=f.json] "
                  "[--shards=n [--workers=n] [--shard-strategy=hash|label] "
                  "[--self-check] [--listen=h:p] [--fault-plan=spec] "
@@ -650,15 +649,11 @@ int main(int argc, char** argv) {
                  "worker)\n");
     return 2;
   }
-  {
-    // Absent flag and environment: "" parses to the default filter.
-    const char* prune_env = std::getenv("CSCE_PRUNE");
-    std::string prune_spec =
-        flags.GetString("prune", prune_env != nullptr ? prune_env : "");
-    if (Status st = ParsePruneList(prune_spec, &g_prune); !st.ok()) {
-      std::fprintf(stderr, "--prune: %s\n", st.ToString().c_str());
-      return 2;
-    }
+  // An absent flag is "", which parses to the default passes.
+  if (Status st = ParsePruneList(flags.GetString("prune", ""), &g_prune);
+      !st.ok()) {
+    std::fprintf(stderr, "--prune: %s\n", st.ToString().c_str());
+    return 2;
   }
   int64_t shards = flags.GetInt("shards", 0);
   int64_t forked_workers = flags.GetInt("workers", 0);

@@ -57,6 +57,35 @@ for variant in edge vertex hom; do
       --pattern="$WORK_DIR/q_1.txt" --variant="$variant" > /dev/null
 done
 
+# Pruning at the tool surface: the default passes (label-pair filter
+# plus failing-set backjumping) and the --prune=none ablation print the
+# same embeddings in the same order, and a deleted pass name is a usage
+# error (exit 2) that names the token.
+EMB_DEFAULT=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/g.ccsr" \
+    --pattern="$WORK_DIR/q_0.txt" --variant=edge --print=1000000 | \
+    grep '^embedding:')
+EMB_NONE=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/g.ccsr" \
+    --pattern="$WORK_DIR/q_0.txt" --variant=edge --print=1000000 \
+    --prune=none | grep '^embedding:')
+EMB_LINES=$(printf '%s\n' "$EMB_DEFAULT" | wc -l | tr -d ' ')
+if [ "$EMB_LINES" != "$COUNT_CCSR" ] || [ "$EMB_DEFAULT" != "$EMB_NONE" ]; then
+  echo "FAIL: default pruning printed $EMB_LINES embeddings (want" \
+      "$COUNT_CCSR) or differs from --prune=none"
+  exit 1
+fi
+PRUNE_RC=0
+PRUNE_ERR=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/g.ccsr" \
+    --pattern="$WORK_DIR/q_0.txt" --prune=aux 2>&1 >/dev/null) || PRUNE_RC=$?
+if [ "$PRUNE_RC" != "2" ]; then
+  echo "FAIL: --prune=aux exited '$PRUNE_RC', want 2"
+  exit 1
+fi
+case "$PRUNE_ERR" in
+  *'"aux"'*) ;;
+  *) echo "FAIL: --prune=aux error does not name the pass: $PRUNE_ERR"; exit 1 ;;
+esac
+echo "PASS: --prune default matches --prune=none; --prune=aux rejected"
+
 # Concurrent serving session over the same workload: both patterns,
 # repeated so the shared cluster cache gets hits, per-query counts
 # matching the standalone tool.
