@@ -56,23 +56,23 @@ struct EngineMetrics {
 Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
     : gc_(gc), qc_(qc), plan_(plan) {}
 
-size_t Executor::CandidateBound(uint32_t depth) const {
-  const PlanPosition& pos = plan_.positions[depth];
-  if (edges_[depth].empty()) {
+size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
+                      const PlanPosition& pos) {
+  if (pos.edges.empty()) {
     if (pos.seed_valid) {
-      const ClusterView* view = qc_.Find(pos.seed_cluster);
+      const ClusterView* view = qc.Find(pos.seed_cluster);
       if (view == nullptr) return 0;
       return pos.seed_use_sources ? view->Sources().size()
                                   : view->Targets().size();
     }
-    return gc_.LabelFrequency(pos.label);
+    return gc.LabelFrequency(pos.label);
   }
   size_t bound = std::numeric_limits<size_t>::max();
-  for (const ResolvedEdge& e : edges_[depth]) {
-    size_t rows = e.view == nullptr
-                      ? 0
-                      : (e.incoming ? e.view->MaxInRowLength()
-                                    : e.view->MaxOutRowLength());
+  for (const EdgeConstraint& e : pos.edges) {
+    const ClusterView* view = qc.Find(e.cluster);
+    size_t rows = view == nullptr ? 0
+                                  : (e.incoming ? view->MaxInRowLength()
+                                                : view->MaxOutRowLength());
     bound = std::min(bound, rows);
   }
   return bound;
@@ -107,11 +107,8 @@ Status Executor::Prepare(const ExecOptions& options) {
     temp_.resize(n);
   }
   cand_bound_.assign(n, 0);
-  sharded_ = options.shard != nullptr;
-  // Shard-local CCSRs only hold edges incident to owned vertices, so
-  // label masks and rows seen here can be partial: every prune pass is
-  // forced off in shard mode (see ExecOptions::prune).
-  prune_ = sharded_ ? NoPruneOptions() : options.prune;
+  routed_ = 0;
+  prune_ = options.prune;
   last_lpi_removed_ = 0;
   last_lpi_shrink_pct_ = -1;
   mapping_by_pos_.assign(n, kInvalidVertex);
@@ -173,7 +170,7 @@ Status Executor::Prepare(const ExecOptions& options) {
   size_t max_lists = 0;
   size_t max_removals = 0;
   for (uint32_t j = 0; j < n; ++j) {
-    cand_bound_[j] = CandidateBound(j);
+    cand_bound_[j] = CandidateBound(gc_, qc_, plan_.positions[j]);
     max_bound = std::max(max_bound, cand_bound_[j]);
     max_lists = std::max(max_lists, edges_[j].size());
     // Chained intersections ping-pong between the output buffer and the
@@ -213,38 +210,6 @@ Status Executor::Prepare(const ExecOptions& options) {
   if (options.verify_sce) {
     sce_oracle_scratch_.Reserve(max_bound + setops::kOutPad);
   }
-  if (sharded_) {
-    if (options.shard->owner.size() < gc_.NumVertices()) {
-      return Status::InvalidArgument("shard owner table smaller than graph");
-    }
-    if (owned_scratch_.size() != n) {
-      owned_scratch_.clear();
-      owned_scratch_.resize(n);
-    }
-    // The owned-filter buffers are per depth: the filtered list at
-    // depth d stays live while the recursion below d runs.
-    for (uint32_t j = 0; j < n; ++j) {
-      owned_scratch_[j].Reserve(cand_bound_[j] + setops::kOutPad);
-    }
-    // The ship-set intersection uses only the locally owned subset of a
-    // position's parent rows, so its bound is the largest single row —
-    // cand_bound_ (the min over all rows) can be smaller.
-    size_t ship_bound = 0;
-    for (uint32_t j = 0; j < n; ++j) {
-      for (const ResolvedEdge& e : edges_[j]) {
-        if (e.view == nullptr) continue;
-        ship_bound = std::max(
-            ship_bound, static_cast<size_t>(e.incoming
-                                                ? e.view->MaxInRowLength()
-                                                : e.view->MaxOutRowLength()));
-      }
-    }
-    ship_a_.Reserve(ship_bound + setops::kOutPad);
-    ship_b_.Reserve(ship_bound + setops::kOutPad);
-    ship_buckets_.resize(options.shard->num_shards);
-    for (std::vector<VertexId>& b : ship_buckets_) b.clear();
-  }
-
   return Status::OK();
 }
 
@@ -333,46 +298,10 @@ void Executor::ComputeCandidates(uint32_t depth,
       lists_.push_back(e.incoming ? e.view->In(w) : e.view->Out(w));
       if (lists_.back().empty()) return;
     }
-    // Insertion sort by size: the list count is the pattern vertex's
-    // back-degree (almost always <= 8), where this beats std::sort's
-    // dispatch overhead and allocates nothing.
-    for (size_t i = 1; i < lists_.size(); ++i) {
-      std::span<const VertexId> key = lists_[i];
-      size_t j = i;
-      for (; j > 0 && lists_[j - 1].size() > key.size(); --j) {
-        lists_[j] = lists_[j - 1];
-      }
-      lists_[j] = key;
-    }
-    if (lists_.size() == 1) {
-      out->Assign(lists_[0]);
-    } else {
-      // The kernels cannot write in place, so chained intersections
-      // ping-pong between the depth's partner buffer and `out`, phased
-      // so the last round lands in `out`.
-      setops::VertexScratch& tmp = temp_[depth];
-      tmp.EnsureCapacity(cand_bound_[depth] + setops::kOutPad);
-      const size_t rounds = lists_.size() - 1;
-      setops::VertexScratch* bufs[2] = {&tmp, out};
-      size_t cur = rounds % 2;  // odd round count: start (and end) at out
-      setops::VertexScratch* dst = bufs[cur];
-      stats_.intersect_elements += lists_[0].size() + lists_[1].size();
-      dst->set_size(setops::Intersect(lists_[0], lists_[1], dst->data()));
-      for (size_t i = 2; i < lists_.size() && !dst->empty(); ++i) {
-        setops::VertexScratch* src = dst;
-        cur ^= 1;
-        dst = bufs[cur];
-        stats_.intersect_elements += src->size() + lists_[i].size();
-        dst->set_size(
-            setops::Intersect(src->span(), lists_[i], dst->data()));
-      }
-      // An early exit (empty intermediate) can strand the result in the
-      // partner buffer; it is empty either way.
-      if (dst != out) {
-        CSCE_DCHECK(dst->empty());
-        out->clear();
-      }
-    }
+    // Smallest-first chained intersection, ping-ponging with the
+    // depth's partner buffer (reserved in Prepare when it has 2+ lists).
+    stats_.intersect_elements +=
+        setops::IntersectAll(lists_, out, &temp_[depth]);
   }
 
   // Label-pair prefilter (prune pass "lpi", on by default): a candidate
@@ -511,129 +440,14 @@ bool Executor::Emit() {
 }
 
 bool Executor::Enumerate(uint32_t depth) {
-  if (sharded_) {
-    // Depth 0 is reached here only outside morsel mode: enumerate the
-    // owned slice (every shard covers its own roots).
-    return depth == 0 ? EnumerateOwned(0) : EnumerateSharded(depth);
-  }
-  return EnumerateOver(depth, Candidates(depth));
-}
-
-bool Executor::EnumerateSharded(uint32_t depth) {
-  const ShardSpec& spec = *options_->shard;
-  if (edges_[depth].empty()) {
-    // The candidate set is mapping-independent (seed or label scan), so
-    // every shard holds the full set and enumerates its owned slice.
-    // The shard that owns this prefix broadcasts it once; kLocalOnly
-    // receivers enumerate without re-broadcasting, covering each slice
-    // exactly once.
-    for (uint32_t t = 0; t < spec.num_shards; ++t) {
-      if (t != spec.shard_id) {
-        EmitTask(ShardTask::Kind::kLocalOnly, t, depth, {});
-      }
-    }
-    return EnumerateOwned(depth);
-  }
-  bool local_pivot = false;
-  for (const ResolvedEdge& e : edges_[depth]) {
-    if (spec.owner[mapping_by_pos_[e.pos]] == spec.shard_id) {
-      local_pivot = true;
-      break;
-    }
-  }
-  if (!local_pivot) {
-    // Every parent row here may be incomplete (no parent mapping is
-    // owned locally), so hand the whole extension to the owner of the
-    // first parent — exclusively: enumerating nothing locally keeps
-    // every candidate handled exactly once.
-    EmitTask(ShardTask::Kind::kForward,
-             spec.owner[mapping_by_pos_[edges_[depth][0].pos]], depth, {});
-    return true;
-  }
-  ShipRemoteCandidates(depth);
-  return EnumerateOwned(depth);
-}
-
-bool Executor::EnumerateOwned(uint32_t depth) {
-  const ShardSpec& spec = *options_->shard;
-  std::span<const VertexId> base = Candidates(depth);
-  // Copied out of the (possibly NEC-shared) cache slot: the filtered
-  // list must survive the recursion below this depth.
-  setops::VertexScratch& own = owned_scratch_[depth];
-  own.EnsureCapacity(base.size());
-  own.clear();
-  for (VertexId v : base) {
-    if (spec.owner[v] == spec.shard_id) own.push_back(v);
-  }
-  return EnumerateOver(depth, own.span());
-}
-
-void Executor::ShipRemoteCandidates(uint32_t depth) {
-  const ShardSpec& spec = *options_->shard;
-  // Intersect only the rows of locally owned parent mappings: 1-hop
-  // replication makes exactly those rows complete, so the result is a
-  // superset of the true candidate set (each true candidate lies in
-  // every parent row, including the owned ones). The owner of each
-  // shipped candidate then intersects against its own complete local
-  // candidate set (kVerify), which removes the false positives and
-  // applies the degree filter and negations exactly.
-  lists_.clear();
-  for (const ResolvedEdge& e : edges_[depth]) {
-    VertexId w = mapping_by_pos_[e.pos];
-    if (spec.owner[w] != spec.shard_id) continue;
-    // An owned parent with no local view (or an empty row) means the
-    // edge does not exist anywhere: the true candidate set is empty.
-    if (e.view == nullptr) return;
-    std::span<const VertexId> row = e.incoming ? e.view->In(w) : e.view->Out(w);
-    if (row.empty()) return;
-    lists_.push_back(row);
-  }
-  CSCE_DCHECK(!lists_.empty());
-  for (size_t i = 1; i < lists_.size(); ++i) {
-    std::span<const VertexId> key = lists_[i];
-    size_t j = i;
-    for (; j > 0 && lists_[j - 1].size() > key.size(); --j) {
-      lists_[j] = lists_[j - 1];
-    }
-    lists_[j] = key;
-  }
-  std::span<const VertexId> ship = lists_[0];
-  if (lists_.size() > 1) {
-    setops::VertexScratch* bufs[2] = {&ship_a_, &ship_b_};
-    size_t cur = 0;
-    bufs[cur]->EnsureCapacity(std::min(lists_[0].size(), lists_[1].size()) +
-                              setops::kOutPad);
-    bufs[cur]->set_size(
-        setops::Intersect(lists_[0], lists_[1], bufs[cur]->data()));
-    for (size_t i = 2; i < lists_.size() && !bufs[cur]->empty(); ++i) {
-      size_t nxt = cur ^ 1;
-      bufs[nxt]->EnsureCapacity(bufs[cur]->size() + setops::kOutPad);
-      bufs[nxt]->set_size(
-          setops::Intersect(bufs[cur]->span(), lists_[i], bufs[nxt]->data()));
-      cur = nxt;
-    }
-    ship = bufs[cur]->span();
-  }
-  for (VertexId c : ship) {
-    uint32_t t = spec.owner[c];
-    if (t != spec.shard_id) ship_buckets_[t].push_back(c);
-  }
-  for (uint32_t t = 0; t < spec.num_shards; ++t) {
-    if (ship_buckets_[t].empty()) continue;
-    EmitTask(ShardTask::Kind::kVerify, t, depth, std::move(ship_buckets_[t]));
-    ship_buckets_[t].clear();  // moved-from: reset to a known state
-  }
-}
-
-void Executor::EmitTask(ShardTask::Kind kind, uint32_t target, uint32_t depth,
-                        std::vector<VertexId> candidates) {
-  ShardTask task;
-  task.kind = kind;
-  task.target_shard = target;
-  task.depth = depth;
-  task.mapping.assign(mapping_by_pos_.begin(), mapping_by_pos_.begin() + depth);
-  task.candidates = std::move(candidates);
-  options_->shard->emit(std::move(task));
+  Placement* placement = options_->placement;
+  if (placement == nullptr) return EnumerateOver(depth, Candidates(depth));
+  bool routed = false;
+  std::span<const VertexId> local = placement->Place(
+      *this, depth, std::span<const VertexId>(mapping_by_pos_).first(depth),
+      &routed);
+  if (routed) ++routed_;
+  return EnumerateOver(depth, local);
 }
 
 bool Executor::EnumerateOver(uint32_t depth,
@@ -689,12 +503,14 @@ bool Executor::EnumerateOver(uint32_t depth,
       produce = false;
       continue;
     }
-    const uint64_t embeddings_before = stats_.embeddings;
+    // A subtree that emitted or routed work is not failing: both
+    // counters only grow, so their sum moves iff either does.
+    const uint64_t productive_before = stats_.embeddings + routed_;
     if (injective_) used_.Set(v);
     bool keep_going = Enumerate(depth + 1);
     if (injective_) used_.Clear(v);
     if (!keep_going) return false;
-    if (stats_.embeddings != embeddings_before) {
+    if (stats_.embeddings + routed_ != productive_before) {
       produce = false;
     } else if (consume) {
       const uint64_t* child = FailingSet(depth + 1);
@@ -720,57 +536,27 @@ Status Executor::Run(const ExecOptions& options, ExecStats* stats) {
   *stats = ExecStats{};
   CSCE_RETURN_IF_ERROR(Prepare(options));
   obs::Span span("engine.run");
-  timer_.Restart();
-  if (!plan_.positions.empty()) {
-    if (options.root_claim) {
-      // Morsel mode: drain root batches from the shared claim counter.
-      // SCE caches persist across morsels, so positions independent of
-      // the root mapping keep their reuse within this worker.
-      std::span<const VertexId> morsel;
-      while (!aborted_ && !(morsel = options.root_claim()).empty()) {
-        ++stats_.morsels_claimed;
-        obs::Span morsel_span("engine.morsel");
-        if (!EnumerateOver(0, morsel)) break;
-      }
-    } else {
-      Enumerate(0);
-    }
-  }
-  stats_.seconds = timer_.Seconds();
-  *stats = stats_;
-
-  const EngineMetrics& m = EngineMetrics::Get();
-  m.runs.Increment();
-  m.embeddings.Add(stats_.embeddings);
-  m.search_nodes.Add(stats_.search_nodes);
-  m.sce_recomputes.Add(stats_.candidate_sets_computed);
-  m.sce_reuses.Add(stats_.candidate_sets_reused);
-  m.morsels_claimed.Add(stats_.morsels_claimed);
-  m.intersect_elements.Add(stats_.intersect_elements);
-  m.prune_candidates_removed.Add(stats_.prune_candidates_removed);
-  m.prune_extensions_skipped.Add(stats_.prune_extensions_skipped);
-  m.candidate_set_size.Merge(stats_.candidate_set_size);
-  m.prune_shrink_ratio.Merge(stats_.prune_shrink_ratio);
-  m.run_seconds.Record(stats_.seconds);
+  CSCE_RETURN_IF_ERROR(DrainRoots());
+  Finish(stats);
   return Status::OK();
 }
 
-Status Executor::PrepareForTasks(const ExecOptions& options) {
-  return Prepare(options);
-}
-
-Status Executor::RunRootMorsels() {
-  if (options_ == nullptr) {
-    return Status::InvalidArgument("PrepareForTasks not called");
-  }
-  if (aborted_ || plan_.positions.empty() || !options_->root_claim) {
-    return Status::OK();
-  }
+Status Executor::DrainRoots() {
+  if (options_ == nullptr) return Status::InvalidArgument("Prepare not called");
+  if (aborted_ || plan_.positions.empty()) return Status::OK();
   timer_.Restart();
-  std::span<const VertexId> morsel;
-  while (!aborted_ && !(morsel = options_->root_claim()).empty()) {
-    ++stats_.morsels_claimed;
-    if (!EnumerateOver(0, morsel)) break;
+  if (options_->root_claim) {
+    // Morsel mode: drain root batches from the shared claim counter.
+    // SCE caches persist across morsels, so positions independent of
+    // the root mapping keep their reuse within this executor.
+    std::span<const VertexId> morsel;
+    while (!aborted_ && !(morsel = options_->root_claim()).empty()) {
+      ++stats_.morsels_claimed;
+      obs::Span morsel_span("engine.morsel");
+      if (!EnumerateOver(0, morsel)) break;
+    }
+  } else {
+    Enumerate(0);
   }
   stats_.seconds += timer_.Seconds();
   return Status::OK();
@@ -784,7 +570,7 @@ Status Executor::SeedPrefix(std::span<const VertexId> prefix) {
       // Roll back the part already seeded and reject: prefixes arrive
       // over the wire and must not be trusted.
       ClearPrefix(prefix.subspan(0, j));
-      return Status::InvalidArgument("invalid shard task prefix");
+      return Status::InvalidArgument("invalid resume prefix");
     }
     mapping_by_pos_[j] = v;
     mapping_by_vertex_[plan_.positions[j].u] = v;
@@ -801,76 +587,21 @@ void Executor::ClearPrefix(std::span<const VertexId> prefix) {
   }
 }
 
-Status Executor::RunTask(const ShardTask& task) {
-  if (options_ == nullptr || !sharded_) {
-    return Status::InvalidArgument("PrepareForTasks not called in shard mode");
-  }
+Status Executor::Resume(std::span<const VertexId> prefix) {
+  if (options_ == nullptr) return Status::InvalidArgument("Prepare not called");
   if (aborted_) return Status::OK();  // outcome decided: drain cheaply
-  const uint32_t depth = task.depth;
-  const size_t n = plan_.positions.size();
-  if (depth == 0 || depth >= n || task.mapping.size() != depth) {
-    return Status::InvalidArgument("malformed shard task");
-  }
-  const ShardSpec& spec = *options_->shard;
-  if (task.target_shard != spec.shard_id) {
-    return Status::InvalidArgument("shard task routed to wrong shard");
-  }
-  const bool edgeless = edges_[depth].empty();
-  if (task.kind == ShardTask::Kind::kLocalOnly ? !edgeless : edgeless) {
-    return Status::InvalidArgument("shard task kind inconsistent with plan");
-  }
-  if (task.kind == ShardTask::Kind::kVerify) {
-    VertexId prev = kInvalidVertex;
-    for (VertexId c : task.candidates) {
-      // Sorted unique (prev starts as the max sentinel; a first element
-      // equal to it would be out of range anyway), in range, and owned
-      // here — anything else is a protocol violation.
-      if (c >= gc_.NumVertices() || spec.owner[c] != spec.shard_id ||
-          (prev != kInvalidVertex && c <= prev)) {
-        return Status::InvalidArgument("bad shard task candidate list");
-      }
-      prev = c;
-    }
+  if (prefix.empty() || prefix.size() >= plan_.positions.size()) {
+    return Status::InvalidArgument("resume prefix length out of range");
   }
   timer_.Restart();
-  CSCE_RETURN_IF_ERROR(SeedPrefix(task.mapping));
-  switch (task.kind) {
-    case ShardTask::Kind::kForward: {
-      bool pivot = false;
-      for (const ResolvedEdge& e : edges_[depth]) {
-        if (spec.owner[mapping_by_pos_[e.pos]] == spec.shard_id) {
-          pivot = true;
-          break;
-        }
-      }
-      if (!pivot) {
-        // Re-forwarding would bounce the task between shards forever;
-        // a forward must target the owner of a parent mapping.
-        ClearPrefix(task.mapping);
-        return Status::InvalidArgument("forward task target owns no parent");
-      }
-      EnumerateSharded(depth);
-      break;
-    }
-    case ShardTask::Kind::kLocalOnly:
-      EnumerateOwned(depth);
-      break;
-    case ShardTask::Kind::kVerify: {
-      std::span<const VertexId> local = Candidates(depth);
-      setops::VertexScratch& own = owned_scratch_[depth];
-      own.EnsureCapacity(
-          std::min(local.size(), task.candidates.size()) + setops::kOutPad);
-      own.set_size(setops::Intersect(local, task.candidates, own.data()));
-      EnumerateOver(depth, own.span());
-      break;
-    }
-  }
-  ClearPrefix(task.mapping);
+  CSCE_RETURN_IF_ERROR(SeedPrefix(prefix));
+  Enumerate(static_cast<uint32_t>(prefix.size()));
+  ClearPrefix(prefix);
   stats_.seconds += timer_.Seconds();
   return Status::OK();
 }
 
-void Executor::FinishTasks(ExecStats* stats) {
+void Executor::Finish(ExecStats* stats) {
   *stats = stats_;
   const EngineMetrics& m = EngineMetrics::Get();
   m.runs.Increment();

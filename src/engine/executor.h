@@ -32,46 +32,28 @@ using EmbeddingCallback = std::function<bool(std::span<const VertexId>)>;
 /// enumerating the whole root candidate set (see runtime/).
 using RootClaimFn = std::function<std::span<const VertexId>()>;
 
-/// One unit of resumable cross-shard work: a partial mapping (plan
-/// positions [0, depth)) that must continue on another shard. Emitted
-/// by a shard-mode executor when the next position's candidates leave
-/// the shard; consumed by Executor::RunTask on the target (see src/
-/// shard/ and the DESIGN.md "Sharded execution" section).
-struct ShardTask {
-  enum class Kind : uint8_t {
-    /// No locally owned parent mapping: the target (owner of the first
-    /// parent) computes the candidates, enumerates its owned ones and
-    /// re-ships the rest. Exclusive — the sender enumerates nothing at
-    /// this depth, so every candidate is handled exactly once.
-    kForward = 0,
-    /// `candidates` supplied, all owned by the target: the target
-    /// intersects them with its local candidate set (which is complete
-    /// for owned vertices) and enumerates the survivors.
-    kVerify = 1,
-    /// Edge-less (seed/label-scan) position broadcast: the target
-    /// enumerates its owned slice of the mapping-independent candidate
-    /// set and never re-broadcasts at this depth.
-    kLocalOnly = 2,
-  };
-  Kind kind = Kind::kForward;
-  uint32_t target_shard = 0;
-  uint32_t depth = 0;                  // position to extend next
-  std::vector<VertexId> mapping;       // by position, size == depth
-  std::vector<VertexId> candidates;    // kVerify only: sorted, owned
-};
+class Executor;
 
-/// Receives tasks the executor emits for other shards. Called on the
-/// enumeration path; implementations should only buffer.
-using ShardEmitFn = std::function<void(ShardTask&&)>;
+/// Decides where each extension's candidates are enumerated. Without a
+/// placement (ExecOptions::placement == nullptr) every candidate is
+/// enumerated locally; the shard layer implements one that keeps the
+/// candidates its shard owns and routes the rest to their owners (see
+/// shard/worker.cc and DESIGN.md "Sharded execution").
+class Placement {
+ public:
+  virtual ~Placement() = default;
 
-/// Shard-mode configuration: this executor enumerates only candidates
-/// its shard owns and emits ShardTasks for the rest. `owner` maps every
-/// data vertex to its owning shard and must outlive the run.
-struct ShardSpec {
-  uint32_t shard_id = 0;
-  uint32_t num_shards = 1;
-  std::span<const uint32_t> owner;
-  ShardEmitFn emit;
+  /// Extends `prefix` (the mapping by plan position) to position
+  /// `depth == prefix.size()`. Returns the candidates to enumerate
+  /// locally — a sorted subset of exec.Candidates(depth), asked for
+  /// only when needed, that stays valid while the subtree runs — and
+  /// sets `*routed` when any of the work was sent elsewhere. A routed
+  /// subtree counts as non-failing for failing-set backjumping, like
+  /// one that emitted an embedding: its outcome is decided elsewhere,
+  /// so no sibling may be skipped on its account.
+  virtual std::span<const VertexId> Place(Executor& exec, uint32_t depth,
+                                          std::span<const VertexId> prefix,
+                                          bool* routed) = 0;
 };
 
 struct ExecOptions {
@@ -103,18 +85,12 @@ struct ExecOptions {
   /// it costs exactly the speedup SCE buys; the oracle recomputations
   /// are not counted in candidate_sets_computed.
   bool verify_sce = false;
-  /// Shard-mode execution (nullptr = single-node). The executor then
-  /// enumerates only candidates owned by `shard->shard_id` and routes
-  /// the rest through `shard->emit`; correctness relies on the shard
-  /// CCSR holding every edge incident to an owned vertex (the 1-hop
-  /// replication ShardPlan::ExtractShard guarantees).
-  const ShardSpec* shard = nullptr;
+  /// Where extensions are enumerated (nullptr: every candidate
+  /// locally). Must outlive the run.
+  Placement* placement = nullptr;
   /// Proactive pruning passes to act on (engine/prune/prune.h; the
   /// label-pair filter and failing-set backjumping are on by default);
-  /// the matcher forwards Plan::prune. All passes are force-disabled in
-  /// shard mode: a shard CCSR holds only the edges incident to owned
-  /// vertices (1-hop replication), so shard-local label masks and rows
-  /// are partial and pruning on them could drop real embeddings.
+  /// the matcher and the shard workers forward Plan::prune.
   PruneOptions prune;
   /// Test-only fault injection: after this position first stores its
   /// SCE cache entry, the cached candidate vector is corrupted (its
@@ -170,6 +146,12 @@ struct ExecStats {
   double worker_idle_seconds = 0.0;
 };
 
+/// Worst-case size of `pos`'s candidate set, used to pre-size scratch:
+/// the seed endpoint count (seeded), the label frequency (label scan),
+/// else the shortest incident cluster row.
+size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
+                      const PlanPosition& pos);
+
 /// The pipelined worst-case-optimal-join executor: grows partial
 /// embeddings one pattern vertex at a time along the plan order,
 /// computing each position's candidates by intersecting cluster
@@ -189,9 +171,10 @@ class Executor {
   /// `plan` the compiled matching order. All must outlive the executor.
   Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan);
 
-  /// Runs the enumeration. Reentrant: each call resets all state, and
-  /// `*stats` is zeroed at entry so a failed run never leaves a reused
-  /// executor's previous counters in the caller's struct.
+  /// Runs the enumeration: Prepare + DrainRoots + Finish. Reentrant:
+  /// each call resets all state, and `*stats` is zeroed at entry so a
+  /// failed run never leaves a reused executor's previous counters in
+  /// the caller's struct.
   Status Run(const ExecOptions& options, ExecStats* stats);
 
   /// The root position's full candidate set (seed/label scan plus the
@@ -207,24 +190,30 @@ class Executor {
                                std::vector<VertexId>* out,
                                ExecStats* stats = nullptr);
 
-  /// Task-mode lifecycle (shard workers): prepare once per query, then
-  /// accumulate any number of RunRootMorsels/RunTask calls into one
-  /// stats total collected by FinishTasks. Unlike Run, the per-call
-  /// entry points never flush engine metrics or zero the accumulated
-  /// counters, so a round-based driver can interleave them freely.
-  Status PrepareForTasks(const ExecOptions& options);
-  /// Drains `options.root_claim` morsels exactly like Run's morsel
-  /// loop (shard workers claim from their owned-root list).
-  CSCE_HOT_PATH Status RunRootMorsels();
-  /// Resumes enumeration from the task's partial mapping. Malformed
-  /// tasks (out-of-range vertices, wrong kind for the position, unsorted
-  /// or non-owned candidates) return InvalidArgument without crashing —
-  /// tasks arrive over the wire. After an aborted run (limit/timeout/
-  /// cancel) further tasks are drained as cheap no-ops.
-  CSCE_HOT_PATH Status RunTask(const ShardTask& task);
-  /// Copies out the accumulated task-mode stats and flushes them into
-  /// the process metric registry (once per query, mirroring Run).
-  void FinishTasks(ExecStats* stats);
+  /// The pieces of Run, for callers that feed one query's work in over
+  /// time (shard workers): Prepare once, then any number of DrainRoots/
+  /// Resume calls accumulating into one stats total, then Finish.
+  ///
+  /// Resets all per-run state and counters for `options`, which must
+  /// outlive the run, and sizes every scratch buffer.
+  Status Prepare(const ExecOptions& options);
+  /// Enumerates the root position: the morsels `root_claim` yields, in
+  /// claim order, else the root's whole candidate set.
+  CSCE_HOT_PATH Status DrainRoots();
+  /// Resumes the search below a mapped prefix (plan positions
+  /// [0, prefix.size()), 0 < size < positions) and extends it to the
+  /// next position through the placement. The prefix is not trusted —
+  /// routed work arrives over the wire — so out-of-range, label-
+  /// mismatched or (injective variants) repeated vertices return
+  /// InvalidArgument. After an aborted run (limit/timeout/cancel)
+  /// further calls are cheap no-ops.
+  CSCE_HOT_PATH Status Resume(std::span<const VertexId> prefix);
+  /// Copies out the accumulated stats, flushes them into the process
+  /// metric registry (once per query) and zeroes them.
+  void Finish(ExecStats* stats);
+  /// The candidate set of `depth` under the current prefix, computed or
+  /// SCE-reused (for a Placement, during Place).
+  CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
 
  private:
   struct ResolvedEdge {
@@ -242,35 +231,12 @@ class Executor {
     uint32_t other_pos;
     bool require_greater;  // candidate must compare > (else <) f(other)
   };
-
-  Status Prepare(const ExecOptions& options);
-  /// Worst-case result size of ComputeCandidates at `depth`, used to
-  /// pre-size scratch. Seeded: endpoint count; label scan: label
-  /// frequency; edges: shortest incident cluster row.
-  size_t CandidateBound(uint32_t depth) const;
   CSCE_HOT_PATH bool Enumerate(
       uint32_t depth);  // false: abort (timeout/limit/callback)
   CSCE_HOT_PATH bool EnumerateOver(uint32_t depth,
                                    std::span<const VertexId> candidates);
-  /// Shard-mode extension at `depth`: enumerate owned candidates, ship
-  /// the rest (see ShardTask for the three routing cases).
-  CSCE_HOT_PATH bool EnumerateSharded(uint32_t depth);
-  /// Enumerates Candidates(depth) filtered to locally owned vertices.
-  CSCE_HOT_PATH bool EnumerateOwned(uint32_t depth);
-  /// Intersects the rows of locally owned parents (complete by 1-hop
-  /// replication), buckets the non-owned result by owner and emits one
-  /// kVerify task per non-empty bucket.
-  /// Allocates by design (per-shard routing buckets can outgrow any
-  /// Prepare-time bound): cross-shard routing is outside the single-
-  /// node zero-allocation contract, so it is exempted rather than hot.
-  CSCE_ALLOC_OK void ShipRemoteCandidates(uint32_t depth);
-  /// Allocates by design (the emitted task owns its mapping copy).
-  CSCE_ALLOC_OK void EmitTask(ShardTask::Kind kind, uint32_t target,
-                              uint32_t depth,
-                              std::vector<VertexId> candidates);
   Status SeedPrefix(std::span<const VertexId> prefix);
   void ClearPrefix(std::span<const VertexId> prefix);
-  CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
   CSCE_HOT_PATH void ComputeCandidates(uint32_t depth,
                                        setops::VertexScratch* out);
   /// The restriction `v` violates at `depth`, or nullptr.
@@ -301,21 +267,19 @@ class Executor {
   std::vector<std::vector<Restriction>> restrictions_;  // per position
   std::vector<uint32_t> cache_slot_;                    // per position
   std::vector<CandidateCache> caches_;
-  std::vector<size_t> cand_bound_;           // per position, see above
+  std::vector<size_t> cand_bound_;  // per position, see CandidateBound
   std::vector<setops::VertexScratch> temp_;  // per-depth ping-pong partner
   std::vector<std::span<const VertexId>> lists_;      // gather buffer
   std::vector<std::span<const VertexId>> neg_lists_;  // gather buffer
   DynamicBitset neg_marks_;  // bitmap-difference scratch, all-zero at rest
-  // Shard mode only (options_->shard != nullptr).
-  bool sharded_ = false;
-  std::vector<setops::VertexScratch> owned_scratch_;  // per depth
-  setops::VertexScratch ship_a_;  // ping-pong pair for the ship-set
-  setops::VertexScratch ship_b_;  // intersection of owned-parent rows
-  std::vector<std::vector<VertexId>> ship_buckets_;  // per target shard
   setops::VertexScratch sce_oracle_scratch_;  // verify_sce recompute buffer
+  /// Extensions the placement reported as routed elsewhere. Monotonic;
+  /// a subtree during which it (or the embedding count) moved is
+  /// non-failing for failing-set backjumping.
+  uint64_t routed_ = 0;
 
-  // Proactive pruning (engine/prune/): the effective per-run pass set
-  // (ExecOptions::prune, forced off in shard mode) plus its state.
+  // Proactive pruning (engine/prune/): the per-run pass set
+  // (ExecOptions::prune) plus its state.
   PruneOptions prune_;
   /// Failing sets, DAF-style (prune pass "fs"): flat arrays of
   /// fs_words_ = ceil(n / 64) words per position, sized in Prepare.

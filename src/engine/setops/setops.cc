@@ -209,6 +209,46 @@ size_t Difference(std::span<const VertexId> a, std::span<const VertexId> b,
                                      out);
 }
 
+size_t IntersectAll(std::span<std::span<const VertexId>> lists,
+                    VertexScratch* out, VertexScratch* tmp) {
+  CSCE_DCHECK(!lists.empty());
+  for (size_t i = 1; i < lists.size(); ++i) {
+    std::span<const VertexId> key = lists[i];
+    size_t j = i;
+    for (; j > 0 && lists[j - 1].size() > key.size(); --j) {
+      lists[j] = lists[j - 1];
+    }
+    lists[j] = key;
+  }
+  if (lists.size() == 1) {
+    out->Assign(lists[0]);
+    return 0;
+  }
+  // Every intermediate is bounded by the smallest list.
+  out->EnsureCapacity(lists[0].size() + kOutPad);
+  tmp->EnsureCapacity(lists[0].size() + kOutPad);
+  const size_t rounds = lists.size() - 1;
+  VertexScratch* bufs[2] = {tmp, out};
+  size_t cur = rounds % 2;  // odd round count: start (and end) at out
+  VertexScratch* dst = bufs[cur];
+  size_t elements = lists[0].size() + lists[1].size();
+  dst->set_size(Intersect(lists[0], lists[1], dst->data()));
+  for (size_t i = 2; i < lists.size() && !dst->empty(); ++i) {
+    VertexScratch* src = dst;
+    cur ^= 1;
+    dst = bufs[cur];
+    elements += src->size() + lists[i].size();
+    dst->set_size(Intersect(src->span(), lists[i], dst->data()));
+  }
+  // An early exit (empty intermediate) can strand the result in `tmp`;
+  // it is empty either way.
+  if (dst != out) {
+    CSCE_DCHECK(dst->empty());
+    out->clear();
+  }
+  return elements;
+}
+
 size_t IntersectWith(Kernel kernel, std::span<const VertexId> a,
                      std::span<const VertexId> b, VertexId* out) {
   CSCE_CHECK(KernelSupported(kernel))

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 
+#include "engine/setops/vertex_scratch.h"
 #include "graph/graph.h"
 #include "util/bitset.h"
 #include "util/thread_annotations.h"
@@ -64,6 +65,17 @@ CSCE_HOT_PATH size_t Intersect(std::span<const VertexId> a,
 /// A non-aliasing `out` still follows the kOutPad capacity contract.
 CSCE_HOT_PATH size_t Difference(std::span<const VertexId> a,
                                 std::span<const VertexId> b, VertexId* out);
+
+/// out = ∩ lists, for one or more sorted unique lists. Reorders `lists`
+/// smallest-first — an insertion sort: the count is a pattern vertex's
+/// back-degree (almost always <= 8), where it beats std::sort's
+/// dispatch overhead and allocates nothing — then chains Intersect,
+/// ping-ponging between `tmp` and `out` so the last round lands in
+/// `out`; an empty intermediate ends the chain early. Both buffers need
+/// capacity for the smallest list plus kOutPad. Returns the summed
+/// input lengths of the intersections performed.
+CSCE_HOT_PATH size_t IntersectAll(std::span<std::span<const VertexId>> lists,
+                                  VertexScratch* out, VertexScratch* tmp);
 
 /// Fixed-kernel entry points (differential tests, microbenches).
 /// `kernel` must be supported (KernelSupported).

@@ -44,15 +44,12 @@ struct RuntimeMetricsReg {
   }
 };
 
-// Auto morsel sizing: aim for ~8 claims per worker so stragglers with
-// heavy subtrees get rebalanced, floored at 1 (tiny candidate sets) and
-// capped so a single claim never monopolizes a skewed workload.
+}  // namespace
+
 size_t AutoMorselSize(size_t roots, uint32_t threads) {
   size_t m = roots / (static_cast<size_t>(threads) * 8);
   return std::clamp<size_t>(m, 1, 4096);
 }
-
-}  // namespace
 
 ParallelExecutor::ParallelExecutor(const Ccsr& gc, const QueryClusters& qc,
                                    const Plan& plan)

@@ -1,6 +1,7 @@
 #ifndef CSCE_RUNTIME_PARALLEL_EXECUTOR_H_
 #define CSCE_RUNTIME_PARALLEL_EXECUTOR_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "ccsr/ccsr.h"
@@ -21,6 +22,12 @@ struct ParallelOptions {
   /// SCE-cache locality within a worker.
   uint32_t morsel_size = 0;
 };
+
+/// Auto morsel sizing, shared by every morsel-parallel runner: ~8 claims
+/// per thread so stragglers with heavy subtrees get rebalanced, floored
+/// at 1 (tiny root sets) and capped at 4096 so a single claim never
+/// monopolizes a skewed workload.
+size_t AutoMorselSize(size_t roots, uint32_t threads);
 
 /// Morsel-driven parallel enumeration: splits the *root* position's
 /// candidate set into morsels claimed from a shared atomic counter, and

@@ -456,6 +456,8 @@ Status ShardCoordinator::Execute(const Graph& pattern,
     out->candidate_sets_computed += res.candidate_sets_computed;
     out->candidate_sets_reused += res.candidate_sets_reused;
     out->morsels_claimed += res.morsels_claimed;
+    out->prune_candidates_removed += res.prune_candidates_removed;
+    out->prune_extensions_skipped += res.prune_extensions_skipped;
     out->timed_out |= res.timed_out;
     out->cancelled |= res.cancelled;
     out->limit_reached |= res.limit_reached;

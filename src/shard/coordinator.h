@@ -52,6 +52,9 @@ struct ShardResult {
   uint64_t candidate_sets_computed = 0;
   uint64_t candidate_sets_reused = 0;
   uint64_t morsels_claimed = 0;
+  /// Summed over workers, root probes included (see ExecStats).
+  uint64_t prune_candidates_removed = 0;
+  uint64_t prune_extensions_skipped = 0;
 
   double plan_seconds = 0.0;       // coordinator-side compile
   double enumerate_seconds = 0.0;  // wall time of the round loop

@@ -56,7 +56,7 @@ class ShardPlan {
 
   uint32_t Owner(VertexId v) const { return owner_[v]; }
   /// Per-vertex owning shard, indexed by vertex id (what workers feed
-  /// into ShardSpec::owner).
+  /// into their routers).
   const std::vector<uint32_t>& owners() const { return owner_; }
 
   /// Vertices replicated into shard s: present in its subgraph through

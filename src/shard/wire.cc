@@ -542,6 +542,8 @@ std::string EncodeResultMsg(const ResultMsg& msg) {
   w.U64(msg.candidate_sets_computed);
   w.U64(msg.candidate_sets_reused);
   w.U64(msg.morsels_claimed);
+  w.U64(msg.prune_candidates_removed);
+  w.U64(msg.prune_extensions_skipped);
   w.U8(msg.timed_out ? 1 : 0);
   w.U8(msg.cancelled ? 1 : 0);
   w.U8(msg.limit_reached ? 1 : 0);
@@ -560,6 +562,8 @@ Status DecodeResultMsg(std::string_view payload, ResultMsg* out) {
   CSCE_RETURN_IF_ERROR(r.U64(&out->candidate_sets_computed));
   CSCE_RETURN_IF_ERROR(r.U64(&out->candidate_sets_reused));
   CSCE_RETURN_IF_ERROR(r.U64(&out->morsels_claimed));
+  CSCE_RETURN_IF_ERROR(r.U64(&out->prune_candidates_removed));
+  CSCE_RETURN_IF_ERROR(r.U64(&out->prune_extensions_skipped));
   CSCE_RETURN_IF_ERROR(r.U8(&flag));
   out->timed_out = flag != 0;
   CSCE_RETURN_IF_ERROR(r.U8(&flag));

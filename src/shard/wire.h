@@ -6,7 +6,6 @@
 #include <string_view>
 #include <vector>
 
-#include "engine/executor.h"
 #include "graph/graph.h"
 #include "graph/variant.h"
 #include "plan/planner.h"
@@ -14,6 +13,35 @@
 
 namespace csce {
 namespace shard {
+
+/// One unit of resumable cross-shard work: a partial mapping (plan
+/// positions [0, depth)) that must continue on another shard. Emitted
+/// by a shard worker's router when the next position's candidates leave
+/// the shard; resumed on the target (see shard/worker.cc and DESIGN.md
+/// "Sharded execution").
+struct ShardTask {
+  enum class Kind : uint8_t {
+    /// No locally owned parent mapping: the target (owner of the first
+    /// parent) computes the candidates, enumerates its owned ones and
+    /// re-ships the rest. Exclusive — the sender enumerates nothing at
+    /// this depth, so every candidate is handled exactly once.
+    kForward = 0,
+    /// `candidates` supplied, all owned by the target: the target
+    /// intersects them with its local candidate set (which is complete
+    /// for owned vertices) and enumerates the survivors.
+    kVerify = 1,
+    /// Edge-less (seed/label-scan) position broadcast: the target
+    /// enumerates its owned slice of the mapping-independent candidate
+    /// set and never re-broadcasts at this depth.
+    kLocalOnly = 2,
+  };
+  Kind kind = Kind::kForward;
+  uint32_t target_shard = 0;
+  uint32_t depth = 0;                  // position to extend next
+  std::vector<VertexId> mapping;       // by position, size == depth
+  std::vector<VertexId> candidates;    // kVerify only: sorted, owned
+};
+
 namespace wire {
 
 /// Length-prefixed framing for the coordinator/worker protocol:
@@ -46,7 +74,9 @@ inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 /// v5: plan prune bit 0 (auxiliary-graph projections) and its
 ///     per-position byte are gone; bits 1 (fs) and 2 (lpi) are the
 ///     only valid ones.
-inline constexpr uint32_t kProtocolVersion = 5;
+/// v6: ResultMsg carries the prune counters (shard workers run the
+///     plan's passes).
+inline constexpr uint32_t kProtocolVersion = 6;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 /// Table-driven, byte-at-a-time: frames are small (task batches cap in
@@ -190,6 +220,8 @@ struct ResultMsg {
   uint64_t candidate_sets_computed = 0;
   uint64_t candidate_sets_reused = 0;
   uint64_t morsels_claimed = 0;
+  uint64_t prune_candidates_removed = 0;
+  uint64_t prune_extensions_skipped = 0;
   bool timed_out = false;
   bool cancelled = false;
   bool limit_reached = false;

@@ -26,15 +26,19 @@ namespace shard {
 /// Transport. One worker per shard, in a thread (loopback transport)
 /// or a forked process (fd transport).
 ///
-/// Enumeration wraps the existing Executor in task mode: per LOAD
-/// thread count, each worker thread gets a private Executor whose
-/// ShardSpec::emit buffers outgoing ShardTasks; a round (kRoot or
-/// kExtend) drains its input through the thread pool and replies with
-/// everything the executors emitted. SCE candidate caches live inside
-/// the per-thread executors, so reuse never crosses a shard boundary.
+/// Enumeration drives the Executor piecewise (Prepare, then DrainRoots
+/// or Resume per round, then Finish): per LOAD thread count, each
+/// worker thread gets a private Router — an Executor plus the Placement
+/// that routes its extensions, buffering outgoing ShardTasks; a round
+/// (kRoot or kExtend) drains its input through the thread pool and
+/// replies with everything the routers emitted. The executors run the
+/// plan's prune passes like every other mode. SCE candidate caches live
+/// inside the per-thread executors, so reuse never crosses a shard
+/// boundary.
 class ShardWorker {
  public:
-  ShardWorker() = default;
+  ShardWorker();
+  ~ShardWorker();
 
   /// Serves until kShutdown (returns OK) or transport failure (returns
   /// the transport error — the coordinator vanishing is not a crash).
@@ -64,22 +68,20 @@ class ShardWorker {
   // Per-query state, rebuilt by each kPlan. Mutex-free by design: the
   // serve loop is single-threaded between rounds, a round's worker
   // threads claim work via the two atomics below and otherwise touch
-  // only their own index of the per-thread vectors, and pool_->Wait()
-  // is the barrier that publishes their writes back to the serve loop
-  // (guarded-by-complete has nothing to check here — see DESIGN.md).
+  // only their own router, and pool_->Wait() is the barrier that
+  // publishes their writes back to the serve loop (guarded-by-complete
+  // has nothing to check here — see DESIGN.md).
   bool query_active_ = false;
   Graph pattern_;
   Plan plan_;
   QueryClusters qc_;
   std::vector<VertexId> owned_roots_;
+  ExecStats probe_stats_;  // the root probe's counters, folded at kFinish
   size_t root_morsel_ = 1;
   std::atomic<size_t> root_next_{0};
   std::atomic<size_t> task_next_{0};
-  std::vector<ShardSpec> specs_;
-  std::vector<ExecOptions> exec_options_;
-  std::vector<std::unique_ptr<Executor>> executors_;
-  std::vector<std::vector<ShardTask>> emit_buf_;       // per thread
-  std::vector<std::vector<VertexId>> embedding_buf_;   // per thread, flat
+  class Router;  // per thread: an Executor and its shard Placement
+  std::vector<std::unique_ptr<Router>> routers_;
 };
 
 }  // namespace shard

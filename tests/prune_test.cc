@@ -181,37 +181,64 @@ TEST_F(PruneCrosscheckTest, MmapV2ArtifactAgreesWithInMemory) {
   }
 }
 
-TEST_F(PruneCrosscheckTest, ShardedRunsStayIdenticalWithPruneRequested) {
-  // Shard-local indexes are partial under 1-hop replication, so the
-  // executor force-disables every pass in shard mode; requesting both
-  // passes must still produce the single-node answer bit-for-bit.
+TEST_F(PruneCrosscheckTest, ShardedRunsMatchSingleNodeForEveryPassSubset) {
+  // Shard workers run the plan's passes like every other mode: owned
+  // vertices have exact rows and label masks under 1-hop replication,
+  // and a subtree that routed work elsewhere never triggers a backjump
+  // (without that rule, backjumps skip siblings whose work is still on
+  // another shard and embeddings go missing).
   Rng rng(59);
   Graph pattern;
   ASSERT_TRUE(
       SamplePattern(*data_, 5, PatternDensity::kDense, rng, &pattern).ok());
-  MatchSnapshot want = RunMatch(*index_, pattern, MatchVariant::kEdgeInduced,
-                                NoPruneOptions(), /*threads=*/1);
+  const std::vector<PruneOptions> subsets = AllSubsets();
+  std::vector<MatchSnapshot> want;
+  for (const PruneOptions& prune : subsets) {
+    want.push_back(RunMatch(*index_, pattern, MatchVariant::kEdgeInduced,
+                            prune, /*threads=*/1));
+  }
+  // AllSubsets() lists fs off before fs on: subset i ^ 1 flips fs.
   for (uint32_t shards : {1u, 2u, 4u}) {
+    std::vector<uint64_t> nodes_at_one_thread(subsets.size(), 0);
     for (uint32_t threads : {1u, 8u}) {
       std::unique_ptr<shard::InProcessCluster> cluster;
       ASSERT_TRUE(shard::InProcessCluster::Create(
-                      *data_, index_, shards,
-                      shard::PartitionStrategy::kHash, threads, &cluster)
+                      *data_, index_, shards, shard::PartitionStrategy::kHash,
+                      threads, &cluster)
                       .ok());
-      shard::CoordinatorOptions options;
-      options.collect_embeddings = true;
-      options.self_check = true;
-      options.plan.prune = PruneOptions{};
-      shard::ShardResult result;
-      Status st = cluster->coordinator().Execute(pattern, options, &result);
-      ASSERT_TRUE(st.ok()) << st.ToString();
-      EXPECT_EQ(result.embeddings, want.result.embeddings)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(result.search_nodes, want.result.search_nodes)
-          << "shards=" << shards << " threads=" << threads;
-      EXPECT_EQ(SortedRows(result.embedding_data, result.embedding_width),
-                want.rows)
-          << "shards=" << shards << " threads=" << threads;
+      for (size_t i = 0; i < subsets.size(); ++i) {
+        const PruneOptions& prune = subsets[i];
+        SCOPED_TRACE(::testing::Message()
+                     << "prune=" << PruneOptionsToString(prune)
+                     << " shards=" << shards << " threads=" << threads);
+        shard::CoordinatorOptions options;
+        options.collect_embeddings = true;
+        options.self_check = true;
+        options.plan.prune = prune;
+        shard::ShardResult result;
+        Status st = cluster->coordinator().Execute(pattern, options, &result);
+        ASSERT_TRUE(st.ok()) << st.ToString();
+        EXPECT_EQ(result.embeddings, want[i].result.embeddings);
+        EXPECT_EQ(SortedRows(result.embedding_data, result.embedding_width),
+                  want[i].rows);
+        if (prune.fs) {
+          // Backjumps only shrink the search — never below single-node,
+          // which skips every sibling a shard skips — and decide per
+          // prefix, so the count is thread-count-invariant.
+          EXPECT_LE(result.search_nodes, want[i ^ 1].result.search_nodes);
+          EXPECT_GE(result.search_nodes, want[i].result.search_nodes);
+          if (threads == 1) nodes_at_one_thread[i] = result.search_nodes;
+          else EXPECT_EQ(result.search_nodes, nodes_at_one_thread[i]);
+        } else {
+          EXPECT_EQ(result.search_nodes, want[i].result.search_nodes);
+          EXPECT_EQ(result.prune_extensions_skipped, 0u);
+        }
+        if (prune.lpi) {
+          EXPECT_GT(result.prune_candidates_removed, 0u);
+        } else {
+          EXPECT_EQ(result.prune_candidates_removed, 0u);
+        }
+      }
     }
   }
 }

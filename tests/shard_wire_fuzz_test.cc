@@ -98,6 +98,8 @@ ResultMsg MakeResultMsg() {
   msg.candidate_sets_computed = 5;
   msg.candidate_sets_reused = 3;
   msg.morsels_claimed = 4;
+  msg.prune_candidates_removed = 11;
+  msg.prune_extensions_skipped = 6;
   msg.timed_out = false;
   msg.limit_reached = true;
   msg.seconds = 0.25;
@@ -243,6 +245,8 @@ TEST(ShardWireTest, ResultMsgRoundTrip) {
   EXPECT_EQ(out.candidate_sets_computed, msg.candidate_sets_computed);
   EXPECT_EQ(out.candidate_sets_reused, msg.candidate_sets_reused);
   EXPECT_EQ(out.morsels_claimed, msg.morsels_claimed);
+  EXPECT_EQ(out.prune_candidates_removed, msg.prune_candidates_removed);
+  EXPECT_EQ(out.prune_extensions_skipped, msg.prune_extensions_skipped);
   EXPECT_EQ(out.limit_reached, msg.limit_reached);
   EXPECT_EQ(out.seconds, msg.seconds);
   EXPECT_EQ(out.embedding_width, msg.embedding_width);

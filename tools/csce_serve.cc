@@ -28,10 +28,8 @@
 // Proactive pruning: the label-pair filter (lpi) and failing-set
 // backjumping (fs) are on by default; --prune=none turns every pass
 // off (--prune=none,lpi keeps only the filter), for every query of the
-// session, including sharded sessions — where the
-// coordinator forwards the pass set with the plan, and the shard
-// workers' executors force-disable it (shard-local indexes are
-// partial), keeping sharded results identical either way.
+// session, including sharded sessions — where the coordinator forwards
+// the pass set with the plan and the shard workers run it.
 //
 // --repeat=N serves the whole workload N times (load generation; with
 // view sharing the repeats hit the session's cluster cache).
