@@ -76,7 +76,7 @@ int main() {
 
   // The index is a persistent artifact.
   const char* path = "/tmp/quickstart.ccsr";
-  if (Status st = SaveCcsrToFile(index, path); !st.ok()) {
+  if (Status st = SaveCcsrToFileV2(index, path); !st.ok()) {
     std::fprintf(stderr, "save failed: %s\n", st.ToString().c_str());
     return 1;
   }

@@ -558,22 +558,6 @@ Status Ccsr::Validate() const {
     return Status::Corruption("label frequency table does not match the "
                               "vertex labels");
   }
-  if (lpi_out_.size() != n ||
-      (directed_ ? lpi_in_.size() != n : !lpi_in_.empty())) {
-    return Status::Corruption("label-pair index size inconsistent with the "
-                              "vertex count");
-  }
-  {
-    std::vector<uint64_t> expect_out;
-    std::vector<uint64_t> expect_in;
-    ComputeLabelMasks(clusters_, vlabels_.span(), directed_, &expect_out,
-                      &expect_in);
-    if (!std::ranges::equal(expect_out, lpi_out_.span()) ||
-        !std::ranges::equal(expect_in, lpi_in_.span())) {
-      return Status::Corruption("label-pair index does not match the "
-                                "clusters");
-    }
-  }
 
   // Lookup indexes: clusters sorted strictly by id (hence unique), both
   // indexes exhaustive.
@@ -687,6 +671,27 @@ Status Ccsr::Validate() const {
           "vertex " + std::to_string(v) + ": clusters hold " +
           std::to_string(in_count[v]) + " incoming arcs, degree table says " +
           std::to_string(in_degree_[v]));
+    }
+  }
+
+  // Label-pair index, recomputed by walking every cluster's rows — so
+  // only after the per-cluster checks above have proven each row index
+  // covers exactly |V|+1 entries (a damaged run count would otherwise
+  // send the walk past the mask tables).
+  if (lpi_out_.size() != n ||
+      (directed_ ? lpi_in_.size() != n : !lpi_in_.empty())) {
+    return Status::Corruption("label-pair index size inconsistent with the "
+                              "vertex count");
+  }
+  {
+    std::vector<uint64_t> expect_out;
+    std::vector<uint64_t> expect_in;
+    ComputeLabelMasks(clusters_, vlabels_.span(), directed_, &expect_out,
+                      &expect_in);
+    if (!std::ranges::equal(expect_out, lpi_out_.span()) ||
+        !std::ranges::equal(expect_in, lpi_in_.span())) {
+      return Status::Corruption("label-pair index does not match the "
+                                "clusters");
     }
   }
   return Status::OK();

@@ -208,7 +208,6 @@ class Ccsr {
   Status Validate() const;
 
  private:
-  friend Status LoadCcsrFromStream(std::istream&, Ccsr*);
   friend class MmapCcsr;
 
   void RebuildIndexes();

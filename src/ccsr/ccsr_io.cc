@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <istream>
+#include <memory>
 #include <ostream>
 
 #include "ccsr/ccsr_mmap.h"
@@ -13,294 +13,13 @@
 #include "util/logging.h"
 
 namespace csce {
-namespace {
-
-constexpr uint32_t kMagic = kV1Magic;  // "CCSR": the v1 stream format
-// Label values are histogram indexes; cap them so corrupted artifacts
-// cannot trigger multi-gigabyte allocations before deep validation runs.
-constexpr Label kMaxPlausibleLabel = 1u << 20;
-// Version 2 added per-vertex degree tables (candidate degree filter).
-constexpr uint32_t kVersion = 2;
-
-template <typename T>
-void WriteScalar(std::ostream& out, T value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadScalar(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-// Bytes left in the stream, or SIZE_MAX when not seekable. Used to
-// validate element counts before allocating, so corrupted files fail
-// with Status::Corruption instead of attempting huge allocations.
-size_t RemainingBytes(std::istream& in) {
-  std::streampos here = in.tellg();
-  if (here < 0) return SIZE_MAX;
-  in.seekg(0, std::ios::end);
-  std::streampos end = in.tellg();
-  in.seekg(here);
-  if (end < here) return 0;
-  return static_cast<size_t>(end - here);
-}
-
-// True if `count` elements of `element_size` bytes can still follow.
-bool CountPlausible(std::istream& in, uint64_t count, size_t element_size) {
-  size_t remaining = RemainingBytes(in);
-  if (remaining == SIZE_MAX) return count < (uint64_t{1} << 33);
-  return count <= remaining / element_size;
-}
-
-// Reads a sized array section, checking the stream state AND the byte
-// count actually transferred: a stream truncated mid-array leaves
-// in.read() with a short gcount, and without this check the tail of the
-// destination buffer would silently keep stale/zero bytes. Failures
-// name the section and report expected vs received bytes.
-Status ReadArray(std::istream& in, const char* section, void* dest,
-                 uint64_t count, size_t element_size) {
-  if (count == 0) return Status::OK();
-  const uint64_t want = count * element_size;
-  in.read(reinterpret_cast<char*>(dest),
-          static_cast<std::streamsize>(want));
-  const std::streamsize got = in.gcount();
-  if (!in || static_cast<uint64_t>(got) != want) {
-    return Status::Corruption(
-        std::string("truncated ") + section + ": expected " +
-        std::to_string(want) + " bytes, got " +
-        std::to_string(got < 0 ? 0 : got));
-  }
-  return Status::OK();
-}
-
-void WriteCompressedCsr(std::ostream& out, const CompressedRowIndex& rows,
-                        const ArrayOrView<VertexId>& cols) {
-  WriteScalar<uint64_t>(out, rows.num_runs());
-  for (const RleRun& r : rows.runs()) {
-    WriteScalar<uint64_t>(out, r.value);
-    WriteScalar<uint32_t>(out, r.count);
-  }
-  WriteScalar<uint64_t>(out, rows.uncompressed_length());
-  WriteScalar<uint64_t>(out, cols.size());
-  if (!cols.empty()) {
-    out.write(reinterpret_cast<const char*>(cols.data()),
-              static_cast<std::streamsize>(cols.size() * sizeof(VertexId)));
-  }
-}
-
-Status ReadCompressedCsr(std::istream& in, uint32_t num_vertices,
-                         CompressedRowIndex* rows,
-                         ArrayOrView<VertexId>* cols) {
-  uint64_t num_runs = 0;
-  if (!ReadScalar(in, &num_runs)) return Status::Corruption("truncated runs");
-  if (!CountPlausible(in, num_runs, sizeof(uint64_t) + sizeof(uint32_t))) {
-    return Status::Corruption("implausible run count");
-  }
-  rows->mutable_runs()->clear();
-  rows->mutable_runs()->reserve(num_runs);
-  uint64_t total_count = 0;
-  uint64_t previous_value = 0;
-  for (uint64_t i = 0; i < num_runs; ++i) {
-    uint64_t value = 0;
-    uint32_t count = 0;
-    if (!ReadScalar(in, &value) || !ReadScalar(in, &count)) {
-      return Status::Corruption("truncated run entry");
-    }
-    if (count == 0 || (i > 0 && value <= previous_value)) {
-      return Status::Corruption("non-monotone row index");
-    }
-    previous_value = value;
-    total_count += count;
-    rows->mutable_runs()->push_back(RleRun{value, count});
-  }
-  uint64_t uncompressed = 0;
-  uint64_t num_cols = 0;
-  if (!ReadScalar(in, &uncompressed) || !ReadScalar(in, &num_cols)) {
-    return Status::Corruption("truncated csr header");
-  }
-  if (uncompressed != total_count ||
-      uncompressed != static_cast<uint64_t>(num_vertices) + 1) {
-    return Status::Corruption("row index length mismatch");
-  }
-  if (!CountPlausible(in, num_cols, sizeof(VertexId))) {
-    return Status::Corruption("implausible column count");
-  }
-  rows->set_uncompressed_length(uncompressed);
-  cols->resize(num_cols);
-  CSCE_RETURN_IF_ERROR(
-      ReadArray(in, "columns", cols->data(), num_cols, sizeof(VertexId)));
-  for (VertexId c : *cols) {
-    if (c >= num_vertices) return Status::Corruption("column out of range");
-  }
-  // The final row offset must equal the column count.
-  if (!rows->runs().empty() && rows->runs().back().value != num_cols) {
-    return Status::Corruption("row/column count mismatch");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SaveCcsrToStream(const Ccsr& ccsr, std::ostream& out) {
-  WriteScalar(out, kMagic);
-  WriteScalar(out, kVersion);
-  WriteScalar<uint8_t>(out, ccsr.directed() ? 1 : 0);
-  WriteScalar<uint32_t>(out, ccsr.NumVertices());
-  WriteScalar<uint64_t>(out, ccsr.NumEdges());
-  if (ccsr.NumVertices() > 0) {
-    out.write(
-        reinterpret_cast<const char*>(ccsr.vertex_labels().data()),
-        static_cast<std::streamsize>(ccsr.NumVertices() * sizeof(Label)));
-  }
-  for (VertexId v = 0; v < ccsr.NumVertices(); ++v) {
-    WriteScalar<uint32_t>(out, ccsr.OutDegree(v));
-  }
-  if (ccsr.directed()) {
-    for (VertexId v = 0; v < ccsr.NumVertices(); ++v) {
-      WriteScalar<uint32_t>(out, ccsr.InDegree(v));
-    }
-  }
-  WriteScalar<uint32_t>(out, static_cast<uint32_t>(ccsr.NumClusters()));
-  for (const CompressedCluster& c : ccsr.clusters()) {
-    WriteScalar<uint32_t>(out, c.id.src_label);
-    WriteScalar<uint32_t>(out, c.id.dst_label);
-    WriteScalar<uint32_t>(out, c.id.elabel);
-    WriteScalar<uint8_t>(out, c.id.directed ? 1 : 0);
-    WriteScalar<uint64_t>(out, c.num_edges);
-    WriteCompressedCsr(out, c.out_rows, c.out_cols);
-    if (c.id.directed) WriteCompressedCsr(out, c.in_rows, c.in_cols);
-  }
-  if (!out) return Status::IOError("write failed");
-  return Status::OK();
-}
-
-Status SaveCcsrToFile(const Ccsr& ccsr, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  return SaveCcsrToStream(ccsr, out);
-}
-
-Status LoadCcsrFromStream(std::istream& in, Ccsr* out) {
-  uint32_t magic = 0;
-  uint32_t version = 0;
-  if (!ReadScalar(in, &magic)) {
-    return Status::Corruption("truncated magic");
-  }
-  if (magic == kV2Magic) {
-    return Status::Corruption(
-        "CCSR v2 artifact (magic \"CSR2\"); the v1 stream loader expects "
-        "magic \"CCSR\" — open it with the mmap loader (LoadCcsrFromFile "
-        "dispatches automatically)");
-  }
-  if (magic != kMagic) {
-    return Status::Corruption("bad magic (not a CCSR artifact)");
-  }
-  if (!ReadScalar(in, &version)) {
-    return Status::Corruption("truncated version");
-  }
-  if (version != kVersion) {
-    return Status::Corruption("unsupported CCSR v1 stream version " +
-                              std::to_string(version) + ", expected " +
-                              std::to_string(kVersion));
-  }
-  uint8_t directed = 0;
-  uint32_t num_vertices = 0;
-  uint64_t num_edges = 0;
-  if (!ReadScalar(in, &directed) || !ReadScalar(in, &num_vertices) ||
-      !ReadScalar(in, &num_edges)) {
-    return Status::Corruption("truncated header");
-  }
-  if (!CountPlausible(in, num_vertices, sizeof(Label))) {
-    return Status::Corruption("implausible vertex count");
-  }
-  Ccsr result;
-  result.directed_ = directed != 0;
-  result.num_edges_ = num_edges;
-  result.vlabels_.resize(num_vertices);
-  CSCE_RETURN_IF_ERROR(ReadArray(in, "labels", result.vlabels_.data(),
-                                 num_vertices, sizeof(Label)));
-  Label max_label = 0;
-  for (Label l : result.vlabels_) max_label = std::max(max_label, l);
-  // The frequency table below is indexed by label value, so a single
-  // flipped high bit in one stored label would make it allocate
-  // gigabytes. No plausible dataset needs label ids anywhere near this.
-  if (num_vertices > 0 && max_label >= kMaxPlausibleLabel) {
-    return Status::Corruption("implausible vertex label");
-  }
-  result.vlabel_freq_.assign(num_vertices == 0 ? 0 : max_label + 1, 0);
-  for (Label l : result.vlabels_) ++result.vlabel_freq_[l];
-
-  result.out_degree_.resize(num_vertices);
-  CSCE_RETURN_IF_ERROR(ReadArray(in, "out-degrees",
-                                 result.out_degree_.data(), num_vertices,
-                                 sizeof(uint32_t)));
-  if (result.directed_) {
-    result.in_degree_.resize(num_vertices);
-    CSCE_RETURN_IF_ERROR(ReadArray(in, "in-degrees",
-                                   result.in_degree_.data(), num_vertices,
-                                   sizeof(uint32_t)));
-  }
-
-  uint32_t num_clusters = 0;
-  if (!ReadScalar(in, &num_clusters)) {
-    return Status::Corruption("truncated cluster count");
-  }
-  // Each cluster occupies at least its fixed-size header on disk.
-  if (!CountPlausible(in, num_clusters, 21)) {
-    return Status::Corruption("implausible cluster count");
-  }
-  result.clusters_.resize(num_clusters);
-  for (uint32_t i = 0; i < num_clusters; ++i) {
-    CompressedCluster& c = result.clusters_[i];
-    uint8_t cluster_directed = 0;
-    if (!ReadScalar(in, &c.id.src_label) || !ReadScalar(in, &c.id.dst_label) ||
-        !ReadScalar(in, &c.id.elabel) || !ReadScalar(in, &cluster_directed) ||
-        !ReadScalar(in, &c.num_edges)) {
-      return Status::Corruption("truncated cluster header");
-    }
-    c.id.directed = cluster_directed != 0;
-    if (c.id.directed != result.directed_) {
-      return Status::Corruption("cluster directedness mismatch");
-    }
-    CSCE_RETURN_IF_ERROR(
-        ReadCompressedCsr(in, num_vertices, &c.out_rows, &c.out_cols));
-    if (c.id.directed) {
-      CSCE_RETURN_IF_ERROR(
-          ReadCompressedCsr(in, num_vertices, &c.in_rows, &c.in_cols));
-    }
-  }
-  result.RebuildIndexes();
-  // The v1 stream never carried the label-pair index; derive it.
-  result.BuildLabelMasks();
-  // Field-level reads above only catch local damage (truncation, counts,
-  // ranges). The deep validator cross-checks everything global: label
-  // homogeneity, sorted adjacency, transpose consistency, degree tables
-  // and the edge partition. A corrupted artifact must never load.
-  CSCE_RETURN_IF_ERROR(result.Validate());
-  *out = std::move(result);
-  return Status::OK();
-}
 
 Status LoadCcsrFromFile(const std::string& path, Ccsr* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IOError("cannot open " + path);
-  // Sniff the magic to dispatch between the v1 stream format and the
-  // mmap-able v2 format, so every existing call site keeps working as
-  // artifacts migrate.
-  uint32_t magic = 0;
-  if (!ReadScalar(in, &magic)) {
-    return Status::Corruption(path + ": truncated magic");
-  }
-  in.seekg(0);
-  if (magic != kV2Magic) return LoadCcsrFromStream(in, out);
-  in.close();
-
-  // v2: open the mapping for its O(#clusters) structural checks, run
-  // the same deep validation the stream loader guarantees ("a corrupted
-  // artifact must never load"), then materialize into owned memory so
-  // the result keeps the value semantics callers of this API expect.
-  // Callers that want the out-of-core behavior use MmapCcsr directly.
+  // Open the mapping for its O(#clusters) structural checks, run the
+  // deep validation ("a corrupted artifact must never load"), then
+  // materialize into owned memory so the result keeps the value
+  // semantics callers of this API expect. Callers that want the
+  // out-of-core behavior use MmapCcsr directly.
   std::unique_ptr<MmapCcsr> mapped;
   CSCE_RETURN_IF_ERROR(MmapCcsr::Open(path, &mapped));
   CSCE_RETURN_IF_ERROR(mapped->ccsr().Validate());

@@ -1,7 +1,6 @@
 #ifndef CSCE_CCSR_CCSR_IO_H_
 #define CSCE_CCSR_CCSR_IO_H_
 
-#include <iosfwd>
 #include <string>
 
 #include "ccsr/ccsr.h"
@@ -9,33 +8,20 @@
 
 namespace csce {
 
-/// Binary on-disk format for the offline CCSR artifact. The paper's
-/// pipeline builds G_C once offline and every query reads only the
-/// clusters it needs; persisting G_C makes that split real.
-///
-/// Layout (little-endian):
-///   magic "CCSR" (u32) | version (u32) | directed (u8)
-///   num_vertices (u32) | num_edges (u64) | vertex labels (u32 each)
-///   num_clusters (u32) | clusters...
-/// Each cluster: id fields, edge count, then one (or two, if directed)
-/// compressed CSR: run count, runs as (value u64, count u32) pairs,
-/// uncompressed length, column count, columns.
-Status SaveCcsrToStream(const Ccsr& ccsr, std::ostream& out);
-Status SaveCcsrToFile(const Ccsr& ccsr, const std::string& path);
-
-/// Writes the mmap-able v2 format (fixed-offset section table, page-
-/// aligned per-cluster payload blocks, CRC-protected directory — see
-/// ccsr_v2_format.h). v2 artifacts open in O(#clusters) through
-/// MmapCcsr; LoadCcsrFromFile also accepts them (it materializes the
-/// mapping into owned memory).
+/// The offline CCSR artifact. The paper's pipeline builds G_C once
+/// offline and every query reads only the clusters it needs; persisting
+/// G_C makes that split real. There is one on-disk format, v2 (magic
+/// "CSR2", layout in ccsr_v2_format.h): a fixed-offset section table,
+/// page-aligned per-cluster payload blocks and a CRC-protected
+/// directory, so MmapCcsr opens it in O(#clusters) and pages clusters
+/// in on demand.
 Status SaveCcsrToFileV2(const Ccsr& ccsr, const std::string& path);
 
-Status LoadCcsrFromStream(std::istream& in, Ccsr* out);
-
-/// Loads either format, dispatching on the file magic: v1 ("CCSR")
-/// streams into memory; v2 ("CSR2") opens via mmap, deep-validates, and
-/// deep-copies into owned storage. Use MmapCcsr directly for the
-/// out-of-core (demand-paged) path.
+/// Loads a v2 artifact into owned memory: opens it via mmap (structural
+/// checks), deep-validates, and deep-copies. A legacy v1 stream file
+/// (magic "CCSR") is rejected with Corruption naming v1; rebuild it with
+/// csce_build. Use MmapCcsr directly for the out-of-core (demand-paged)
+/// path.
 Status LoadCcsrFromFile(const std::string& path, Ccsr* out);
 
 }  // namespace csce

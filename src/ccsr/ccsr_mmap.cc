@@ -84,6 +84,17 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
     return Status::IOError("fstat " + path + ": " + Errno());
   }
   size_ = static_cast<uint64_t>(st.st_size);
+  // A legacy v1 stream file is named by its magic before the v2 size
+  // checks, so even a small one gets the rebuild hint.
+  uint32_t magic = 0;
+  if (::pread(fd_, &magic, sizeof(magic), 0) ==
+          static_cast<ssize_t>(sizeof(magic)) &&
+      magic == kV1Magic) {
+    return Status::Corruption(
+        path + ": CCSR v1 stream artifact (magic \"CCSR\"); v1 is no "
+        "longer supported — rebuild the index with csce_build, which "
+        "writes v2 (magic \"CSR2\")");
+  }
   if (size_ < kV2PageBytes) {
     return Status::Corruption(path + ": " + std::to_string(size_) +
                               " bytes, smaller than the v2 header page");
@@ -97,12 +108,6 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
   map_ = static_cast<char*>(map);
 
   ReadHeader(map_, &header_);
-  if (header_.magic == kV1Magic) {
-    return Status::Corruption(
-        path + ": CCSR v1 stream artifact (magic \"CCSR\"); the mmap "
-        "loader requires format v2 (magic \"CSR2\") — rebuild with "
-        "csce_build --format=v2 or load without --mmap");
-  }
   if (header_.magic != kV2Magic) {
     return Status::Corruption(path + ": bad magic (not a CCSR artifact)");
   }
@@ -320,8 +325,20 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
   // Legacy artifact without the persisted label-pair index: derive it
   // from the clusters. This touches every cluster's runs once, which
   // costs demand-paging locality only for pre-LPI files — rewriting the
-  // artifact restores O(1) open.
-  if (!has_lpi) ccsr_.BuildLabelMasks();
+  // artifact restores O(1) open. The walk trusts each row index to
+  // cover exactly |V|+1 entries, so check that first: a damaged run
+  // count would send it past the mask tables.
+  if (!has_lpi) {
+    for (const CompressedCluster& c : ccsr_.clusters_) {
+      for (const CompressedRowIndex* rows : {&c.out_rows, &c.in_rows}) {
+        if (Status st = rows->Validate(); !st.ok()) {
+          return Status::Corruption(path + ": cluster " + c.id.ToString() +
+                                    ": " + st.message());
+        }
+      }
+    }
+    ccsr_.BuildLabelMasks();
+  }
   ccsr_.pager_ = this;
   {
     MutexLock lock(mu_);

@@ -10,17 +10,16 @@
 
 namespace csce {
 
-/// CCSR binary format v2: a directly mmap-able artifact.
+/// CCSR binary format v2: the one on-disk CCSR artifact, directly
+/// mmap-able.
 ///
-/// The v1 stream format interleaves variable-length sections, so loading
-/// is a full sequential parse into freshly allocated vectors — O(file)
-/// work and O(file) resident memory before the first query runs. v2
-/// instead lays every array out at a fixed, aligned offset recorded in a
-/// header-page section table, in exactly the in-memory representation
-/// (raw Label/uint32_t/RleRun/VertexId records, little-endian), so a
-/// loader can mmap the file, bind spans into the mapping, and be
-/// query-ready in O(#clusters) without touching the payload bytes — the
-/// OS demand-pages clusters in as enumeration first touches them.
+/// Every array sits at a fixed, aligned offset recorded in a header-page
+/// section table, in exactly the in-memory representation (raw
+/// Label/uint32_t/RleRun/VertexId records, little-endian), so a loader
+/// can mmap the file, bind spans into the mapping, and be query-ready in
+/// O(#clusters) without touching the payload bytes — the OS demand-pages
+/// clusters in as enumeration first touches them. Files carrying the
+/// retired v1 stream magic (kV1Magic) are rejected by name.
 ///
 /// Layout:
 ///   [0, 4096)            V2Header (see below), zero-padded to the page
@@ -50,7 +49,7 @@ namespace csce {
 /// total size, so any truncation — even inside the last cluster — is
 /// detected before the mapping is handed out.
 
-inline constexpr uint32_t kV1Magic = 0x43435352;  // "CCSR": v1 stream format
+inline constexpr uint32_t kV1Magic = 0x43435352;  // "CCSR": retired v1, rejected
 inline constexpr uint32_t kV2Magic = 0x32525343;  // "CSR2" little-endian
 inline constexpr uint32_t kV2Version = 1;
 inline constexpr uint64_t kV2PageBytes = 4096;

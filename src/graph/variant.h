@@ -1,6 +1,8 @@
 #ifndef CSCE_GRAPH_VARIANT_H_
 #define CSCE_GRAPH_VARIANT_H_
 
+#include <string_view>
+
 namespace csce {
 
 /// The subgraph matching variant (the paper's theta).
@@ -30,6 +32,22 @@ inline const char* VariantName(MatchVariant v) {
       return "homomorphic";
   }
   return "unknown";
+}
+
+/// Parses a variant named by VariantName() or by a short alias: "edge",
+/// "vertex"/"induced", "hom". False (and `*out` untouched) otherwise.
+inline bool ParseVariantName(std::string_view name, MatchVariant* out) {
+  if (name == "edge" || name == "edge-induced") {
+    *out = MatchVariant::kEdgeInduced;
+  } else if (name == "vertex" || name == "vertex-induced" ||
+             name == "induced") {
+    *out = MatchVariant::kVertexInduced;
+  } else if (name == "hom" || name == "homomorphic") {
+    *out = MatchVariant::kHomomorphic;
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace csce

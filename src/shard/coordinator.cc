@@ -3,11 +3,9 @@
 #include <sys/socket.h>
 
 #include <cstdlib>
-#include <sstream>
 #include <string_view>
 #include <utility>
 
-#include "ccsr/ccsr_io.h"
 #include "engine/embedding_verifier.h"
 #include "obs/trace.h"
 #include "plan/validate.h"
@@ -254,10 +252,9 @@ Status ShardCoordinator::PingWorkers() {
   return Status::OK();
 }
 
-Status ShardCoordinator::LoadFromFiles(const std::string& base_path,
-                                       uint32_t threads_per_worker,
-                                       bool use_mmap,
-                                       uint64_t memory_cap_bytes) {
+Status ShardCoordinator::LoadShards(
+    uint32_t threads_per_worker,
+    const std::function<void(uint32_t s, wire::LoadRequest* req)>& fill) {
   if (workers_.empty()) {
     return Status::InvalidArgument("shard coordinator: no workers attached");
   }
@@ -273,11 +270,7 @@ Status ShardCoordinator::LoadFromFiles(const std::string& base_path,
     req.shard_id = s;
     req.num_shards = num_shards();
     req.num_threads = threads_per_worker;
-    req.inline_payload = false;
-    req.ccsr_path = ShardPlan::ShardCcsrPath(base_path, s);
-    req.plan_path = ShardPlan::PlanPath(base_path);
-    req.use_mmap = use_mmap;
-    req.memory_cap_bytes = memory_cap_bytes;
+    fill(s, &req);
     targets.push_back(s);
     requests.push_back(
         wire::Frame{kTypeOf(wire::MsgType::kLoad),
@@ -290,41 +283,32 @@ Status ShardCoordinator::LoadFromFiles(const std::string& base_path,
   return Status::OK();
 }
 
+Status ShardCoordinator::LoadFromFiles(const std::string& base_path,
+                                       uint32_t threads_per_worker,
+                                       bool use_mmap,
+                                       uint64_t memory_cap_bytes) {
+  return LoadShards(threads_per_worker,
+                    [&](uint32_t s, wire::LoadRequest* req) {
+                      req->ccsr_path = ShardPlan::ShardCcsrPath(base_path, s);
+                      req->plan_path = ShardPlan::PlanPath(base_path);
+                      req->use_mmap = use_mmap;
+                      req->memory_cap_bytes = memory_cap_bytes;
+                    });
+}
+
 Status ShardCoordinator::LoadInline(const std::vector<uint32_t>& owner,
-                                    const std::vector<std::string>& ccsr_blobs,
+                                    std::vector<Graph> shard_graphs,
                                     uint32_t threads_per_worker) {
-  if (workers_.empty()) {
-    return Status::InvalidArgument("shard coordinator: no workers attached");
-  }
-  if (ccsr_blobs.size() != workers_.size()) {
+  if (shard_graphs.size() != workers_.size()) {
     return Status::InvalidArgument(
-        "shard coordinator: need one ccsr blob per worker");
+        "shard coordinator: need one shard graph per worker");
   }
-  backoff_.clear();
-  for (size_t i = 0; i < workers_.size(); ++i) backoff_.emplace_back(sup_);
-  load_journal_.assign(workers_.size(), {});
-  query_journal_.assign(workers_.size(), {});
-  CSCE_RETURN_IF_ERROR(HandshakeAll());
-  std::vector<uint32_t> targets;
-  std::vector<wire::Frame> requests;
-  for (uint32_t s = 0; s < num_shards(); ++s) {
-    wire::LoadRequest req;
-    req.shard_id = s;
-    req.num_shards = num_shards();
-    req.num_threads = threads_per_worker;
-    req.inline_payload = true;
-    req.ccsr_blob = ccsr_blobs[s];
-    req.owner = owner;
-    targets.push_back(s);
-    requests.push_back(
-        wire::Frame{kTypeOf(wire::MsgType::kLoad),
-                    wire::EncodeLoadRequest(req)});
-  }
-  std::vector<wire::Frame> replies;
-  CSCE_RETURN_IF_ERROR(RoundTrip(targets, requests, wire::MsgType::kOk,
-                                 &replies, /*journal=*/true));
-  loaded_ = true;
-  return Status::OK();
+  return LoadShards(threads_per_worker,
+                    [&](uint32_t s, wire::LoadRequest* req) {
+                      req->inline_payload = true;
+                      req->shard_graph = std::move(shard_graphs[s]);
+                      req->owner = owner;
+                    });
 }
 
 Status ShardCoordinator::Execute(const Graph& pattern,
@@ -582,17 +566,12 @@ Status InProcessCluster::Create(const Graph& g, const Ccsr* full,
   popts.strategy = strategy;
   cluster->shard_plan_ = ShardPlan::Build(g, popts);
 
-  std::vector<std::string> blobs;
+  std::vector<Graph> shard_graphs;
   if (opts.load_base_path.empty()) {
-    blobs.resize(num_shards);
+    shard_graphs.resize(num_shards);
     for (uint32_t s = 0; s < num_shards; ++s) {
-      Graph shard_graph;
       CSCE_RETURN_IF_ERROR(
-          cluster->shard_plan_.ExtractShard(g, s, &shard_graph));
-      Ccsr shard_ccsr = Ccsr::Build(shard_graph);
-      std::ostringstream blob;
-      CSCE_RETURN_IF_ERROR(SaveCcsrToStream(shard_ccsr, blob));
-      blobs[s] = std::move(blob).str();
+          cluster->shard_plan_.ExtractShard(g, s, &shard_graphs[s]));
     }
   }
 
@@ -610,7 +589,8 @@ Status InProcessCluster::Create(const Graph& g, const Ccsr* full,
   }
   if (opts.load_base_path.empty()) {
     CSCE_RETURN_IF_ERROR(cluster->coordinator_->LoadInline(
-        cluster->shard_plan_.owners(), blobs, threads_per_worker));
+        cluster->shard_plan_.owners(), std::move(shard_graphs),
+        threads_per_worker));
   } else {
     CSCE_RETURN_IF_ERROR(cluster->coordinator_->LoadFromFiles(
         opts.load_base_path, threads_per_worker, opts.use_mmap,

@@ -143,10 +143,12 @@ class ShardCoordinator {
   Status LoadFromFiles(const std::string& base_path,
                        uint32_t threads_per_worker, bool use_mmap = false,
                        uint64_t memory_cap_bytes = 0);
-  /// LOADs every worker with an inline serialized shard CCSR + the
-  /// ownership table (in-process clusters; no filesystem round trip).
+  /// LOADs every worker with its shard's data graph
+  /// (ShardPlan::ExtractShard; one per worker, consumed) + the ownership
+  /// table, shipped inline; each worker builds its CCSR from the graph
+  /// (in-process clusters; no filesystem round trip).
   Status LoadInline(const std::vector<uint32_t>& owner,
-                    const std::vector<std::string>& ccsr_blobs,
+                    std::vector<Graph> shard_graphs,
                     uint32_t threads_per_worker);
 
   /// Synchronous kPing/kPong health probe of every worker, recovering
@@ -209,6 +211,14 @@ class ShardCoordinator {
   /// replacement serves or the budget is exhausted (kGiveUp). `cause`
   /// is the failure that triggered recovery, kept for the error text.
   Status RestartWorker(uint32_t s, const Status& cause);
+
+  /// The body of LoadFromFiles/LoadInline: resets backoff and the
+  /// journals, handshakes every worker, then makes the journaled kLoad
+  /// round trip with one request per shard; `fill` sets each request's
+  /// source fields (ids and thread count are set here).
+  Status LoadShards(
+      uint32_t threads_per_worker,
+      const std::function<void(uint32_t s, wire::LoadRequest* req)>& fill);
 
   /// kHello/kHelloAck exchange with version check.
   Status Handshake(uint32_t s);
@@ -276,8 +286,8 @@ struct InProcessClusterOptions {
   std::shared_ptr<FaultInjector> faults;
   ClusterTransport transport = ClusterTransport::kAuto;
   /// Non-empty: workers LOAD from on-disk artifacts at this base path
-  /// (`csce_build --shards=N` layout) instead of inline blobs built
-  /// from `g`; Create still builds the ShardPlan from `g`, so the
+  /// (`csce_build --shards=N` layout) instead of the inline shard
+  /// graphs extracted from `g`; Create still builds the ShardPlan from `g`, so the
   /// artifacts must have been produced with the same partitioning.
   std::string load_base_path;
   /// With `load_base_path`: workers mmap their (v2) shard artifact.
@@ -287,7 +297,8 @@ struct InProcessClusterOptions {
 };
 
 /// A self-contained sharded engine inside one process: partitions the
-/// graph, builds per-shard CCSRs, runs one ShardWorker thread per shard
+/// graph, ships each shard's graph to its worker (which builds the
+/// shard CCSR), runs one ShardWorker thread per shard
 /// over loopback (or TCP-loopback) transports and wires a supervised
 /// coordinator to them. The cross-check tests and csce_serve --shards
 /// (without --workers) run on this. Its WorkerFactory spawns
@@ -296,8 +307,8 @@ struct InProcessClusterOptions {
 class InProcessCluster {
  public:
   /// `g` is the original data graph, `full` its complete CCSR (both
-  /// must outlive the cluster). Builds the ShardPlan, extracts and
-  /// CCSR-builds every shard, spawns the worker threads and LOADs them.
+  /// must outlive the cluster). Builds the ShardPlan, extracts every
+  /// shard graph, spawns the worker threads and LOADs them.
   static Status Create(const Graph& g, const Ccsr* full, uint32_t num_shards,
                        PartitionStrategy strategy,
                        uint32_t threads_per_worker,

@@ -11,7 +11,8 @@ namespace wire {
 namespace {
 
 // Pattern graphs and task batches are small; these caps exist so a
-// corrupt count fails fast instead of sizing gigabyte vectors.
+// corrupt count fails fast instead of sizing gigabyte vectors. (Shard
+// graphs in an inline LOAD are bounded by their payload bytes alone.)
 constexpr uint32_t kMaxPatternVertices = 1u << 16;
 constexpr uint64_t kMaxPatternEdges = 1u << 20;
 // GraphBuilder materializes a frequency table indexed by the largest
@@ -210,7 +211,7 @@ std::string EncodeLoadRequest(const LoadRequest& msg) {
   w.U32(msg.num_threads);
   w.U8(msg.inline_payload ? 1 : 0);
   if (msg.inline_payload) {
-    w.Str(msg.ccsr_blob);
+    EncodeGraph(msg.shard_graph, &w);
     w.VecU32(msg.owner);
   } else {
     w.Str(msg.ccsr_path);
@@ -237,7 +238,8 @@ Status DecodeLoadRequest(std::string_view payload, LoadRequest* out) {
     return Status::Corruption("implausible worker thread count");
   }
   if (out->inline_payload) {
-    CSCE_RETURN_IF_ERROR(r.Str(&out->ccsr_blob));
+    CSCE_RETURN_IF_ERROR(
+        DecodeGraph(&r, /*pattern=*/false, &out->shard_graph));
     CSCE_RETURN_IF_ERROR(r.VecU32(&out->owner));
     for (uint32_t o : out->owner) {
       if (o >= out->num_shards) {
@@ -269,27 +271,31 @@ void EncodeGraph(const Graph& g, PayloadWriter* w) {
   });
 }
 
-Status DecodeGraph(PayloadReader* r, Graph* out) {
+Status DecodeGraph(PayloadReader* r, bool pattern, Graph* out) {
+  constexpr size_t kVertexBytes = sizeof(uint32_t);
+  constexpr size_t kEdgeBytes = 3 * sizeof(uint32_t);
   uint8_t directed = 0;
   uint32_t nv = 0;
   uint64_t ne = 0;
   CSCE_RETURN_IF_ERROR(r->U8(&directed));
   CSCE_RETURN_IF_ERROR(r->U32(&nv));
-  if (nv > kMaxPatternVertices) {
-    return Status::Corruption("implausible pattern vertex count");
+  if (nv > r->remaining() / kVertexBytes ||
+      (pattern && nv > kMaxPatternVertices)) {
+    return Status::Corruption("implausible graph vertex count");
   }
   GraphBuilder builder(directed != 0);
   for (uint32_t v = 0; v < nv; ++v) {
     uint32_t label = 0;
     CSCE_RETURN_IF_ERROR(r->U32(&label));
     if (label > kMaxLabelValue) {
-      return Status::Corruption("implausible pattern vertex label");
+      return Status::Corruption("implausible graph vertex label");
     }
     builder.AddVertex(label);
   }
   CSCE_RETURN_IF_ERROR(r->U64(&ne));
-  if (ne > kMaxPatternEdges) {
-    return Status::Corruption("implausible pattern edge count");
+  if (ne > r->remaining() / kEdgeBytes ||
+      (pattern && ne > kMaxPatternEdges)) {
+    return Status::Corruption("implausible graph edge count");
   }
   for (uint64_t i = 0; i < ne; ++i) {
     uint32_t src = 0, dst = 0, elabel = 0;
@@ -297,16 +303,18 @@ Status DecodeGraph(PayloadReader* r, Graph* out) {
     CSCE_RETURN_IF_ERROR(r->U32(&dst));
     CSCE_RETURN_IF_ERROR(r->U32(&elabel));
     if (src >= nv || dst >= nv) {
-      return Status::Corruption("pattern edge endpoint out of range");
+      return Status::Corruption("graph edge endpoint out of range");
     }
     if (elabel > kMaxLabelValue) {
-      return Status::Corruption("implausible pattern edge label");
+      return Status::Corruption("implausible graph edge label");
     }
     builder.AddEdge(src, dst, elabel);
   }
   // GraphBuilder::Build re-validates (self-loops etc.) — the last line
-  // of defense for wire-supplied patterns.
-  return builder.Build(out);
+  // of defense for wire-supplied graphs.
+  Status st = builder.Build(out);
+  if (!st.ok()) return Status::Corruption("wire graph: " + st.message());
+  return Status::OK();
 }
 
 namespace {
@@ -461,7 +469,7 @@ std::string EncodePlanRequest(const PlanRequest& msg) {
 Status DecodePlanRequest(std::string_view payload, PlanRequest* out) {
   *out = PlanRequest{};
   PayloadReader r(payload);
-  CSCE_RETURN_IF_ERROR(DecodeGraph(&r, &out->pattern));
+  CSCE_RETURN_IF_ERROR(DecodeGraph(&r, /*pattern=*/true, &out->pattern));
   CSCE_RETURN_IF_ERROR(DecodePlan(&r, &out->plan));
   uint8_t variant = 0, verify = 0, emit = 0;
   CSCE_RETURN_IF_ERROR(r.U8(&variant));

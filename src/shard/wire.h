@@ -76,7 +76,9 @@ inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 ///     only valid ones.
 /// v6: ResultMsg carries the prune counters (shard workers run the
 ///     plan's passes).
-inline constexpr uint32_t kProtocolVersion = 6;
+/// v7: an inline LoadRequest carries the shard's data graph instead of
+///     a serialized CCSR; the worker builds the index itself.
+inline constexpr uint32_t kProtocolVersion = 7;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
 /// Table-driven, byte-at-a-time: frames are small (task batches cap in
@@ -86,7 +88,7 @@ uint32_t Crc32(std::string_view bytes);
 /// Frame types. Requests flow coordinator -> worker, replies back.
 enum class MsgType : uint32_t {
   // Requests.
-  kLoad = 1,      // LoadRequest: adopt a shard (CCSR + owner table)
+  kLoad = 1,      // LoadRequest: adopt a shard (graph/CCSR + owners)
   kPlan = 2,      // PlanRequest: compile-once plan for the next query
   kRoot = 3,      // empty: enumerate owned root candidates
   kExtend = 4,    // TaskBatch: run routed shard tasks
@@ -181,14 +183,15 @@ struct LoadRequest {
   uint32_t shard_id = 0;
   uint32_t num_shards = 1;
   uint32_t num_threads = 1;
-  /// false: `ccsr_path`/`plan_path` name artifacts the worker reads
-  /// itself (multi-process over a shared filesystem); true: `ccsr_blob`
-  /// is a serialized CCSR and `owner` the ownership table, shipped
-  /// inline (in-process clusters, --graph mode).
+  /// false: `ccsr_path`/`plan_path` name v2 artifacts the worker reads
+  /// itself (multi-process over a shared filesystem); true:
+  /// `shard_graph` (ShardPlan::ExtractShard's output, which the worker
+  /// indexes with Ccsr::Build) and `owner`, the ownership table, are
+  /// shipped inline (in-process clusters, --graph mode).
   bool inline_payload = false;
   std::string ccsr_path;
   std::string plan_path;
-  std::string ccsr_blob;
+  Graph shard_graph;
   std::vector<uint32_t> owner;
   /// Out-of-core (file loads only): mmap the shard's CCSR v2 artifact
   /// instead of streaming it into memory; the artifact must be v2.
@@ -264,9 +267,12 @@ Status DecodeError(std::string_view payload, ErrorMsg* out);
 /// Reconstructs the Status an ErrorMsg carries.
 Status ErrorToStatus(const ErrorMsg& msg);
 
-/// Pattern graphs travel inside PlanRequest; exposed for tests.
+/// Graphs travel inside PlanRequest (the pattern) and inline
+/// LoadRequest (the shard's data graph); exposed for tests. Vertex and
+/// edge counts are checked against the bytes left before anything is
+/// sized; `pattern` additionally applies the pattern-size caps.
 void EncodeGraph(const Graph& g, PayloadWriter* w);
-Status DecodeGraph(PayloadReader* r, Graph* out);
+Status DecodeGraph(PayloadReader* r, bool pattern, Graph* out);
 void EncodePlan(const Plan& plan, PayloadWriter* w);
 Status DecodePlan(PayloadReader* r, Plan* out);
 

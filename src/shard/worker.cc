@@ -1,7 +1,6 @@
 #include "shard/worker.h"
 
 #include <algorithm>
-#include <sstream>
 #include <utility>
 
 #include "ccsr/ccsr_io.h"
@@ -353,25 +352,22 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
   loaded_ = false;
   query_active_ = false;
 
+  mmap_.reset();  // drop any previous out-of-core mapping
   if (req.inline_payload) {
-    mmap_.reset();  // drop any previous out-of-core mapping
-    std::istringstream in(req.ccsr_blob);
-    CSCE_RETURN_IF_ERROR(LoadCcsrFromStream(in, &ccsr_));
+    ccsr_ = Ccsr::Build(req.shard_graph);
     owner_ = req.owner;
   } else {
     if (req.use_mmap) {
-      // Out-of-core shard: map the v2 artifact instead of streaming it.
-      // Open() runs the structural checks (size pinning, directory CRC,
+      // Out-of-core shard: serve from the mapping instead of copying the
+      // v2 artifact into memory. Open() runs the structural checks (size pinning, directory CRC,
       // per-cluster bounds) only — a deep Validate() would stream the
       // whole payload through the page cache and defeat the O(1) open;
       // the build/crosscheck path covers semantic validation.
       MmapCcsr::Options mopts;
       mopts.memory_cap_bytes = req.memory_cap_bytes;
-      mmap_.reset();
       CSCE_RETURN_IF_ERROR(MmapCcsr::Open(req.ccsr_path, mopts, &mmap_));
       ccsr_ = mmap_->Release();
     } else {
-      mmap_.reset();
       CSCE_RETURN_IF_ERROR(LoadCcsrFromFile(req.ccsr_path, &ccsr_));
     }
     ShardPlan plan;

@@ -3,12 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <string>
 
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 
 namespace csce {
 namespace {
+
+// Writes `gc` as a v2 artifact and loads it back into owned memory.
+Status RoundTrip(const Ccsr& gc, Ccsr* back) {
+  return testing::LoadCcsrBytes(testing::CcsrV2Bytes(gc), back);
+}
 
 void ExpectCcsrEqual(const Ccsr& a, const Ccsr& b) {
   EXPECT_EQ(a.directed(), b.directed());
@@ -32,10 +38,8 @@ TEST(CcsrIoTest, RoundTripsUndirected) {
   Rng rng(31);
   Graph g = testing::RandomGraph(rng, 50, 0.15, 4, 2, false);
   Ccsr gc = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(gc, buffer).ok());
   Ccsr back;
-  ASSERT_TRUE(LoadCcsrFromStream(buffer, &back).ok());
+  ASSERT_TRUE(RoundTrip(gc, &back).ok());
   ExpectCcsrEqual(gc, back);
   // The loaded index must answer lookups identically.
   for (const CompressedCluster& c : gc.clusters()) {
@@ -47,10 +51,8 @@ TEST(CcsrIoTest, RoundTripsDirected) {
   Rng rng(32);
   Graph g = testing::RandomGraph(rng, 50, 0.15, 4, 2, true);
   Ccsr gc = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(gc, buffer).ok());
   Ccsr back;
-  ASSERT_TRUE(LoadCcsrFromStream(buffer, &back).ok());
+  ASSERT_TRUE(RoundTrip(gc, &back).ok());
   ExpectCcsrEqual(gc, back);
 }
 
@@ -59,19 +61,20 @@ TEST(CcsrIoTest, RoundTripsEmptyGraph) {
   Graph g;
   ASSERT_TRUE(b.Build(&g).ok());
   Ccsr gc = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(gc, buffer).ok());
   Ccsr back;
-  ASSERT_TRUE(LoadCcsrFromStream(buffer, &back).ok());
+  ASSERT_TRUE(RoundTrip(gc, &back).ok());
   EXPECT_EQ(back.NumClusters(), 0u);
   EXPECT_EQ(back.NumVertices(), 0u);
 }
 
 TEST(CcsrIoTest, RejectsBadMagic) {
-  std::stringstream buffer;
-  buffer << "this is not a ccsr file at all";
   Ccsr back;
-  EXPECT_EQ(LoadCcsrFromStream(buffer, &back).code(),
+  EXPECT_EQ(testing::LoadCcsrBytes("this is not a ccsr file at all", &back)
+                .code(),
+            StatusCode::kCorruption);
+  // A page-sized file with a foreign magic passes the size check first.
+  EXPECT_EQ(testing::LoadCcsrBytes(std::string(kV2PageBytes, 'x'), &back)
+                .code(),
             StatusCode::kCorruption);
 }
 
@@ -79,13 +82,11 @@ TEST(CcsrIoTest, RejectsTruncatedFile) {
   Rng rng(33);
   Graph g = testing::RandomGraph(rng, 30, 0.2, 3, 1, false);
   Ccsr gc = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(gc, buffer).ok());
-  std::string full = buffer.str();
+  std::string full = testing::CcsrV2Bytes(gc);
   // Chop off the tail.
-  std::stringstream truncated(full.substr(0, full.size() / 2));
   Ccsr back;
-  EXPECT_EQ(LoadCcsrFromStream(truncated, &back).code(),
+  EXPECT_EQ(testing::LoadCcsrBytes(full.substr(0, full.size() / 2), &back)
+                .code(),
             StatusCode::kCorruption);
 }
 
@@ -93,10 +94,11 @@ TEST(CcsrIoTest, FileRoundTrip) {
   Rng rng(34);
   Graph g = testing::RandomGraph(rng, 30, 0.2, 3, 1, true);
   Ccsr gc = Ccsr::Build(g);
-  std::string path = ::testing::TempDir() + "/ccsr_io_test.ccsr";
-  ASSERT_TRUE(SaveCcsrToFile(gc, path).ok());
+  std::string path = testing::ScratchArtifactPath("ccsr_io_test");
+  ASSERT_TRUE(SaveCcsrToFileV2(gc, path).ok());
   Ccsr back;
   ASSERT_TRUE(LoadCcsrFromFile(path, &back).ok());
+  std::remove(path.c_str());
   ExpectCcsrEqual(gc, back);
   EXPECT_EQ(LoadCcsrFromFile("/nonexistent/x.ccsr", &back).code(),
             StatusCode::kIOError);

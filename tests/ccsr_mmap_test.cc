@@ -12,9 +12,9 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -25,6 +25,7 @@
 #include "engine/matcher.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 #include "util/mutex.h"
 #include "util/rng.h"
@@ -32,19 +33,8 @@
 namespace csce {
 namespace {
 
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  CSCE_CHECK(in.good());
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  CSCE_CHECK(out.good());
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  CSCE_CHECK(out.good());
-}
+using testing::ReadFileBytes;
+using testing::WriteFileBytes;
 
 struct RunOutcome {
   uint64_t embeddings = 0;
@@ -237,26 +227,26 @@ TEST_F(CcsrMmapTest, TruncationRejectedAtOpen) {
 }
 
 TEST_F(CcsrMmapTest, FormatConfusionNamesBothVersions) {
-  // A v1 stream artifact handed to the mmap loader.
-  Rng rng(61);
-  Graph small = testing::RandomGraph(rng, 12, 0.3, 2, 1, false);
-  Ccsr small_index = Ccsr::Build(small);
+  // A retired v1 stream artifact (magic "CCSR"), large and small,
+  // handed to both loaders: rejected by name, with the rebuild hint.
+  std::string v1_header(sizeof(kV1Magic), '\0');
+  std::memcpy(v1_header.data(), &kV1Magic, sizeof(kV1Magic));
   const std::string v1_path = ::testing::TempDir() + "/ccsr_mmap_v1.ccsr";
-  ASSERT_TRUE(SaveCcsrToFile(small_index, v1_path).ok());
-  std::unique_ptr<MmapCcsr> mapped;
-  Status st = MmapCcsr::Open(v1_path, &mapped);
-  EXPECT_EQ(st.code(), StatusCode::kCorruption);
-  EXPECT_NE(st.ToString().find("v1"), std::string::npos) << st.ToString();
-  EXPECT_NE(st.ToString().find("v2"), std::string::npos) << st.ToString();
+  for (size_t size : {size_t{64}, size_t{3 * kV2PageBytes}}) {
+    WriteFileBytes(v1_path, v1_header + std::string(size, '\0'));
+    std::unique_ptr<MmapCcsr> mapped;
+    Ccsr out;
+    for (const Status& st : {MmapCcsr::Open(v1_path, &mapped),
+                             LoadCcsrFromFile(v1_path, &out)}) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption);
+      EXPECT_NE(st.ToString().find("v1"), std::string::npos) << st.ToString();
+      EXPECT_NE(st.ToString().find("csce_build"), std::string::npos)
+          << st.ToString();
+    }
+  }
   std::remove(v1_path.c_str());
 
-  // A v2 artifact handed to the v1 stream loader.
-  std::ifstream in(*path_, std::ios::binary);
-  Ccsr out;
-  Status sst = LoadCcsrFromStream(in, &out);
-  EXPECT_EQ(sst.code(), StatusCode::kCorruption);
-  EXPECT_NE(sst.ToString().find("v2"), std::string::npos) << sst.ToString();
-
+  std::unique_ptr<MmapCcsr> mapped;
   // An unknown v2 version must name found vs expected.
   std::string bytes = ReadFileBytes(*path_);
   V2Header header;
@@ -274,6 +264,36 @@ TEST_F(CcsrMmapTest, FormatConfusionNamesBothVersions) {
             std::string::npos)
       << vst.ToString();
   std::remove(vpath.c_str());
+}
+
+// An artifact without the persisted label-pair sections (written before
+// they existed) makes Open derive the masks by walking every row index,
+// so a damaged run count there must be rejected, not walked.
+TEST(CcsrMmapLegacyTest, PreLpiArtifactWithDamagedRunRejectedAtOpen) {
+  Graph g = testing::MakeGraph(false, {1, 1, 1, 1},
+                               {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  V2Header h = testing::ReadV2Header(bytes);
+  h.lpi_out = V2Section{};
+  h.lpi_in = V2Section{};
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  const std::string path = testing::ScratchArtifactPath("ccsr_mmap_prelpi");
+  WriteFileBytes(path, bytes);
+  std::unique_ptr<MmapCcsr> mapped;
+  ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());  // undamaged: derives
+  mapped.reset();
+
+  V2DirEntry e;
+  std::memcpy(&e, bytes.data() + h.directory.offset, sizeof(e));
+  const size_t count_at = e.out_runs_offset + offsetof(RleRun, count);
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + count_at, sizeof(count));
+  count += 1u << 24;
+  std::memcpy(bytes.data() + count_at, &count, sizeof(count));
+  WriteFileBytes(path, bytes);
+  Status st = MmapCcsr::Open(path, &mapped);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  std::remove(path.c_str());
 }
 
 }  // namespace

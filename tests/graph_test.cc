@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 
 #include "graph/graph_builder.h"
 #include "graph/graph_stats.h"
+#include "graph/variant.h"
 #include "tests/test_util.h"
 
 namespace csce {
@@ -149,6 +151,32 @@ TEST(GraphStatsTest, FormatsRows) {
   EXPECT_NE(row.find("K4"), std::string::npos);
   EXPECT_NE(row.find("6"), std::string::npos);  // 6 edges
   EXPECT_FALSE(StatsHeader().empty());
+}
+
+TEST(VariantTest, NamesAndAliasesParseBack) {
+  const std::pair<const char*, MatchVariant> aliases[] = {
+      {"edge", MatchVariant::kEdgeInduced},
+      {"vertex", MatchVariant::kVertexInduced},
+      {"induced", MatchVariant::kVertexInduced},
+      {"hom", MatchVariant::kHomomorphic},
+  };
+  for (const auto& [name, want] : aliases) {
+    MatchVariant got = MatchVariant::kEdgeInduced;
+    ASSERT_TRUE(ParseVariantName(name, &got)) << name;
+    EXPECT_EQ(got, want) << name;
+  }
+  for (MatchVariant v :
+       {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+        MatchVariant::kHomomorphic}) {
+    MatchVariant got = MatchVariant::kEdgeInduced;
+    ASSERT_TRUE(ParseVariantName(VariantName(v), &got)) << VariantName(v);
+    EXPECT_EQ(got, v) << VariantName(v);
+  }
+  MatchVariant untouched = MatchVariant::kHomomorphic;
+  for (const char* bad : {"", "unknown", "Edge", "edge-"}) {
+    EXPECT_FALSE(ParseVariantName(bad, &untouched)) << bad;
+  }
+  EXPECT_EQ(untouched, MatchVariant::kHomomorphic);
 }
 
 }  // namespace

@@ -4,13 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "baselines/backtracking.h"
-#include "ccsr/ccsr_io.h"
 #include "engine/matcher.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 
 namespace csce {
@@ -62,10 +60,9 @@ TEST_P(DatasetIntegrationTest, CsceAgreesWithBaselineEndToEnd) {
   // Round-trip the index through its binary format, as a deployment
   // would.
   Ccsr built = Ccsr::Build(data);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(built, buffer).ok());
   Ccsr index;
-  ASSERT_TRUE(LoadCcsrFromStream(buffer, &index).ok());
+  ASSERT_TRUE(
+      testing::LoadCcsrBytes(testing::CcsrV2Bytes(built), &index).ok());
 
   CsceMatcher matcher(&index);
   BacktrackingMatcher baseline(&data);

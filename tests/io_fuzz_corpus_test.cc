@@ -1,9 +1,10 @@
 // Loader-hardening corpus: every parse error in the text graph format
 // and the binary CCSR artifact format must surface as a Status — never
 // an abort, a crash, or a silently wrong graph. The binary side also
-// runs a deterministic single-byte-flip and truncation sweep over a
-// real artifact: whatever the damage, the loader either rejects it or
-// produces an index that passes deep validation.
+// runs a deterministic single-byte-flip sweep over a real v2 artifact
+// and truncates it at every section boundary: whatever the damage, the
+// loader either rejects it or produces an index that passes deep
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "ccsr/ccsr_mmap.h"
 #include "ccsr/ccsr_v2_format.h"
 #include "graph/graph_io.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -137,43 +139,31 @@ TEST(GraphIoFuzzTest, RandomLineMutationsNeverCrash) {
 std::string MakeArtifact(bool directed) {
   Rng rng(directed ? 92 : 93);
   Graph g = testing::RandomGraph(rng, 24, 0.15, 3, 2, directed);
-  Ccsr gc = Ccsr::Build(g);
-  std::stringstream buffer;
-  Status st = SaveCcsrToStream(gc, buffer);
-  CSCE_CHECK(st.ok());
-  return buffer.str();
+  return testing::CcsrV2Bytes(Ccsr::Build(g));
 }
 
-TEST(CcsrIoFuzzTest, EveryTruncationRejected) {
-  for (bool directed : {false, true}) {
-    const std::string bytes = MakeArtifact(directed);
-    for (size_t len = 0; len < bytes.size(); ++len) {
-      std::istringstream in(bytes.substr(0, len));
-      Ccsr out;
-      Status st = LoadCcsrFromStream(in, &out);
-      EXPECT_FALSE(st.ok()) << "prefix of " << len << " bytes accepted";
-    }
-  }
-}
-
+// Every content byte of the artifact (header, sections, directory and
+// cluster arrays; not padding), flipped in its low and high bit.
 TEST(CcsrIoFuzzTest, EveryByteFlipRejectedOrStillValid) {
   for (bool directed : {false, true}) {
     const std::string bytes = MakeArtifact(directed);
-    for (size_t i = 0; i < bytes.size(); ++i) {
-      for (unsigned char delta : {0x01, 0x80}) {
-        std::string mutated = bytes;
-        mutated[i] = static_cast<char>(mutated[i] ^ delta);
-        std::istringstream in(mutated);
-        Ccsr out;
-        Status st = LoadCcsrFromStream(in, &out);
-        if (st.ok()) {
-          // Some flips are semantically harmless (an isolated vertex's
-          // label, say). If the loader accepts, the deep validator must
-          // agree — the loader's contract is "never load garbage".
-          Status deep = out.Validate();
-          EXPECT_TRUE(deep.ok())
-              << "byte " << i << " xor " << static_cast<int>(delta)
-              << " loaded but fails validation: " << deep.ToString();
+    for (const auto& [begin, end] : testing::V2ContentRanges(bytes)) {
+      for (size_t i = begin; i < end; ++i) {
+        for (unsigned char delta : {0x01, 0x80}) {
+          std::string mutated = bytes;
+          mutated[i] = static_cast<char>(mutated[i] ^ delta);
+          Ccsr out;
+          Status st = testing::LoadCcsrBytes(mutated, &out);
+          if (st.ok()) {
+            // Some flips are semantically harmless (an isolated vertex's
+            // label, say). If the loader accepts, the deep validator
+            // must agree — the loader's contract is "never load
+            // garbage".
+            Status deep = out.Validate();
+            EXPECT_TRUE(deep.ok())
+                << "byte " << i << " xor " << static_cast<int>(delta)
+                << " loaded but fails validation: " << deep.ToString();
+          }
         }
       }
     }
@@ -256,14 +246,21 @@ TEST(CcsrIoFuzzTest, GarbageHeadersRejected) {
       std::string(),
       std::string("\x00\x00\x00\x00", 4),
       std::string("CCSRCCSRCCSR"),
+      std::string("CSR2CSR2CSR2"),
       std::string(64, '\xff'),
       std::string(1024, 'A'),
+      std::string(kV2PageBytes, 'A'),
+      std::string("CSR2") + std::string(kV2PageBytes, '\xff'),
   };
+  const std::string path = testing::ScratchArtifactPath("io_fuzz_junk");
   for (const std::string& junk : junk_cases) {
-    std::istringstream in(junk);
+    testing::WriteFileBytes(path, junk);
+    std::unique_ptr<MmapCcsr> mapped;
+    EXPECT_FALSE(MmapCcsr::Open(path, &mapped).ok());
     Ccsr out;
-    EXPECT_FALSE(LoadCcsrFromStream(in, &out).ok());
+    EXPECT_FALSE(LoadCcsrFromFile(path, &out).ok());
   }
+  std::remove(path.c_str());
 }
 
 }  // namespace

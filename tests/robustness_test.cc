@@ -3,11 +3,12 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <string>
+#include <vector>
 
-#include "ccsr/ccsr_io.h"
 #include "engine/matcher.h"
 #include "graph/graph_io.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 #include "util/timer.h"
 
@@ -18,14 +19,16 @@ TEST(RobustnessTest, CcsrLoadSurvivesAllTruncations) {
   Rng rng(501);
   Graph g = testing::RandomGraph(rng, 25, 0.25, 3, 2, true);
   Ccsr ccsr = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(ccsr, buffer).ok());
-  const std::string bytes = buffer.str();
-  // Every proper prefix must be rejected cleanly.
-  for (size_t len = 0; len < bytes.size(); len += 7) {
-    std::stringstream truncated(bytes.substr(0, len));
+  const std::string bytes = testing::CcsrV2Bytes(ccsr);
+  // Every proper prefix must be rejected cleanly: cut inside each
+  // header, section and cluster array (and at the last byte).
+  std::vector<size_t> lengths = {bytes.size() - 1};
+  for (const auto& [begin, end] : testing::V2ContentRanges(bytes)) {
+    for (size_t len = begin; len < end; len += 7) lengths.push_back(len);
+  }
+  for (size_t len : lengths) {
     Ccsr out;
-    Status st = LoadCcsrFromStream(truncated, &out);
+    Status st = testing::LoadCcsrBytes(bytes.substr(0, len), &out);
     EXPECT_FALSE(st.ok()) << "prefix length " << len;
   }
 }
@@ -34,19 +37,19 @@ TEST(RobustnessTest, CcsrLoadSurvivesBitFlips) {
   Rng rng(502);
   Graph g = testing::RandomGraph(rng, 15, 0.3, 2, 1, false);
   Ccsr ccsr = Ccsr::Build(g);
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveCcsrToStream(ccsr, buffer).ok());
-  const std::string bytes = buffer.str();
-  // Flipping a byte may still parse (payload bytes), but must never
-  // crash; magic/version corruption must be rejected.
-  for (size_t pos = 0; pos < bytes.size(); pos += 97) {
-    std::string corrupted = bytes;
-    corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x5A);
-    std::stringstream in(corrupted);
-    Ccsr out;
-    Status st = LoadCcsrFromStream(in, &out);  // must return, any code
-    if (pos < 8) {
-      EXPECT_FALSE(st.ok()) << "header corruption undetected";
+  const std::string bytes = testing::CcsrV2Bytes(ccsr);
+  // Flipping a header, directory or array byte may still load (payload
+  // bytes), but must never crash; magic/version corruption must be
+  // rejected.
+  for (const auto& [begin, end] : testing::V2ContentRanges(bytes)) {
+    for (size_t pos = begin; pos < end; pos += 5) {
+      std::string corrupted = bytes;
+      corrupted[pos] = static_cast<char>(corrupted[pos] ^ 0x5A);
+      Ccsr out;
+      Status st = testing::LoadCcsrBytes(corrupted, &out);  // any code
+      if (pos < 8) {
+        EXPECT_FALSE(st.ok()) << "header corruption undetected";
+      }
     }
   }
 }

@@ -17,12 +17,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/ccsr_io.h"
 #include "engine/matcher.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
@@ -231,14 +229,9 @@ TEST_F(ShardCrosscheckTest, ForkedWorkerProcessesMatchSingleNode) {
   popts.num_shards = kShards;
   popts.strategy = PartitionStrategy::kHash;
   ShardPlan plan = ShardPlan::Build(*data_, popts);
-  std::vector<std::string> blobs(kShards);
+  std::vector<Graph> shard_graphs(kShards);
   for (uint32_t s = 0; s < kShards; ++s) {
-    Graph shard_graph;
-    ASSERT_TRUE(plan.ExtractShard(*data_, s, &shard_graph).ok());
-    Ccsr shard_ccsr = Ccsr::Build(shard_graph);
-    std::ostringstream blob;
-    ASSERT_TRUE(SaveCcsrToStream(shard_ccsr, blob).ok());
-    blobs[s] = std::move(blob).str();
+    ASSERT_TRUE(plan.ExtractShard(*data_, s, &shard_graphs[s]).ok());
   }
 
   std::vector<pid_t> pids;
@@ -265,7 +258,9 @@ TEST_F(ShardCrosscheckTest, ForkedWorkerProcessesMatchSingleNode) {
     ShardCoordinator coordinator(index_);
     for (int fd : parent_fds) coordinator.AttachWorker(MakeFdTransport(fd));
     ASSERT_TRUE(
-        coordinator.LoadInline(plan.owners(), blobs, /*threads=*/2).ok());
+        coordinator
+            .LoadInline(plan.owners(), std::move(shard_graphs), /*threads=*/2)
+            .ok());
 
     Rng rng(83);
     Graph pattern;

@@ -16,12 +16,10 @@
 
 #include <algorithm>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/ccsr_io.h"
 #include "engine/matcher.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
@@ -402,13 +400,9 @@ class ForkedFaultCluster {
     popts.num_shards = shards;
     popts.strategy = PartitionStrategy::kHash;
     plan_ = ShardPlan::Build(data, popts);
-    blobs_.resize(shards);
+    std::vector<Graph> shard_graphs(shards);
     for (uint32_t s = 0; s < shards; ++s) {
-      Graph shard_graph;
-      ASSERT_TRUE(plan_.ExtractShard(data, s, &shard_graph).ok());
-      std::ostringstream blob;
-      ASSERT_TRUE(SaveCcsrToStream(Ccsr::Build(shard_graph), blob).ok());
-      blobs_[s] = std::move(blob).str();
+      ASSERT_TRUE(plan_.ExtractShard(data, s, &shard_graphs[s]).ok());
     }
     current_.assign(shards, -1);
     parent_fds_.assign(shards, -1);
@@ -423,7 +417,9 @@ class ForkedFaultCluster {
       ASSERT_TRUE(SpawnChild(s, fault_plan, &t).ok());
       coordinator_->AttachWorker(std::move(t));
     }
-    ASSERT_TRUE(coordinator_->LoadInline(plan_.owners(), blobs_, 1).ok());
+    ASSERT_TRUE(
+        coordinator_->LoadInline(plan_.owners(), std::move(shard_graphs), 1)
+            .ok());
   }
 
   ShardCoordinator& coordinator() { return *coordinator_; }
@@ -495,7 +491,6 @@ class ForkedFaultCluster {
   }
 
   ShardPlan plan_;
-  std::vector<std::string> blobs_;
   std::vector<pid_t> current_;
   std::vector<pid_t> superseded_;
   std::vector<int> parent_fds_;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <functional>
 #include <string>
@@ -33,7 +34,10 @@ LoadRequest MakeLoadRequest() {
   msg.num_shards = 4;
   msg.num_threads = 3;
   msg.inline_payload = true;
-  msg.ccsr_blob = std::string("\x01\x02\x03\x00\x7f", 5);
+  msg.shard_graph = csce::testing::MakeGraph(
+      false, {0, 1, 2, 0, 1, 2},
+      {Edge{0, 1, 3}, Edge{1, 2, 0}, Edge{2, 3, 1}, Edge{3, 4, 0},
+       Edge{4, 5, 2}, Edge{5, 0, 0}});
   msg.owner = {0, 1, 2, 3, 0, 1};
   return msg;
 }
@@ -132,8 +136,45 @@ TEST(ShardWireTest, LoadRequestRoundTrip) {
   EXPECT_EQ(out.num_shards, msg.num_shards);
   EXPECT_EQ(out.num_threads, msg.num_threads);
   EXPECT_EQ(out.inline_payload, msg.inline_payload);
-  EXPECT_EQ(out.ccsr_blob, msg.ccsr_blob);
+  EXPECT_EQ(out.shard_graph.directed(), msg.shard_graph.directed());
+  EXPECT_EQ(out.shard_graph.vertex_labels(), msg.shard_graph.vertex_labels());
+  EXPECT_EQ(out.shard_graph.Edges(), msg.shard_graph.Edges());
   EXPECT_EQ(out.owner, msg.owner);
+}
+
+TEST(ShardWireTest, InlineLoadGraphDamageIsCorruption) {
+  // An inline LOAD for shard 0 of 1 whose graph has `nv` vertices (all
+  // labelled 0) and the given edges, declared with `ne` edges.
+  auto load = [](uint32_t nv, uint64_t ne, const std::vector<Edge>& edges) {
+    PayloadWriter w;
+    w.U32(0);  // shard_id
+    w.U32(1);  // num_shards
+    w.U32(1);  // num_threads
+    w.U8(1);   // inline_payload
+    w.U8(0);   // undirected
+    w.U32(nv);
+    for (uint32_t v = 0; v < std::min<uint32_t>(nv, 3); ++v) w.U32(0);
+    w.U64(ne);
+    for (const Edge& e : edges) {
+      w.U32(e.src);
+      w.U32(e.dst);
+      w.U32(e.elabel);
+    }
+    w.VecU32({0, 0, 0});  // owner
+    LoadRequest out;
+    return DecodeLoadRequest(w.Take(), &out);
+  };
+  ASSERT_TRUE(load(3, 1, {Edge{0, 2, 0}}).ok());
+  // Edge endpoint n.
+  EXPECT_EQ(load(3, 1, {Edge{0, 3, 0}}).code(), StatusCode::kCorruption);
+  // Vertex and edge counts no payload of this size can back; the graph
+  // is not sized from them.
+  EXPECT_EQ(load(0x7FFFFFFFu, 1, {Edge{0, 2, 0}}).code(),
+            StatusCode::kCorruption);
+  EXPECT_EQ(load(3, uint64_t{1} << 40, {Edge{0, 2, 0}}).code(),
+            StatusCode::kCorruption);
+  // A self-loop is caught by GraphBuilder::Build, still as Corruption.
+  EXPECT_EQ(load(3, 1, {Edge{1, 1, 0}}).code(), StatusCode::kCorruption);
 }
 
 TEST(ShardWireTest, PlanRequestRoundTrip) {

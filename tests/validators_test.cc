@@ -5,13 +5,14 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstddef>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/ccsr_io.h"
+#include "ccsr/ccsr_v2_format.h"
 #include "ccsr/compressed_row.h"
 #include "engine/embedding_verifier.h"
 #include "engine/executor.h"
@@ -20,6 +21,7 @@
 #include "plan/nec.h"
 #include "plan/planner.h"
 #include "plan/validate.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -85,35 +87,24 @@ TEST(CcsrValidateTest, StaysValidAcrossUpdates) {
   EXPECT_TRUE(gc.Validate().ok()) << gc.Validate().ToString();
 }
 
-// Serializes, flips bytes at a computed offset, reloads. Relies on the
-// fixed v2 artifact layout: magic(4) version(4) directed(1) nv(4)
-// ne(8), labels(4*nv), out-degrees(4*nv), [in-degrees], nclusters(4),
-// then per cluster id(13) nedges(8) out-csr(nruns(8), runs(12 each)...).
-std::string SerializeCcsr(const Ccsr& gc) {
-  std::stringstream buffer;
-  Status st = SaveCcsrToStream(gc, buffer);
-  CSCE_CHECK(st.ok());
-  return buffer.str();
-}
-
-Status ReloadCcsr(const std::string& bytes, Ccsr* out) {
-  std::istringstream in(bytes);
-  return LoadCcsrFromStream(in, out);
-}
-
+// The tests below write the v2 artifact, flip bytes located through its
+// header and directory, and reload it through LoadCcsrFromFile.
 TEST(CcsrLoaderTest, MutatedRunLengthRejected) {
   // Undirected path with one cluster; every vertex labeled alike.
   Graph g = testing::MakeGraph(false, {1, 1, 1, 1},
                                {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
   Ccsr gc = Ccsr::Build(g);
-  std::string bytes = SerializeCcsr(gc);
+  std::string bytes = testing::CcsrV2Bytes(gc);
   // First run's count field of the first cluster's out-CSR.
-  size_t nv = g.NumVertices();
-  size_t off = 21 + 8 * nv + 4 + 21 + 8 + 8;
+  const V2Header h = testing::ReadV2Header(bytes);
+  ASSERT_EQ(h.num_clusters, 1u);
+  V2DirEntry e;
+  std::memcpy(&e, bytes.data() + h.directory.offset, sizeof(e));
+  size_t off = e.out_runs_offset + offsetof(RleRun, count);
   ASSERT_LT(off + 4, bytes.size());
   bytes[off] = static_cast<char>(bytes[off] + 1);
   Ccsr back;
-  Status st = ReloadCcsr(bytes, &back);
+  Status st = testing::LoadCcsrBytes(bytes, &back);
   EXPECT_FALSE(st.ok());
   EXPECT_FALSE(st.ToString().empty());
 }
@@ -123,14 +114,15 @@ TEST(CcsrLoaderTest, LabelFlipCaughtByDeepValidation) {
   Graph g = testing::MakeGraph(false, {0, 1, 2, 3},
                                {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
   Ccsr gc = Ccsr::Build(g);
-  std::string bytes = SerializeCcsr(gc);
-  // Vertex 0's label lives right after the 21-byte header. Flipping it
-  // to another valid label passes every field-local check; only the
-  // deep validator's homogeneity cross-check can notice.
-  ASSERT_EQ(bytes[21], 0);
-  bytes[21] = 3;
+  std::string bytes = testing::CcsrV2Bytes(gc);
+  // Vertex 0's label opens the vlabels section. Flipping it to another
+  // valid label passes every structural check at open; only the deep
+  // validator's cross-checks can notice.
+  const size_t off = testing::ReadV2Header(bytes).vlabels.offset;
+  ASSERT_EQ(bytes[off], 0);
+  bytes[off] = 3;
   Ccsr back;
-  Status st = ReloadCcsr(bytes, &back);
+  Status st = testing::LoadCcsrBytes(bytes, &back);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("label"), std::string::npos);
 }

@@ -3,10 +3,8 @@
 //
 //   csce_build --graph=data.txt --out=data.ccsr [--verbose]
 //
-// --format picks the artifact layout: v2 (default) is the page-aligned,
-// directly mmap-able out-of-core format (csce_match/csce_serve --mmap);
-// v1 is the legacy stream format. Both load transparently through
-// LoadCcsrFromFile.
+// The artifact is CCSR v2, the page-aligned, directly mmap-able format
+// (csce_match/csce_serve --mmap, or LoadCcsrFromFile into memory).
 //
 // With --shards=N it additionally partitions the graph (ShardPlan) and
 // writes the sharded-execution artifacts next to the main one:
@@ -36,20 +34,15 @@ int main(int argc, char** argv) {
   bool verbose = flags.GetBool("verbose");
   int64_t shards = flags.GetInt("shards", 0);
   std::string strategy_name = flags.GetString("shard-strategy", "hash");
-  std::string format = flags.GetString("format", "v2");
   if (graph_path.empty() || out_path.empty()) {
     std::fprintf(stderr,
                  "usage: csce_build --graph=data.txt --out=data.ccsr "
-                 "[--format=v1|v2] [--shards=N --shard-strategy=hash|label]\n");
+                 "[--shards=N --shard-strategy=hash|label]\n");
     return 2;
   }
-  if (format != "v1" && format != "v2") {
-    std::fprintf(stderr, "unknown --format=%s (v1|v2)\n", format.c_str());
-    return 2;
+  for (const std::string& unused : flags.UnusedFlags()) {
+    std::fprintf(stderr, "warning: unknown flag --%s\n", unused.c_str());
   }
-  auto save_ccsr = [&format](const Ccsr& c, const std::string& path) {
-    return format == "v2" ? SaveCcsrToFileV2(c, path) : SaveCcsrToFile(c, path);
-  };
   shard::PartitionStrategy strategy;
   if (!shard::ParseStrategy(strategy_name, &strategy)) {
     std::fprintf(stderr, "unknown --shard-strategy=%s (hash|label)\n",
@@ -74,7 +67,7 @@ int main(int argc, char** argv) {
   double build_seconds = timer.Seconds();
 
   timer.Restart();
-  if (Status st = save_ccsr(ccsr, out_path); !st.ok()) {
+  if (Status st = SaveCcsrToFileV2(ccsr, out_path); !st.ok()) {
     std::fprintf(stderr, "save: %s\n", st.ToString().c_str());
     return 1;
   }
@@ -101,7 +94,7 @@ int main(int argc, char** argv) {
       }
       Ccsr shard_ccsr = Ccsr::Build(shard_graph);
       std::string path = shard::ShardPlan::ShardCcsrPath(out_path, s);
-      if (Status st = save_ccsr(shard_ccsr, path); !st.ok()) {
+      if (Status st = SaveCcsrToFileV2(shard_ccsr, path); !st.ok()) {
         std::fprintf(stderr, "shard %u save: %s\n", s, st.ToString().c_str());
         return 1;
       }

@@ -32,24 +32,6 @@
 #include "plan/plan_printer.h"
 #include "util/flags.h"
 
-namespace {
-
-bool ParseVariant(const std::string& name, csce::MatchVariant* out) {
-  if (name == "edge" || name == "edge-induced") {
-    *out = csce::MatchVariant::kEdgeInduced;
-  } else if (name == "vertex" || name == "vertex-induced" ||
-             name == "induced") {
-    *out = csce::MatchVariant::kVertexInduced;
-  } else if (name == "hom" || name == "homomorphic") {
-    *out = csce::MatchVariant::kHomomorphic;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace csce;
   FlagParser flags;
@@ -125,7 +107,8 @@ int main(int argc, char** argv) {
   }
 
   MatchOptions options;
-  if (!ParseVariant(flags.GetString("variant", "edge"), &options.variant)) {
+  if (!ParseVariantName(flags.GetString("variant", "edge"),
+                        &options.variant)) {
     std::fprintf(stderr, "unknown --variant\n");
     return 2;
   }

@@ -120,20 +120,6 @@ namespace {
 /// every parsed QueryJob. Set in main before the workload is read.
 csce::PruneOptions g_prune;
 
-bool ParseVariant(const std::string& name, csce::MatchVariant* out) {
-  if (name == "edge" || name == "edge-induced") {
-    *out = csce::MatchVariant::kEdgeInduced;
-  } else if (name == "vertex" || name == "vertex-induced" ||
-             name == "induced") {
-    *out = csce::MatchVariant::kVertexInduced;
-  } else if (name == "hom" || name == "homomorphic") {
-    *out = csce::MatchVariant::kHomomorphic;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 /// One STATS-delimited slice of the workload: the jobs run as a batch,
 /// then a stats line is printed when `stats_after` (i.e. the segment
 /// was closed by a STATS directive rather than end-of-file).
@@ -158,7 +144,8 @@ bool ParseWorkloadLine(std::string line, size_t lineno,
   csce::QueryJob job;
   job.tag = path;
   job.options.plan.prune = g_prune;
-  if (fields >> variant && !ParseVariant(variant, &job.options.variant)) {
+  if (fields >> variant &&
+      !csce::ParseVariantName(variant, &job.options.variant)) {
     std::fprintf(stderr, "queries line %zu: unknown variant '%s'\n", lineno,
                  variant.c_str());
     return false;

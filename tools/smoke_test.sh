@@ -21,6 +21,15 @@ mkdir -p "$WORK_DIR"
 "$BIN_DIR/csce_build" --graph="$WORK_DIR/g.txt" --out="$WORK_DIR/g.ccsr" \
     --verbose
 
+# v2 is the only artifact format: a leftover --format flag is reported
+# as unknown, not silently honoured.
+BUILD_ERR=$("$BIN_DIR/csce_build" --graph="$WORK_DIR/g.txt" \
+    --out="$WORK_DIR/g_fmt.ccsr" --format=v1 2>&1 >/dev/null)
+case "$BUILD_ERR" in
+  *"unknown flag --format"*) ;;
+  *) echo "FAIL: csce_build --format=v1 did not warn: '$BUILD_ERR'"; exit 1 ;;
+esac
+
 "$BIN_DIR/csce_stats" "$WORK_DIR/g.txt"
 
 OUT_CCSR=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/g.ccsr" \
@@ -232,6 +241,20 @@ grep -q '"schema": "csce.metrics.v1"' "$WORK_DIR/metrics_shard.json" || {
   exit 1
 }
 echo "PASS: 4 forked shard workers match csce_match ($SHARD_EDGE embeddings)"
+
+# In-process shards from the raw graph: the coordinator partitions it
+# and ships each worker its shard graph inline (LOAD), and the worker
+# builds its own CCSR. Same count as the single-node tools.
+OUT_INLINE=$("$BIN_DIR/csce_serve" --graph="$WORK_DIR/g.txt" --shards=2 \
+    --queries="$WORK_DIR/shard_queries.txt")
+INLINE_EDGE=$(printf '%s\n' "$OUT_INLINE" | \
+    sed -n 's/.*q_0.txt variant=edge-induced status=ok embeddings=\([0-9]*\).*/\1/p' | \
+    head -1)
+if [ -z "$INLINE_EDGE" ] || [ "$INLINE_EDGE" != "$COUNT_CCSR" ]; then
+  echo "FAIL: inline-LOAD shards found '$INLINE_EDGE', csce_match found '$COUNT_CCSR'"
+  exit 1
+fi
+echo "PASS: 2 in-process shards loaded inline match csce_match ($INLINE_EDGE embeddings)"
 
 # Fault injection, recovery path: kill shard 0's worker process after
 # its second frame (mid-session, post-LOAD). Supervision must re-fork
