@@ -82,15 +82,23 @@ void BuildCompressedDirection(uint32_t num_vertices,
                               std::span<const Edge> sorted_arcs,
                               CompressedRowIndex* rows,
                               ArrayOrView<VertexId>* cols) {
-  std::vector<uint64_t> row(num_vertices + 1, 0);
+  CompressedRowBuilder builder;
   cols->resize(sorted_arcs.size());
   for (size_t i = 0; i < sorted_arcs.size(); ++i) {
-    ++row[sorted_arcs[i].src + 1];
+    builder.Add(sorted_arcs[i].src);
     (*cols)[i] = sorted_arcs[i].dst;
   }
-  for (uint32_t v = 0; v < num_vertices; ++v) row[v + 1] += row[v];
-  *rows = CompressedRowIndex::Compress(row);
+  *rows = std::move(builder).Finish(num_vertices);
 }
+
+// One cluster under construction by Ccsr::Build: each direction's row
+// runs and columns grow as its arcs stream in, in (src, dst) order.
+struct ClusterBuild {
+  CompressedRowBuilder out_rows;
+  std::vector<VertexId> out_cols;
+  CompressedRowBuilder in_rows;
+  std::vector<VertexId> in_cols;
+};
 
 // Publishes the index-shape gauges for `ccsr`: cluster count, bytes of
 // the compressed representation vs an uncompressed per-cluster CSR
@@ -174,38 +182,50 @@ Ccsr Ccsr::Build(const Graph& g) {
     if (g.directed()) out.in_degree_[v] = g.InDegree(v);
   }
 
-  // Bucket arcs by cluster identifier. Each edge goes into exactly one
-  // cluster and is stored twice (both CSR directions / orientations).
-  std::unordered_map<ClusterId, std::vector<Edge>, ClusterIdHash> buckets;
-  g.ForEachEdge([&](const Edge& e) {
-    Label ls = g.VertexLabel(e.src);
-    Label ld = g.VertexLabel(e.dst);
-    if (g.directed()) {
-      buckets[ClusterId::Directed(ls, ld, e.elabel)].push_back(e);
-    } else {
-      auto& bucket = buckets[ClusterId::Undirected(ls, ld, e.elabel)];
-      bucket.push_back(e);
-      bucket.push_back(Edge{e.dst, e.src, e.elabel});
+  // Bucket arcs by cluster identifier in one pass over the adjacency.
+  // Each edge goes into exactly one cluster and is stored twice: as an
+  // outgoing and an incoming arc (directed), or as both orientations in
+  // the one CSR (undirected, whose adjacency lists every edge at both
+  // endpoints). Adjacency is sorted by (neighbor, elabel) and rows are
+  // walked in ascending vertex order, so every bucket receives its arcs
+  // sorted by (src, dst) and needs no sort.
+  std::unordered_map<ClusterId, ClusterBuild, ClusterIdHash> buckets;
+  const uint32_t n = g.NumVertices();
+  for (VertexId v = 0; v < n; ++v) {
+    const Label lv = g.VertexLabel(v);
+    for (const Neighbor& w : g.OutNeighbors(v)) {
+      const Label lw = g.VertexLabel(w.v);
+      ClusterBuild& b =
+          buckets[g.directed() ? ClusterId::Directed(lv, lw, w.elabel)
+                               : ClusterId::Undirected(lv, lw, w.elabel)];
+      b.out_rows.Add(v);
+      b.out_cols.push_back(w.v);
     }
-  });
+    if (!g.directed()) continue;
+    // Incoming CSR: row v lists the sources of the arcs into v.
+    for (const Neighbor& u : g.InNeighbors(v)) {
+      ClusterBuild& b = buckets[ClusterId::Directed(g.VertexLabel(u.v), lv,
+                                                    u.elabel)];
+      b.in_rows.Add(v);
+      b.in_cols.push_back(u.v);
+    }
+  }
 
   out.clusters_.reserve(buckets.size());
-  const uint32_t n = g.NumVertices();
-  for (auto& [id, arcs] : buckets) {
+  for (auto& [id, b] : buckets) {
     CompressedCluster cluster;
     cluster.id = id;
-    cluster.num_edges = id.directed ? arcs.size() : arcs.size() / 2;
-    std::sort(arcs.begin(), arcs.end());
-    BuildCompressedDirection(n, arcs, &cluster.out_rows, &cluster.out_cols);
+    cluster.num_edges =
+        id.directed ? b.out_cols.size() : b.out_cols.size() / 2;
+    // The column vectors become the index's storage: drop their growth
+    // slack.
+    cluster.out_rows = std::move(b.out_rows).Finish(n);
+    b.out_cols.shrink_to_fit();
+    cluster.out_cols = std::move(b.out_cols);
     if (id.directed) {
-      // Incoming CSR: arcs keyed by destination.
-      std::vector<Edge> reversed(arcs.size());
-      for (size_t i = 0; i < arcs.size(); ++i) {
-        reversed[i] = Edge{arcs[i].dst, arcs[i].src, arcs[i].elabel};
-      }
-      std::sort(reversed.begin(), reversed.end());
-      BuildCompressedDirection(n, reversed, &cluster.in_rows,
-                               &cluster.in_cols);
+      cluster.in_rows = std::move(b.in_rows).Finish(n);
+      b.in_cols.shrink_to_fit();
+      cluster.in_cols = std::move(b.in_cols);
     }
     out.clusters_.push_back(std::move(cluster));
   }
@@ -479,16 +499,18 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
         std::to_string(rows.uncompressed_length()) +
         " entries, expected |V|+1 = " + std::to_string(n + 1));
   }
-  std::vector<uint64_t> row = rows.Decompress();
-  if (row.back() != cols.size()) {
+  // rows.Validate() and the coverage check above make the walk below
+  // safe: the runs are non-empty and monotone, so the last one holds
+  // the final offset, every offset lies in [0, final], and every row
+  // reported is a vertex below |V|.
+  const uint64_t final_offset = rows.runs().back().value;
+  if (final_offset != cols.size()) {
     return Status::Corruption(where + ": final row offset " +
-                              std::to_string(row.back()) + " != column count " +
+                              std::to_string(final_offset) +
+                              " != column count " +
                               std::to_string(cols.size()));
   }
-  for (VertexId v = 0; v < n; ++v) {
-    uint64_t begin = row[v];
-    uint64_t end = row[v + 1];
-    if (begin == end) continue;
+  auto check_row = [&](VertexId v, uint64_t begin, uint64_t end) -> Status {
     if (vlabels[v] != expect_src) {
       if (c.id.directed || (vlabels[v] != c.id.src_label &&
                             vlabels[v] != c.id.dst_label)) {
@@ -527,8 +549,18 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
       }
       arcs_out->push_back(Edge{v, w, c.id.elabel});
     }
-  }
-  return Status::OK();
+    return Status::OK();
+  };
+  // The walk cannot stop early; the first failure is kept and the rest
+  // of the rows are skipped. A run split at a saturated uint32 count
+  // reports an empty range, which is skipped too.
+  Status status = Status::OK();
+  rows.ForEachNonEmptyRow([&](uint64_t v, uint64_t begin, uint64_t end) {
+    if (status.ok() && begin != end) {
+      status = check_row(static_cast<VertexId>(v), begin, end);
+    }
+  });
+  return status;
 }
 
 }  // namespace

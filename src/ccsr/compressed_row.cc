@@ -2,10 +2,26 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace csce {
+namespace {
+
+// Appends `count` entries equal to `value` to `runs`, splitting runs
+// longer than what a uint32 count can hold.
+void AppendSplitRuns(uint64_t value, uint64_t count,
+                     std::vector<RleRun>* runs) {
+  while (count > 0) {
+    uint32_t chunk =
+        count > 0xFFFFFFFFull ? 0xFFFFFFFFu : static_cast<uint32_t>(count);
+    runs->push_back(RleRun{value, chunk});
+    count -= chunk;
+  }
+}
+
+}  // namespace
 
 CompressedRowIndex CompressedRowIndex::Compress(
     std::span<const uint64_t> row) {
@@ -16,15 +32,7 @@ CompressedRowIndex CompressedRowIndex::Compress(
   while (i < row.size()) {
     size_t j = i;
     while (j < row.size() && row[j] == row[i]) ++j;
-    // Split runs longer than what a uint32 count can hold.
-    size_t remaining = j - i;
-    while (remaining > 0) {
-      uint32_t chunk = remaining > 0xFFFFFFFFull
-                           ? 0xFFFFFFFFu
-                           : static_cast<uint32_t>(remaining);
-      runs.push_back(RleRun{row[i], chunk});
-      remaining -= chunk;
-    }
+    AppendSplitRuns(row[i], j - i, &runs);
     i = j;
   }
   return out;
@@ -38,6 +46,19 @@ std::vector<uint64_t> CompressedRowIndex::Decompress() const {
   }
   CSCE_DCHECK(row.size() == uncompressed_length_);
   return row;
+}
+
+void CompressedRowBuilder::AppendRun(uint64_t value, uint64_t count) {
+  AppendSplitRuns(value, count, &runs_);
+}
+
+CompressedRowIndex CompressedRowBuilder::Finish(uint64_t num_vertices) && {
+  CSCE_DCHECK(covered_ <= num_vertices);
+  AppendRun(arcs_, num_vertices + 1 - covered_);
+  CompressedRowIndex out;
+  out.runs_ = std::move(runs_);
+  out.uncompressed_length_ = num_vertices + 1;
+  return out;
 }
 
 Status CompressedRowIndex::Validate() const {

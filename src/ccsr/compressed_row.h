@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "ccsr/array_view.h"
+#include "util/logging.h"
 #include "util/status.h"
 
 namespace csce {
@@ -38,7 +39,9 @@ class CompressedRowIndex {
  public:
   CompressedRowIndex() = default;
 
-  /// Compresses a monotone row-index array (length |V|+1).
+  /// Compresses a monotone row-index array (length |V|+1). Builders
+  /// that have the arcs rather than a dense row use
+  /// CompressedRowBuilder, which never materializes the array.
   static CompressedRowIndex Compress(std::span<const uint64_t> row);
 
   /// Reconstructs the standard row-index array.
@@ -96,8 +99,44 @@ class CompressedRowIndex {
   Status Validate() const;
 
  private:
+  friend class CompressedRowBuilder;
+
   ArrayOrView<RleRun> runs_;
   uint64_t uncompressed_length_ = 0;
+};
+
+/// Emits the runs of a CSR row index straight from the sources of arcs
+/// sorted by source: the result equals Compress() of the |V|+1 prefix
+/// sum, but costs O(#arcs + #runs) instead of O(|V|). Each distinct
+/// source s closes the run of entries [covered, s], whose value is the
+/// number of arcs before s; Finish() closes the tail with the arc
+/// count.
+class CompressedRowBuilder {
+ public:
+  /// Records one arc leaving `src`. Sources must not decrease.
+  void Add(uint64_t src) {
+    if (arcs_ == 0 || src != last_src_) {
+      CSCE_DCHECK(arcs_ == 0 || src > last_src_);
+      AppendRun(arcs_, src + 1 - covered_);
+      covered_ = src + 1;
+      last_src_ = src;
+    }
+    ++arcs_;
+  }
+
+  /// The index over `num_vertices` rows (|V|+1 entries); every source
+  /// added must be below `num_vertices`.
+  CompressedRowIndex Finish(uint64_t num_vertices) &&;
+
+ private:
+  // Appends `count` entries equal to `value`, split into runs a uint32
+  // count can hold.
+  void AppendRun(uint64_t value, uint64_t count);
+
+  std::vector<RleRun> runs_;
+  uint64_t covered_ = 0;   // row entries the runs cover so far
+  uint64_t arcs_ = 0;      // arcs added so far
+  uint64_t last_src_ = 0;  // source of the latest arc
 };
 
 }  // namespace csce

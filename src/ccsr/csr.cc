@@ -1,6 +1,7 @@
 #include "ccsr/csr.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -79,16 +80,14 @@ void CsrIndex::ComputeRowStats() {
 
 CsrIndex CsrIndex::FromArcs(uint32_t num_vertices,
                             std::span<const Edge> sorted_arcs) {
-  std::vector<uint64_t> rows(num_vertices + 1, 0);
+  CompressedRowBuilder rows;
   std::vector<VertexId> cols(sorted_arcs.size());
   for (size_t i = 0; i < sorted_arcs.size(); ++i) {
     CSCE_DCHECK(i == 0 || !(sorted_arcs[i] < sorted_arcs[i - 1]));
-    ++rows[sorted_arcs[i].src + 1];
+    rows.Add(sorted_arcs[i].src);
     cols[i] = sorted_arcs[i].dst;
   }
-  for (uint32_t v = 0; v < num_vertices; ++v) rows[v + 1] += rows[v];
-  CompressedRowIndex compressed = CompressedRowIndex::Compress(rows);
-  return FromCompressed(compressed, std::move(cols));
+  return FromCompressed(std::move(rows).Finish(num_vertices), std::move(cols));
 }
 
 std::vector<VertexId> CsrIndex::NonEmptyVertices() const {

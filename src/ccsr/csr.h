@@ -39,8 +39,9 @@ class CsrIndex {
   static CsrIndex FromCompressed(const CompressedRowIndex& rows,
                                  std::span<const VertexId> cols, bool borrow);
 
-  /// Builds directly from sorted arcs (used by tests and by the CCSR
-  /// builder before compression).
+  /// Builds directly from arcs sorted by (src, dst); the row runs come
+  /// from CompressedRowBuilder, with no |V|+1 array unless the result
+  /// is dense (used by tests and benches).
   static CsrIndex FromArcs(uint32_t num_vertices,
                            std::span<const Edge> sorted_arcs);
 

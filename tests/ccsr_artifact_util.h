@@ -72,6 +72,25 @@ inline V2Header ReadV2Header(const std::string& bytes) {
   return h;
 }
 
+/// Directory entry `i` of the v2 artifact `bytes`.
+inline V2DirEntry ReadV2DirEntry(const std::string& bytes, uint64_t i) {
+  const V2Header h = ReadV2Header(bytes);
+  CSCE_CHECK(i < h.num_clusters);
+  V2DirEntry e;
+  const uint64_t off = h.directory.offset + i * sizeof(e);
+  CSCE_CHECK(off + sizeof(e) <= bytes.size());
+  std::memcpy(&e, bytes.data() + off, sizeof(e));
+  return e;
+}
+
+/// Overwrites the bytes at `offset` with the object representation of
+/// `value`, e.g. one run field or one column of a cluster array.
+template <typename T>
+void PokeBytes(std::string* bytes, uint64_t offset, const T& value) {
+  CSCE_CHECK(offset + sizeof(T) <= bytes->size());
+  std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
 /// [begin, end) byte ranges of a well-formed v2 artifact that carry
 /// content: the header struct, every section and every cluster array.
 /// Page and alignment padding is left out.
@@ -88,10 +107,7 @@ inline std::vector<std::pair<size_t, size_t>> V2ContentRanges(
     add(s.offset, s.length);
   }
   for (uint64_t i = 0; i < h.num_clusters; ++i) {
-    V2DirEntry e;
-    CSCE_CHECK(h.directory.offset + (i + 1) * sizeof(e) <= bytes.size());
-    std::memcpy(&e, bytes.data() + h.directory.offset + i * sizeof(e),
-                sizeof(e));
+    const V2DirEntry e = ReadV2DirEntry(bytes, i);
     add(e.out_runs_offset, e.out_runs_count * sizeof(RleRun));
     add(e.out_cols_offset, e.out_cols_count * sizeof(VertexId));
     add(e.in_runs_offset, e.in_runs_count * sizeof(RleRun));

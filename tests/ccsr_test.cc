@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <vector>
+
+#include "ccsr/compressed_row.h"
 #include "tests/test_util.h"
 
 namespace csce {
@@ -164,6 +169,135 @@ TEST(CcsrTest, RowIndexStorageBounded) {
   // Each run is (value, count); bound from the paper plus one run per
   // CSR for the leading zeros.
   EXPECT_LE(total_runs, 4 * g.NumEdges() + 2 * gc.NumClusters());
+}
+
+// One cluster direction as the earlier Ccsr::Build made it: sort the
+// arcs, prefix-sum a dense |V|+1 row array, compress it. The oracle for
+// the run-emitting build below.
+struct DenseBuiltDirection {
+  CompressedRowIndex rows;
+  std::vector<VertexId> cols;
+};
+
+DenseBuiltDirection DenseBuild(uint32_t n, std::vector<Edge> arcs) {
+  std::sort(arcs.begin(), arcs.end());
+  std::vector<uint64_t> row(n + 1, 0);
+  DenseBuiltDirection d;
+  for (const Edge& a : arcs) {
+    ++row[a.src + 1];
+    d.cols.push_back(a.dst);
+  }
+  for (uint32_t v = 0; v < n; ++v) row[v + 1] += row[v];
+  d.rows = CompressedRowIndex::Compress(row);
+  return d;
+}
+
+void ExpectDirectionEquals(const CompressedRowIndex& rows,
+                           std::span<const VertexId> cols,
+                           const DenseBuiltDirection& want,
+                           const std::string& where) {
+  EXPECT_EQ(rows.uncompressed_length(), want.rows.uncompressed_length())
+      << where;
+  EXPECT_TRUE(std::ranges::equal(rows.runs(), want.rows.runs())) << where;
+  EXPECT_TRUE(std::ranges::equal(cols, want.cols)) << where;
+}
+
+// Asserts that every cluster direction of Ccsr::Build(g) equals the
+// dense-row construction, cluster for cluster, and that it validates.
+void ExpectBuildMatchesDenseOracle(const Graph& g) {
+  std::map<ClusterId, std::vector<Edge>> buckets;
+  g.ForEachEdge([&](const Edge& e) {
+    const Label ls = g.VertexLabel(e.src);
+    const Label ld = g.VertexLabel(e.dst);
+    if (g.directed()) {
+      buckets[ClusterId::Directed(ls, ld, e.elabel)].push_back(e);
+    } else {
+      auto& bucket = buckets[ClusterId::Undirected(ls, ld, e.elabel)];
+      bucket.push_back(e);
+      bucket.push_back(Edge{e.dst, e.src, e.elabel});
+    }
+  });
+  const Ccsr gc = Ccsr::Build(g);
+  ASSERT_EQ(gc.NumClusters(), buckets.size());
+  size_t slot = 0;
+  for (const auto& [id, arcs] : buckets) {
+    const CompressedCluster& c = gc.clusters()[slot++];
+    ASSERT_EQ(c.id, id);
+    EXPECT_EQ(c.num_edges, id.directed ? arcs.size() : arcs.size() / 2);
+    ExpectDirectionEquals(c.out_rows, c.out_cols.span(),
+                          DenseBuild(g.NumVertices(), arcs),
+                          id.ToString() + " outgoing");
+    if (id.directed) {
+      std::vector<Edge> reversed;
+      for (const Edge& a : arcs) {
+        reversed.push_back(Edge{a.dst, a.src, a.elabel});
+      }
+      ExpectDirectionEquals(c.in_rows, c.in_cols.span(),
+                            DenseBuild(g.NumVertices(), reversed),
+                            id.ToString() + " incoming");
+    } else {
+      EXPECT_EQ(c.in_rows.num_runs(), 0u);
+      EXPECT_TRUE(c.in_cols.empty());
+    }
+  }
+  EXPECT_TRUE(gc.Validate().ok()) << gc.Validate().ToString();
+}
+
+// Seeded random graphs with 1-3 edge labels. Vertex label 3 is a class
+// with no arcs; vertex 0 and vertex |V|-1 get arcs or stay isolated in
+// all four combinations.
+TEST(CcsrBuildTest, RunsAndColumnsMatchDenseRowConstruction) {
+  for (bool directed : {false, true}) {
+    for (uint32_t elabels = 1; elabels <= 3; ++elabels) {
+      for (int ends = 0; ends < 4; ++ends) {
+        const bool first_has_arcs = (ends & 1) != 0;
+        const bool last_has_arcs = (ends & 2) != 0;
+        Rng rng(1000 + 100 * directed + 10 * elabels + ends);
+        const uint32_t n = 4 + static_cast<uint32_t>(rng.Uniform(60));
+        std::vector<Label> vlabels(n);
+        for (Label& l : vlabels) l = static_cast<Label>(rng.Uniform(4));
+        vlabels[1] = 0;  // at least one vertex outside the arc-less class
+        auto may_have_arcs = [&](VertexId v) {
+          if (v == 0) return first_has_arcs;
+          if (v == n - 1) return last_has_arcs;
+          return vlabels[v] != 3;
+        };
+        if (first_has_arcs) vlabels[0] = 1;
+        if (last_has_arcs) vlabels[n - 1] = 2;
+        std::vector<Edge> edges;
+        auto elabel = [&] { return static_cast<Label>(rng.Uniform(elabels)); };
+        for (VertexId a = 0; a < n; ++a) {
+          for (VertexId b = 0; b < n; ++b) {
+            if (a == b || !may_have_arcs(a) || !may_have_arcs(b)) continue;
+            if (rng.Bernoulli(0.15)) edges.push_back(Edge{a, b, elabel()});
+          }
+        }
+        // Pin the end vertices' arcs in both directions.
+        if (first_has_arcs) {
+          edges.push_back(Edge{0, 1, elabel()});
+          edges.push_back(Edge{1, 0, elabel()});
+        }
+        if (last_has_arcs) {
+          edges.push_back(Edge{n - 1, 1, elabel()});
+          edges.push_back(Edge{1, n - 1, elabel()});
+        }
+        SCOPED_TRACE(::testing::Message()
+                     << "directed=" << directed << " elabels=" << elabels
+                     << " ends=" << ends << " n=" << n);
+        const Graph g = MakeGraph(directed, vlabels, edges);
+        ASSERT_EQ(g.OutDegree(0) > 0, first_has_arcs);
+        ASSERT_EQ(g.OutDegree(n - 1) > 0, last_has_arcs);
+        ExpectBuildMatchesDenseOracle(g);
+      }
+    }
+  }
+}
+
+TEST(CcsrBuildTest, EdgelessGraphsMatchDenseRowConstruction) {
+  for (bool directed : {false, true}) {
+    ExpectBuildMatchesDenseOracle(MakeGraph(directed, {}, {}));
+    ExpectBuildMatchesDenseOracle(MakeGraph(directed, {0, 1, 2}, {}));
+  }
 }
 
 }  // namespace

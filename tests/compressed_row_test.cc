@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "util/rng.h"
@@ -54,6 +55,20 @@ TEST(CompressedRowTest, AllVerticesNonEmpty) {
   EXPECT_EQ(count, 3u);
 }
 
+TEST(CompressedRowTest, BuilderSplitsRunsAboveUint32Count) {
+  // 2^33 vertices, one arc from vertex 5: the tail of 2^33 - 5 entries
+  // is more than one uint32 count holds, so it splits in two runs.
+  constexpr uint64_t kVertices = uint64_t{1} << 33;
+  CompressedRowBuilder builder;
+  builder.Add(5);
+  CompressedRowIndex c = std::move(builder).Finish(kVertices);
+  const std::vector<RleRun> want = {
+      {0, 6}, {1, 0xFFFFFFFFu}, {1, 0xFFFFFFFCu}};
+  EXPECT_TRUE(std::ranges::equal(c.runs(), want));
+  EXPECT_EQ(c.uncompressed_length(), kVertices + 1);
+  EXPECT_TRUE(c.Validate().ok()) << c.Validate().ToString();
+}
+
 class CompressedRowRandomTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CompressedRowRandomTest, RoundTripsRandomMonotoneRows) {
@@ -81,6 +96,21 @@ TEST_P(CompressedRowRandomTest, RoundTripsRandomMonotoneRows) {
     if (row[v + 1] > row[v]) expected.push_back(v);
   }
   EXPECT_EQ(non_empty, expected);
+
+  // The builder, fed each vertex's arcs by source, emits the runs of the
+  // same row shifted to start at 0.
+  CompressedRowBuilder builder;
+  std::vector<uint64_t> shifted(n);
+  for (size_t v = 0; v < n; ++v) {
+    shifted[v] = row[v] - row[0];
+    if (v + 1 < n) {
+      for (uint64_t k = row[v]; k < row[v + 1]; ++k) builder.Add(v);
+    }
+  }
+  CompressedRowIndex built = std::move(builder).Finish(n - 1);
+  CompressedRowIndex want = CompressedRowIndex::Compress(shifted);
+  EXPECT_EQ(built.uncompressed_length(), want.uncompressed_length());
+  EXPECT_TRUE(std::ranges::equal(built.runs(), want.runs()));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressedRowRandomTest,

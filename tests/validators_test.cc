@@ -96,10 +96,8 @@ TEST(CcsrLoaderTest, MutatedRunLengthRejected) {
   Ccsr gc = Ccsr::Build(g);
   std::string bytes = testing::CcsrV2Bytes(gc);
   // First run's count field of the first cluster's out-CSR.
-  const V2Header h = testing::ReadV2Header(bytes);
-  ASSERT_EQ(h.num_clusters, 1u);
-  V2DirEntry e;
-  std::memcpy(&e, bytes.data() + h.directory.offset, sizeof(e));
+  ASSERT_EQ(testing::ReadV2Header(bytes).num_clusters, 1u);
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
   size_t off = e.out_runs_offset + offsetof(RleRun, count);
   ASSERT_LT(off + 4, bytes.size());
   bytes[off] = static_cast<char>(bytes[off] + 1);
@@ -125,6 +123,98 @@ TEST(CcsrLoaderTest, LabelFlipCaughtByDeepValidation) {
   Status st = testing::LoadCcsrBytes(bytes, &back);
   EXPECT_FALSE(st.ok());
   EXPECT_NE(st.ToString().find("label"), std::string::npos);
+}
+
+// Damage to one cluster's row runs or columns, caught by the deep
+// validator's walk over the rows. Each graph below has exactly one
+// cluster, so directory entry 0 locates the damaged arrays.
+
+// Loads `bytes` and expects Corruption whose message contains `want`.
+void ExpectLoadCorruption(const std::string& bytes, const std::string& want) {
+  Ccsr back;
+  Status st = testing::LoadCcsrBytes(bytes, &back);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find(want), std::string::npos) << st.ToString();
+}
+
+uint64_t RunOffset(const V2DirEntry& e, size_t run) {
+  return e.out_runs_offset + run * sizeof(RleRun);
+}
+
+uint64_t ColOffset(const V2DirEntry& e, size_t col) {
+  return e.out_cols_offset + col * sizeof(VertexId);
+}
+
+TEST(CcsrLoaderTest, FinalRunValueNotColumnCountRejected) {
+  // Directed arc 0 -> 1: out runs {0 x1}, {1 x3} over |V|+1 = 4 entries.
+  Graph g = testing::MakeGraph(true, {0, 1, 2}, {Edge{0, 1, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out_runs_count, 2u);
+  testing::PokeBytes(&bytes, RunOffset(e, 1) + offsetof(RleRun, value),
+                     uint64_t{2});
+  ExpectLoadCorruption(bytes,
+                       "dir(0,1,NULL)-cluster outgoing: final row offset 2 "
+                       "!= column count 1");
+}
+
+TEST(CcsrLoaderTest, NonEmptyRowOnForeignLabelRejected) {
+  // Undirected edge {0, 1}; vertex 2 (label 2) has no arcs. Out runs
+  // {0 x1}, {1 x1}, {2 x2}; moving one entry from the last run to the
+  // middle one gives vertex 2 the row [1, 2) and leaves vertex 1 empty.
+  Graph g = testing::MakeGraph(false, {0, 1, 2}, {Edge{0, 1, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out_runs_count, 3u);
+  testing::PokeBytes(&bytes, RunOffset(e, 1) + offsetof(RleRun, count),
+                     uint32_t{2});
+  testing::PokeBytes(&bytes, RunOffset(e, 2) + offsetof(RleRun, count),
+                     uint32_t{1});
+  ExpectLoadCorruption(bytes,
+                       "outgoing: vertex 2 has label 2, not an endpoint "
+                       "label of the cluster");
+}
+
+TEST(CcsrLoaderTest, NeighborOutOfRangeRejected) {
+  Graph g = testing::MakeGraph(false, {0, 1}, {Edge{0, 1, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out_cols_count, 2u);
+  testing::PokeBytes(&bytes, ColOffset(e, 0), VertexId{2});  // == |V|
+  ExpectLoadCorruption(bytes,
+                       "outgoing: neighbor 2 of vertex 0 out of range");
+}
+
+TEST(CcsrLoaderTest, UnsortedNeighborsRejected) {
+  // Vertex 0's row is the columns [1, 2].
+  Graph g = testing::MakeGraph(false, {0, 1, 1},
+                               {Edge{0, 1, 0}, Edge{0, 2, 0}});
+  const std::string clean = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(clean, 0);
+  ASSERT_EQ(e.out_cols_count, 4u);
+  const std::string want =
+      "outgoing: neighbors of vertex 0 not sorted strictly increasing";
+  std::string duplicate = clean;  // [1, 1]
+  testing::PokeBytes(&duplicate, ColOffset(e, 1), VertexId{1});
+  ExpectLoadCorruption(duplicate, want);
+  std::string descending = clean;  // [2, 1]
+  testing::PokeBytes(&descending, ColOffset(e, 0), VertexId{2});
+  testing::PokeBytes(&descending, ColOffset(e, 1), VertexId{1});
+  ExpectLoadCorruption(descending, want);
+}
+
+TEST(CcsrLoaderTest, ArcLabelPairMismatchRejected) {
+  // Vertex 0's row [1, 2] becomes [1, 3]: still sorted and in range,
+  // but vertex 3 carries label 2, outside the cluster's pair {0, 1}.
+  Graph g = testing::MakeGraph(false, {0, 1, 1, 2},
+                               {Edge{0, 1, 0}, Edge{0, 2, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out_cols_count, 4u);
+  testing::PokeBytes(&bytes, ColOffset(e, 1), VertexId{3});
+  ExpectLoadCorruption(bytes,
+                       "outgoing: arc (0, 3) labels (0, 2) do not match "
+                       "the cluster id");
 }
 
 // ---------------------------------------------------------------------------
