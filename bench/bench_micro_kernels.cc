@@ -1,15 +1,20 @@
 // Micro-kernels (google-benchmark): the hot primitives behind the
 // engine — sorted-set intersection/difference, RLE codec, CSR neighbor
-// lookup in both layouts, and cluster lookup vs raw adjacency probing.
+// lookup in both layouts, per-query cluster decompression (Alg. 1 read),
+// and cluster lookup vs raw adjacency probing.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "ccsr/ccsr.h"
+#include "ccsr/cluster_cache.h"
 #include "ccsr/compressed_row.h"
 #include "ccsr/csr.h"
 #include "engine/candidates.h"
+#include "gen/datasets.h"
 #include "gen/random_graph.h"
 #include "graph/graph_builder.h"
 #include "util/rng.h"
@@ -144,6 +149,39 @@ void BM_CcsrBuild(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * g.NumEdges());
 }
 BENCHMARK(BM_CcsrBuild)->Range(1 << 14, 1 << 17);
+
+// One cluster read of Algorithm 1 (DecompressCluster) on Patent(20):
+// arg 1 = the largest cluster with a rank bitmap (dense layout), arg 0 =
+// the median-size cluster without one (sparse layout).
+void BM_DecompressCluster(benchmark::State& state) {
+  static const Ccsr gc = Ccsr::Build(datasets::Patent(20));
+  const bool dense = state.range(0) != 0;
+  std::vector<const CompressedCluster*> picked;
+  for (const CompressedCluster& c : gc.clusters()) {
+    if (CsrIndex::FromCompressed(c.out_rows, c.out_cols.span()).dense() ==
+        dense) {
+      picked.push_back(&c);
+    }
+  }
+  if (picked.empty()) {
+    state.SkipWithError("no cluster with this layout");
+    return;
+  }
+  std::sort(picked.begin(), picked.end(),
+            [](const CompressedCluster* a, const CompressedCluster* b) {
+              return a->num_edges < b->num_edges;
+            });
+  const CompressedCluster& cluster =
+      *(dense ? picked.back() : picked[picked.size() / 2]);
+  for (auto _ : state) {
+    std::shared_ptr<const ClusterView> view = DecompressCluster(cluster);
+    benchmark::DoNotOptimize(view.get());
+  }
+  state.counters["edges"] = static_cast<double>(cluster.num_edges);
+  state.counters["view_bytes"] =
+      static_cast<double>(DecompressCluster(cluster)->SizeBytes());
+}
+BENCHMARK(BM_DecompressCluster)->ArgName("dense")->Arg(1)->Arg(0);
 
 void BM_ClusterHasArcVsGraphHasEdge(benchmark::State& state) {
   LabelConfig labels;

@@ -70,47 +70,48 @@ Graph HeteroDupGraph(uint32_t copies) {
     const VertexId a0 = base, bg = base + 1, cg = base + 2, dg = base + 3,
                    eg = base + 4, c0 = base + 5, c1 = base + 6,
                    dy = base + 7;
-    edges.push_back({a0, bg});
-    edges.push_back({bg, cg});
-    edges.push_back({bg, dg});
-    edges.push_back({bg, eg});
-    edges.push_back({cg, dg});
-    edges.push_back({cg, eg});
-    edges.push_back({c0, dy});
-    edges.push_back({c1, dy});
+    edges.push_back({a0, bg, 0});
+    edges.push_back({bg, cg, 0});
+    edges.push_back({bg, dg, 0});
+    edges.push_back({bg, eg, 0});
+    edges.push_back({cg, dg, 0});
+    edges.push_back({cg, eg, 0});
+    edges.push_back({c0, dy, 0});
+    edges.push_back({c1, dy, 0});
     for (uint32_t i = 0; i < 8; ++i) {
       const VertexId dx = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kD);
-      edges.push_back({c0, dx});
-      edges.push_back({c1, dx});
+      edges.push_back({c0, dx, 0});
+      edges.push_back({c1, dx, 0});
     }
     for (uint32_t i = 0; i < 6; ++i) {
       const VertexId b = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kB);
-      edges.push_back({a0, b});
-      edges.push_back({b, c0});
-      edges.push_back({b, c1});
-      edges.push_back({b, dy});
+      edges.push_back({a0, b, 0});
+      edges.push_back({b, c0, 0});
+      edges.push_back({b, c1, 0});
+      edges.push_back({b, dy, 0});
     }
     for (uint32_t i = 0; i < 10; ++i) {
       const VertexId b = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kB);
       vlabels.push_back(kE);
-      edges.push_back({b, b + 1});
+      edges.push_back({b, b + 1, 0});
     }
     for (uint32_t i = 0; i < 25; ++i) {
       const VertexId c = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kC);
       vlabels.push_back(kE);
-      edges.push_back({c, c + 1});
+      edges.push_back({c, c + 1, 0});
     }
   }
   return testing::MakeGraph(false, vlabels, edges);
 }
 
 Graph HeteroDupPattern() {
-  return testing::MakeGraph(false, {kB, kC, kD, kE},
-                            {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}});
+  return testing::MakeGraph(
+      false, {kB, kC, kD, kE},
+      {{0, 1, 0}, {0, 2, 0}, {0, 3, 0}, {1, 2, 0}, {1, 3, 0}});
 }
 
 struct Totals {

@@ -755,17 +755,13 @@ size_t QueryClusters::DecompressedBytes() const {
 
 std::shared_ptr<const ClusterView> DecompressCluster(
     const CompressedCluster& cluster) {
-  // Mapped clusters keep their column arrays zero-copy: the view borrows
-  // the mmap'd payload (stable for the MmapCcsr's lifetime) instead of
-  // duplicating it on the heap.
-  const bool borrow = cluster.mapped();
+  // The view borrows the cluster's column arrays (heap or mmap'd)
+  // instead of copying them; only the row lookup is built here.
   CsrIndex fwd =
-      CsrIndex::FromCompressed(cluster.out_rows, cluster.out_cols.span(),
-                               borrow);
+      CsrIndex::FromCompressed(cluster.out_rows, cluster.out_cols.span());
   CsrIndex bwd;
   if (cluster.id.directed) {
-    bwd = CsrIndex::FromCompressed(cluster.in_rows, cluster.in_cols.span(),
-                                   borrow);
+    bwd = CsrIndex::FromCompressed(cluster.in_rows, cluster.in_cols.span());
   }
   return std::make_shared<const ClusterView>(cluster.id, cluster.num_edges,
                                              std::move(fwd), std::move(bwd));
@@ -778,6 +774,9 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
     return Status::InvalidArgument(
         "pattern and data graph directedness differ");
   }
+  // A reused QueryClusters would hand back views of whatever index it
+  // was filled from.
+  CSCE_DCHECK(out->views_.empty() && out->star_.empty());
   // Obtains the view of `cluster` (from the shared cache when given,
   // decompressing locally otherwise) and registers it in the result.
   auto ensure_view = [out, cache](const CompressedCluster& cluster) {

@@ -24,7 +24,8 @@ namespace csce {
 ///
 /// Runs and columns live in ArrayOrView storage: heap vectors for an
 /// in-memory (mutable) index, read-only spans into the mapping for a
-/// CCSR v2 artifact opened through MmapCcsr.
+/// CCSR v2 artifact opened through MmapCcsr. A ClusterView borrows the
+/// column arrays in both cases.
 struct CompressedCluster {
   ClusterId id;
   uint64_t num_edges = 0;  // cluster size == |I_C| of one CSR
@@ -32,10 +33,6 @@ struct CompressedCluster {
   ArrayOrView<VertexId> out_cols;
   CompressedRowIndex in_rows;          // directed clusters only
   ArrayOrView<VertexId> in_cols;       // directed clusters only
-
-  /// True when this cluster's arrays alias an mmap'd artifact (stable
-  /// storage a ClusterView may borrow instead of copying).
-  bool mapped() const { return out_cols.borrowed(); }
 
   size_t SizeBytes() const {
     return out_rows.SizeBytes() + out_cols.size() * sizeof(VertexId) +
@@ -56,7 +53,10 @@ class CcsrPager {
   virtual void AdviseDone() const = 0;
 };
 
-/// A decompressed, query-ready cluster.
+/// A decompressed, query-ready cluster. It owns its row lookup but
+/// borrows the cluster's column arrays, so it is valid only while the
+/// Ccsr it was read from lives unmodified: InsertEdges/RemoveEdges (and
+/// destroying or reassigning the Ccsr) invalidate every view of it.
 class ClusterView {
  public:
   ClusterView(ClusterId id, uint64_t num_edges, CsrIndex out, CsrIndex in)
@@ -236,6 +236,8 @@ class Ccsr {
 class ClusterCache;
 
 /// G_C^*: the decompressed clusters one query needs (Algorithm 1).
+/// Valid while the Ccsr it was read from lives unmodified (see
+/// ClusterView); each query reads into a fresh one.
 class QueryClusters {
  public:
   /// nullptr means the cluster is empty: no data edge can match.
@@ -267,6 +269,8 @@ class QueryClusters {
 /// to match `pattern` under `variant`. For vertex-induced matching this
 /// additionally loads the negation clusters between not-fully-connected
 /// pattern vertex pairs. Requires pattern.directed() == gc.directed().
+/// `out` must be empty (a fresh QueryClusters): views already in it
+/// would be reused as they are, whatever index they came from.
 Status ReadClusters(const Ccsr& gc, const Graph& pattern, MatchVariant variant,
                     QueryClusters* out);
 

@@ -23,9 +23,11 @@ namespace csce {
 /// in-flight queries of a QueryRuntime session may share one cache.
 /// The ClusterViews handed out are immutable and individually
 /// shared_ptr-owned, hence safe to read from any number of threads and
-/// to keep across a concurrent Clear(). The underlying Ccsr must not
-/// be mutated (InsertEdges/RemoveEdges) while queries are in flight —
-/// the index itself is not synchronized, only this cache is.
+/// to keep across a concurrent Clear(). They borrow the Ccsr's column
+/// arrays, so the underlying Ccsr must not be mutated
+/// (InsertEdges/RemoveEdges) while queries are in flight or views of it
+/// are held — the index itself is not synchronized, only this cache
+/// is. After a mutation, Clear() the cache and drop every old view.
 class ClusterCache {
  public:
   /// `gc` must outlive the cache and every QueryClusters served by it.
@@ -52,7 +54,8 @@ class ClusterCache {
 
   /// Drops all cached views (e.g. after Ccsr::InsertEdges /
   /// RemoveEdges invalidated the underlying clusters). Views still
-  /// co-owned by live QueryClusters stay valid.
+  /// co-owned by live QueryClusters stay valid while the Ccsr lives
+  /// unmodified.
   void Clear() CSCE_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     views_.clear();
@@ -75,11 +78,13 @@ class ClusterCache {
 /// Algorithm 1 backed by the shared cache: like ReadClusters but views
 /// already decompressed by earlier queries are reused. The returned
 /// QueryClusters co-owns its views, so it stays valid even if the cache
-/// is cleared afterwards.
+/// is cleared afterwards, while the Ccsr lives unmodified. `out` must be
+/// empty, as for ReadClusters.
 Status ReadClustersCached(ClusterCache& cache, const Graph& pattern,
                           MatchVariant variant, QueryClusters* out);
 
-/// Decompresses one cluster into a standalone view.
+/// Decompresses one cluster into a view that borrows its columns: the
+/// row lookup costs O(#runs), the columns are not copied.
 std::shared_ptr<const ClusterView> DecompressCluster(
     const CompressedCluster& cluster);
 

@@ -25,8 +25,9 @@ EmbeddingVerifier::EmbeddingVerifier(const Ccsr& data, const Graph& pattern,
   CSCE_CHECK(pattern.directed() == data.directed())
       << "pattern and data directedness differ";
 
-  // Every pattern edge's cluster, decompressed privately (copies the
-  // column arrays on purpose — no shared state with query caches).
+  // Every pattern edge's cluster, decompressed privately: the row
+  // lookup is built here, not taken from any query view or cache; the
+  // columns are the CCSR's own immutable arrays.
   pattern_.ForEachEdge([&](const Edge& e) {
     ClusterId id = ClusterId::ForPatternEdge(pattern_, e);
     auto it = edge_views_.find(id);
@@ -35,8 +36,7 @@ EmbeddingVerifier::EmbeddingVerifier(const Ccsr& data, const Graph& pattern,
       if (c != nullptr) {
         it = edge_views_
                  .emplace(id, CsrIndex::FromCompressed(c->out_rows,
-                                                       c->out_cols.span(),
-                                                       /*borrow=*/false))
+                                                       c->out_cols.span()))
                  .first;
       } else {
         it = edge_views_.emplace(id, CsrIndex{}).first;
@@ -59,8 +59,7 @@ EmbeddingVerifier::EmbeddingVerifier(const Ccsr& data, const Graph& pattern,
       if (c->num_edges == 0) continue;
       views.push_back(StarView{
           c->id.src_label, c->id.dst_label, c->id.directed,
-          CsrIndex::FromCompressed(c->out_rows, c->out_cols.span(),
-                                   /*borrow=*/false)});
+          CsrIndex::FromCompressed(c->out_rows, c->out_cols.span())});
     }
   };
   for (VertexId u = 0; u < n; ++u) {

@@ -351,6 +351,11 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
   // state (worse under mmap: ccsr_ could borrow a dropped mapping).
   loaded_ = false;
   query_active_ = false;
+  // The previous query's executors and views borrow ccsr_'s arrays (or
+  // the mapping behind them): drop them before the index goes.
+  routers_.clear();
+  qc_ = QueryClusters();
+  cache_.Clear();
 
   mmap_.reset();  // drop any previous out-of-core mapping
   if (req.inline_payload) {
@@ -409,7 +414,9 @@ Status ShardWorker::HandlePlan(const wire::PlanRequest& req) {
   if (ccsr_.mapped()) {
     ccsr_.AdviseQueryClusters(PlanClusterSchedule(ccsr_, plan_));
   }
-  CSCE_RETURN_IF_ERROR(ReadClusters(ccsr_, pattern_, req.variant, &qc_));
+  qc_ = QueryClusters();  // each query reads into a fresh one
+  CSCE_RETURN_IF_ERROR(
+      ReadClustersCached(cache_, pattern_, req.variant, &qc_));
 
   // Owned root candidates: the probe computes the full root set against
   // the shard CCSR with the plan's passes. Labels are global and owned

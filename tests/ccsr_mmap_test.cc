@@ -184,7 +184,9 @@ TEST_F(CcsrMmapTest, MappedViewRefusesMutationUntilOwned) {
   Status st = view.InsertEdges({{0, 1, 0}});
   EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument)
       << st.ToString();
-  if (st.ok()) EXPECT_GE(view.NumEdges(), before);
+  if (st.ok()) {
+    EXPECT_GE(view.NumEdges(), before);
+  }
 }
 
 TEST_F(CcsrMmapTest, DirectoryByteSurgeryTripsCrc) {

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "ccsr/compressed_row.h"
@@ -113,6 +114,34 @@ TEST(CcsrTest, PaperFig4ClusterContents) {
   EXPECT_EQ(view->In(1)[0], 0u);
   EXPECT_TRUE(view->HasArc(2, 3));
   EXPECT_FALSE(view->HasArc(3, 2));
+}
+
+TEST(CcsrTest, InMemoryViewsAliasClusterColumns) {
+  // Same graph as Fig. 4: a view of an in-memory index borrows the
+  // cluster's column arrays instead of copying them.
+  Graph g = MakeGraph(true, {1, 2, 1, 2, 2},
+                      {{0, 1, 0}, {0, 4, 0}, {2, 3, 0}});
+  Ccsr gc = Ccsr::Build(g);
+  QueryClusters qc;
+  Graph pattern = MakeGraph(true, {1, 2}, {{0, 1, 0}});
+  ASSERT_TRUE(
+      ReadClusters(gc, pattern, MatchVariant::kEdgeInduced, &qc).ok());
+  const ClusterId id = ClusterId::Directed(1, 2, 0);
+  const CompressedCluster* cluster = gc.Find(id);
+  const ClusterView* view = qc.Find(id);
+  ASSERT_NE(cluster, nullptr);
+  ASSERT_NE(view, nullptr);
+  auto inside = [](std::span<const VertexId> row,
+                   std::span<const VertexId> cols) {
+    return !row.empty() && row.data() >= cols.data() &&
+           row.data() + row.size() <= cols.data() + cols.size();
+  };
+  for (VertexId v : {0u, 2u}) {
+    EXPECT_TRUE(inside(view->Out(v), cluster->out_cols.span())) << v;
+  }
+  for (VertexId v : {1u, 3u, 4u}) {
+    EXPECT_TRUE(inside(view->In(v), cluster->in_cols.span())) << v;
+  }
 }
 
 TEST(ReadClustersTest, LoadsOnlyPatternEdgeClusters) {

@@ -4,7 +4,10 @@
 
 #include <algorithm>
 #include <set>
+#include <span>
+#include <tuple>
 
+#include "ccsr/compressed_row.h"
 #include "util/rng.h"
 
 namespace csce {
@@ -97,6 +100,84 @@ TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrLayoutAgreementTest,
                          ::testing::Range<uint64_t>(0, 25));
+
+// Layout property test: on vertex counts that are not multiples of 64,
+// at fills above and below the rank-bitmap threshold, every lookup of a
+// CsrIndex over borrowed columns equals the standard row array that
+// CompressedRowIndex::Decompress() rebuilds. The word-boundary vertices
+// 0, 63, 64, 127 and |V|-1 get arcs in one half of the cases and none
+// in the other.
+struct LayoutCase {
+  uint32_t n;
+  double fill;         // probability that a vertex has arcs
+  bool edges_on_ends;  // word-boundary vertices with (true) or without arcs
+  bool dense;          // the layout the fill must select
+};
+
+class CsrLayoutPropertyTest
+    : public ::testing::TestWithParam<std::tuple<uint64_t, LayoutCase>> {};
+
+TEST_P(CsrLayoutPropertyTest, LookupsEqualDecompressedRows) {
+  const auto& [seed, c] = GetParam();
+  Rng rng(seed * 7919 + c.n);
+  const std::vector<VertexId> ends = {0, 63, 64, 127, c.n - 1};
+  std::vector<Edge> arcs;
+  for (VertexId v = 0; v < c.n; ++v) {
+    const bool end = std::find(ends.begin(), ends.end(), v) != ends.end();
+    if (end ? !c.edges_on_ends : !rng.Bernoulli(c.fill)) continue;
+    std::set<VertexId> dsts;
+    const uint64_t degree = 1 + rng.Uniform(5);
+    while (dsts.size() < degree) {
+      dsts.insert(static_cast<VertexId>(rng.Uniform(c.n)));
+    }
+    for (VertexId w : dsts) arcs.push_back({v, w, 0});
+  }
+  CompressedRowBuilder builder;
+  std::vector<VertexId> cols;
+  for (const Edge& e : arcs) {
+    builder.Add(e.src);
+    cols.push_back(e.dst);
+  }
+  const CompressedRowIndex rows = std::move(builder).Finish(c.n);
+  const CsrIndex csr = CsrIndex::FromCompressed(rows, std::span(cols));
+
+  const std::vector<uint64_t> row = rows.Decompress();
+  ASSERT_EQ(row.size(), c.n + 1u);
+  std::vector<VertexId> non_empty;
+  size_t max_len = 0;
+  for (VertexId v = 0; v < c.n; ++v) {
+    const std::span<const VertexId> want(cols.data() + row[v],
+                                         cols.data() + row[v + 1]);
+    const std::span<const VertexId> got = csr.Neighbors(v);
+    ASSERT_TRUE(std::ranges::equal(got, want)) << "v=" << v;
+    if (!want.empty()) {
+      // Borrowed: the row is the caller's column storage itself.
+      EXPECT_EQ(got.data(), want.data()) << "v=" << v;
+      non_empty.push_back(v);
+    }
+    max_len = std::max(max_len, want.size());
+  }
+  for (VertexId v : {c.n, c.n + 1, c.n + 64, ~VertexId{0}}) {
+    EXPECT_TRUE(csr.Neighbors(v).empty()) << "v=" << v;
+  }
+  EXPECT_EQ(csr.MaxRowLength(), max_len);
+  EXPECT_TRUE(std::ranges::equal(csr.NonEmptySpan(), non_empty));
+  EXPECT_EQ(csr.NumArcs(), arcs.size());
+  EXPECT_EQ(csr.dense(), c.dense) << non_empty.size() << " of " << c.n;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fills, CsrLayoutPropertyTest,
+    ::testing::Combine(
+        ::testing::Range<uint64_t>(0, 4),
+        // Fills sit far from the 1/16 threshold on either side.
+        ::testing::Values(LayoutCase{130, 0.5, true, true},
+                          LayoutCase{130, 0.5, false, true},
+                          LayoutCase{130, 0.0, true, false},
+                          LayoutCase{1000, 0.2, false, true},
+                          LayoutCase{1000, 0.01, true, false},
+                          LayoutCase{4099, 0.15, true, true},
+                          LayoutCase{4099, 0.005, false, false})));
 
 }  // namespace
 }  // namespace csce

@@ -230,21 +230,21 @@ Graph PruneStarCopies(uint32_t copies) {
     const VertexId base = static_cast<VertexId>(vlabels.size());
     // a, c, c', d, b_good
     vlabels.insert(vlabels.end(), {kLA, kLC, kLC, kLD, kLB});
-    edges.push_back({base + 4, base + 0});
-    edges.push_back({base + 4, base + 1});
-    edges.push_back({base + 4, base + 3});
+    edges.push_back({base + 4, base + 0, 0});
+    edges.push_back({base + 4, base + 1, 0});
+    edges.push_back({base + 4, base + 3, 0});
     for (uint32_t i = 0; i < 6; ++i) {
       const VertexId b = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kLB);
-      edges.push_back({b, base + 0});
-      edges.push_back({b, base + 1});
-      edges.push_back({b, base + 2});
+      edges.push_back({b, base + 0, 0});
+      edges.push_back({b, base + 1, 0});
+      edges.push_back({b, base + 2, 0});
     }
     for (uint32_t i = 0; i < 10; ++i) {
       const VertexId b = static_cast<VertexId>(vlabels.size());
       vlabels.push_back(kLB);
       vlabels.push_back(kLD);
-      edges.push_back({b, b + 1});
+      edges.push_back({b, b + 1, 0});
     }
   }
   return testing::MakeGraph(false, vlabels, edges);
@@ -264,21 +264,21 @@ Graph PruneHubCopies(uint32_t copies) {
     const VertexId base = static_cast<VertexId>(vlabels.size());
     // a0, b0, c0, d0, e0, hub a1, d1
     vlabels.insert(vlabels.end(), {kLA, kLB, kLC, kLD, kLE, kLA, kLD});
-    edges.push_back({base + 0, base + 1});
-    edges.push_back({base + 0, base + 2});
-    edges.push_back({base + 1, base + 2});
-    edges.push_back({base + 0, base + 3});
-    edges.push_back({base + 3, base + 4});
-    edges.push_back({base + 5, base + 6});
+    edges.push_back({base + 0, base + 1, 0});
+    edges.push_back({base + 0, base + 2, 0});
+    edges.push_back({base + 1, base + 2, 0});
+    edges.push_back({base + 0, base + 3, 0});
+    edges.push_back({base + 3, base + 4, 0});
+    edges.push_back({base + 5, base + 6, 0});
     const VertexId first_b = static_cast<VertexId>(vlabels.size());
     for (uint32_t i = 0; i < 6; ++i) vlabels.push_back(kLB);
     const VertexId first_c = static_cast<VertexId>(vlabels.size());
     for (uint32_t i = 0; i < 6; ++i) vlabels.push_back(kLC);
     for (uint32_t i = 0; i < 6; ++i) {
-      edges.push_back({base + 5, first_b + i});
-      edges.push_back({base + 5, first_c + i});
+      edges.push_back({base + 5, first_b + i, 0});
+      edges.push_back({base + 5, first_c + i, 0});
       for (uint32_t j = 0; j < 6; ++j) {
-        edges.push_back({first_b + i, first_c + j});
+        edges.push_back({first_b + i, first_c + j, 0});
       }
     }
     // Junk A-D and D-E pairs keep the pendant's clusters large, so the
@@ -286,8 +286,8 @@ Graph PruneHubCopies(uint32_t copies) {
     for (uint32_t i = 0; i < 10; ++i) {
       const VertexId a = static_cast<VertexId>(vlabels.size());
       vlabels.insert(vlabels.end(), {kLA, kLD, kLD, kLE});
-      edges.push_back({a, a + 1});
-      edges.push_back({a + 2, a + 3});
+      edges.push_back({a, a + 1, 0});
+      edges.push_back({a + 2, a + 3, 0});
     }
   }
   return testing::MakeGraph(false, vlabels, edges);
@@ -303,14 +303,14 @@ MetricsSnapshot RunPruneWorkload(uint32_t threads, PruneOptions prune) {
 
   Ccsr star = Ccsr::Build(PruneStarCopies(8));
   Graph star_pattern = testing::MakeGraph(false, {kLA, kLB, kLC, kLD},
-                                          {{0, 1}, {1, 2}, {1, 3}});
+                                          {{0, 1, 0}, {1, 2, 0}, {1, 3, 0}});
   MatchResult result;
   CSCE_CHECK(CsceMatcher(&star).Match(star_pattern, options, &result).ok());
 
   Ccsr hub = Ccsr::Build(PruneHubCopies(8));
-  Graph hub_pattern =
-      testing::MakeGraph(false, {kLA, kLB, kLC, kLD, kLE},
-                         {{0, 1}, {1, 2}, {0, 2}, {0, 3}, {3, 4}});
+  Graph hub_pattern = testing::MakeGraph(
+      false, {kLA, kLB, kLC, kLD, kLE},
+      {{0, 1, 0}, {1, 2, 0}, {0, 2, 0}, {0, 3, 0}, {3, 4, 0}});
   CSCE_CHECK(CsceMatcher(&hub).Match(hub_pattern, options, &result).ok());
 
   return MetricRegistry::Global().Snapshot();

@@ -387,17 +387,17 @@ constexpr uint32_t kDecoys = 6;
 
 Graph DecoyTriangleGraph() {
   std::vector<Label> vlabels = {kA, kB, kC, kD};  // a0, b_good, c_good, x
-  std::vector<Edge> edges = {{0, 1}, {0, 2}, {1, 2}};
+  std::vector<Edge> edges = {{0, 1, 0}, {0, 2, 0}, {1, 2, 0}};
   for (uint32_t i = 0; i < kDecoys; ++i) {
     const VertexId b = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kB);
-    edges.push_back({0, b});  // a0 - decoy
-    edges.push_back({b, 3});  // decoy - x
+    edges.push_back({0, b, 0});  // a0 - decoy
+    edges.push_back({b, 3, 0});  // decoy - x
   }
   for (uint32_t i = 0; i < kDecoys; ++i) {
     const VertexId c = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kC);  // filler: keeps C common, matches nothing
-    edges.push_back({c, 3});
+    edges.push_back({c, 3, 0});
   }
   Graph g = csce::testing::MakeGraph(false, vlabels, edges);
   return g;
@@ -405,7 +405,7 @@ Graph DecoyTriangleGraph() {
 
 Graph TrianglePattern() {
   return csce::testing::MakeGraph(false, {kA, kB, kC},
-                                  {{0, 1}, {1, 2}, {0, 2}});
+                                  {{0, 1, 0}, {1, 2, 0}, {0, 2, 0}});
 }
 
 // Star-pattern workload for the lpi firing test. The pattern is
@@ -421,28 +421,28 @@ constexpr uint32_t kJunkPairs = 10;
 Graph StarDecoyGraph() {
   // a0=0 (A), c0=1, c1=2 (C), d0=3 (D), b_good=4 (B).
   std::vector<Label> vlabels = {kA, kC, kC, kD, kB};
-  std::vector<Edge> edges = {{4, 0}, {4, 1}, {4, 3}};
+  std::vector<Edge> edges = {{4, 0, 0}, {4, 1, 0}, {4, 3, 0}};
   for (uint32_t i = 0; i < kDecoys; ++i) {
     const VertexId b = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kB);
     // Degree 3 (the LDF keeps them), no D neighbor (their subtrees
     // are empty).
-    edges.push_back({b, 0});
-    edges.push_back({b, 1});
-    edges.push_back({b, 2});
+    edges.push_back({b, 0, 0});
+    edges.push_back({b, 1, 0});
+    edges.push_back({b, 2, 0});
   }
   for (uint32_t i = 0; i < kJunkPairs; ++i) {
     const VertexId b = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kB);
     vlabels.push_back(kD);
-    edges.push_back({b, b + 1});
+    edges.push_back({b, b + 1, 0});
   }
   return csce::testing::MakeGraph(false, vlabels, edges);
 }
 
 Graph StarPattern() {
   return csce::testing::MakeGraph(false, {kA, kB, kC, kD},
-                                  {{0, 1}, {1, 2}, {1, 3}});
+                                  {{0, 1, 0}, {1, 2, 0}, {1, 3, 0}});
 }
 
 // Backjumping workload: triangle A-B-C plus a pendant D on A. Hub
@@ -459,30 +459,30 @@ constexpr uint32_t kBlock = 6;
 Graph HubPendantGraph() {
   // a0=0 (A), b0=1 (B), c0=2 (C), d0=3 (D), a1=4 (A).
   std::vector<Label> vlabels = {kA, kB, kC, kD, kA};
-  std::vector<Edge> edges = {{0, 1}, {0, 2}, {1, 2}, {0, 3}};
+  std::vector<Edge> edges = {{0, 1, 0}, {0, 2, 0}, {1, 2, 0}, {0, 3, 0}};
   const VertexId first_b = static_cast<VertexId>(vlabels.size());
   for (uint32_t i = 0; i < kBlock; ++i) vlabels.push_back(kB);
   const VertexId first_c = static_cast<VertexId>(vlabels.size());
   for (uint32_t i = 0; i < kBlock; ++i) vlabels.push_back(kC);
   for (uint32_t i = 0; i < kBlock; ++i) {
-    edges.push_back({4, first_b + i});
-    edges.push_back({4, first_c + i});
+    edges.push_back({4, first_b + i, 0});
+    edges.push_back({4, first_c + i, 0});
     for (uint32_t j = 0; j < kBlock; ++j) {
-      edges.push_back({first_b + i, first_c + j});
+      edges.push_back({first_b + i, first_c + j, 0});
     }
   }
   for (uint32_t i = 0; i < kJunkPairs; ++i) {
     const VertexId a = static_cast<VertexId>(vlabels.size());
     vlabels.push_back(kA);
     vlabels.push_back(kD);
-    edges.push_back({a, a + 1});
+    edges.push_back({a, a + 1, 0});
   }
   return csce::testing::MakeGraph(false, vlabels, edges);
 }
 
 Graph TriPendantPattern() {
   return csce::testing::MakeGraph(false, {kA, kB, kC, kD},
-                                  {{0, 1}, {1, 2}, {0, 2}, {0, 3}});
+                                  {{0, 1, 0}, {1, 2, 0}, {0, 2, 0}, {0, 3, 0}});
 }
 
 class PruneFiringTest : public ::testing::Test {
@@ -637,7 +637,9 @@ TEST(PrunePlanTest, MasksOmitBitsTheCandidateSourceImplies) {
           auto [out, in] = ImpliedBits(plan, pos, data.directed());
           EXPECT_EQ(pos.lpi_req_out & out, 0u);
           EXPECT_EQ(pos.lpi_req_in & in, 0u);
-          if (!data.directed()) EXPECT_EQ(pos.lpi_req_in, 0u);
+          if (!data.directed()) {
+            EXPECT_EQ(pos.lpi_req_in, 0u);
+          }
         }
         MatchSnapshot want =
             RunMatch(index, pattern, variant, NoPruneOptions(), 1);

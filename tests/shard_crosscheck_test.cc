@@ -203,6 +203,53 @@ TEST_F(ShardCrosscheckTest, DisconnectedPatternUsesBroadcastPath) {
   }
 }
 
+// A re-LOAD replaces every worker's index: the next query must read
+// fresh cluster views, not reuse the previous load's (which point into
+// the dropped index). The second load partitions differently, so a
+// stale view also shows up as wrong embeddings, not only under ASan.
+TEST_F(ShardCrosscheckTest, ReloadInlineDropsOldClusterViews) {
+  Rng rng(83);
+  Graph pattern;
+  ASSERT_TRUE(
+      SamplePattern(*data_, 5, PatternDensity::kDense, rng, &pattern).ok());
+  Baseline want = SingleNode(*index_, pattern, MatchVariant::kEdgeInduced);
+  ASSERT_GE(want.embeddings, 1u);
+
+  std::unique_ptr<InProcessCluster> cluster;
+  ASSERT_TRUE(InProcessCluster::Create(*data_, index_, 2,
+                                       PartitionStrategy::kHash, 1, &cluster)
+                  .ok());
+  CoordinatorOptions options;
+  options.collect_embeddings = true;
+  options.self_check = true;
+  for (PartitionStrategy strategy :
+       {PartitionStrategy::kHash, PartitionStrategy::kLabelAware}) {
+    SCOPED_TRACE(::testing::Message()
+                 << "strategy=" << static_cast<int>(strategy));
+    if (strategy != PartitionStrategy::kHash) {
+      ShardPlanOptions popts;
+      popts.num_shards = 2;
+      popts.strategy = strategy;
+      ShardPlan plan = ShardPlan::Build(*data_, popts);
+      std::vector<Graph> shard_graphs(2);
+      for (uint32_t s = 0; s < 2; ++s) {
+        ASSERT_TRUE(plan.ExtractShard(*data_, s, &shard_graphs[s]).ok());
+      }
+      ASSERT_TRUE(cluster->coordinator()
+                      .LoadInline(plan.owners(), std::move(shard_graphs),
+                                  /*threads_per_worker=*/1)
+                      .ok());
+    }
+    ShardResult result;
+    Status st = cluster->coordinator().Execute(pattern, options, &result);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(result.embeddings, want.embeddings);
+    EXPECT_EQ(result.embeddings_verified, want.embeddings);
+    EXPECT_EQ(SortedRows(result.embedding_data, result.embedding_width),
+              want.rows);
+  }
+}
+
 TEST_F(ShardCrosscheckTest, WorkerMetricsDocumentsParse) {
   std::unique_ptr<InProcessCluster> cluster;
   ASSERT_TRUE(InProcessCluster::Create(*data_, index_, 2,

@@ -1,6 +1,7 @@
 #include "model.h"
 
 #include <algorithm>
+#include <utility>
 
 namespace csce_lint {
 namespace {
@@ -396,7 +397,12 @@ size_t SourceModel::Intern(const std::string& cls, const std::string& name,
   for (auto it = range.first; it != range.second; ++it) {
     if (functions[it->second].cls == cls) return it->second;
   }
-  functions.push_back({name, cls, file, line});
+  FunctionInfo fn;
+  fn.name = name;
+  fn.cls = cls;
+  fn.file = file;
+  fn.line = line;
+  functions.push_back(std::move(fn));
   by_name.emplace(name, functions.size() - 1);
   return functions.size() - 1;
 }
