@@ -247,6 +247,8 @@ class QueryClusters {
   const std::vector<const ClusterView*>& Star(Label a, Label b) const;
 
   size_t NumViews() const { return views_.size(); }
+  /// Bytes the reads allocated: the views' row lookups (their columns
+  /// are borrowed from the Ccsr; see CsrIndex::SizeBytes).
   size_t DecompressedBytes() const;
 
  private:

@@ -88,13 +88,15 @@ class CsrIndex {
   /// scratch buffers from it.
   size_t MaxRowLength() const { return max_row_length_; }
 
-  /// Approximate working-set footprint in bytes (borrowed columns count
-  /// too: the pages are resident while a query walks them).
+  /// Bytes this index allocated: the row-lookup arrays, plus the
+  /// columns only when it owns them (FromArcs). Borrowed columns belong
+  /// to the Ccsr and are not counted.
   size_t SizeBytes() const {
     return vertices_.size() * sizeof(VertexId) +
            offsets_.size() * sizeof(uint64_t) +
            words_.size() * sizeof(uint64_t) +
-           rank_.size() * sizeof(uint32_t) + cols_.size() * sizeof(VertexId);
+           rank_.size() * sizeof(uint32_t) +
+           (cols_.borrowed() ? 0 : cols_.size() * sizeof(VertexId));
   }
 
  private:

@@ -168,7 +168,6 @@ Status Executor::Prepare(const ExecOptions& options) {
   // case now, so ComputeCandidates never grows anything.
   size_t max_bound = 0;
   size_t max_lists = 0;
-  size_t max_removals = 0;
   for (uint32_t j = 0; j < n; ++j) {
     cand_bound_[j] = CandidateBound(gc_, qc_, plan_.positions[j]);
     max_bound = std::max(max_bound, cand_bound_[j]);
@@ -178,9 +177,6 @@ Status Executor::Prepare(const ExecOptions& options) {
     if (edges_[j].size() >= 2) {
       temp_[j].Reserve(cand_bound_[j] + setops::kOutPad);
     }
-    size_t removals = 0;
-    for (const ResolvedNegation& rn : negs_[j]) removals += rn.removals.size();
-    max_removals = std::max(max_removals, removals);
   }
   for (uint32_t j = 0; j < n; ++j) {
     // Reserve only grows, so a shared (NEC-aliased) slot ends up sized
@@ -196,17 +192,12 @@ Status Executor::Prepare(const ExecOptions& options) {
   // --- Proactive pruning state (engine/prune/) ----------------------
   fs_words_ = static_cast<uint32_t>((n + 63) / 64);
   if (prune_.fs) {
-    BuildAncestorSets();
+    BuildBaseSets();
+    neg_record_.assign(n * fs_words_, 0);
     fs_.assign(n * fs_words_, 0);
   }
   lists_.clear();
   lists_.reserve(max_lists);
-  neg_lists_.clear();
-  neg_lists_.reserve(max_removals);
-  if (max_removals > 0) {
-    neg_marks_.Resize(gc_.NumVertices());
-    neg_marks_.Reset();
-  }
   if (options.verify_sce) {
     sce_oracle_scratch_.Reserve(max_bound + setops::kOutPad);
   }
@@ -230,28 +221,31 @@ bool Executor::CheckDeadline() {
   return true;
 }
 
-void Executor::BuildAncestorSets() {
+void Executor::BuildBaseSets() {
   const uint32_t n = static_cast<uint32_t>(plan_.positions.size());
-  anc_.assign(static_cast<size_t>(n) * fs_words_, 0);
+  base_.assign(static_cast<size_t>(n) * fs_words_, 0);
   for (uint32_t j = 0; j < n; ++j) {
-    uint64_t* anc = &anc_[j * fs_words_];
-    anc[j / 64] |= uint64_t{1} << (j % 64);
-    // Every direct ancestor is an earlier position, whose set is final:
-    // OR-ing it in closes anc(j) transitively.
-    auto add = [&](uint32_t d) {
-      for (uint32_t w = 0; w < fs_words_; ++w) anc[w] |= Anc(d)[w];
-    };
-    for (uint32_t d : plan_.positions[j].deps) add(d);
-    // An NEC-aliased position reuses its slot owner's cached set while
-    // the owner's dependencies are unchanged.
-    for (uint32_t d : plan_.positions[cache_slot_[j]].deps) add(d);
-    for (const Restriction& r : restrictions_[j]) add(r.other_pos);
+    uint64_t* base = &base_[j * fs_words_];
+    auto add = [&](uint32_t p) { base[p / 64] |= uint64_t{1} << (p % 64); };
+    add(j);
+    for (const ResolvedEdge& e : edges_[j]) add(e.pos);
+    // An NEC-aliased position may reuse a set its slot owner computed:
+    // that set is a function of the owner's dependencies, and equals
+    // j's own only while j's dependencies agree too.
+    if (cache_slot_[j] != j) {
+      for (uint32_t d : plan_.positions[j].deps) add(d);
+      for (uint32_t d : plan_.positions[cache_slot_[j]].deps) add(d);
+    }
   }
 }
 
 void Executor::FsUnion(uint32_t depth, const uint64_t* set) {
   uint64_t* fs = FailingSet(depth);
   for (uint32_t w = 0; w < fs_words_; ++w) fs[w] |= set[w];
+}
+
+void Executor::FsAdd(uint32_t depth, uint32_t pos) {
+  FailingSet(depth)[pos / 64] |= uint64_t{1} << (pos % 64);
 }
 
 const Executor::Restriction* Executor::FailedRestriction(uint32_t depth,
@@ -263,10 +257,14 @@ const Executor::Restriction* Executor::FailedRestriction(uint32_t depth,
   return nullptr;
 }
 
-void Executor::ComputeCandidates(uint32_t depth,
-                                 setops::VertexScratch* out) {
+void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
+                                 uint64_t* neg_record) {
   ++stats_.candidate_sets_computed;
   out->clear();
+  // Cleared before any early return: a stale record is history, and
+  // history would make the failing sets depend on the compute/reuse
+  // split (and so on the thread count).
+  if (neg_record != nullptr) std::fill_n(neg_record, fs_words_, 0);
   const PlanPosition& pos = plan_.positions[depth];
   // Normally a no-op compare: Prepare reserved this bound. Growing here
   // trips the VertexScratch hot-growth counter the allocation test
@@ -351,31 +349,22 @@ void Executor::ComputeCandidates(uint32_t depth,
   }
 
   // Vertex-induced negation: subtract the data-neighbors of every
-  // earlier non-neighbor mapping.
-  if (!negs_[depth].empty() && !out->empty()) {
-    neg_lists_.clear();
-    size_t total_removals = 0;
-    for (const ResolvedNegation& rn : negs_[depth]) {
-      VertexId w = mapping_by_pos_[rn.pos];
-      for (const auto& [view, use_out] : rn.removals) {
-        std::span<const VertexId> list = use_out ? view->Out(w) : view->In(w);
-        if (!list.empty()) {
-          neg_lists_.push_back(list);
-          total_removals += list.size();
-        }
-      }
-    }
-    if (setops::UseBitmapDifference(out->size(), neg_lists_.size(),
-                                    total_removals)) {
-      // Dense path: mark all removal lists once, filter in one pass.
-      out->set_size(setops::DifferenceManyBitmap(out->data(), out->size(),
-                                                 neg_lists_, &neg_marks_));
-    } else {
-      for (std::span<const VertexId> list : neg_lists_) {
-        // Difference is in-place safe (writes trail reads).
+  // earlier non-neighbor mapping, recording the positions whose list
+  // removed at least one candidate (see NegRecord).
+  for (const ResolvedNegation& rn : negs_[depth]) {
+    if (out->empty()) break;
+    const VertexId w = mapping_by_pos_[rn.pos];
+    const size_t before = out->size();
+    for (const auto& [view, use_out] : rn.removals) {
+      std::span<const VertexId> list = use_out ? view->Out(w) : view->In(w);
+      // Difference is in-place safe (writes trail reads).
+      if (!list.empty()) {
         out->set_size(setops::Difference(out->span(), list, out->data()));
-        if (out->empty()) break;
       }
+      if (out->empty()) break;
+    }
+    if (neg_record != nullptr && out->size() != before) {
+      neg_record[rn.pos / 64] |= uint64_t{1} << (rn.pos % 64);
     }
   }
 
@@ -401,7 +390,7 @@ std::span<const VertexId> Executor::Candidates(uint32_t depth) {
       // which NEC guarantees equals the slot owner's.
       const uint64_t removed = stats_.prune_candidates_removed;
       const uint64_t intersected = stats_.intersect_elements;
-      ComputeCandidates(depth, &sce_oracle_scratch_);
+      ComputeCandidates(depth, &sce_oracle_scratch_, /*neg_record=*/nullptr);
       --stats_.candidate_sets_computed;  // oracle work, not engine work
       stats_.prune_candidates_removed = removed;
       stats_.intersect_elements = intersected;
@@ -412,7 +401,8 @@ std::span<const VertexId> Executor::Candidates(uint32_t depth) {
     }
     return cache.candidates.span();
   }
-  ComputeCandidates(depth, &cache.candidates);
+  ComputeCandidates(depth, &cache.candidates,
+                    prune_.fs ? NegRecord(slot) : nullptr);
   cache.Store(deps, mapping_by_pos_);
   cache.lpi_removed = last_lpi_removed_;
   cache.lpi_shrink_pct = last_lpi_shrink_pct_;
@@ -462,9 +452,15 @@ bool Executor::EnumerateOver(uint32_t depth,
   const bool consume = prune_.fs && depth > 0;
   bool produce = prune_.fs && depth > 1;
   if (produce) {
-    // Every class below contains anc(depth); an empty candidate set is
-    // exactly that.
-    std::copy_n(Anc(depth), fs_words_, FailingSet(depth));
+    // Every class below contains the explanation of this candidate
+    // set; an empty set is exactly that. The slot's record belongs to
+    // the Candidates(depth) call that produced `candidates` (a
+    // placement that skipped that call routed the extension, and a
+    // routed subtree's set is never read).
+    const uint64_t* base = Base(depth);
+    const uint64_t* record = NegRecord(cache_slot_[depth]);
+    uint64_t* fs = FailingSet(depth);
+    for (uint32_t w = 0; w < fs_words_; ++w) fs[w] = base[w] | record[w];
   }
 
   // Count-only fast path: no per-candidate state is needed at the last
@@ -482,17 +478,17 @@ bool Executor::EnumerateOver(uint32_t depth,
     if (!CheckDeadline()) return false;
     if (injective_ && used_.Test(v)) {
       if (produce) {
-        // Conflict: anc(depth) plus anc of the position holding v.
+        // Conflict: any node mapping the holder to v conflicts too.
         uint32_t holder = 0;
         while (mapping_by_pos_[holder] != v) ++holder;
         CSCE_DCHECK(holder < depth);
-        FsUnion(depth, Anc(holder));
+        FsAdd(depth, holder);
       }
       continue;
     }
     if (!restrictions_[depth].empty()) {
       if (const Restriction* r = FailedRestriction(depth, v)) {
-        if (produce) FsUnion(depth, Anc(r->other_pos));
+        if (produce) FsAdd(depth, r->other_pos);
         continue;
       }
     }
@@ -628,7 +624,7 @@ Status Executor::ComputeRootCandidates(const ExecOptions& options,
     // Computed into the root's (still invalid) cache buffer, then
     // copied out: this is setup work, not the enumeration hot path.
     setops::VertexScratch& root = caches_[cache_slot_[0]].candidates;
-    ComputeCandidates(0, &root);
+    ComputeCandidates(0, &root, /*neg_record=*/nullptr);
     out->assign(root.data(), root.data() + root.size());
     root.clear();
   }

@@ -161,8 +161,7 @@ size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
 /// bound per position (the shortest incident cluster row, the seed
 /// endpoint count, or the label frequency) and reserves every scratch
 /// buffer once — the per-slot cache storage, a per-depth ping-pong
-/// partner for chained intersections, the negation mark bitmap, and
-/// the failing-set word arrays.
+/// partner for chained intersections, and the failing-set word arrays.
 /// After Prepare() the enumeration performs no heap allocation; the
 /// VertexScratch hot-growth counter is the test hook proving it.
 class Executor {
@@ -237,18 +236,25 @@ class Executor {
                                    std::span<const VertexId> candidates);
   Status SeedPrefix(std::span<const VertexId> prefix);
   void ClearPrefix(std::span<const VertexId> prefix);
+  /// Computes `depth`'s candidate set into `out`. With `neg_record`
+  /// set, also writes there the negation positions whose list removed
+  /// at least one candidate (fs_words_ words).
   CSCE_HOT_PATH void ComputeCandidates(uint32_t depth,
-                                       setops::VertexScratch* out);
+                                       setops::VertexScratch* out,
+                                       uint64_t* neg_record);
   /// The restriction `v` violates at `depth`, or nullptr.
   CSCE_HOT_PATH const Restriction* FailedRestriction(uint32_t depth,
                                                      VertexId v) const;
-  /// Failing-set words (prune pass "fs"): anc(j) of position j, and the
-  /// failing set EnumerateOver(depth) leaves for its caller.
-  const uint64_t* Anc(uint32_t j) const { return &anc_[j * fs_words_]; }
+  /// Failing-set words (prune pass "fs", see fs_ below): position j's
+  /// base set, a cache slot's negation record, and the failing set
+  /// EnumerateOver(depth) leaves for its caller.
+  const uint64_t* Base(uint32_t j) const { return &base_[j * fs_words_]; }
+  uint64_t* NegRecord(uint32_t slot) { return &neg_record_[slot * fs_words_]; }
   uint64_t* FailingSet(uint32_t depth) { return &fs_[depth * fs_words_]; }
   CSCE_HOT_PATH void FsUnion(uint32_t depth, const uint64_t* set);
-  /// Builds anc(j) for every position (see Prepare).
-  void BuildAncestorSets();
+  CSCE_HOT_PATH void FsAdd(uint32_t depth, uint32_t pos);
+  /// Builds every position's base set (see Prepare).
+  void BuildBaseSets();
   CSCE_HOT_PATH bool Emit();
   CSCE_HOT_PATH bool CheckDeadline();
 
@@ -269,9 +275,7 @@ class Executor {
   std::vector<CandidateCache> caches_;
   std::vector<size_t> cand_bound_;  // per position, see CandidateBound
   std::vector<setops::VertexScratch> temp_;  // per-depth ping-pong partner
-  std::vector<std::span<const VertexId>> lists_;      // gather buffer
-  std::vector<std::span<const VertexId>> neg_lists_;  // gather buffer
-  DynamicBitset neg_marks_;  // bitmap-difference scratch, all-zero at rest
+  std::vector<std::span<const VertexId>> lists_;  // gather buffer
   setops::VertexScratch sce_oracle_scratch_;  // verify_sce recompute buffer
   /// Extensions the placement reported as routed elsewhere. Monotonic;
   /// a subtree during which it (or the embedding count) moved is
@@ -281,15 +285,18 @@ class Executor {
   // Proactive pruning (engine/prune/): the per-run pass set
   // (ExecOptions::prune) plus its state.
   PruneOptions prune_;
-  /// Failing sets, DAF-style (prune pass "fs"): flat arrays of
-  /// fs_words_ = ceil(n / 64) words per position, sized in Prepare.
-  /// anc_ holds anc(j): j, its dependency positions, the NEC slot
-  /// owner's dependencies and its restriction partners, closed
-  /// transitively — every position whose mapping can change j's
-  /// candidate set. fs_ holds, per depth, the failing set of the
-  /// prefix EnumerateOver(depth) extended.
+  /// Failing sets with direct explanations (prune pass "fs", conflict-
+  /// directed backjumping; DESIGN.md "fs"): flat arrays of fs_words_ =
+  /// ceil(n / 64) words per position, sized in Prepare. base_ holds j
+  /// and its edge-constraint positions (for an NEC-aliased position,
+  /// both its own and its slot owner's deps). neg_record_ holds, per
+  /// cache slot, the negation positions whose list removed a candidate
+  /// when the slot's set was computed, so an SCE reuse reports the
+  /// computed set's explanation. fs_ holds, per depth, the failing set
+  /// of the prefix EnumerateOver(depth) extended.
   uint32_t fs_words_ = 0;
-  std::vector<uint64_t> anc_;
+  std::vector<uint64_t> base_;
+  std::vector<uint64_t> neg_record_;
   std::vector<uint64_t> fs_;
   /// LPI bookkeeping of the most recent ComputeCandidates call, copied
   /// into the SCE cache entry so reuses can re-add the contribution

@@ -19,9 +19,11 @@ namespace csce {
 ///    cannot serve the pattern's still-unmatched neighbor labels. It is
 ///    a fixed part of candidate computation; only the `none` ablation
 ///    turns it off.
-///  - fs: failing-set backjumping (DAF-style), ON by default. Every
-///    search node below the root computes the set of plan positions
-///    whose mappings made its subtree fail; when a child's set does not
+///  - fs: failing-set backjumping (conflict-directed), ON by default.
+///    Every search node below the root computes the set of plan
+///    positions whose mappings made its subtree fail, from direct
+///    explanations (edge constraints, the negations that removed a
+///    candidate, conflicts, restrictions); when a child's set does not
 ///    contain the current position, every remaining sibling would fail
 ///    the same way and is skipped. Only the `none` ablation turns it
 ///    off.

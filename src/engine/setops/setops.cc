@@ -265,24 +265,5 @@ size_t DifferenceWith(Kernel kernel, std::span<const VertexId> a,
                                          b.size(), out);
 }
 
-size_t DifferenceManyBitmap(VertexId* acc, size_t acc_size,
-                            std::span<const std::span<const VertexId>> lists,
-                            DynamicBitset* marks) {
-  for (std::span<const VertexId> list : lists) {
-    for (VertexId v : list) marks->Set(v);
-  }
-  size_t k = 0;
-  for (size_t i = 0; i < acc_size; ++i) {
-    VertexId v = acc[i];
-    if (!marks->Test(v)) acc[k++] = v;
-  }
-  // Restore the all-zero contract by clearing exactly the set bits —
-  // O(Σ|list|), not O(universe).
-  for (std::span<const VertexId> list : lists) {
-    for (VertexId v : list) marks->Clear(v);
-  }
-  return k;
-}
-
 }  // namespace setops
 }  // namespace csce

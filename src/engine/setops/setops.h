@@ -7,7 +7,6 @@
 
 #include "engine/setops/vertex_scratch.h"
 #include "graph/graph.h"
-#include "util/bitset.h"
 #include "util/thread_annotations.h"
 
 namespace csce {
@@ -83,28 +82,6 @@ size_t IntersectWith(Kernel kernel, std::span<const VertexId> a,
                      std::span<const VertexId> b, VertexId* out);
 size_t DifferenceWith(Kernel kernel, std::span<const VertexId> a,
                       std::span<const VertexId> b, VertexId* out);
-
-/// Dense path for negation subtraction: acc = acc \ (∪ lists), in
-/// place. Marks every removal vertex in `marks` (sized >= the vertex
-/// universe), filters `acc` in one pass, then clears exactly the bits
-/// it set — cost O(|acc| + 2·Σ|list|) independent of the list count,
-/// versus Σ(|acc| + |list|) for repeated merge subtraction. Returns the
-/// new accumulator length. `marks` must be all-zero on entry and is
-/// all-zero again on return.
-CSCE_HOT_PATH size_t DifferenceManyBitmap(
-    VertexId* acc, size_t acc_size,
-    std::span<const std::span<const VertexId>> lists, DynamicBitset* marks);
-
-/// Cost-model switch for the dense path: true when marking all removal
-/// lists once beats scanning the accumulator per list. Break-even is
-/// (lists - 1)·|acc| > Σ|list| with a floor that keeps tiny
-/// accumulators on the merge path (see DESIGN.md).
-CSCE_HOT_PATH inline bool UseBitmapDifference(size_t acc_size,
-                                              size_t num_lists,
-                                              size_t total_removals) {
-  return num_lists >= 2 && acc_size >= 64 &&
-         (num_lists - 1) * acc_size > total_removals;
-}
 
 }  // namespace setops
 }  // namespace csce

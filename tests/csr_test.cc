@@ -66,6 +66,30 @@ TEST(CsrIndexTest, DenseLayoutForBigClusters) {
   }
 }
 
+TEST(CsrIndexTest, SizeBytesCountsOnlyOwnedColumns) {
+  // The same rows, once owning its columns and once borrowing them: the
+  // row-lookup arrays are identical, so the two sizes differ by exactly
+  // the column bytes.
+  std::vector<Edge> arcs;
+  for (VertexId v = 0; v < 100; v += 3) {
+    arcs.push_back({v, (v + 1) % 100, 0});
+    arcs.push_back({v, (v + 2) % 100, 0});
+  }
+  arcs = SortedArcs(arcs);
+  CompressedRowBuilder builder;
+  std::vector<VertexId> cols;
+  for (const Edge& e : arcs) {
+    builder.Add(e.src);
+    cols.push_back(e.dst);
+  }
+  const CompressedRowIndex rows = std::move(builder).Finish(100);
+  const CsrIndex borrowed = CsrIndex::FromCompressed(rows, std::span(cols));
+  const CsrIndex owned = CsrIndex::FromArcs(100, arcs);
+  EXPECT_GT(borrowed.SizeBytes(), 0u);
+  EXPECT_EQ(owned.SizeBytes() - borrowed.SizeBytes(),
+            arcs.size() * sizeof(VertexId));
+}
+
 class CsrLayoutAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {

@@ -15,8 +15,11 @@
 
 #include "ccsr/ccsr.h"
 #include "engine/matcher.h"
+#include "gen/datasets.h"
+#include "gen/pattern_gen.h"
 #include "obs/trace.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace csce {
 namespace obs {
@@ -365,6 +368,43 @@ TEST(EngineMetricsTest, DefaultFilterCountersThreadCountInvariant) {
             GlobalCounter(serial, "engine.search_nodes"));
   EXPECT_EQ(parallel.histograms["prune.shrink_ratio_pct"].count,
             serial.histograms["prune.shrink_ratio_pct"].count);
+}
+
+TEST(EngineMetricsTest, LargeVertexInducedPruneCountersThreadCountInvariant) {
+  // Sparse vertex-induced patterns of 48 and 64 vertices on Patent(20),
+  // enumerated to completion: neither has a vertex-induced embedding,
+  // which the default passes prove in a few thousand search nodes
+  // (the unpruned search does not finish in seconds). Their backjumps
+  // come from negation-explained failing sets, and the siblings they
+  // skip, like the search nodes left, do not depend on the threads.
+  const Graph data = datasets::Patent(20);
+  const Ccsr index = Ccsr::Build(data);
+  for (const auto& [size, seed] : {std::pair{48u, 1u}, std::pair{64u, 2u}}) {
+    Rng rng(seed);
+    Graph pattern;
+    ASSERT_TRUE(
+        SamplePattern(data, size, PatternDensity::kSparse, rng, &pattern)
+            .ok());
+    uint64_t skipped[2] = {0, 0};
+    uint64_t nodes[2] = {0, 0};
+    for (int i = 0; i < 2; ++i) {
+      MetricRegistry::Global().ResetForTesting();
+      MatchOptions options;
+      options.variant = MatchVariant::kVertexInduced;
+      options.num_threads = i == 0 ? 1 : 8;
+      options.morsel_size = 1;
+      options.time_limit_seconds = 20.0;  // a guard, not a budget
+      MatchResult result;
+      ASSERT_TRUE(CsceMatcher(&index).Match(pattern, options, &result).ok());
+      EXPECT_FALSE(result.timed_out) << "n=" << size;
+      MetricsSnapshot snap = MetricRegistry::Global().Snapshot();
+      skipped[i] = GlobalCounter(snap, "prune.extensions_skipped");
+      nodes[i] = GlobalCounter(snap, "engine.search_nodes");
+    }
+    EXPECT_GT(skipped[0], 0u) << "n=" << size;
+    EXPECT_EQ(skipped[1], skipped[0]) << "n=" << size;
+    EXPECT_EQ(nodes[1], nodes[0]) << "n=" << size;
+  }
 }
 
 TEST(EngineMetricsTest, RepeatedRunsAccumulate) {

@@ -13,7 +13,6 @@
 #include "gen/pattern_gen.h"
 #include "obs/metrics.h"
 #include "tests/test_util.h"
-#include "util/bitset.h"
 #include "util/rng.h"
 
 namespace csce {
@@ -200,47 +199,6 @@ TEST(SetopsDifferentialTest, DifferenceInPlaceAliasing) {
       EXPECT_EQ(acc, a);
     }
   }
-}
-
-// --- Dense multi-list difference ------------------------------------
-
-TEST(SetopsBitmapDifferenceTest, MatchesSequentialDifference) {
-  Rng rng(0xb1757u);
-  std::vector<VertexId> acc = RandomSortedUnique(rng, 2000, 4);
-  std::vector<std::vector<VertexId>> removals;
-  for (int i = 0; i < 5; ++i) {
-    removals.push_back(RandomSortedUnique(rng, 500, 16));
-  }
-  std::vector<VertexId> want = acc;
-  for (const std::vector<VertexId>& r : removals) want = RefDifference(want, r);
-
-  std::vector<std::span<const VertexId>> lists(removals.begin(),
-                                               removals.end());
-  VertexId universe = acc.back();
-  for (const std::vector<VertexId>& r : removals) {
-    universe = std::max(universe, r.back());
-  }
-  DynamicBitset marks;
-  marks.Resize(universe + 1);
-  marks.Reset();
-  std::vector<VertexId> got = acc;
-  got.resize(setops::DifferenceManyBitmap(got.data(), got.size(), lists,
-                                          &marks));
-  EXPECT_EQ(got, want);
-  // The all-zero contract: the call must clear exactly what it set.
-  for (VertexId v = 0; v <= universe; ++v) {
-    ASSERT_FALSE(marks.Test(v)) << "stale mark at " << v;
-  }
-}
-
-TEST(SetopsBitmapDifferenceTest, PolicySwitchesOnClusterShape) {
-  // One list never pays for marking; many long scans over a large
-  // accumulator do.
-  EXPECT_FALSE(setops::UseBitmapDifference(10'000, 1, 100));
-  EXPECT_FALSE(setops::UseBitmapDifference(8, 16, 10));  // tiny accumulator
-  EXPECT_TRUE(setops::UseBitmapDifference(10'000, 8, 2'000));
-  // Removals dwarf the accumulator: repeated merges are cheaper.
-  EXPECT_FALSE(setops::UseBitmapDifference(64, 2, 1'000'000));
 }
 
 // --- VertexScratch --------------------------------------------------

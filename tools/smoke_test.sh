@@ -153,6 +153,37 @@ for threads in 1 8; do
 done
 echo "PASS: Patent(18) self-check clean at 1 and 8 threads"
 
+# Vertex-induced self-check at a large size: a 48-vertex dense pattern
+# sampled from the same Patent(18) graph, first 100 embeddings. The
+# negation-explained failing sets backjump here, so the sanitizer and
+# mmap legs exercise them at a size where the unpruned search cannot
+# finish. The run must find an embedding without timing out, and
+# verify every embedding it counts.
+"$BIN_DIR/csce_gen" --dataset=patent --labels=18 \
+    --out="$WORK_DIR/patent48.txt" --pattern-size=48 --pattern-count=1 \
+    --density=dense --seed=7 --pattern-prefix="$WORK_DIR/pq48_"
+for threads in 1 8; do
+  OUT_VI=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/patent.ccsr" \
+      --pattern="$WORK_DIR/pq48_0.txt" --variant=vertex --self-check \
+      --max=100 --time-limit=60 --threads="$threads")
+  COUNT_VI=$(printf '%s\n' "$OUT_VI" | sed -n 's/.*embeddings=\([0-9]*\).*/\1/p')
+  VERIFIED_VI=$(printf '%s\n' "$OUT_VI" | \
+      sed -n 's/.*verified=\([0-9]*\).*/\1/p')
+  case "$OUT_VI" in
+    *'timed out'*) echo "FAIL: vertex-induced n=48 (threads=$threads) timed out"; exit 1 ;;
+  esac
+  case "$OUT_VI" in
+    *'mismatches=0'*) ;;
+    *) echo "FAIL: vertex-induced n=48 self-check (threads=$threads) reported mismatches"; exit 1 ;;
+  esac
+  if [ -z "$COUNT_VI" ] || [ "$COUNT_VI" -lt 1 ] || \
+      [ "$VERIFIED_VI" != "$COUNT_VI" ]; then
+    echo "FAIL: vertex-induced n=48 threads=$threads verified '$VERIFIED_VI' of '$COUNT_VI' embeddings"
+    exit 1
+  fi
+done
+echo "PASS: 48-vertex vertex-induced self-check clean at 1 and 8 threads"
+
 # Observability artifacts: --metrics-json and --trace on the same
 # Patent(18) query at 1 and 8 threads must be well-formed, with the
 # embedding count unchanged by instrumentation and the deterministic
