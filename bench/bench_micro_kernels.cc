@@ -1,17 +1,14 @@
 // Micro-kernels (google-benchmark): the hot primitives behind the
-// engine — sorted-set intersection/difference, RLE codec, CSR neighbor
-// lookup in both layouts, per-query cluster decompression (Alg. 1 read),
-// and cluster lookup vs raw adjacency probing.
+// engine — sorted-set intersection/difference, CSR neighbor lookup in
+// both layouts, the per-query cluster view (Alg. 1 read), and cluster
+// lookup vs raw adjacency probing.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <memory>
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/cluster_cache.h"
-#include "ccsr/compressed_row.h"
 #include "ccsr/csr.h"
 #include "engine/candidates.h"
 #include "gen/datasets.h"
@@ -70,41 +67,7 @@ void BM_DifferenceInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceInPlace)->Range(1 << 8, 1 << 14);
 
-void BM_RleCompress(benchmark::State& state) {
-  // A row-index array with the sparsity typical of a cluster.
-  Rng rng(4);
-  std::vector<uint64_t> row(state.range(0));
-  uint64_t value = 0;
-  for (auto& r : row) {
-    if (rng.Bernoulli(0.02)) value += 1 + rng.Uniform(4);
-    r = value;
-  }
-  for (auto _ : state) {
-    CompressedRowIndex c = CompressedRowIndex::Compress(row);
-    benchmark::DoNotOptimize(c.num_runs());
-  }
-  state.SetItemsProcessed(state.iterations() * row.size());
-}
-BENCHMARK(BM_RleCompress)->Range(1 << 12, 1 << 18);
-
-void BM_RleDecompress(benchmark::State& state) {
-  Rng rng(5);
-  std::vector<uint64_t> row(state.range(0));
-  uint64_t value = 0;
-  for (auto& r : row) {
-    if (rng.Bernoulli(0.02)) value += 1 + rng.Uniform(4);
-    r = value;
-  }
-  CompressedRowIndex c = CompressedRowIndex::Compress(row);
-  for (auto _ : state) {
-    auto out = c.Decompress();
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * row.size());
-}
-BENCHMARK(BM_RleDecompress)->Range(1 << 12, 1 << 18);
-
-CsrIndex MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
+CsrArrays MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
   Rng rng(seed);
   std::vector<Edge> edges;
   for (uint32_t i = 0; i < arcs; ++i) {
@@ -114,11 +77,14 @@ CsrIndex MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
   }
   std::sort(edges.begin(), edges.end());
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return CsrIndex::FromArcs(vertices, edges);
+  CsrBuilder builder;
+  for (const Edge& e : edges) builder.Add(e.src, e.dst);
+  return std::move(builder).Finish(vertices);
 }
 
 void BM_CsrNeighborsDense(benchmark::State& state) {
-  CsrIndex csr = MakeCsr(1 << 12, 1 << 15, 6);  // dense layout
+  const CsrArrays arrays = MakeCsr(1 << 12, 1 << 15, 6);  // dense layout
+  const CsrIndex csr(arrays);
   Rng rng(7);
   for (auto _ : state) {
     auto nbrs = csr.Neighbors(static_cast<VertexId>(rng.Uniform(1 << 12)));
@@ -128,7 +94,8 @@ void BM_CsrNeighborsDense(benchmark::State& state) {
 BENCHMARK(BM_CsrNeighborsDense);
 
 void BM_CsrNeighborsSparse(benchmark::State& state) {
-  CsrIndex csr = MakeCsr(1 << 20, 1 << 10, 8);  // sparse layout
+  const CsrArrays arrays = MakeCsr(1 << 20, 1 << 10, 8);  // sparse layout
+  const CsrIndex csr(arrays);
   Rng rng(9);
   for (auto _ : state) {
     auto nbrs = csr.Neighbors(static_cast<VertexId>(rng.Uniform(1 << 20)));
@@ -150,18 +117,15 @@ void BM_CcsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CcsrBuild)->Range(1 << 14, 1 << 17);
 
-// One cluster read of Algorithm 1 (DecompressCluster) on Patent(20):
-// arg 1 = the largest cluster with a rank bitmap (dense layout), arg 0 =
-// the median-size cluster without one (sparse layout).
-void BM_DecompressCluster(benchmark::State& state) {
+// One cluster read of Algorithm 1 (a ClusterView over the cluster's
+// arrays) on Patent(20): arg 1 = the largest cluster with a rank bitmap,
+// arg 0 = the median-size cluster without one.
+void BM_ClusterView(benchmark::State& state) {
   static const Ccsr gc = Ccsr::Build(datasets::Patent(20));
   const bool dense = state.range(0) != 0;
   std::vector<const CompressedCluster*> picked;
   for (const CompressedCluster& c : gc.clusters()) {
-    if (CsrIndex::FromCompressed(c.out_rows, c.out_cols.span()).dense() ==
-        dense) {
-      picked.push_back(&c);
-    }
+    if (CsrIndex(c.out).dense() == dense) picked.push_back(&c);
   }
   if (picked.empty()) {
     state.SkipWithError("no cluster with this layout");
@@ -174,14 +138,12 @@ void BM_DecompressCluster(benchmark::State& state) {
   const CompressedCluster& cluster =
       *(dense ? picked.back() : picked[picked.size() / 2]);
   for (auto _ : state) {
-    std::shared_ptr<const ClusterView> view = DecompressCluster(cluster);
-    benchmark::DoNotOptimize(view.get());
+    ClusterView view(cluster);
+    benchmark::DoNotOptimize(view);
   }
   state.counters["edges"] = static_cast<double>(cluster.num_edges);
-  state.counters["view_bytes"] =
-      static_cast<double>(DecompressCluster(cluster)->SizeBytes());
 }
-BENCHMARK(BM_DecompressCluster)->ArgName("dense")->Arg(1)->Arg(0);
+BENCHMARK(BM_ClusterView)->ArgName("dense")->Arg(1)->Arg(0);
 
 void BM_ClusterHasArcVsGraphHasEdge(benchmark::State& state) {
   LabelConfig labels;

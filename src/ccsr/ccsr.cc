@@ -26,7 +26,7 @@ struct CcsrMetrics {
   obs::Gauge clusters;
   obs::Gauge compressed_bytes;
   obs::Gauge raw_csr_bytes;
-  obs::Gauge rle_runs_saved;
+  obs::Gauge row_index_bytes;
 
   static const CcsrMetrics& Get() {
     static const CcsrMetrics m = [] {
@@ -35,7 +35,7 @@ struct CcsrMetrics {
                          r.gauge("ccsr.clusters"),
                          r.gauge("ccsr.compressed_bytes"),
                          r.gauge("ccsr.raw_csr_bytes"),
-                         r.gauge("ccsr.rle_runs_saved")};
+                         r.gauge("ccsr.row_index_bytes")};
     }();
     return m;
   }
@@ -47,7 +47,7 @@ uint64_t LabelPairKey(Label a, Label b) {
 }
 
 // Recomputes the label-pair index (per-vertex neighboring-label
-// bitmasks) from the clusters, O(total RLE runs). Shared by
+// bitmasks) from the clusters, O(total non-empty rows). Shared by
 // Ccsr::BuildLabelMasks and the Validate cross-check so a drifting
 // persisted table cannot agree with a drifting rebuild.
 void ComputeLabelMasks(const std::vector<CompressedCluster>& clusters,
@@ -59,69 +59,56 @@ void ComputeLabelMasks(const std::vector<CompressedCluster>& clusters,
   for (const CompressedCluster& c : clusters) {
     if (c.id.directed) {
       const uint64_t dst_bit = Ccsr::LabelBit(c.id.dst_label);
-      c.out_rows.ForEachNonEmptyRow(
-          [&](uint64_t v, uint64_t, uint64_t) { (*out_masks)[v] |= dst_bit; });
+      for (VertexId v : c.out.ids) (*out_masks)[v] |= dst_bit;
       const uint64_t src_bit = Ccsr::LabelBit(c.id.src_label);
-      c.in_rows.ForEachNonEmptyRow(
-          [&](uint64_t v, uint64_t, uint64_t) { (*in_masks)[v] |= src_bit; });
+      for (VertexId v : c.in.ids) (*in_masks)[v] |= src_bit;
     } else {
       // Undirected cluster {a,b}: a vertex with a non-empty row has
       // label a or b; its cluster-neighbors carry the other label.
       const uint64_t a_bit = Ccsr::LabelBit(c.id.src_label);
       const uint64_t b_bit = Ccsr::LabelBit(c.id.dst_label);
-      c.out_rows.ForEachNonEmptyRow([&](uint64_t v, uint64_t, uint64_t) {
+      for (VertexId v : c.out.ids) {
         (*out_masks)[v] |= vlabels[v] == c.id.src_label ? b_bit : a_bit;
-      });
+      }
     }
   }
 }
 
-// Builds the compressed one-direction CSR of a cluster from arcs sorted
-// by (src, dst).
-void BuildCompressedDirection(uint32_t num_vertices,
-                              std::span<const Edge> sorted_arcs,
-                              CompressedRowIndex* rows,
-                              ArrayOrView<VertexId>* cols) {
-  CompressedRowBuilder builder;
-  cols->resize(sorted_arcs.size());
-  for (size_t i = 0; i < sorted_arcs.size(); ++i) {
-    builder.Add(sorted_arcs[i].src);
-    (*cols)[i] = sorted_arcs[i].dst;
-  }
-  *rows = std::move(builder).Finish(num_vertices);
+// Builds one direction of a cluster from arcs sorted by (src, dst).
+CsrArrays BuildDirection(uint32_t num_vertices,
+                         std::span<const Edge> sorted_arcs) {
+  CsrBuilder builder;
+  for (const Edge& a : sorted_arcs) builder.Add(a.src, a.dst);
+  return std::move(builder).Finish(num_vertices);
 }
 
-// One cluster under construction by Ccsr::Build: each direction's row
-// runs and columns grow as its arcs stream in, in (src, dst) order.
+// One cluster under construction by Ccsr::Build: each direction's rows
+// grow as its arcs stream in, in (src, dst) order.
 struct ClusterBuild {
-  CompressedRowBuilder out_rows;
-  std::vector<VertexId> out_cols;
-  CompressedRowBuilder in_rows;
-  std::vector<VertexId> in_cols;
+  CsrBuilder out;
+  CsrBuilder in;
 };
 
 // Publishes the index-shape gauges for `ccsr`: cluster count, bytes of
-// the compressed representation vs an uncompressed per-cluster CSR
-// (row offsets stored flat, 8 bytes each), and how many row-index
-// entries RLE compression eliminated.
+// the stored representation vs a per-cluster CSR with a full |V|+1 row
+// array (8 bytes an offset), and the bytes of the row indexes alone.
 void PublishCcsrGauges(const Ccsr& ccsr) {
+  const uint64_t full_rows = (uint64_t{ccsr.NumVertices()} + 1) *
+                             sizeof(uint64_t);
   uint64_t raw_bytes = ccsr.vertex_labels().size() * sizeof(Label);
-  uint64_t runs_saved = 0;
+  uint64_t row_index_bytes = 0;
   for (const CompressedCluster& c : ccsr.clusters()) {
-    raw_bytes += c.out_rows.uncompressed_length() * sizeof(uint64_t) +
-                 c.out_cols.size() * sizeof(VertexId);
-    runs_saved += c.out_rows.uncompressed_length() - c.out_rows.num_runs();
-    if (c.id.directed) {
-      raw_bytes += c.in_rows.uncompressed_length() * sizeof(uint64_t) +
-                   c.in_cols.size() * sizeof(VertexId);
-      runs_saved += c.in_rows.uncompressed_length() - c.in_rows.num_runs();
+    for (const CsrArrays* d : {&c.out, &c.in}) {
+      if (d == &c.in && !c.id.directed) continue;
+      raw_bytes += full_rows + d->cols.size() * sizeof(VertexId);
+      row_index_bytes += d->RowIndexBytes();
     }
   }
   const CcsrMetrics& m = CcsrMetrics::Get();
   m.clusters.Set(static_cast<double>(ccsr.NumClusters()));
   m.compressed_bytes.Set(static_cast<double>(ccsr.CompressedSizeBytes()));
   m.raw_csr_bytes.Set(static_cast<double>(raw_bytes));
-  m.rle_runs_saved.Set(static_cast<double>(runs_saved));
+  m.row_index_bytes.Set(static_cast<double>(row_index_bytes));
 }
 
 // Is the unordered pattern pair {a,b} fully connected, i.e. does no
@@ -195,19 +182,15 @@ Ccsr Ccsr::Build(const Graph& g) {
     const Label lv = g.VertexLabel(v);
     for (const Neighbor& w : g.OutNeighbors(v)) {
       const Label lw = g.VertexLabel(w.v);
-      ClusterBuild& b =
-          buckets[g.directed() ? ClusterId::Directed(lv, lw, w.elabel)
-                               : ClusterId::Undirected(lv, lw, w.elabel)];
-      b.out_rows.Add(v);
-      b.out_cols.push_back(w.v);
+      buckets[g.directed() ? ClusterId::Directed(lv, lw, w.elabel)
+                           : ClusterId::Undirected(lv, lw, w.elabel)]
+          .out.Add(v, w.v);
     }
     if (!g.directed()) continue;
     // Incoming CSR: row v lists the sources of the arcs into v.
     for (const Neighbor& u : g.InNeighbors(v)) {
-      ClusterBuild& b = buckets[ClusterId::Directed(g.VertexLabel(u.v), lv,
-                                                    u.elabel)];
-      b.in_rows.Add(v);
-      b.in_cols.push_back(u.v);
+      buckets[ClusterId::Directed(g.VertexLabel(u.v), lv, u.elabel)].in.Add(
+          v, u.v);
     }
   }
 
@@ -215,18 +198,10 @@ Ccsr Ccsr::Build(const Graph& g) {
   for (auto& [id, b] : buckets) {
     CompressedCluster cluster;
     cluster.id = id;
+    cluster.out = std::move(b.out).Finish(n);
     cluster.num_edges =
-        id.directed ? b.out_cols.size() : b.out_cols.size() / 2;
-    // The column vectors become the index's storage: drop their growth
-    // slack.
-    cluster.out_rows = std::move(b.out_rows).Finish(n);
-    b.out_cols.shrink_to_fit();
-    cluster.out_cols = std::move(b.out_cols);
-    if (id.directed) {
-      cluster.in_rows = std::move(b.in_rows).Finish(n);
-      b.in_cols.shrink_to_fit();
-      cluster.in_cols = std::move(b.in_cols);
-    }
+        id.directed ? cluster.out.cols.size() : cluster.out.cols.size() / 2;
+    if (id.directed) cluster.in = std::move(b.in).Finish(n);
     out.clusters_.push_back(std::move(cluster));
   }
 
@@ -251,10 +226,8 @@ void Ccsr::EnsureOwnedStorage() {
   lpi_out_.EnsureOwned();
   lpi_in_.EnsureOwned();
   for (CompressedCluster& c : clusters_) {
-    c.out_rows.EnsureOwned();
-    c.out_cols.EnsureOwned();
-    c.in_rows.EnsureOwned();
-    c.in_cols.EnsureOwned();
+    c.out.EnsureOwned();
+    c.in.EnsureOwned();
   }
   pager_ = nullptr;
 }
@@ -283,45 +256,42 @@ const CompressedCluster* Ccsr::Find(const ClusterId& id) const {
   return it == index_.end() ? nullptr : &clusters_[it->second];
 }
 
-std::vector<const CompressedCluster*> Ccsr::StarClusters(Label a,
-                                                         Label b) const {
-  std::vector<const CompressedCluster*> out;
+std::span<const size_t> Ccsr::StarClusters(Label a, Label b) const {
   auto it = star_index_.find(LabelPairKey(a, b));
-  if (it == star_index_.end()) return out;
-  out.reserve(it->second.size());
-  for (size_t i : it->second) out.push_back(&clusters_[i]);
-  return out;
+  if (it == star_index_.end()) return {};
+  return it->second;
+}
+
+bool Ccsr::HasStarEdges(Label a, Label b) const {
+  for (size_t i : StarClusters(a, b)) {
+    if (clusters_[i].num_edges > 0) return true;
+  }
+  return false;
 }
 
 namespace {
 
-// Reconstructs a cluster's arc list from its compressed outgoing CSR.
+// A cluster's arc list, from its outgoing CSR, sorted by (src, dst).
 std::vector<Edge> ArcsOf(const CompressedCluster& c) {
   std::vector<Edge> arcs;
-  arcs.reserve(c.out_cols.size());
-  c.out_rows.ForEachNonEmptyRow([&](uint64_t src, uint64_t begin,
-                                    uint64_t end) {
-    for (uint64_t k = begin; k < end; ++k) {
-      arcs.push_back(Edge{static_cast<VertexId>(src), c.out_cols[k],
-                          c.id.elabel});
+  arcs.reserve(c.out.cols.size());
+  for (size_t i = 0; i < c.out.ids.size(); ++i) {
+    for (uint64_t k = c.out.offsets[i]; k < c.out.offsets[i + 1]; ++k) {
+      arcs.push_back(Edge{c.out.ids[i], c.out.cols[k], c.id.elabel});
     }
-  });
+  }
   return arcs;
 }
 
-// Rebuilds a cluster's compressed CSR(s) from a sorted arc list.
+// Rebuilds a cluster's CSR(s) from a sorted arc list.
 void RebuildCluster(uint32_t num_vertices, std::vector<Edge> arcs,
                     CompressedCluster* c) {
   c->num_edges = c->id.directed ? arcs.size() : arcs.size() / 2;
-  BuildCompressedDirection(num_vertices, arcs, &c->out_rows, &c->out_cols);
+  c->out = BuildDirection(num_vertices, arcs);
   if (c->id.directed) {
-    std::vector<Edge> reversed(arcs.size());
-    for (size_t i = 0; i < arcs.size(); ++i) {
-      reversed[i] = Edge{arcs[i].dst, arcs[i].src, arcs[i].elabel};
-    }
-    std::sort(reversed.begin(), reversed.end());
-    BuildCompressedDirection(num_vertices, reversed, &c->in_rows,
-                             &c->in_cols);
+    for (Edge& a : arcs) std::swap(a.src, a.dst);
+    std::sort(arcs.begin(), arcs.end());
+    c->in = BuildDirection(num_vertices, arcs);
   }
 }
 
@@ -471,16 +441,12 @@ Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
 
 namespace {
 
-// Deep check of one direction of a cluster's compressed CSR. Verifies
-// the RLE row index, row/column consistency, sorted-unique neighbor
-// lists, vertex ranges, and endpoint-label homogeneity; appends the
-// direction's arcs (src -> dst as stored) to `arcs_out` for the
-// caller's transpose/symmetry check.
+// Deep check of one direction of a cluster's CSR: the row-index
+// invariants (CsrArrays::Validate), then every row's vertex range,
+// sorted-unique neighbors and endpoint-label homogeneity.
 Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
-                                std::span<const Label> vlabels,
-                                std::vector<Edge>* arcs_out) {
-  const CompressedRowIndex& rows = incoming ? c.in_rows : c.out_rows;
-  const ArrayOrView<VertexId>& cols = incoming ? c.in_cols : c.out_cols;
+                                std::span<const Label> vlabels) {
+  const CsrArrays& d = incoming ? c.in : c.out;
   const std::string where =
       c.id.ToString() + (incoming ? " incoming" : " outgoing");
   // Directed clusters orient (src_label, dst_label) along the arc; the
@@ -489,28 +455,14 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
   const Label expect_src = incoming ? c.id.dst_label : c.id.src_label;
   const Label expect_dst = incoming ? c.id.src_label : c.id.dst_label;
 
-  if (Status st = rows.Validate(); !st.ok()) {
+  const uint32_t n = static_cast<uint32_t>(vlabels.size());
+  if (Status st = d.Validate(n); !st.ok()) {
     return Status::Corruption(where + ": " + st.message());
   }
-  const uint32_t n = static_cast<uint32_t>(vlabels.size());
-  if (rows.uncompressed_length() != static_cast<uint64_t>(n) + 1) {
-    return Status::Corruption(
-        where + ": row index covers " +
-        std::to_string(rows.uncompressed_length()) +
-        " entries, expected |V|+1 = " + std::to_string(n + 1));
-  }
-  // rows.Validate() and the coverage check above make the walk below
-  // safe: the runs are non-empty and monotone, so the last one holds
-  // the final offset, every offset lies in [0, final], and every row
-  // reported is a vertex below |V|.
-  const uint64_t final_offset = rows.runs().back().value;
-  if (final_offset != cols.size()) {
-    return Status::Corruption(where + ": final row offset " +
-                              std::to_string(final_offset) +
-                              " != column count " +
-                              std::to_string(cols.size()));
-  }
-  auto check_row = [&](VertexId v, uint64_t begin, uint64_t end) -> Status {
+  // d.Validate() makes the walk below safe: ids are below |V| and the
+  // offsets rise strictly from 0 to the column count.
+  for (size_t i = 0; i < d.ids.size(); ++i) {
+    const VertexId v = d.ids[i];
     if (vlabels[v] != expect_src) {
       if (c.id.directed || (vlabels[v] != c.id.src_label &&
                             vlabels[v] != c.id.dst_label)) {
@@ -520,8 +472,8 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
       }
     }
     VertexId prev = kInvalidVertex;
-    for (uint64_t k = begin; k < end; ++k) {
-      VertexId w = cols[k];
+    for (uint64_t k = d.offsets[i]; k < d.offsets[i + 1]; ++k) {
+      VertexId w = d.cols[k];
       if (w >= n) {
         return Status::Corruption(where + ": neighbor " + std::to_string(w) +
                                   " of vertex " + std::to_string(v) +
@@ -547,20 +499,40 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
             ") labels (" + std::to_string(vlabels[v]) + ", " +
             std::to_string(lw) + ") do not match the cluster id");
       }
-      arcs_out->push_back(Edge{v, w, c.id.elabel});
     }
-    return Status::OK();
-  };
-  // The walk cannot stop early; the first failure is kept and the rest
-  // of the rows are skipped. A run split at a saturated uint32 count
-  // reports an empty range, which is skipped too.
-  Status status = Status::OK();
-  rows.ForEachNonEmptyRow([&](uint64_t v, uint64_t begin, uint64_t end) {
-    if (status.ok() && begin != end) {
-      status = check_row(static_cast<VertexId>(v), begin, end);
+  }
+  return Status::OK();
+}
+
+// Is `to` exactly the transpose of `from` (both validated: sorted,
+// unique rows)? Walking `from`'s arcs u -> w by ascending u meets the
+// sources of each w in ascending order, the order of `to`'s row of w,
+// so every arc must match the next unmatched entry of that row, and
+// every row of `to` must be used up at the end: a bijection, found by
+// one merge walk in O(arcs). `next`/`end` are per-vertex cursors into
+// `to`'s rows, all 0 on entry and on return.
+bool IsTranspose(const CsrArrays& to, const CsrArrays& from,
+                 std::vector<uint64_t>* next, std::vector<uint64_t>* end) {
+  for (size_t i = 0; i < to.ids.size(); ++i) {
+    (*next)[to.ids[i]] = to.offsets[i];
+    (*end)[to.ids[i]] = to.offsets[i + 1];
+  }
+  bool match = true;
+  for (size_t i = 0; match && i < from.ids.size(); ++i) {
+    for (uint64_t k = from.offsets[i]; k < from.offsets[i + 1]; ++k) {
+      uint64_t& p = (*next)[from.cols[k]];
+      if (p == (*end)[from.cols[k]] || to.cols[p] != from.ids[i]) {
+        match = false;
+        break;
+      }
+      ++p;
     }
-  });
-  return status;
+  }
+  for (VertexId w : to.ids) {
+    match = match && (*next)[w] == (*end)[w];
+    (*next)[w] = (*end)[w] = 0;
+  }
+  return match;
 }
 
 }  // namespace
@@ -610,12 +582,8 @@ Status Ccsr::Validate() const {
       return Status::Corruption("cluster index entry missing or stale for " +
                                 id.ToString());
     }
-    bool in_star = false;
-    for (const CompressedCluster* c :
-         StarClusters(id.src_label, id.dst_label)) {
-      if (c == &clusters_[i]) in_star = true;
-    }
-    if (!in_star) {
+    std::span<const size_t> star = StarClusters(id.src_label, id.dst_label);
+    if (std::ranges::find(star, i) == star.end()) {
       return Status::Corruption("star index misses " + id.ToString());
     }
   }
@@ -629,6 +597,8 @@ Status Ccsr::Validate() const {
   uint64_t total_edges = 0;
   std::vector<uint64_t> out_count(n, 0);
   std::vector<uint64_t> in_count(n, 0);
+  std::vector<uint64_t> next(n, 0);  // IsTranspose's cursors
+  std::vector<uint64_t> end(n, 0);
   for (const CompressedCluster& c : clusters_) {
     if (c.id.directed != directed_) {
       return Status::Corruption("cluster " + c.id.ToString() +
@@ -638,49 +608,42 @@ Status Ccsr::Validate() const {
       return Status::Corruption("undirected cluster " + c.id.ToString() +
                                 " label pair not canonicalized");
     }
-    std::vector<Edge> out_arcs;
     CSCE_RETURN_IF_ERROR(
-        ValidateClusterDirection(c, /*incoming=*/false, vlabels_, &out_arcs));
+        ValidateClusterDirection(c, /*incoming=*/false, vlabels_));
+    const uint64_t out_arcs = c.out.cols.size();
     uint64_t expected_arcs = directed_ ? c.num_edges : 2 * c.num_edges;
-    if (out_arcs.size() != expected_arcs) {
+    if (out_arcs != expected_arcs) {
       return Status::Corruption(
           c.id.ToString() + ": size " + std::to_string(c.num_edges) +
-          " inconsistent with " + std::to_string(out_arcs.size()) +
+          " inconsistent with " + std::to_string(out_arcs) +
           " stored arcs");
     }
     if (directed_) {
-      std::vector<Edge> in_arcs;
       CSCE_RETURN_IF_ERROR(
-          ValidateClusterDirection(c, /*incoming=*/true, vlabels_, &in_arcs));
+          ValidateClusterDirection(c, /*incoming=*/true, vlabels_));
       // The incoming CSR must be exactly the transpose of the outgoing.
-      for (Edge& e : in_arcs) std::swap(e.src, e.dst);
-      std::sort(in_arcs.begin(), in_arcs.end());
-      if (in_arcs != out_arcs) {  // out_arcs are emitted sorted
+      if (!IsTranspose(c.in, c.out, &next, &end)) {
         return Status::Corruption(c.id.ToString() +
                                   ": incoming CSR is not the transpose of "
                                   "the outgoing CSR");
       }
-      for (const Edge& e : out_arcs) {
-        ++out_count[e.src];
-        ++in_count[e.dst];
-      }
+      for (VertexId w : c.out.cols) ++in_count[w];
     } else {
-      if (!c.in_cols.empty() || c.in_rows.num_runs() != 0) {
+      if (c.in.SizeBytes() != 0 || c.in.max_row_length != 0) {
         return Status::Corruption(c.id.ToString() +
                                   ": undirected cluster carries an incoming "
                                   "CSR");
       }
       // Undirected clusters store each edge in both orientations in the
       // single CSR: the arc set must be symmetric.
-      std::vector<Edge> reversed(out_arcs);
-      for (Edge& e : reversed) std::swap(e.src, e.dst);
-      std::sort(reversed.begin(), reversed.end());
-      if (reversed != out_arcs) {
+      if (!IsTranspose(c.out, c.out, &next, &end)) {
         return Status::Corruption(c.id.ToString() +
                                   ": undirected cluster arcs are not "
                                   "symmetric");
       }
-      for (const Edge& e : out_arcs) ++out_count[e.src];
+    }
+    for (size_t i = 0; i < c.out.ids.size(); ++i) {
+      out_count[c.out.ids[i]] += c.out.offsets[i + 1] - c.out.offsets[i];
     }
     total_edges += c.num_edges;
   }
@@ -706,10 +669,9 @@ Status Ccsr::Validate() const {
     }
   }
 
-  // Label-pair index, recomputed by walking every cluster's rows — so
-  // only after the per-cluster checks above have proven each row index
-  // covers exactly |V|+1 entries (a damaged run count would otherwise
-  // send the walk past the mask tables).
+  // Label-pair index, recomputed by walking every cluster's row ids —
+  // so only after the per-cluster checks above have proven every id
+  // below |V| (a damaged id would otherwise index past the mask tables).
   if (lpi_out_.size() != n ||
       (directed_ ? lpi_in_.size() != n : !lpi_in_.empty())) {
     return Status::Corruption("label-pair index size inconsistent with the "
@@ -737,7 +699,7 @@ size_t Ccsr::CompressedSizeBytes() const {
 
 const ClusterView* QueryClusters::Find(const ClusterId& id) const {
   auto it = views_.find(id);
-  return it == views_.end() ? nullptr : it->second.get();
+  return it == views_.end() ? nullptr : &it->second;
 }
 
 const std::vector<const ClusterView*>& QueryClusters::Star(Label a,
@@ -745,26 +707,6 @@ const std::vector<const ClusterView*>& QueryClusters::Star(Label a,
   static const std::vector<const ClusterView*> kEmpty;
   auto it = star_.find(LabelPairKey(a, b));
   return it == star_.end() ? kEmpty : it->second;
-}
-
-size_t QueryClusters::DecompressedBytes() const {
-  size_t total = 0;
-  for (const auto& [id, view] : views_) total += view->SizeBytes();
-  return total;
-}
-
-std::shared_ptr<const ClusterView> DecompressCluster(
-    const CompressedCluster& cluster) {
-  // The view borrows the cluster's column arrays (heap or mmap'd)
-  // instead of copying them; only the row lookup is built here.
-  CsrIndex fwd =
-      CsrIndex::FromCompressed(cluster.out_rows, cluster.out_cols.span());
-  CsrIndex bwd;
-  if (cluster.id.directed) {
-    bwd = CsrIndex::FromCompressed(cluster.in_rows, cluster.in_cols.span());
-  }
-  return std::make_shared<const ClusterView>(cluster.id, cluster.num_edges,
-                                             std::move(fwd), std::move(bwd));
 }
 
 Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
@@ -777,21 +719,27 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
   // A reused QueryClusters would hand back views of whatever index it
   // was filled from.
   CSCE_DCHECK(out->views_.empty() && out->star_.empty());
-  // Obtains the view of `cluster` (from the shared cache when given,
-  // decompressing locally otherwise) and registers it in the result.
-  auto ensure_view = [out, cache](const CompressedCluster& cluster) {
+  // Registers the view of `cluster` (from the shared cache when given,
+  // made in place otherwise) in the result. The first view whose
+  // offsets do not end at its columns fails the read.
+  Status status = Status::OK();
+  auto ensure_view = [out, cache, &status](const CompressedCluster& cluster) {
     auto it = out->views_.find(cluster.id);
-    if (it != out->views_.end()) return it->second.get();
-    std::shared_ptr<const ClusterView> view =
-        cache != nullptr ? cache->Get(cluster.id)
-                         : DecompressCluster(cluster);
-    const ClusterView* ptr = view.get();
-    out->views_.emplace(cluster.id, std::move(view));
-    return ptr;
+    if (it == out->views_.end()) {
+      it = out->views_
+               .emplace(cluster.id, cache != nullptr
+                                        ? *cache->Get(cluster.id)
+                                        : ClusterView(cluster))
+               .first;
+      if (status.ok() && !it->second.OffsetsEndAtColumns()) {
+        status = Status::Corruption("cluster " + cluster.id.ToString() +
+                                    ": final row offset != column count");
+      }
+    }
+    return &it->second;
   };
 
   // Lines 2-11: clusters of edges isomorphic to pattern edges.
-  Status status = Status::OK();
   pattern.ForEachEdge([&](const Edge& e) {
     ClusterId id = ClusterId::ForPatternEdge(pattern, e);
     const CompressedCluster* c = gc.Find(id);
@@ -810,12 +758,11 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
         if (FullyConnected(pattern, a, b)) continue;
         Label la = pattern.VertexLabel(a);
         Label lb = pattern.VertexLabel(b);
-        uint64_t key = (static_cast<uint64_t>(std::min(la, lb)) << 32) |
-                       std::max(la, lb);
+        const uint64_t key = LabelPairKey(la, lb);
         if (out->star_.count(key) > 0) continue;
         std::vector<const ClusterView*>& views = out->star_[key];
-        for (const CompressedCluster* c : gc.StarClusters(la, lb)) {
-          views.push_back(ensure_view(*c));
+        for (size_t slot : gc.StarClusters(la, lb)) {
+          views.push_back(ensure_view(gc.clusters()[slot]));
         }
       }
     }

@@ -2,13 +2,12 @@
 #define CSCE_CCSR_CCSR_H_
 
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "ccsr/array_view.h"
 #include "ccsr/cluster_id.h"
-#include "ccsr/compressed_row.h"
 #include "ccsr/csr.h"
 #include "graph/graph.h"
 #include "graph/variant.h"
@@ -16,28 +15,23 @@
 
 namespace csce {
 
-/// One edge-isomorphism cluster in compressed (at-rest) form. Directed
-/// clusters carry two CSRs — outgoing (src -> dst) and incoming
-/// (dst -> src) — so both neighbor directions are O(1)/O(log k) at query
-/// time; undirected clusters store each edge in both orientations in a
-/// single CSR (paper Section IV).
+/// One edge-isomorphism cluster in CSR form. Directed clusters carry
+/// two CSRs — outgoing (src -> dst) and incoming (dst -> src) — so both
+/// neighbor directions are O(1)/O(log k) at query time; undirected
+/// clusters store each edge in both orientations in a single CSR (paper
+/// Section IV).
 ///
-/// Runs and columns live in ArrayOrView storage: heap vectors for an
-/// in-memory (mutable) index, read-only spans into the mapping for a
-/// CCSR v2 artifact opened through MmapCcsr. A ClusterView borrows the
-/// column arrays in both cases.
+/// The arrays are heap vectors for an in-memory (mutable) index and
+/// read-only spans into the mapping for a CCSR v2 artifact opened
+/// through MmapCcsr; a ClusterView is a set of spans over them in both
+/// cases.
 struct CompressedCluster {
   ClusterId id;
   uint64_t num_edges = 0;  // cluster size == |I_C| of one CSR
-  CompressedRowIndex out_rows;
-  ArrayOrView<VertexId> out_cols;
-  CompressedRowIndex in_rows;          // directed clusters only
-  ArrayOrView<VertexId> in_cols;       // directed clusters only
+  CsrArrays out;
+  CsrArrays in;  // directed clusters only
 
-  size_t SizeBytes() const {
-    return out_rows.SizeBytes() + out_cols.size() * sizeof(VertexId) +
-           in_rows.SizeBytes() + in_cols.size() * sizeof(VertexId);
-  }
+  size_t SizeBytes() const { return out.SizeBytes() + in.SizeBytes(); }
 };
 
 /// Paging hooks behind a mapped Ccsr (implemented by MmapCcsr). The
@@ -53,15 +47,14 @@ class CcsrPager {
   virtual void AdviseDone() const = 0;
 };
 
-/// A decompressed, query-ready cluster. It owns its row lookup but
-/// borrows the cluster's column arrays, so it is valid only while the
-/// Ccsr it was read from lives unmodified: InsertEdges/RemoveEdges (and
-/// destroying or reassigning the Ccsr) invalidate every view of it.
+/// A query-ready cluster: spans over the cluster's arrays, built in
+/// O(1) with no allocation. Valid only while the Ccsr it was read from
+/// lives unmodified: InsertEdges/RemoveEdges (and destroying or
+/// reassigning the Ccsr) invalidate every view of it.
 class ClusterView {
  public:
-  ClusterView(ClusterId id, uint64_t num_edges, CsrIndex out, CsrIndex in)
-      : id_(id), num_edges_(num_edges), out_(std::move(out)),
-        in_(std::move(in)) {}
+  explicit ClusterView(const CompressedCluster& c)
+      : id_(c.id), num_edges_(c.num_edges), out_(c.out), in_(c.in) {}
 
   const ClusterId& id() const { return id_; }
   uint64_t NumEdges() const { return num_edges_; }
@@ -77,8 +70,8 @@ class ClusterView {
   bool HasArc(VertexId a, VertexId b) const { return out_.HasArc(a, b); }
 
   /// Distinct arc sources (undirected: all cluster vertices), sorted.
-  /// A view into precomputed index storage — no copy; valid while the
-  /// view lives and safe to read concurrently.
+  /// A view into the cluster's row ids — no copy; valid while the view
+  /// lives and safe to read concurrently.
   std::span<const VertexId> Sources() const { return out_.NonEmptySpan(); }
   /// Distinct arc targets, sorted (same lifetime contract).
   std::span<const VertexId> Targets() const {
@@ -92,7 +85,11 @@ class ClusterView {
     return id_.directed ? in_.MaxRowLength() : out_.MaxRowLength();
   }
 
-  size_t SizeBytes() const { return out_.SizeBytes() + in_.SizeBytes(); }
+  /// Both directions' last offsets end their columns (CsrIndex::
+  /// OffsetsEndAtColumns): the O(1) check a read makes per view.
+  bool OffsetsEndAtColumns() const {
+    return out_.OffsetsEndAtColumns() && in_.OffsetsEndAtColumns();
+  }
 
  private:
   ClusterId id_;
@@ -135,7 +132,7 @@ class Ccsr {
   /// folded modulo 64 (`1 << (label & 63)`), so the filter is
   /// conservative for label alphabets wider than 64. For undirected
   /// graphs in == out. Derived from the clusters, rebuilt on every
-  /// mutation, persisted as optional CCSR v2 sections.
+  /// mutation, persisted as CCSR v2 sections.
   uint64_t OutLabelMask(VertexId v) const { return lpi_out_.span()[v]; }
   uint64_t InLabelMask(VertexId v) const {
     return directed_ ? lpi_in_.span()[v] : lpi_out_.span()[v];
@@ -172,15 +169,21 @@ class Ccsr {
   const CompressedCluster* Find(const ClusterId& id) const;
 
   /// Size (edge count) of a cluster; 0 if the cluster is empty/absent.
-  /// Used by the planner's tie-breaking without decompressing anything.
+  /// Used by the planner's tie-breaking without reading any rows.
   uint64_t ClusterSize(const ClusterId& id) const {
     const CompressedCluster* c = Find(id);
     return c == nullptr ? 0 : c->num_edges;
   }
 
-  /// The paper's "(x,y)*-clusters": every cluster connecting vertex
-  /// labels {a,b}, regardless of edge label or direction.
-  std::vector<const CompressedCluster*> StarClusters(Label a, Label b) const;
+  /// The paper's "(x,y)*-clusters": the slots in clusters() of every
+  /// cluster connecting vertex labels {a,b}, regardless of edge label or
+  /// direction. A view into the index; valid until the next mutation.
+  std::span<const size_t> StarClusters(Label a, Label b) const;
+
+  /// Is there any data edge between vertex labels a and b, in either
+  /// direction and under any edge label? (A negation between pattern
+  /// vertices with these labels is vacuous otherwise.)
+  bool HasStarEdges(Label a, Label b) const;
 
   /// Total compressed footprint in bytes.
   size_t CompressedSizeBytes() const;
@@ -195,8 +198,9 @@ class Ccsr {
   /// with the index unchanged). Emptied clusters are dropped.
   Status RemoveEdges(const std::vector<Edge>& edges);
 
-  /// Deep structural validation (O(|E| log |E|)): per-cluster RLE row
-  /// sanity and row/column consistency, sorted-unique adjacency,
+  /// Deep structural validation (O(|E| + |V|), no allocation per arc):
+  /// per-cluster row-index invariants (CsrArrays::Validate) and
+  /// row/column consistency, sorted-unique adjacency,
   /// endpoint-label homogeneity against the cluster identifier,
   /// incoming CSR == transpose of outgoing (directed) / symmetry
   /// (undirected), and globally that the clusters partition the data
@@ -211,9 +215,9 @@ class Ccsr {
   friend class MmapCcsr;
 
   void RebuildIndexes();
-  /// Recomputes lpi_out_/lpi_in_ from the clusters (O(total RLE runs)).
-  /// Called wherever cluster contents change; the mmap loader instead
-  /// borrows the artifact's persisted sections when present.
+  /// Recomputes lpi_out_/lpi_in_ from the clusters (O(total non-empty
+  /// rows)). Called wherever cluster contents change; the mmap loader
+  /// borrows the artifact's persisted sections instead.
   void BuildLabelMasks();
 
   bool directed_ = false;
@@ -235,44 +239,41 @@ class Ccsr {
 
 class ClusterCache;
 
-/// G_C^*: the decompressed clusters one query needs (Algorithm 1).
-/// Valid while the Ccsr it was read from lives unmodified (see
-/// ClusterView); each query reads into a fresh one.
+/// G_C^*: the cluster views one query needs (Algorithm 1). Valid while
+/// the Ccsr it was read from lives unmodified (see ClusterView); each
+/// query reads into a fresh one.
 class QueryClusters {
  public:
   /// nullptr means the cluster is empty: no data edge can match.
   const ClusterView* Find(const ClusterId& id) const;
 
-  /// Decompressed "(a,b)*-clusters" for negation checks (may be empty).
+  /// The "(a,b)*-cluster" views for negation checks (may be empty).
   const std::vector<const ClusterView*>& Star(Label a, Label b) const;
 
   size_t NumViews() const { return views_.size(); }
-  /// Bytes the reads allocated: the views' row lookups (their columns
-  /// are borrowed from the Ccsr; see CsrIndex::SizeBytes).
-  size_t DecompressedBytes() const;
+  /// Bytes the reads decompressed: always 0, since a view is spans over
+  /// the Ccsr's own arrays. Kept as the zero point of the benchmark's
+  /// `ccsr.decompressed_bytes` record.
+  size_t DecompressedBytes() const { return 0; }
 
  private:
-  friend Status ReadClusters(const Ccsr&, const Graph&, MatchVariant,
-                             QueryClusters*);
-  friend class ClusterCache;
-  friend Status ReadClustersCached(ClusterCache&, const Graph&, MatchVariant,
-                                   QueryClusters*);
   friend Status ReadClustersImpl(const Ccsr&, const Graph&, MatchVariant,
                                  ClusterCache*, QueryClusters*);
 
-  // Views are shared so a cross-query ClusterCache can co-own them.
-  std::unordered_map<ClusterId, std::shared_ptr<const ClusterView>,
-                     ClusterIdHash>
-      views_;
+  // Node-based, so the Star pointers into it stay valid as it grows.
+  std::unordered_map<ClusterId, ClusterView, ClusterIdHash> views_;
   std::unordered_map<uint64_t, std::vector<const ClusterView*>> star_;
 };
 
-/// Algorithm 1 (ReadCSR): selects and decompresses the clusters needed
-/// to match `pattern` under `variant`. For vertex-induced matching this
-/// additionally loads the negation clusters between not-fully-connected
-/// pattern vertex pairs. Requires pattern.directed() == gc.directed().
+/// Algorithm 1 (ReadCSR): selects the clusters needed to match
+/// `pattern` under `variant` and views them. For vertex-induced
+/// matching this additionally loads the negation clusters between
+/// not-fully-connected pattern vertex pairs. Requires
+/// pattern.directed() == gc.directed().
 /// `out` must be empty (a fresh QueryClusters): views already in it
-/// would be reused as they are, whatever index they came from.
+/// would be reused as they are, whatever index they came from. A view
+/// whose offsets do not end at its columns (a damaged mapped artifact
+/// that skipped Validate) fails the read with Corruption.
 Status ReadClusters(const Ccsr& gc, const Graph& pattern, MatchVariant variant,
                     QueryClusters* out);
 

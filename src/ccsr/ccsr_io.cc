@@ -50,18 +50,36 @@ void WriteBytes(std::ostream& out, const void* p, uint64_t n, uint64_t* pos) {
   *pos += n;
 }
 
-// Writes a run array as explicit 16-byte records with zeroed padding
-// (the in-memory structs may carry garbage in the 4 padding bytes,
-// which would make artifacts non-deterministic).
-void WriteRuns(std::ostream& out, std::span<const RleRun> runs,
-               uint64_t* pos) {
-  for (const RleRun& r : runs) {
-    char rec[sizeof(RleRun)] = {};
-    std::memcpy(rec, &r.value, sizeof(r.value));
-    std::memcpy(rec + offsetof(RleRun, count), &r.count, sizeof(r.count));
-    out.write(rec, sizeof(rec));
-  }
-  *pos += runs.size() * sizeof(RleRun);
+// Places one cluster direction's arrays at `*cursor` (V2CsrLayoutOf)
+// and returns their directory record.
+V2CsrEntry PlaceCsr(const CsrArrays& d, uint64_t* cursor) {
+  V2CsrEntry e;
+  e.offset = V2AlignUp(*cursor, kV2ArrayAlign);
+  e.cols_count = d.cols.size();
+  e.max_row_length = d.max_row_length;
+  e.ids_count = static_cast<uint32_t>(d.ids.size());
+  e.words_count = static_cast<uint32_t>(d.words.size());
+  *cursor = V2CsrLayoutOf(e).end;
+  return e;
+}
+
+// Zero-pads up to `offset` and writes `a` there.
+template <typename T>
+void WriteArray(std::ostream& out, uint64_t offset, std::span<const T> a,
+                uint64_t* pos) {
+  PadTo(out, offset, pos);
+  WriteBytes(out, a.data(), a.size() * sizeof(T), pos);
+}
+
+// Writes the arrays of one direction where PlaceCsr put them.
+void WriteCsr(std::ostream& out, const CsrArrays& d, const V2CsrEntry& e,
+              uint64_t* pos) {
+  const V2CsrLayout l = V2CsrLayoutOf(e);
+  WriteArray(out, l.ids, d.ids.span(), pos);
+  WriteArray(out, l.offsets, d.offsets.span(), pos);
+  WriteArray(out, l.words, d.words.span(), pos);
+  WriteArray(out, l.rank, d.rank.span(), pos);
+  WriteArray(out, l.cols, d.cols.span(), pos);
 }
 
 }  // namespace
@@ -105,23 +123,8 @@ Status SaveCcsrToFileV2(const Ccsr& ccsr, const std::string& path) {
     e.elabel = c.id.elabel;
     e.directed = c.id.directed ? 1 : 0;
     e.num_edges = c.num_edges;
-    auto place_array = [&cursor](uint64_t count, uint64_t elem) {
-      uint64_t offset = V2AlignUp(cursor, kV2ArrayAlign);
-      cursor = offset + count * elem;
-      return offset;
-    };
-    e.out_runs_count = c.out_rows.num_runs();
-    e.out_runs_offset = place_array(e.out_runs_count, sizeof(RleRun));
-    e.out_rows_len = c.out_rows.uncompressed_length();
-    e.out_cols_count = c.out_cols.size();
-    e.out_cols_offset = place_array(e.out_cols_count, sizeof(VertexId));
-    if (c.id.directed) {
-      e.in_runs_count = c.in_rows.num_runs();
-      e.in_runs_offset = place_array(e.in_runs_count, sizeof(RleRun));
-      e.in_rows_len = c.in_rows.uncompressed_length();
-      e.in_cols_count = c.in_cols.size();
-      e.in_cols_offset = place_array(e.in_cols_count, sizeof(VertexId));
-    }
+    e.out = PlaceCsr(c.out, &cursor);
+    if (c.id.directed) e.in = PlaceCsr(c.in, &cursor);
     dir.push_back(e);
     cursor = V2AlignUp(cursor, kV2PageBytes);  // next cluster's block
   }
@@ -176,19 +179,8 @@ Status SaveCcsrToFileV2(const Ccsr& ccsr, const std::string& path) {
   WriteBytes(out, dir_bytes.data(), dir_bytes.size(), &pos);
   for (size_t i = 0; i < dir.size(); ++i) {
     const CompressedCluster& c = ccsr.clusters()[i];
-    const V2DirEntry& e = dir[i];
-    PadTo(out, e.out_runs_offset, &pos);
-    WriteRuns(out, c.out_rows.runs(), &pos);
-    PadTo(out, e.out_cols_offset, &pos);
-    WriteBytes(out, c.out_cols.data(), e.out_cols_count * sizeof(VertexId),
-               &pos);
-    if (c.id.directed) {
-      PadTo(out, e.in_runs_offset, &pos);
-      WriteRuns(out, c.in_rows.runs(), &pos);
-      PadTo(out, e.in_cols_offset, &pos);
-      WriteBytes(out, c.in_cols.data(), e.in_cols_count * sizeof(VertexId),
-                 &pos);
-    }
+    WriteCsr(out, c.out, dir[i].out, &pos);
+    if (c.id.directed) WriteCsr(out, c.in, dir[i].in, &pos);
   }
   PadTo(out, h.file_bytes, &pos);
   if (!out) return Status::IOError("write failed: " + path);

@@ -18,6 +18,9 @@ namespace {
 
 std::string Errno() { return std::strerror(errno); }
 
+// The `in` record of an undirected cluster: all zero.
+constexpr V2CsrEntry kNoCsr{};
+
 // ---------------------------------------------------------------------
 // The bounds-checked primitives (mmap-bounded-reads): the ONLY functions
 // in the mmap loader allowed to form pointers into the mapped bytes.
@@ -115,7 +118,8 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
     return Status::Corruption(
         path + ": unsupported CCSR v2 version " +
         std::to_string(header_.version) + ", expected " +
-        std::to_string(kV2Version));
+        std::to_string(kV2Version) +
+        " — rebuild the index with csce_build");
   }
   if (header_.file_bytes != size_) {
     return Status::Corruption(
@@ -165,15 +169,10 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
   CSCE_RETURN_IF_ERROR(
       check_section(header_.directory, "directory",
                     header_.num_clusters * sizeof(V2DirEntry)));
-  // Label-pair index sections are optional (length 0 in artifacts
-  // written before they existed — the zero-padded header decodes them
-  // as absent); when present they must be exactly one mask per vertex.
-  const bool has_lpi = header_.lpi_out.length != 0;
-  CSCE_RETURN_IF_ERROR(check_section(
-      header_.lpi_out, "lpi_out", has_lpi ? nv * sizeof(uint64_t) : 0));
-  CSCE_RETURN_IF_ERROR(check_section(
-      header_.lpi_in, "lpi_in",
-      has_lpi && directed ? nv * sizeof(uint64_t) : 0));
+  CSCE_RETURN_IF_ERROR(
+      check_section(header_.lpi_out, "lpi_out", nv * sizeof(uint64_t)));
+  CSCE_RETURN_IF_ERROR(check_section(header_.lpi_in, "lpi_in",
+                                     directed ? nv * sizeof(uint64_t) : 0));
 
   // Directory checksum: the directory is the trust root for every raw
   // payload offset, so it gets an integrity check of its own before any
@@ -204,12 +203,10 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
       !BindSpan(map_, size_, header_.vlabel_freq.offset,
                 header_.vlabel_freq.length / sizeof(uint32_t), kV2PageBytes,
                 &vlabel_freq) ||
-      !BindSpan(map_, size_, header_.lpi_out.offset,
-                header_.lpi_out.length / sizeof(uint64_t), kV2PageBytes,
+      !BindSpan(map_, size_, header_.lpi_out.offset, nv, kV2PageBytes,
                 &lpi_out) ||
-      !BindSpan(map_, size_, header_.lpi_in.offset,
-                header_.lpi_in.length / sizeof(uint64_t), kV2PageBytes,
-                &lpi_in) ||
+      !BindSpan(map_, size_, header_.lpi_in.offset, directed ? nv : 0,
+                kV2PageBytes, &lpi_in) ||
       !BindSpan(map_, size_, header_.directory.offset, header_.num_clusters,
                 kV2PageBytes, &dir)) {
     return Status::Corruption(path + ": section table binds out of range");
@@ -221,10 +218,8 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
   ccsr_.out_degree_.Borrow(out_degree);
   ccsr_.in_degree_.Borrow(in_degree);
   ccsr_.vlabel_freq_.Borrow(vlabel_freq);
-  if (has_lpi) {
-    ccsr_.lpi_out_.Borrow(lpi_out);
-    ccsr_.lpi_in_.Borrow(lpi_in);
-  }
+  ccsr_.lpi_out_.Borrow(lpi_out);
+  ccsr_.lpi_in_.Borrow(lpi_in);
 
   // Directory entries: strictly sorted by ClusterId; every array range
   // bounds-checked into the payload section before a span is bound.
@@ -238,6 +233,41 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
     uint64_t bytes = count * elem;  // BindSpan re-checks overflow
     return offset >= payload.offset && offset <= payload.offset + payload.length &&
            bytes <= payload.offset + payload.length - offset;
+  };
+  // One array of a direction: bounds-checked into the payload, then
+  // bound with its directory count as its length.
+  auto bind = [&]<typename T>(uint64_t offset, uint64_t count,
+                              ArrayOrView<T>* out) -> bool {
+    std::span<const T> span;
+    if (!in_payload(offset, count, sizeof(T)) ||
+        !BindSpan(map_, size_, offset, count, kV2ArrayAlign, &span)) {
+      return false;
+    }
+    out->Borrow(span);
+    return true;
+  };
+  // The lengths of one direction's arrays, from the directory alone (no
+  // payload page is touched): at most |V| rows, a bitmap exactly at
+  // 1/16 fill, columns iff rows and within the file, and a longest row
+  // within the columns (the executor sizes buffers from it).
+  auto shape_ok = [this, nv](const V2CsrEntry& e) {
+    const uint64_t want_words =
+        CsrHasBitmap(e.ids_count, nv) ? CsrBitmapWords(nv) : 0;
+    return e.ids_count <= nv && e.words_count == want_words &&
+           e.cols_count <= size_ / sizeof(VertexId) &&
+           e.max_row_length <= e.cols_count &&
+           (e.ids_count == 0) == (e.cols_count == 0);
+  };
+  // Binds each array with its directory count as its length; shape_ok
+  // first, so the layout arithmetic cannot overflow.
+  auto bind_csr = [&](const V2CsrEntry& e, CsrArrays* d) -> bool {
+    const V2CsrLayout l = V2CsrLayoutOf(e);
+    d->max_row_length = e.max_row_length;
+    return bind(l.ids, e.ids_count, &d->ids) &&
+           bind(l.offsets, l.offsets_count, &d->offsets) &&
+           bind(l.words, e.words_count, &d->words) &&
+           bind(l.rank, e.words_count, &d->rank) &&
+           bind(l.cols, e.cols_count, &d->cols);
   };
   ccsr_.clusters_.clear();
   ccsr_.clusters_.reserve(dir.size());
@@ -257,62 +287,32 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
       return Status::Corruption(path + ": cluster " + id.ToString() +
                                 " directedness differs from the header");
     }
-    const bool has_in = id.directed;
-    if (e.out_rows_len != nv + 1 ||
-        (has_in ? e.in_rows_len != nv + 1
-                : (e.in_rows_len | e.in_runs_count | e.in_cols_count) != 0)) {
+    if (!shape_ok(e.out) ||
+        !(id.directed ? shape_ok(e.in) : std::memcmp(&e.in, &kNoCsr,
+                                                     sizeof(kNoCsr)) == 0)) {
       return Status::Corruption(path + ": cluster " + id.ToString() +
-                                " row-index length inconsistent with the "
+                                " array lengths inconsistent with the "
                                 "vertex count");
     }
-    if (!in_payload(e.out_runs_offset, e.out_runs_count, sizeof(RleRun)) ||
-        !in_payload(e.out_cols_offset, e.out_cols_count, sizeof(VertexId)) ||
-        !in_payload(e.in_runs_offset, e.in_runs_count, sizeof(RleRun)) ||
-        !in_payload(e.in_cols_offset, e.in_cols_count, sizeof(VertexId))) {
-      return Status::Corruption(path + ": cluster " + id.ToString() +
-                                " arrays escape the payload section");
-    }
-    std::span<const RleRun> out_runs;
-    std::span<const VertexId> out_cols;
-    std::span<const RleRun> in_runs;
-    std::span<const VertexId> in_cols;
-    if (!BindSpan(map_, size_, e.out_runs_offset, e.out_runs_count,
-                  kV2ArrayAlign, &out_runs) ||
-        !BindSpan(map_, size_, e.out_cols_offset, e.out_cols_count,
-                  kV2ArrayAlign, &out_cols) ||
-        !BindSpan(map_, size_, e.in_runs_offset, e.in_runs_count,
-                  kV2ArrayAlign, &in_runs) ||
-        !BindSpan(map_, size_, e.in_cols_offset, e.in_cols_count,
-                  kV2ArrayAlign, &in_cols)) {
-      return Status::Corruption(path + ": cluster " + id.ToString() +
-                                " arrays out of range or misaligned");
-    }
-
     CompressedCluster c;
     c.id = id;
     c.num_edges = e.num_edges;
-    c.out_rows.BorrowRuns(out_runs, e.out_rows_len);
-    c.out_cols.Borrow(out_cols);
-    if (has_in) {
-      c.in_rows.BorrowRuns(in_runs, e.in_rows_len);
-      c.in_cols.Borrow(in_cols);
+    if (!bind_csr(e.out, &c.out) || (id.directed && !bind_csr(e.in, &c.in))) {
+      return Status::Corruption(path + ": cluster " + id.ToString() +
+                                " arrays escape the payload or are "
+                                "misaligned");
     }
-    ccsr_.clusters_.push_back(std::move(c));
 
     // The cluster's page-aligned payload block — the unit of paging
-    // advice. Derived from the entry's own offsets so it stays correct
-    // even if a future writer reorders arrays within the block.
+    // advice: from its first array to its last.
     uint64_t lo = UINT64_MAX;
     uint64_t hi = 0;
-    auto widen = [&](uint64_t offset, uint64_t count, uint64_t elem) {
-      if (count == 0) return;
-      lo = std::min(lo, offset);
-      hi = std::max(hi, offset + count * elem);
-    };
-    widen(e.out_runs_offset, e.out_runs_count, sizeof(RleRun));
-    widen(e.out_cols_offset, e.out_cols_count, sizeof(VertexId));
-    widen(e.in_runs_offset, e.in_runs_count, sizeof(RleRun));
-    widen(e.in_cols_offset, e.in_cols_count, sizeof(VertexId));
+    for (const V2CsrEntry* d : {&e.out, &e.in}) {
+      if (d->ids_count == 0) continue;  // no arrays
+      const V2CsrLayout l = V2CsrLayoutOf(*d);
+      lo = std::min(lo, l.ids);
+      hi = std::max(hi, l.end);
+    }
     Block b;
     if (lo < hi) {
       b.offset = lo - lo % kV2PageBytes;
@@ -320,25 +320,9 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
     }
     block_index_.emplace(id, blocks_.size());
     blocks_.push_back(b);
+    ccsr_.clusters_.push_back(std::move(c));
   }
   ccsr_.RebuildIndexes();
-  // Legacy artifact without the persisted label-pair index: derive it
-  // from the clusters. This touches every cluster's runs once, which
-  // costs demand-paging locality only for pre-LPI files — rewriting the
-  // artifact restores O(1) open. The walk trusts each row index to
-  // cover exactly |V|+1 entries, so check that first: a damaged run
-  // count would send it past the mask tables.
-  if (!has_lpi) {
-    for (const CompressedCluster& c : ccsr_.clusters_) {
-      for (const CompressedRowIndex* rows : {&c.out_rows, &c.in_rows}) {
-        if (Status st = rows->Validate(); !st.ok()) {
-          return Status::Corruption(path + ": cluster " + c.id.ToString() +
-                                    ": " + st.message());
-        }
-      }
-    }
-    ccsr_.BuildLabelMasks();
-  }
   ccsr_.pager_ = this;
   {
     MutexLock lock(mu_);

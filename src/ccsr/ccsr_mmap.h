@@ -30,7 +30,7 @@ namespace csce {
 /// Paging (the CcsrPager implementation):
 /// * AdviseClusters(ids) issues madvise(MADV_WILLNEED) over the payload
 ///   blocks of the named clusters — the matcher calls it with the plan's
-///   cluster access order before decompressing anything, so reads
+///   cluster access order before reading any cluster, so reads
 ///   overlap with enumeration instead of serializing on page faults.
 /// * With a memory cap set, advised blocks enter a FIFO window; once the
 ///   window exceeds the cap the oldest blocks are dropped with
@@ -54,9 +54,10 @@ class MmapCcsr : public CcsrPager {
     bool prefetch = true;
   };
 
-  /// Opens and verifies a v2 artifact. Cheap structural checks only
-  /// (magic/version/size pinning, section table bounds + alignment,
-  /// directory order + CRC, per-cluster array bounds); deep semantic
+  /// Opens and verifies a v2 artifact. Cheap structural checks over the
+  /// header and directory only, no payload page (magic/version/size
+  /// pinning, section table bounds + alignment, directory order + CRC,
+  /// per-cluster array bounds and row-index lengths); deep semantic
   /// validation is available afterwards via ccsr().Validate(), which
   /// streams the whole payload through the page cache.
   static Status Open(const std::string& path, const Options& options,

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <type_traits>
 
-#include "ccsr/compressed_row.h"
 #include "graph/graph.h"
 
 namespace csce {
@@ -14,12 +13,15 @@ namespace csce {
 /// mmap-able.
 ///
 /// Every array sits at a fixed, aligned offset recorded in a header-page
-/// section table, in exactly the in-memory representation (raw
-/// Label/uint32_t/RleRun/VertexId records, little-endian), so a loader
-/// can mmap the file, bind spans into the mapping, and be query-ready in
+/// section table, in exactly the representation queries read (raw
+/// Label/uint32_t/uint64_t/VertexId records, little-endian; each
+/// cluster direction is a CsrArrays, see csr.h), so a loader can mmap
+/// the file, bind spans into the mapping, and be query-ready in
 /// O(#clusters) without touching the payload bytes — the OS demand-pages
 /// clusters in as enumeration first touches them. Files carrying the
-/// retired v1 stream magic (kV1Magic) are rejected by name.
+/// retired v1 stream magic (kV1Magic) are rejected by name, and v2
+/// files of an older version (version 1 stored RLE row runs) by
+/// version; both with the csce_build rebuild hint.
 ///
 /// Layout:
 ///   [0, 4096)            V2Header (see below), zero-padded to the page
@@ -27,14 +29,15 @@ namespace csce {
 ///   out_degree section   num_vertices x uint32_t
 ///   in_degree section    num_vertices x uint32_t (directed only; else empty)
 ///   vlabel_freq section  (max_label + 1) x uint32_t
-///   lpi_out section      num_vertices x uint64_t (optional; label-pair
-///                        index, outgoing neighbor-label bitmasks)
+///   lpi_out section      num_vertices x uint64_t (label-pair index,
+///                        outgoing neighbor-label bitmasks)
 ///   lpi_in section       num_vertices x uint64_t (directed only; else empty)
 ///   directory section    num_clusters x V2DirEntry, sorted by ClusterId,
 ///                        CRC-32 recorded in the header
 ///   payload              per-cluster blocks, each page-aligned:
-///                        out_runs | out_cols | in_runs | in_cols,
-///                        every array 64-byte aligned
+///                        out: ids | offsets | words | rank | cols,
+///                        then the same for in (directed only);
+///                        every array 64-byte aligned (V2CsrLayoutOf)
 ///
 /// Alignment rules:
 /// * every section offset is page-aligned (kV2PageBytes) so sections can
@@ -42,7 +45,7 @@ namespace csce {
 /// * each cluster's payload block starts on a page boundary — the unit
 ///   of WILLNEED/DONTNEED paging advice is a whole cluster;
 /// * each array within a block is kV2ArrayAlign-aligned, satisfying the
-///   alignment requirement of span<const RleRun>/span<const VertexId>
+///   alignment requirement of span<const uint64_t>/span<const VertexId>
 ///   over the mapped bytes with headroom for vectorized readers.
 ///
 /// All offsets are absolute file offsets in bytes. `file_bytes` pins the
@@ -51,7 +54,7 @@ namespace csce {
 
 inline constexpr uint32_t kV1Magic = 0x43435352;  // "CCSR": retired v1, rejected
 inline constexpr uint32_t kV2Magic = 0x32525343;  // "CSR2" little-endian
-inline constexpr uint32_t kV2Version = 1;
+inline constexpr uint32_t kV2Version = 2;
 inline constexpr uint64_t kV2PageBytes = 4096;
 inline constexpr uint64_t kV2ArrayAlign = 64;
 
@@ -88,11 +91,8 @@ struct V2Header {
   V2Section vlabel_freq;
   V2Section directory;
   V2Section payload;
-  // Optional label-pair index sections, appended after payload in the
-  // header but placed between vlabel_freq and directory in the file.
-  // Length 0 = absent: artifacts written before these fields existed
-  // are zero-padded past the old 144-byte header, so they decode as
-  // absent and the loader rebuilds the masks from the clusters.
+  // Label-pair index sections, appended after payload in the header but
+  // placed between vlabel_freq and directory in the file.
   V2Section lpi_out;
   V2Section lpi_in;
 };
@@ -101,37 +101,76 @@ static_assert(std::is_trivially_copyable_v<V2Header>);
 static_assert(sizeof(V2Header) == 176, "v2 header layout is on-disk ABI");
 static_assert(sizeof(V2Header) <= kV2PageBytes);
 
+/// One cluster direction's arrays (a CsrArrays, see csr.h) in the
+/// payload: their counts, in records, and where the first one starts.
+/// words_count is CsrBitmapWords(|V|) at or above 1/16 fill
+/// (CsrHasBitmap) and 0 below it; the arrays' positions follow from
+/// `offset` and the counts (V2CsrLayoutOf), which keeps the directory —
+/// CRC'd on every open — small.
+struct V2CsrEntry {
+  uint64_t offset = 0;  // absolute, kV2ArrayAlign-aligned
+  uint64_t cols_count = 0;
+  uint64_t max_row_length = 0;
+  uint32_t ids_count = 0;
+  uint32_t words_count = 0;
+};
+
+static_assert(std::is_trivially_copyable_v<V2CsrEntry>);
+static_assert(sizeof(V2CsrEntry) == 32, "v2 CSR entry is on-disk ABI");
+
+/// Where the arrays of one direction sit: one after another from
+/// `offset`, in the order ids | offsets | words | rank | cols, each
+/// kV2ArrayAlign-aligned. The writer and the loader both place arrays
+/// with V2CsrLayoutOf.
+struct V2CsrLayout {
+  uint64_t ids = 0;  // absolute byte offsets
+  uint64_t offsets = 0;
+  uint64_t words = 0;
+  uint64_t rank = 0;
+  uint64_t cols = 0;
+  uint64_t end = 0;            // one past the last column
+  uint64_t offsets_count = 0;  // ids_count + 1, or 0 without rows
+};
+
+/// The layout of `e`. Overflow-free for any entry whose ids_count is
+/// at most |V| and whose cols_count fits the file.
+inline V2CsrLayout V2CsrLayoutOf(const V2CsrEntry& e) {
+  V2CsrLayout l;
+  l.offsets_count = e.ids_count == 0 ? 0 : uint64_t{e.ids_count} + 1;
+  uint64_t at = e.offset;
+  auto place = [&at](uint64_t count, uint64_t elem) {
+    const uint64_t offset = V2AlignUp(at, kV2ArrayAlign);
+    at = offset + count * elem;
+    return offset;
+  };
+  l.ids = place(e.ids_count, sizeof(VertexId));
+  l.offsets = place(l.offsets_count, sizeof(uint64_t));
+  l.words = place(e.words_count, sizeof(uint64_t));
+  l.rank = place(e.words_count, sizeof(uint32_t));
+  l.cols = place(e.cols_count, sizeof(VertexId));
+  l.end = at;
+  return l;
+}
+
 /// Fixed-size directory record for one cluster, sorted by ClusterId
 /// (src_label, dst_label, elabel, directed ascending) so lookups can
 /// binary-search the mapped directory without building a hash index.
-/// Array offsets are absolute; counts are in records (RleRun for runs,
-/// VertexId for cols), and rows_len is the uncompressed row-index
-/// length (|V| + 1) the CompressedRowIndex needs.
+/// Undirected clusters leave `in` all zero.
 struct V2DirEntry {
   uint32_t src_label = 0;
   uint32_t dst_label = 0;
   uint32_t elabel = 0;
   uint32_t directed = 0;
   uint64_t num_edges = 0;
-  uint64_t out_runs_offset = 0;
-  uint64_t out_runs_count = 0;
-  uint64_t out_rows_len = 0;
-  uint64_t out_cols_offset = 0;
-  uint64_t out_cols_count = 0;
-  uint64_t in_runs_offset = 0;
-  uint64_t in_runs_count = 0;
-  uint64_t in_rows_len = 0;
-  uint64_t in_cols_offset = 0;
-  uint64_t in_cols_count = 0;
+  V2CsrEntry out;
+  V2CsrEntry in;
 };
 
 static_assert(std::is_trivially_copyable_v<V2DirEntry>);
-static_assert(sizeof(V2DirEntry) == 104, "v2 directory entry is on-disk ABI");
+static_assert(sizeof(V2DirEntry) == 88, "v2 directory entry is on-disk ABI");
 
-// The payload stores runs/columns as the in-memory record types; these
-// mirror the asserts in compressed_row.h so a format change cannot
-// silently diverge from the structs spans are bound over.
-static_assert(sizeof(RleRun) == 16);
+// The payload stores the arrays as the in-memory record types; a format
+// change cannot silently diverge from the types spans are bound over.
 static_assert(sizeof(VertexId) == 4);
 static_assert(sizeof(Label) == 4);
 

@@ -19,22 +19,13 @@ std::shared_ptr<const ClusterView> ClusterCache::Get(const ClusterId& id) {
   }
   const CompressedCluster* c = gc_->Find(id);
   if (c == nullptr) return nullptr;
-  // Decompress outside the lock: concurrent queries missing on
-  // different clusters proceed in parallel. Two threads racing on the
-  // same cluster both decompress; the first insert wins and the loser's
-  // copy is dropped (both are correct, the work is wasted once).
-  std::shared_ptr<const ClusterView> view = DecompressCluster(*c);
+  // Two threads racing on the same cluster both make a view; the first
+  // insert wins and the loser's copy is dropped (both are correct).
+  auto view = std::make_shared<const ClusterView>(*c);
   MutexLock lock(mu_);
   auto [it, inserted] = views_.emplace(id, view);
   ++misses_;
   return it->second;
-}
-
-size_t ClusterCache::CachedBytes() const {
-  MutexLock lock(mu_);
-  size_t total = 0;
-  for (const auto& [id, view] : views_) total += view->SizeBytes();
-  return total;
 }
 
 Status ReadClustersCached(ClusterCache& cache, const Graph& pattern,

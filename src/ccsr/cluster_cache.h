@@ -11,30 +11,28 @@
 
 namespace csce {
 
-/// Cross-query cache of decompressed cluster views. The paper's
-/// Finding 5 charges every query the decompression of its clusters;
-/// its conclusion lists reducing that overhead as future work. A
-/// session serving many queries against one CCSR can instead share
-/// views: the first query pays the decompression, later queries
-/// touching the same clusters reuse them.
+/// Cross-query cache of cluster views. A view is O(1) spans over the
+/// Ccsr's arrays, so the cache saves no decompression any more — only
+/// the hash lookup into the Ccsr's cluster index; it stays as the
+/// session-level store QueryRuntime reports hit/miss counts for.
 ///
 /// Thread-safety: Get/CachedViews/CachedBytes/hits/misses/Clear are
 /// safe to call concurrently (one mutex guards the view map), so many
 /// in-flight queries of a QueryRuntime session may share one cache.
 /// The ClusterViews handed out are immutable and individually
 /// shared_ptr-owned, hence safe to read from any number of threads and
-/// to keep across a concurrent Clear(). They borrow the Ccsr's column
-/// arrays, so the underlying Ccsr must not be mutated
-/// (InsertEdges/RemoveEdges) while queries are in flight or views of it
-/// are held — the index itself is not synchronized, only this cache
-/// is. After a mutation, Clear() the cache and drop every old view.
+/// to keep across a concurrent Clear(). They borrow the Ccsr's arrays,
+/// so the underlying Ccsr must not be mutated (InsertEdges/RemoveEdges)
+/// while queries are in flight or views of it are held — the index
+/// itself is not synchronized, only this cache is. After a mutation,
+/// Clear() the cache and drop every old view.
 class ClusterCache {
  public:
   /// `gc` must outlive the cache and every QueryClusters served by it.
   explicit ClusterCache(const Ccsr* gc) : gc_(gc) {}
 
-  /// The decompressed view of `id`, decompressing on first use;
-  /// nullptr when the cluster is empty/absent.
+  /// The view of `id`, made on first use; nullptr when the cluster is
+  /// empty/absent.
   std::shared_ptr<const ClusterView> Get(const ClusterId& id)
       CSCE_EXCLUDES(mu_);
 
@@ -42,7 +40,11 @@ class ClusterCache {
     MutexLock lock(mu_);
     return views_.size();
   }
-  size_t CachedBytes() const CSCE_EXCLUDES(mu_);
+  /// Bytes of the cached view objects (a view owns no arrays).
+  size_t CachedBytes() const CSCE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    return views_.size() * sizeof(ClusterView);
+  }
   uint64_t hits() const CSCE_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return hits_;
@@ -76,17 +78,12 @@ class ClusterCache {
 };
 
 /// Algorithm 1 backed by the shared cache: like ReadClusters but views
-/// already decompressed by earlier queries are reused. The returned
-/// QueryClusters co-owns its views, so it stays valid even if the cache
-/// is cleared afterwards, while the Ccsr lives unmodified. `out` must be
-/// empty, as for ReadClusters.
+/// made by earlier queries are reused. The returned QueryClusters holds
+/// copies of its views, so it stays valid even if the cache is cleared
+/// afterwards, while the Ccsr lives unmodified. `out` must be empty, as
+/// for ReadClusters.
 Status ReadClustersCached(ClusterCache& cache, const Graph& pattern,
                           MatchVariant variant, QueryClusters* out);
-
-/// Decompresses one cluster into a view that borrows its columns: the
-/// row lookup costs O(#runs), the columns are not copied.
-std::shared_ptr<const ClusterView> DecompressCluster(
-    const CompressedCluster& cluster);
 
 }  // namespace csce
 

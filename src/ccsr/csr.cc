@@ -1,85 +1,111 @@
 #include "ccsr/csr.h"
 
-#include <algorithm>
+#include <bit>
+#include <string>
 #include <utility>
 
-#include "util/logging.h"
-
 namespace csce {
-namespace {
 
-// At or above this fill ratio (non-empty vertices / |V|), an index also
-// gets the rank bitmap for O(1) lookup. The bitmap has one word per 64
-// vertices, so at this fill it holds at most k/4 words for k non-empty
-// vertices; below it, binary search over the vertex list is cheaper
-// than a bitmap proportional to |V|.
-constexpr double kDenseThreshold = 1.0 / 16.0;
-
-}  // namespace
-
-CsrIndex CsrIndex::FromCompressed(const CompressedRowIndex& rows,
-                                  std::span<const VertexId> cols) {
-  CsrIndex out;
-  out.cols_.Borrow(cols);
-  return FromCompressedRows(rows, std::move(out));
-}
-
-CsrIndex CsrIndex::FromCompressedRows(const CompressedRowIndex& rows,
-                                      CsrIndex out) {
-  const uint64_t num_vertices =
-      rows.uncompressed_length() == 0 ? 0 : rows.uncompressed_length() - 1;
-  // Non-empty vertex count == number of run boundaries.
-  const size_t non_empty = rows.num_runs() == 0 ? 0 : rows.num_runs() - 1;
-  const bool dense =
-      num_vertices > 0 &&
-      static_cast<double>(non_empty) / static_cast<double>(num_vertices) >=
-          kDenseThreshold;
-  out.vertices_.reserve(non_empty);
-  out.offsets_.reserve(non_empty + 1);
-  out.offsets_.push_back(0);
-  if (dense) out.words_.assign((num_vertices + 63) / 64, 0);
-  std::vector<uint64_t>& words = out.words_;
-  size_t max_len = 0;
-  rows.ForEachNonEmptyRow([&](uint64_t v, uint64_t begin, uint64_t end) {
-    CSCE_DCHECK(out.offsets_.back() == begin);
-    out.vertices_.push_back(static_cast<VertexId>(v));
-    out.offsets_.push_back(end);
-    max_len = std::max(max_len, static_cast<size_t>(end - begin));
-    // The bound check keeps a damaged run count (mapped clusters are
-    // not deep-validated on open) from writing past the bitmap.
-    if (dense && (v >> 6) < words.size()) {
-      words[v >> 6] |= uint64_t{1} << (v & 63);
-    }
-  });
-  out.max_row_length_ = max_len;
-  if (dense) {
-    out.rank_.resize(words.size());
+CsrArrays CsrBuilder::Finish(uint32_t num_vertices) && {
+  CSCE_DCHECK(ids_.empty() || ids_.back() < num_vertices);
+  CsrArrays out;
+  if (!ids_.empty()) {
+    CloseRow();
+    offsets_.push_back(cols_.size());
+  }
+  out.max_row_length = max_row_length_;
+  if (CsrHasBitmap(ids_.size(), num_vertices)) {
+    std::vector<uint64_t> words(CsrBitmapWords(num_vertices), 0);
+    for (VertexId v : ids_) words[v >> 6] |= uint64_t{1} << (v & 63);
+    std::vector<uint32_t> rank(words.size());
     uint32_t before = 0;
     for (size_t w = 0; w < words.size(); ++w) {
-      out.rank_[w] = before;
-      before += PopCount(words[w]);
+      rank[w] = before;
+      before += static_cast<uint32_t>(std::popcount(words[w]));
     }
+    out.words = std::move(words);
+    out.rank = std::move(rank);
   }
+  // The vectors become the index's storage: drop their growth slack.
+  ids_.shrink_to_fit();
+  offsets_.shrink_to_fit();
+  cols_.shrink_to_fit();
+  out.ids = std::move(ids_);
+  out.offsets = std::move(offsets_);
+  out.cols = std::move(cols_);
   return out;
 }
 
-CsrIndex CsrIndex::FromArcs(uint32_t num_vertices,
-                            std::span<const Edge> sorted_arcs) {
-  CompressedRowBuilder rows;
-  std::vector<VertexId> cols(sorted_arcs.size());
-  for (size_t i = 0; i < sorted_arcs.size(); ++i) {
-    CSCE_DCHECK(i == 0 || !(sorted_arcs[i] < sorted_arcs[i - 1]));
-    rows.Add(sorted_arcs[i].src);
-    cols[i] = sorted_arcs[i].dst;
+Status CsrArrays::Validate(uint32_t num_vertices) const {
+  const uint64_t k = ids.size();
+  if (offsets.size() != (k == 0 ? 0 : k + 1)) {
+    return Status::Corruption("row index has " +
+                              std::to_string(offsets.size()) +
+                              " offsets for " + std::to_string(k) +
+                              " non-empty rows");
   }
-  CsrIndex out;
-  out.cols_ = std::move(cols);
-  return FromCompressedRows(std::move(rows).Finish(num_vertices),
-                            std::move(out));
-}
-
-std::vector<VertexId> CsrIndex::NonEmptyVertices() const {
-  return std::vector<VertexId>(vertices_.begin(), vertices_.end());
+  const uint64_t final_offset = k == 0 ? 0 : offsets[k];
+  if (final_offset != cols.size()) {
+    return Status::Corruption("final row offset " +
+                              std::to_string(final_offset) +
+                              " != column count " +
+                              std::to_string(cols.size()));
+  }
+  if (k > 0 && offsets[0] != 0) {
+    return Status::Corruption("first row offset is " +
+                              std::to_string(offsets[0]) + ", expected 0");
+  }
+  uint64_t longest = 0;
+  for (uint64_t i = 0; i < k; ++i) {
+    if (ids[i] >= num_vertices) {
+      return Status::Corruption("row id " + std::to_string(ids[i]) +
+                                " out of range");
+    }
+    if (i > 0 && ids[i] <= ids[i - 1]) {
+      return Status::Corruption("row ids not strictly increasing at row " +
+                                std::to_string(i));
+    }
+    // Strictly increasing offsets: every listed row is non-empty.
+    if (offsets[i + 1] <= offsets[i]) {
+      return Status::Corruption("row offsets not strictly increasing at row " +
+                                std::to_string(i));
+    }
+    longest = std::max(longest, offsets[i + 1] - offsets[i]);
+  }
+  if (longest != max_row_length) {
+    return Status::Corruption("stored longest row " +
+                              std::to_string(max_row_length) +
+                              " != longest row " + std::to_string(longest));
+  }
+  const uint64_t want_words =
+      CsrHasBitmap(k, num_vertices) ? CsrBitmapWords(num_vertices) : 0;
+  if (words.size() != want_words || rank.size() != want_words) {
+    return Status::Corruption(
+        "rank bitmap has " + std::to_string(words.size()) + " words and " +
+        std::to_string(rank.size()) + " counts, expected " +
+        std::to_string(want_words) + " for " + std::to_string(k) +
+        " non-empty rows of " + std::to_string(num_vertices));
+  }
+  // Each word must be exactly the bits of the ids inside it, and its
+  // count the number of ids before it.
+  uint64_t i = 0;
+  for (uint64_t w = 0; w < want_words; ++w) {
+    if (rank[w] != i) {
+      return Status::Corruption("rank count of bitmap word " +
+                                std::to_string(w) + " is " +
+                                std::to_string(rank[w]) + ", expected " +
+                                std::to_string(i));
+    }
+    uint64_t word = 0;
+    for (; i < k && (ids[i] >> 6) == w; ++i) {
+      word |= uint64_t{1} << (ids[i] & 63);
+    }
+    if (words[w] != word) {
+      return Status::Corruption("rank bitmap word " + std::to_string(w) +
+                                " does not match the non-empty rows");
+    }
+  }
+  return Status::OK();
 }
 
 }  // namespace csce

@@ -7,42 +7,128 @@
 #include <vector>
 
 #include "ccsr/array_view.h"
-#include "ccsr/compressed_row.h"
 #include "graph/graph.h"
+#include "util/logging.h"
+#include "util/status.h"
 
 namespace csce {
 
-/// A query-ready, one-direction CSR over the data-graph vertex universe,
-/// reconstructed from a CompressedRowIndex at read time (paper: "when
-/// reading clusters, we decompress and construct standard CSRs").
+/// True when a row index with `non_empty` of `num_vertices` rows
+/// non-empty carries a rank bitmap: at or above 1/16 fill. The bitmap
+/// has one word per 64 vertices, so at this fill it holds at most k/4
+/// words for k non-empty rows; below it, binary search over the row ids
+/// is cheaper than a bitmap proportional to |V|.
+inline bool CsrHasBitmap(uint64_t non_empty, uint64_t num_vertices) {
+  return num_vertices > 0 && non_empty * 16 >= num_vertices;
+}
+
+/// Words of the rank bitmap over `num_vertices` vertices.
+inline uint64_t CsrBitmapWords(uint64_t num_vertices) {
+  return (num_vertices + 63) / 64;
+}
+
+/// One direction of a cluster CSR, stored exactly as queries use it, in
+/// memory and in a CCSR v2 artifact alike (paper Section IV's row index
+/// without the run-length encoding: every run boundary of the paper's
+/// RLE runs is one non-empty vertex, so the sorted non-empty ids and
+/// their offsets hold the same information in fewer bytes):
+/// * ids     — the k non-empty vertices, strictly increasing;
+/// * offsets — k+1 column offsets, 0 first, strictly increasing, the
+///   last equal to the column count (no offsets when k == 0);
+/// * words/rank — at or above 1/16 fill (CsrHasBitmap) a rank bitmap:
+///   bit v of words set iff v is non-empty, rank[w] the number of
+///   non-empty vertices before word w; absent below it;
+/// * cols    — the neighbor rows, concatenated;
+/// * max_row_length — the longest row.
 ///
-/// Every index holds the k sorted non-empty vertices and their k+1
-/// column offsets, filled by one walk over the RLE runs, so building it
-/// costs O(#runs), never O(|V|). Row lookup has two layouts behind one
-/// interface:
-/// * dense  — clusters touching at least 1/16 of the vertices also get
-///   a rank bitmap: one word per 64 vertices (bit v set when v is
-///   non-empty) and the count of non-empty vertices before each word.
-///   Neighbors(v) is a bit test plus a popcount; O(1). The bitmap has
-///   at most k/4 words, since it exists only at >= 1/16 fill.
-/// * sparse — binary search over the vertex list; O(log k).
+/// Arrays are heap-owned for a built index and borrowed from the
+/// mapping for an MmapCcsr (see ArrayOrView). Ccsr::Validate checks
+/// every invariant above; MmapCcsr::Open checks the array lengths.
+struct CsrArrays {
+  ArrayOrView<VertexId> ids;
+  ArrayOrView<uint64_t> offsets;
+  ArrayOrView<uint64_t> words;
+  ArrayOrView<uint32_t> rank;
+  ArrayOrView<VertexId> cols;
+  uint64_t max_row_length = 0;
+
+  /// Bytes of the row index: ids, offsets and the rank bitmap.
+  size_t RowIndexBytes() const {
+    return ids.size() * sizeof(VertexId) + offsets.size() * sizeof(uint64_t) +
+           words.size() * sizeof(uint64_t) + rank.size() * sizeof(uint32_t);
+  }
+  size_t SizeBytes() const {
+    return RowIndexBytes() + cols.size() * sizeof(VertexId);
+  }
+
+  /// Deep check of every row-index invariant above over a vertex
+  /// universe of `num_vertices`, in O(k + bitmap words); the column
+  /// contents are the caller's to check. Returns Corruption naming the
+  /// first violated invariant.
+  Status Validate(uint32_t num_vertices) const;
+
+  friend bool operator==(const CsrArrays&, const CsrArrays&) = default;
+
+  /// Copies borrowed arrays into owned storage (no-op when owned).
+  void EnsureOwned() {
+    ids.EnsureOwned();
+    offsets.EnsureOwned();
+    words.EnsureOwned();
+    rank.EnsureOwned();
+    cols.EnsureOwned();
+  }
+};
+
+/// Fills a CsrArrays from arcs arriving sorted by (src, dst), in
+/// O(#arcs) plus the bitmap words: a new source opens a row, and
+/// Finish() closes the last one and adds the rank bitmap when the fill
+/// calls for it.
+class CsrBuilder {
+ public:
+  /// Records arc src -> dst. Arcs must arrive sorted by (src, dst).
+  void Add(VertexId src, VertexId dst) {
+    if (ids_.empty() || src != ids_.back()) {
+      CSCE_DCHECK(ids_.empty() || src > ids_.back());
+      CloseRow();
+      ids_.push_back(src);
+      offsets_.push_back(cols_.size());
+    }
+    cols_.push_back(dst);
+  }
+
+  /// The arrays over `num_vertices` rows; every source added must be
+  /// below `num_vertices`.
+  CsrArrays Finish(uint32_t num_vertices) &&;
+
+ private:
+  void CloseRow() {
+    if (!offsets_.empty()) {
+      max_row_length_ =
+          std::max<uint64_t>(max_row_length_, cols_.size() - offsets_.back());
+    }
+  }
+
+  std::vector<VertexId> ids_;
+  std::vector<uint64_t> offsets_;
+  std::vector<VertexId> cols_;
+  uint64_t max_row_length_ = 0;
+};
+
+/// A query-ready, one-direction CSR: spans over a CsrArrays (in memory
+/// or mmap'd), so building one is O(1) and allocates nothing. The spans
+/// are valid while the arrays live unmodified.
 ///
-/// Columns built from a CompressedRowIndex are borrowed, not copied.
+/// Row lookup has two layouts behind one interface:
+/// * with a rank bitmap, Neighbors(v) is a bit test plus a popcount;
+///   O(1);
+/// * without one, a binary search over the row ids; O(log k).
 class CsrIndex {
  public:
   CsrIndex() = default;
-
-  /// Decompresses `rows` over `cols` (a cluster's column array, in
-  /// memory or mmap'd), which the index aliases instead of copying: the
-  /// storage must outlive the index and stay unmodified.
-  static CsrIndex FromCompressed(const CompressedRowIndex& rows,
-                                 std::span<const VertexId> cols);
-
-  /// Builds directly from arcs sorted by (src, dst); the row runs come
-  /// from CompressedRowBuilder and the index owns its columns (used by
-  /// tests and benches).
-  static CsrIndex FromArcs(uint32_t num_vertices,
-                           std::span<const Edge> sorted_arcs);
+  explicit CsrIndex(const CsrArrays& a)
+      : ids_(a.ids.span()), offsets_(a.offsets.span()),
+        words_(a.words.span()), rank_(a.rank.span()), cols_(a.cols.span()),
+        max_row_length_(a.max_row_length) {}
 
   /// Neighbors of v in this cluster direction (sorted, unique).
   std::span<const VertexId> Neighbors(VertexId v) const {
@@ -55,9 +141,9 @@ class CsrIndex {
       if ((word & bit) == 0) return {};
       idx = rank_[w] + PopCount(word & (bit - 1));
     } else {
-      auto it = std::lower_bound(vertices_.begin(), vertices_.end(), v);
-      if (it == vertices_.end() || *it != v) return {};
-      idx = static_cast<size_t>(it - vertices_.begin());
+      auto it = std::lower_bound(ids_.begin(), ids_.end(), v);
+      if (it == ids_.end() || *it != v) return {};
+      idx = static_cast<size_t>(it - ids_.begin());
     }
     return {cols_.data() + offsets_[idx], cols_.data() + offsets_[idx + 1]};
   }
@@ -69,42 +155,26 @@ class CsrIndex {
   }
 
   uint64_t NumArcs() const { return cols_.size(); }
-  /// True when the index has a rank bitmap (the dense layout).
+  /// True when the index has a rank bitmap.
   bool dense() const { return !words_.empty(); }
 
-  /// The distinct vertices with at least one arc, sorted. Copying
-  /// convenience used by tests and diagnostics; hot paths use
-  /// NonEmptySpan.
-  std::vector<VertexId> NonEmptyVertices() const;
+  /// The distinct vertices with at least one arc, sorted. Valid while
+  /// the arrays live; safe to read from any number of threads.
+  std::span<const VertexId> NonEmptySpan() const { return ids_; }
 
-  /// Same set without the copy: a view into the index's vertex list.
-  /// Valid while the index lives; safe to read from any number of
-  /// threads.
-  std::span<const VertexId> NonEmptySpan() const { return vertices_; }
-
-  /// Length of the longest neighbor row, computed in the decompression
-  /// walk. An upper bound on any intersection result that includes one
-  /// of this index's rows — the executor sizes its zero-allocation
-  /// scratch buffers from it.
+  /// Length of the longest neighbor row. An upper bound on any
+  /// intersection result that includes one of this index's rows — the
+  /// executor sizes its zero-allocation scratch buffers from it.
   size_t MaxRowLength() const { return max_row_length_; }
 
-  /// Bytes this index allocated: the row-lookup arrays, plus the
-  /// columns only when it owns them (FromArcs). Borrowed columns belong
-  /// to the Ccsr and are not counted.
-  size_t SizeBytes() const {
-    return vertices_.size() * sizeof(VertexId) +
-           offsets_.size() * sizeof(uint64_t) +
-           words_.size() * sizeof(uint64_t) +
-           rank_.size() * sizeof(uint32_t) +
-           (cols_.borrowed() ? 0 : cols_.size() * sizeof(VertexId));
+  /// The O(1) check a read makes before it hands out a view: the last
+  /// offset ends the columns (none when there are no rows), so no row
+  /// of an intact offsets array reaches past them.
+  bool OffsetsEndAtColumns() const {
+    return offsets_.empty() ? cols_.empty() : offsets_.back() == cols_.size();
   }
 
  private:
-  // Shared tail of FromCompressed and FromArcs: `out` arrives with
-  // cols_ already bound (borrowed or owned).
-  static CsrIndex FromCompressedRows(const CompressedRowIndex& rows,
-                                     CsrIndex out);
-
   // Set bits of `w`, spelled out so that it inlines: without -mpopcnt
   // (the build targets baseline x86-64) std::popcount is a libgcc call.
   static uint32_t PopCount(uint64_t w) {
@@ -114,11 +184,11 @@ class CsrIndex {
     return static_cast<uint32_t>((w * 0x0101010101010101ULL) >> 56);
   }
 
-  std::vector<VertexId> vertices_;  // k sorted non-empty vertices
-  std::vector<uint64_t> offsets_;   // k+1 offsets into cols_
-  std::vector<uint64_t> words_;     // dense: bit v set iff v non-empty
-  std::vector<uint32_t> rank_;      // dense: non-empty vertices before word
-  ArrayOrView<VertexId> cols_;      // owned, or a view of cluster columns
+  std::span<const VertexId> ids_;
+  std::span<const uint64_t> offsets_;
+  std::span<const uint64_t> words_;
+  std::span<const uint32_t> rank_;
+  std::span<const VertexId> cols_;
   size_t max_row_length_ = 0;
 };
 

@@ -1,17 +1,11 @@
 #include "engine/embedding_verifier.h"
 
 #include <string>
-#include <utility>
 
 #include "util/logging.h"
 
 namespace csce {
 namespace {
-
-uint64_t StarKey(Label a, Label b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
 
 std::string MapStr(VertexId u, VertexId v) {
   return std::to_string(u) + " -> " + std::to_string(v);
@@ -25,72 +19,28 @@ EmbeddingVerifier::EmbeddingVerifier(const Ccsr& data, const Graph& pattern,
   CSCE_CHECK(pattern.directed() == data.directed())
       << "pattern and data directedness differ";
 
-  // Every pattern edge's cluster, decompressed privately: the row
-  // lookup is built here, not taken from any query view or cache; the
-  // columns are the CCSR's own immutable arrays.
+  // Every pattern edge's cluster, read from the CCSR's own arrays.
   pattern_.ForEachEdge([&](const Edge& e) {
-    ClusterId id = ClusterId::ForPatternEdge(pattern_, e);
-    auto it = edge_views_.find(id);
-    if (it == edge_views_.end()) {
-      const CompressedCluster* c = data_.Find(id);
-      if (c != nullptr) {
-        it = edge_views_
-                 .emplace(id, CsrIndex::FromCompressed(c->out_rows,
-                                                       c->out_cols.span()))
-                 .first;
-      } else {
-        it = edge_views_.emplace(id, CsrIndex{}).first;
-      }
-    }
-    const CsrIndex* view =
-        it->second.NumArcs() > 0 ? &it->second : nullptr;
-    edges_.push_back(PatternEdge{e, view});
+    const CompressedCluster* c =
+        data_.Find(ClusterId::ForPatternEdge(pattern_, e));
+    edges_.push_back(PatternEdge{e, c != nullptr ? CsrIndex(c->out)
+                                                 : CsrIndex()});
   });
 
   if (variant_ != MatchVariant::kVertexInduced) return;
 
-  // Star clusters for every label pair of a non-adjacent pattern pair.
+  // Every non-adjacent pattern pair, with the star clusters of its
+  // label pair.
   const uint32_t n = pattern_.NumVertices();
-  auto load_stars = [&](Label a, Label b) {
-    uint64_t key = StarKey(a, b);
-    if (star_views_.count(key) > 0) return;
-    std::vector<StarView>& views = star_views_[key];
-    for (const CompressedCluster* c : data_.StarClusters(a, b)) {
-      if (c->num_edges == 0) continue;
-      views.push_back(StarView{
-          c->id.src_label, c->id.dst_label, c->id.directed,
-          CsrIndex::FromCompressed(c->out_rows, c->out_cols.span())});
-    }
-  };
   for (VertexId u = 0; u < n; ++u) {
     for (VertexId w = u + 1; w < n; ++w) {
-      bool missing = pattern_.directed()
-                         ? (!pattern_.HasEdge(u, w) || !pattern_.HasEdge(w, u))
-                         : !pattern_.HasEdge(u, w);
-      if (missing) load_stars(pattern_.VertexLabel(u), pattern_.VertexLabel(w));
-    }
-  }
-  // Second pass: the map is stable now, pointers into it are safe.
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId w = u + 1; w < n; ++w) {
+      std::span<const size_t> stars =
+          data_.StarClusters(pattern_.VertexLabel(u), pattern_.VertexLabel(w));
       if (pattern_.directed()) {
-        if (!pattern_.HasEdge(u, w)) {
-          anti_pairs_.push_back(AntiPair{
-              u, w,
-              &star_views_.at(
-                  StarKey(pattern_.VertexLabel(u), pattern_.VertexLabel(w)))});
-        }
-        if (!pattern_.HasEdge(w, u)) {
-          anti_pairs_.push_back(AntiPair{
-              w, u,
-              &star_views_.at(
-                  StarKey(pattern_.VertexLabel(u), pattern_.VertexLabel(w)))});
-        }
+        if (!pattern_.HasEdge(u, w)) anti_pairs_.push_back({u, w, stars});
+        if (!pattern_.HasEdge(w, u)) anti_pairs_.push_back({w, u, stars});
       } else if (!pattern_.HasEdge(u, w)) {
-        anti_pairs_.push_back(AntiPair{
-            u, w,
-            &star_views_.at(
-                StarKey(pattern_.VertexLabel(u), pattern_.VertexLabel(w)))});
+        anti_pairs_.push_back({u, w, stars});
       }
     }
   }
@@ -137,7 +87,7 @@ Status EmbeddingVerifier::Verify(std::span<const VertexId> mapping) const {
   for (const PatternEdge& pe : edges_) {
     VertexId fs = mapping[pe.edge.src];
     VertexId fd = mapping[pe.edge.dst];
-    if (pe.view == nullptr || !pe.view->HasArc(fs, fd)) {
+    if (!pe.out.HasArc(fs, fd)) {
       return Status::Corruption(
           "embedding: pattern edge (" + std::to_string(pe.edge.src) + " -> " +
           std::to_string(pe.edge.dst) + ", label " +
@@ -153,22 +103,22 @@ Status EmbeddingVerifier::Verify(std::span<const VertexId> mapping) const {
     VertexId fw = mapping[ap.w];
     Label lu = pattern_.VertexLabel(ap.u);
     Label lw = pattern_.VertexLabel(ap.w);
-    for (const StarView& sv : *ap.stars) {
-      bool arc;
-      if (!sv.directed) {
-        arc = sv.out.HasArc(fu, fw);
-      } else if (sv.src_label == lu && sv.dst_label == lw) {
-        arc = sv.out.HasArc(fu, fw);
-      } else {
+    for (size_t slot : ap.stars) {
+      const CompressedCluster& c = data_.clusters()[slot];
+      // A directed cluster holds the forbidden arc only when oriented
+      // from u's label to w's.
+      if (c.id.directed &&
+          (c.id.src_label != lu || c.id.dst_label != lw)) {
         continue;
       }
-      if (arc) {
+      if (CsrIndex(c.out).HasArc(fu, fw)) {
         return Status::Corruption(
             "embedding: induced violation — pattern vertices " +
             std::to_string(ap.u) + " and " + std::to_string(ap.w) +
             " are non-adjacent but data has an arc " + std::to_string(fu) +
             " -> " + std::to_string(fw) + " in cluster " +
-            ClusterId{sv.src_label, sv.dst_label, 0, sv.directed}.ToString());
+            ClusterId{c.id.src_label, c.id.dst_label, 0, c.id.directed}
+                .ToString());
       }
     }
   }

@@ -4,11 +4,9 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/cluster_id.h"
 #include "ccsr/csr.h"
 #include "graph/graph.h"
 #include "graph/variant.h"
@@ -23,16 +21,17 @@ namespace csce {
 /// vertex-induced), and the absence of extra arcs between non-adjacent
 /// pattern vertices (vertex-induced).
 ///
-/// The verifier decompresses every cluster it needs privately from the
-/// compressed CCSR, independently of any shared ClusterCache, so a
-/// corrupted reused view is caught rather than echoed.
+/// The verifier looks every cluster it needs up in the CCSR itself and
+/// reads its rows there, independently of the query's views and of any
+/// shared ClusterCache, so a corrupted reused view is caught rather
+/// than echoed.
 ///
 /// Verify() is thread-safe (immutable state plus one atomic counter):
 /// the morsel-parallel runtime invokes the embedding callback
 /// concurrently from its workers.
 class EmbeddingVerifier {
  public:
-  /// Decompresses the clusters of all pattern edges and, for
+  /// Looks up the clusters of all pattern edges and, for
   /// vertex-induced matching, the "(x,y)*-clusters" of all non-adjacent
   /// pattern vertex pairs. `data` and `pattern` must outlive the
   /// verifier. Requires pattern.directed() == data.directed().
@@ -53,34 +52,25 @@ class EmbeddingVerifier {
   }
 
  private:
-  // One privately decompressed star cluster, for anti-edge checks.
-  struct StarView {
-    Label src_label;
-    Label dst_label;
-    bool directed;
-    CsrIndex out;
-  };
   // One ordered (directed) or unordered (undirected) pattern vertex
-  // pair that must have no data arc u -> w, plus the star clusters the
-  // forbidden arc could live in.
+  // pair that must have no data arc u -> w, plus the slots of the star
+  // clusters the forbidden arc could live in.
   struct AntiPair {
     VertexId u;
     VertexId w;
-    const std::vector<StarView>* stars;
+    std::span<const size_t> stars;
   };
-  // One pattern edge with its privately decompressed cluster
-  // (nullptr: the cluster is absent from the data, so no embedding can
-  // contain this edge).
+  // One pattern edge with the outgoing rows of its cluster (empty: the
+  // cluster is absent from the data, so no embedding can contain this
+  // edge).
   struct PatternEdge {
     Edge edge;
-    const CsrIndex* view;
+    CsrIndex out;
   };
 
   const Ccsr& data_;
   const Graph& pattern_;
   const MatchVariant variant_;
-  std::unordered_map<ClusterId, CsrIndex, ClusterIdHash> edge_views_;
-  std::unordered_map<uint64_t, std::vector<StarView>> star_views_;
   std::vector<PatternEdge> edges_;
   std::vector<AntiPair> anti_pairs_;
   mutable std::atomic<uint64_t> verified_{0};

@@ -11,7 +11,9 @@
 namespace csce {
 namespace {
 
-constexpr uint64_t kDeadlineCheckInterval = 16384;
+// Search nodes between deadline checks. Where every node computes a
+// candidate set (~1 us a node) this enforces a time limit within ~1 ms.
+constexpr uint64_t kDeadlineCheckInterval = 1024;
 
 /// Process-wide engine counters. Registered once; flushed from each
 /// run's ExecStats at the end of Run (never on the enumeration hot

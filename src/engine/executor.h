@@ -166,7 +166,7 @@ size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
 /// VertexScratch hot-growth counter is the test hook proving it.
 class Executor {
  public:
-  /// `gc` provides vertex labels, `qc` the decompressed clusters, and
+  /// `gc` provides vertex labels, `qc` the query's cluster views, and
   /// `plan` the compiled matching order. All must outlive the executor.
   Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan);
 

@@ -178,9 +178,8 @@ std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data,
     if (p.seed_valid) add(p.seed_cluster);
     for (const EdgeConstraint& e : p.edges) add(e.cluster);
     for (const NegConstraint& n : p.negations) {
-      for (const CompressedCluster* c :
-           data.StarClusters(p.label, n.other_label)) {
-        add(c->id);
+      for (size_t slot : data.StarClusters(p.label, n.other_label)) {
+        add(data.clusters()[slot].id);
       }
     }
   }

@@ -38,7 +38,7 @@ struct MatchOptions {
   /// the compiled plan is re-validated against the pattern
   /// (plan/validate.h), every SCE cache reuse is CHECK-compared against
   /// a fresh recomputation before being trusted, and every emitted
-  /// embedding is re-verified against privately decompressed clusters
+  /// embedding is re-verified against the CCSR's own cluster rows
   /// (labels, arcs, injectivity, induced-ness — engine/
   /// embedding_verifier.h). A bad embedding fails the match with
   /// Corruption; a bad cache reuse aborts the process. Disables the
@@ -106,10 +106,8 @@ std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data, const Plan& plan);
 class CsceMatcher {
  public:
   /// `data` must outlive the matcher. With a non-null `cache`, queries
-  /// share decompressed cluster views (see ccsr/cluster_cache.h),
-  /// amortizing the paper's Finding-5 read overhead across a session;
-  /// the cache must be built over the same `data` and must outlive the
-  /// matcher too.
+  /// share cluster views (see ccsr/cluster_cache.h); the cache must be
+  /// built over the same `data` and must outlive the matcher too.
   explicit CsceMatcher(const Ccsr* data, ClusterCache* cache = nullptr)
       : data_(data), cache_(cache) {}
 

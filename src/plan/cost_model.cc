@@ -25,11 +25,9 @@ ClusterStats StatsFor(const Ccsr& gc, const ClusterId& id) {
   const CompressedCluster* c = gc.Find(id);
   if (c == nullptr) return s;  // empty cluster: size 0
   s.size = static_cast<double>(c->num_edges);
-  s.distinct_sources =
-      std::max<double>(1, static_cast<double>(c->out_rows.num_runs()) - 1);
+  s.distinct_sources = std::max<double>(1, c->out.ids.size());
   if (id.directed) {
-    s.distinct_targets =
-        std::max<double>(1, static_cast<double>(c->in_rows.num_runs()) - 1);
+    s.distinct_targets = std::max<double>(1, c->in.ids.size());
   } else {
     // Undirected clusters store both orientations in one CSR.
     s.distinct_targets = s.distinct_sources;

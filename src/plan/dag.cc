@@ -13,16 +13,6 @@ bool ArePatternNeighbors(const Graph& p, VertexId a, VertexId b) {
   return p.HasEdge(a, b) || (p.directed() && p.HasEdge(b, a));
 }
 
-// Any data edges between these two vertex labels at all?
-bool StarNonEmpty(const Ccsr* gc, const Graph& p, VertexId a, VertexId b) {
-  if (gc == nullptr) return true;  // conservative without data statistics
-  for (const CompressedCluster* c :
-       gc->StarClusters(p.VertexLabel(a), p.VertexLabel(b))) {
-    if (c->num_edges > 0) return true;
-  }
-  return false;
-}
-
 }  // namespace
 
 DependencyDag DependencyDag::Build(const Graph& pattern,
@@ -66,8 +56,11 @@ DependencyDag DependencyDag::Build(const Graph& pattern,
         // anchored by some pattern neighbor earlier than position i.
         if (anchor[j] >= i) continue;
         // Line 8: only a non-empty "(x,y)*-cluster" creates a real
-        // negation dependency; empty clusters make it vacuous.
-        if (StarNonEmpty(gc, pattern, order[i], order[j])) {
+        // negation dependency; empty clusters make it vacuous
+        // (conservative without data statistics).
+        if (gc == nullptr ||
+            gc->HasStarEdges(pattern.VertexLabel(order[i]),
+                             pattern.VertexLabel(order[j]))) {
           add_edge(order[i], order[j]);
         }
       }

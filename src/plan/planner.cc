@@ -39,14 +39,6 @@ struct PlanMetrics {
   }
 };
 
-bool StarNonEmpty(const Ccsr* gc, Label a, Label b) {
-  if (gc == nullptr) return true;
-  for (const CompressedCluster* c : gc->StarClusters(a, b)) {
-    if (c->num_edges > 0) return true;
-  }
-  return false;
-}
-
 // Fills `pos->edges` with the backward edge constraints of pattern
 // vertex u at position j.
 void CompileEdgeConstraints(const Graph& pattern, VertexId u, uint32_t j,
@@ -99,7 +91,9 @@ void CompileNegConstraints(const Graph& pattern, const Ccsr* gc, VertexId u,
     if (!forbid_to && !forbid_from) continue;
     Label lu = pattern.VertexLabel(u);
     Label lw = pattern.VertexLabel(w);
-    if (!StarNonEmpty(gc, lu, lw)) continue;  // vacuous: no such data edges
+    // Vacuous without data edges between the labels (conservative
+    // without data statistics).
+    if (gc != nullptr && !gc->HasStarEdges(lu, lw)) continue;
     pos->negations.push_back(NegConstraint{i, forbid_to, forbid_from, lw});
   }
 }

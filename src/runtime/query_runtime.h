@@ -36,8 +36,8 @@ struct RuntimeOptions {
   /// (queueing counts against it). A job's own time_limit_seconds, if
   /// set, takes precedence. 0 = none.
   double default_deadline_seconds = 0.0;
-  /// Share decompressed cluster views across the session's queries via
-  /// one ClusterCache (the paper conclusion's read-overhead item).
+  /// Share cluster views across the session's queries via one
+  /// ClusterCache (a view is O(1) spans, so this saves a hash lookup).
   bool share_cluster_views = true;
   /// Transient-failure budget: a query whose attempt fails with a
   /// retryable status (IOError, ResourceExhausted — e.g. a sharded

@@ -355,7 +355,6 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
   // the mapping behind them): drop them before the index goes.
   routers_.clear();
   qc_ = QueryClusters();
-  cache_.Clear();
 
   mmap_.reset();  // drop any previous out-of-core mapping
   if (req.inline_payload) {
@@ -416,7 +415,7 @@ Status ShardWorker::HandlePlan(const wire::PlanRequest& req) {
   }
   qc_ = QueryClusters();  // each query reads into a fresh one
   CSCE_RETURN_IF_ERROR(
-      ReadClustersCached(cache_, pattern_, req.variant, &qc_));
+      ReadClusters(ccsr_, pattern_, req.variant, &qc_));
 
   // Owned root candidates: the probe computes the full root set against
   // the shard CCSR with the plan's passes. Labels are global and owned

@@ -8,7 +8,6 @@
 
 #include "ccsr/ccsr.h"
 #include "ccsr/ccsr_mmap.h"
-#include "ccsr/cluster_cache.h"
 #include "engine/executor.h"
 #include "graph/graph.h"
 #include "plan/planner.h"
@@ -63,9 +62,6 @@ class ShardWorker {
   // backs ccsr_'s borrowed arrays (and serves as its pager). Must stay
   // alive as long as ccsr_ does.
   std::unique_ptr<MmapCcsr> mmap_;
-  // Cluster views shared by the queries of one LOAD (the shard index is
-  // immutable between LOADs); cleared before a LOAD replaces ccsr_.
-  ClusterCache cache_{&ccsr_};
   std::vector<uint32_t> owner_;
   std::unique_ptr<ThreadPool> pool_;
 

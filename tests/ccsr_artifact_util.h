@@ -1,25 +1,31 @@
 #ifndef CSCE_TESTS_CCSR_ARTIFACT_UTIL_H_
 #define CSCE_TESTS_CCSR_ARTIFACT_UTIL_H_
 
-// Byte-level helpers for tests that damage CCSR v2 artifacts: whole-file
-// I/O, the artifact bytes of an index, loading bytes back through
-// LoadCcsrFromFile, and the byte ranges of an artifact that carry
-// content (as opposed to page and alignment padding).
+// Helpers for CCSR tests: byte-level ones for tests that damage CCSR v2
+// artifacts (whole-file I/O, the artifact bytes of an index, loading
+// bytes back through LoadCcsrFromFile, and the byte ranges of an
+// artifact that carry content as opposed to page and alignment
+// padding), and the dense-row oracle for a cluster direction.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "ccsr/ccsr.h"
 #include "ccsr/ccsr_io.h"
 #include "ccsr/ccsr_v2_format.h"
+#include "ccsr/csr.h"
+#include "util/crc32.h"
 #include "util/logging.h"
 
 namespace csce {
@@ -83,12 +89,80 @@ inline V2DirEntry ReadV2DirEntry(const std::string& bytes, uint64_t i) {
   return e;
 }
 
+/// Overwrites directory entry `i` of the v2 artifact `bytes` with `e`
+/// and re-seals the directory checksum, so the damage gets past the CRC
+/// to the check under test.
+inline void WriteV2DirEntry(std::string* bytes, uint64_t i,
+                            const V2DirEntry& e) {
+  V2Header h = ReadV2Header(*bytes);
+  CSCE_CHECK(i < h.num_clusters);
+  const uint64_t off = h.directory.offset + i * sizeof(e);
+  CSCE_CHECK(h.directory.offset + h.directory.length <= bytes->size());
+  std::memcpy(bytes->data() + off, &e, sizeof(e));
+  h.directory_crc32 = util::Crc32(std::string_view(
+      bytes->data() + h.directory.offset, h.directory.length));
+  std::memcpy(bytes->data(), &h, sizeof(h));
+}
+
 /// Overwrites the bytes at `offset` with the object representation of
-/// `value`, e.g. one run field or one column of a cluster array.
+/// `value`, e.g. one row offset or one column of a cluster array.
 template <typename T>
 void PokeBytes(std::string* bytes, uint64_t offset, const T& value) {
   CSCE_CHECK(offset + sizeof(T) <= bytes->size());
   std::memcpy(bytes->data() + offset, &value, sizeof(T));
+}
+
+/// The dense-row oracle for one cluster direction over `n` vertices:
+/// sorts `arcs`, prefix-sums a full |V|+1 row array the way a plain CSR
+/// stores it, and checks `got` against it — the non-empty rows are
+/// exactly the strict increases of the array, the bitmap is present
+/// exactly at 1/16 fill, every lookup returns the row inside `got`'s
+/// own columns, and `got` validates.
+inline void ExpectMatchesDenseRows(const CsrArrays& got, uint32_t n,
+                                   std::vector<Edge> arcs,
+                                   const std::string& where) {
+  std::sort(arcs.begin(), arcs.end());
+  std::vector<uint64_t> row(n + 1, 0);
+  std::vector<VertexId> cols;
+  for (const Edge& a : arcs) {
+    ++row[a.src + 1];
+    cols.push_back(a.dst);
+  }
+  for (uint32_t v = 0; v < n; ++v) row[v + 1] += row[v];
+  std::vector<VertexId> ids;
+  std::vector<uint64_t> offsets;
+  uint64_t longest = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    if (row[v + 1] == row[v]) continue;
+    ids.push_back(v);
+    offsets.push_back(row[v]);
+    longest = std::max(longest, row[v + 1] - row[v]);
+  }
+  if (!ids.empty()) offsets.push_back(row[n]);
+  EXPECT_TRUE(std::ranges::equal(got.ids, ids)) << where;
+  EXPECT_TRUE(std::ranges::equal(got.offsets, offsets)) << where;
+  EXPECT_TRUE(std::ranges::equal(got.cols, cols)) << where;
+  EXPECT_EQ(got.max_row_length, longest) << where;
+  EXPECT_EQ(got.words.size(),
+            CsrHasBitmap(ids.size(), n) ? CsrBitmapWords(n) : 0)
+      << where;
+  const Status st = got.Validate(n);
+  EXPECT_TRUE(st.ok()) << where << ": " << st.ToString();
+
+  const CsrIndex index(got);
+  for (VertexId v = 0; v < n; ++v) {
+    const std::span<const VertexId> want(cols.data() + row[v],
+                                         cols.data() + row[v + 1]);
+    const std::span<const VertexId> nbrs = index.Neighbors(v);
+    ASSERT_TRUE(std::ranges::equal(nbrs, want)) << where << " v=" << v;
+    if (!nbrs.empty()) {  // a view into the stored columns, not a copy
+      EXPECT_EQ(nbrs.data(), got.cols.data() + row[v]) << where;
+    }
+  }
+  for (VertexId v : {n, n + 1, n + 64, ~VertexId{0}}) {
+    EXPECT_TRUE(index.Neighbors(v).empty()) << where << " v=" << v;
+  }
+  EXPECT_TRUE(index.OffsetsEndAtColumns()) << where;
 }
 
 /// [begin, end) byte ranges of a well-formed v2 artifact that carry
@@ -108,10 +182,14 @@ inline std::vector<std::pair<size_t, size_t>> V2ContentRanges(
   }
   for (uint64_t i = 0; i < h.num_clusters; ++i) {
     const V2DirEntry e = ReadV2DirEntry(bytes, i);
-    add(e.out_runs_offset, e.out_runs_count * sizeof(RleRun));
-    add(e.out_cols_offset, e.out_cols_count * sizeof(VertexId));
-    add(e.in_runs_offset, e.in_runs_count * sizeof(RleRun));
-    add(e.in_cols_offset, e.in_cols_count * sizeof(VertexId));
+    for (const V2CsrEntry& d : {e.out, e.in}) {
+      const V2CsrLayout l = V2CsrLayoutOf(d);
+      add(l.ids, d.ids_count * sizeof(VertexId));
+      add(l.offsets, l.offsets_count * sizeof(uint64_t));
+      add(l.words, d.words_count * sizeof(uint64_t));
+      add(l.rank, d.words_count * sizeof(uint32_t));
+      add(l.cols, d.cols_count * sizeof(VertexId));
+    }
   }
   return ranges;
 }

@@ -27,10 +27,8 @@ void ExpectCcsrEqual(const Ccsr& a, const Ccsr& b) {
     const CompressedCluster& cb = b.clusters()[i];
     EXPECT_EQ(ca.id, cb.id);
     EXPECT_EQ(ca.num_edges, cb.num_edges);
-    EXPECT_TRUE(std::ranges::equal(ca.out_rows.runs(), cb.out_rows.runs()));
-    EXPECT_EQ(ca.out_cols, cb.out_cols);
-    EXPECT_TRUE(std::ranges::equal(ca.in_rows.runs(), cb.in_rows.runs()));
-    EXPECT_EQ(ca.in_cols, cb.in_cols);
+    EXPECT_TRUE(ca.out == cb.out) << ca.id.ToString();
+    EXPECT_TRUE(ca.in == cb.in) << ca.id.ToString();
   }
 }
 

@@ -248,30 +248,38 @@ TEST_F(CcsrMmapTest, FormatConfusionNamesBothVersions) {
   }
   std::remove(v1_path.c_str());
 
-  std::unique_ptr<MmapCcsr> mapped;
-  // An unknown v2 version must name found vs expected.
-  std::string bytes = ReadFileBytes(*path_);
-  V2Header header;
-  std::memcpy(&header, bytes.data(), sizeof(V2Header));
-  header.version = kV2Version + 7;
-  std::memcpy(bytes.data(), &header, sizeof(V2Header));
+  // An older v2 version (1 stored RLE row runs) and an unknown one:
+  // both loaders name the version found and expected, with the rebuild
+  // hint.
   const std::string vpath = ::testing::TempDir() + "/ccsr_mmap_badver";
-  WriteFileBytes(vpath, bytes);
-  Status vst = MmapCcsr::Open(vpath, &mapped);
-  EXPECT_FALSE(vst.ok());
-  EXPECT_NE(vst.ToString().find(std::to_string(kV2Version + 7)),
-            std::string::npos)
-      << vst.ToString();
-  EXPECT_NE(vst.ToString().find(std::to_string(kV2Version)),
-            std::string::npos)
-      << vst.ToString();
+  for (uint32_t version : {kV2Version - 1, kV2Version + 7}) {
+    std::string bytes = ReadFileBytes(*path_);
+    V2Header header;
+    std::memcpy(&header, bytes.data(), sizeof(V2Header));
+    header.version = version;
+    std::memcpy(bytes.data(), &header, sizeof(V2Header));
+    WriteFileBytes(vpath, bytes);
+    std::unique_ptr<MmapCcsr> mapped;
+    Ccsr out;
+    for (const Status& st :
+         {MmapCcsr::Open(vpath, &mapped), LoadCcsrFromFile(vpath, &out)}) {
+      EXPECT_EQ(st.code(), StatusCode::kCorruption);
+      EXPECT_NE(st.ToString().find("version " + std::to_string(version)),
+                std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.ToString().find("expected " + std::to_string(kV2Version)),
+                std::string::npos)
+          << st.ToString();
+      EXPECT_NE(st.ToString().find("csce_build"), std::string::npos)
+          << st.ToString();
+    }
+  }
   std::remove(vpath.c_str());
 }
 
-// An artifact without the persisted label-pair sections (written before
-// they existed) makes Open derive the masks by walking every row index,
-// so a damaged run count there must be rejected, not walked.
-TEST(CcsrMmapLegacyTest, PreLpiArtifactWithDamagedRunRejectedAtOpen) {
+// The label-pair sections are part of every artifact: one without them
+// is rejected at Open instead of having its masks derived from the rows.
+TEST(CcsrMmapSectionTest, MissingLabelPairSectionsRejectedAtOpen) {
   Graph g = testing::MakeGraph(false, {1, 1, 1, 1},
                                {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
   std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
@@ -279,22 +287,12 @@ TEST(CcsrMmapLegacyTest, PreLpiArtifactWithDamagedRunRejectedAtOpen) {
   h.lpi_out = V2Section{};
   h.lpi_in = V2Section{};
   std::memcpy(bytes.data(), &h, sizeof(h));
-  const std::string path = testing::ScratchArtifactPath("ccsr_mmap_prelpi");
+  const std::string path = testing::ScratchArtifactPath("ccsr_mmap_nolpi");
   WriteFileBytes(path, bytes);
   std::unique_ptr<MmapCcsr> mapped;
-  ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());  // undamaged: derives
-  mapped.reset();
-
-  V2DirEntry e;
-  std::memcpy(&e, bytes.data() + h.directory.offset, sizeof(e));
-  const size_t count_at = e.out_runs_offset + offsetof(RleRun, count);
-  uint32_t count = 0;
-  std::memcpy(&count, bytes.data() + count_at, sizeof(count));
-  count += 1u << 24;
-  std::memcpy(bytes.data() + count_at, &count, sizeof(count));
-  WriteFileBytes(path, bytes);
   Status st = MmapCcsr::Open(path, &mapped);
   EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("lpi_out"), std::string::npos) << st.ToString();
   std::remove(path.c_str());
 }
 

@@ -4,10 +4,14 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
-#include "ccsr/compressed_row.h"
+#include "ccsr/ccsr_io.h"
+#include "ccsr/ccsr_mmap.h"
+#include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
 
 namespace csce {
@@ -50,7 +54,7 @@ TEST(CcsrTest, ClustersPartitionEdges) {
     // orientations in one CSR (undirected).
     uint64_t arcs = 0;
     for (const CompressedCluster& c : gc.clusters()) {
-      arcs += c.out_cols.size() + c.in_cols.size();
+      arcs += c.out.cols.size() + c.in.cols.size();
     }
     EXPECT_EQ(arcs, 2 * g.NumEdges());
   }
@@ -62,8 +66,8 @@ TEST(CcsrTest, DirectedClusterHasBothDirections) {
   const CompressedCluster* c = gc.Find(ClusterId::Directed(1, 2, 5));
   ASSERT_NE(c, nullptr);
   EXPECT_EQ(c->num_edges, 1u);
-  EXPECT_EQ(c->out_cols.size(), 1u);
-  EXPECT_EQ(c->in_cols.size(), 1u);
+  EXPECT_EQ(c->out.cols.size(), 1u);
+  EXPECT_EQ(c->in.cols.size(), 1u);
   EXPECT_EQ(gc.Find(ClusterId::Directed(2, 1, 5)), nullptr);
 }
 
@@ -137,10 +141,10 @@ TEST(CcsrTest, InMemoryViewsAliasClusterColumns) {
            row.data() + row.size() <= cols.data() + cols.size();
   };
   for (VertexId v : {0u, 2u}) {
-    EXPECT_TRUE(inside(view->Out(v), cluster->out_cols.span())) << v;
+    EXPECT_TRUE(inside(view->Out(v), cluster->out.cols.span())) << v;
   }
   for (VertexId v : {1u, 3u, 4u}) {
-    EXPECT_TRUE(inside(view->In(v), cluster->in_cols.span())) << v;
+    EXPECT_TRUE(inside(view->In(v), cluster->in.cols.span())) << v;
   }
 }
 
@@ -187,52 +191,50 @@ TEST(ReadClustersTest, RejectsDirectednessMismatch) {
 
 TEST(CcsrTest, RowIndexStorageBounded) {
   // Paper Section IV: total compressed I_R length is at most 4|E|
-  // integers (2 per stored edge, each edge stored twice).
+  // integers (2 per stored edge, each edge stored twice). The ids and
+  // offsets keep that bound: k ids and k+1 offsets for k <= arcs rows.
   Rng rng(20);
   Graph g = RandomGraph(rng, 200, 0.05, 8, 2, true);
   Ccsr gc = Ccsr::Build(g);
-  size_t total_runs = 0;
+  size_t total_entries = 0;
   for (const CompressedCluster& c : gc.clusters()) {
-    total_runs += c.out_rows.num_runs() + c.in_rows.num_runs();
+    total_entries += c.out.ids.size() + c.out.offsets.size() +
+                     c.in.ids.size() + c.in.offsets.size();
   }
-  // Each run is (value, count); bound from the paper plus one run per
-  // CSR for the leading zeros.
-  EXPECT_LE(total_runs, 4 * g.NumEdges() + 2 * gc.NumClusters());
+  // Plus one offset per CSR for the leading zero.
+  EXPECT_LE(total_entries, 4 * g.NumEdges() + 2 * gc.NumClusters());
 }
 
-// One cluster direction as the earlier Ccsr::Build made it: sort the
-// arcs, prefix-sum a dense |V|+1 row array, compress it. The oracle for
-// the run-emitting build below.
-struct DenseBuiltDirection {
-  CompressedRowIndex rows;
-  std::vector<VertexId> cols;
-};
-
-DenseBuiltDirection DenseBuild(uint32_t n, std::vector<Edge> arcs) {
-  std::sort(arcs.begin(), arcs.end());
-  std::vector<uint64_t> row(n + 1, 0);
-  DenseBuiltDirection d;
-  for (const Edge& a : arcs) {
-    ++row[a.src + 1];
-    d.cols.push_back(a.dst);
+// Asserts that every cluster direction of `gc` equals the dense-row
+// construction of `buckets` (ExpectMatchesDenseRows), cluster for
+// cluster.
+void ExpectClustersMatchDenseOracle(
+    const Ccsr& gc, const std::map<ClusterId, std::vector<Edge>>& buckets,
+    const std::string& where) {
+  ASSERT_EQ(gc.NumClusters(), buckets.size()) << where;
+  size_t slot = 0;
+  for (const auto& [id, arcs] : buckets) {
+    const CompressedCluster& c = gc.clusters()[slot++];
+    ASSERT_EQ(c.id, id) << where;
+    EXPECT_EQ(c.num_edges, id.directed ? arcs.size() : arcs.size() / 2);
+    testing::ExpectMatchesDenseRows(c.out, gc.NumVertices(), arcs,
+                                    where + " " + id.ToString() + " outgoing");
+    if (id.directed) {
+      std::vector<Edge> reversed;
+      for (const Edge& a : arcs) {
+        reversed.push_back(Edge{a.dst, a.src, a.elabel});
+      }
+      testing::ExpectMatchesDenseRows(
+          c.in, gc.NumVertices(), reversed,
+          where + " " + id.ToString() + " incoming");
+    } else {
+      EXPECT_EQ(c.in.SizeBytes(), 0u) << where;
+    }
   }
-  for (uint32_t v = 0; v < n; ++v) row[v + 1] += row[v];
-  d.rows = CompressedRowIndex::Compress(row);
-  return d;
 }
 
-void ExpectDirectionEquals(const CompressedRowIndex& rows,
-                           std::span<const VertexId> cols,
-                           const DenseBuiltDirection& want,
-                           const std::string& where) {
-  EXPECT_EQ(rows.uncompressed_length(), want.rows.uncompressed_length())
-      << where;
-  EXPECT_TRUE(std::ranges::equal(rows.runs(), want.rows.runs())) << where;
-  EXPECT_TRUE(std::ranges::equal(cols, want.cols)) << where;
-}
-
-// Asserts that every cluster direction of Ccsr::Build(g) equals the
-// dense-row construction, cluster for cluster, and that it validates.
+// Asserts that Ccsr::Build(g) matches the dense-row oracle and
+// validates, both in memory and mapped from its v2 artifact.
 void ExpectBuildMatchesDenseOracle(const Graph& g) {
   std::map<ClusterId, std::vector<Edge>> buckets;
   g.ForEachEdge([&](const Edge& e) {
@@ -247,35 +249,23 @@ void ExpectBuildMatchesDenseOracle(const Graph& g) {
     }
   });
   const Ccsr gc = Ccsr::Build(g);
-  ASSERT_EQ(gc.NumClusters(), buckets.size());
-  size_t slot = 0;
-  for (const auto& [id, arcs] : buckets) {
-    const CompressedCluster& c = gc.clusters()[slot++];
-    ASSERT_EQ(c.id, id);
-    EXPECT_EQ(c.num_edges, id.directed ? arcs.size() : arcs.size() / 2);
-    ExpectDirectionEquals(c.out_rows, c.out_cols.span(),
-                          DenseBuild(g.NumVertices(), arcs),
-                          id.ToString() + " outgoing");
-    if (id.directed) {
-      std::vector<Edge> reversed;
-      for (const Edge& a : arcs) {
-        reversed.push_back(Edge{a.dst, a.src, a.elabel});
-      }
-      ExpectDirectionEquals(c.in_rows, c.in_cols.span(),
-                            DenseBuild(g.NumVertices(), reversed),
-                            id.ToString() + " incoming");
-    } else {
-      EXPECT_EQ(c.in_rows.num_runs(), 0u);
-      EXPECT_TRUE(c.in_cols.empty());
-    }
-  }
+  ExpectClustersMatchDenseOracle(gc, buckets, "in memory");
   EXPECT_TRUE(gc.Validate().ok()) << gc.Validate().ToString();
+
+  const std::string path = testing::ScratchArtifactPath("ccsr_build_oracle");
+  ASSERT_TRUE(SaveCcsrToFileV2(gc, path).ok());
+  std::unique_ptr<MmapCcsr> mapped;
+  ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());
+  ExpectClustersMatchDenseOracle(mapped->ccsr(), buckets, "mmap'd");
+  EXPECT_TRUE(mapped->ccsr().Validate().ok());
+  mapped.reset();
+  std::remove(path.c_str());
 }
 
 // Seeded random graphs with 1-3 edge labels. Vertex label 3 is a class
 // with no arcs; vertex 0 and vertex |V|-1 get arcs or stay isolated in
 // all four combinations.
-TEST(CcsrBuildTest, RunsAndColumnsMatchDenseRowConstruction) {
+TEST(CcsrBuildTest, RowsAndColumnsMatchDenseRowConstruction) {
   for (bool directed : {false, true}) {
     for (uint32_t elabels = 1; elabels <= 3; ++elabels) {
       for (int ends = 0; ends < 4; ++ends) {

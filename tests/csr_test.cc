@@ -3,25 +3,35 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <tuple>
 
-#include "ccsr/compressed_row.h"
+#include "ccsr/ccsr.h"
+#include "ccsr/ccsr_io.h"
+#include "ccsr/ccsr_mmap.h"
+#include "tests/ccsr_artifact_util.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace csce {
 namespace {
 
-std::vector<Edge> SortedArcs(std::vector<Edge> arcs) {
+// The arrays of one direction over `n` vertices, from arcs sorted by
+// (src, dst).
+CsrArrays BuildArrays(uint32_t n, std::vector<Edge> arcs) {
   std::sort(arcs.begin(), arcs.end());
-  return arcs;
+  CsrBuilder builder;
+  for (const Edge& a : arcs) builder.Add(a.src, a.dst);
+  return std::move(builder).Finish(n);
 }
 
 TEST(CsrIndexTest, BasicNeighbors) {
-  std::vector<Edge> arcs =
-      SortedArcs({{0, 1, 0}, {0, 5, 0}, {3, 2, 0}, {3, 4, 0}});
-  CsrIndex csr = CsrIndex::FromArcs(6, arcs);
+  const CsrArrays a =
+      BuildArrays(6, {{0, 1, 0}, {0, 5, 0}, {3, 2, 0}, {3, 4, 0}});
+  const CsrIndex csr(a);
   EXPECT_EQ(csr.NumArcs(), 4u);
   auto n0 = csr.Neighbors(0);
   ASSERT_EQ(n0.size(), 2u);
@@ -32,7 +42,8 @@ TEST(CsrIndexTest, BasicNeighbors) {
 }
 
 TEST(CsrIndexTest, HasArc) {
-  CsrIndex csr = CsrIndex::FromArcs(4, SortedArcs({{0, 1, 0}, {0, 3, 0}}));
+  const CsrArrays a = BuildArrays(4, {{0, 1, 0}, {0, 3, 0}});
+  const CsrIndex csr(a);
   EXPECT_TRUE(csr.HasArc(0, 1));
   EXPECT_TRUE(csr.HasArc(0, 3));
   EXPECT_FALSE(csr.HasArc(0, 2));
@@ -40,15 +51,17 @@ TEST(CsrIndexTest, HasArc) {
 }
 
 TEST(CsrIndexTest, NonEmptyVertices) {
-  CsrIndex csr = CsrIndex::FromArcs(10, SortedArcs({{2, 0, 0}, {7, 1, 0}}));
+  const CsrArrays a = BuildArrays(10, {{2, 0, 0}, {7, 1, 0}});
   std::vector<VertexId> expected = {2, 7};
-  EXPECT_EQ(csr.NonEmptyVertices(), expected);
+  EXPECT_TRUE(std::ranges::equal(CsrIndex(a).NonEmptySpan(), expected));
+  std::vector<uint64_t> offsets = {0, 1, 2};
+  EXPECT_TRUE(std::ranges::equal(a.offsets, offsets));
 }
 
 TEST(CsrIndexTest, SparseLayoutForSmallClusters) {
   // 2 sources out of 10000 vertices: far below the density threshold.
-  CsrIndex csr =
-      CsrIndex::FromArcs(10000, SortedArcs({{5, 6, 0}, {9000, 3, 0}}));
+  const CsrArrays a = BuildArrays(10000, {{5, 6, 0}, {9000, 3, 0}});
+  const CsrIndex csr(a);
   EXPECT_FALSE(csr.dense());
   EXPECT_EQ(csr.Neighbors(5).size(), 1u);
   EXPECT_EQ(csr.Neighbors(9000)[0], 3u);
@@ -58,7 +71,8 @@ TEST(CsrIndexTest, SparseLayoutForSmallClusters) {
 TEST(CsrIndexTest, DenseLayoutForBigClusters) {
   std::vector<Edge> arcs;
   for (VertexId v = 0; v < 100; ++v) arcs.push_back({v, (v + 1) % 100, 0});
-  CsrIndex csr = CsrIndex::FromArcs(100, SortedArcs(arcs));
+  const CsrArrays a = BuildArrays(100, arcs);
+  const CsrIndex csr(a);
   EXPECT_TRUE(csr.dense());
   for (VertexId v = 0; v < 100; ++v) {
     ASSERT_EQ(csr.Neighbors(v).size(), 1u);
@@ -66,29 +80,56 @@ TEST(CsrIndexTest, DenseLayoutForBigClusters) {
   }
 }
 
-TEST(CsrIndexTest, SizeBytesCountsOnlyOwnedColumns) {
-  // The same rows, once owning its columns and once borrowing them: the
-  // row-lookup arrays are identical, so the two sizes differ by exactly
-  // the column bytes.
-  std::vector<Edge> arcs;
-  for (VertexId v = 0; v < 100; v += 3) {
-    arcs.push_back({v, (v + 1) % 100, 0});
-    arcs.push_back({v, (v + 2) % 100, 0});
-  }
-  arcs = SortedArcs(arcs);
-  CompressedRowBuilder builder;
-  std::vector<VertexId> cols;
-  for (const Edge& e : arcs) {
-    builder.Add(e.src);
-    cols.push_back(e.dst);
-  }
-  const CompressedRowIndex rows = std::move(builder).Finish(100);
-  const CsrIndex borrowed = CsrIndex::FromCompressed(rows, std::span(cols));
-  const CsrIndex owned = CsrIndex::FromArcs(100, arcs);
-  EXPECT_GT(borrowed.SizeBytes(), 0u);
-  EXPECT_EQ(owned.SizeBytes() - borrowed.SizeBytes(),
-            arcs.size() * sizeof(VertexId));
+TEST(CsrBuilderTest, NoArcsGiveNoArrays) {
+  const CsrArrays a = BuildArrays(100, {});
+  EXPECT_EQ(a.SizeBytes(), 0u);
+  EXPECT_EQ(a.max_row_length, 0u);
+  EXPECT_TRUE(a.Validate(100).ok());
+  const CsrIndex csr(a);
+  EXPECT_TRUE(csr.Neighbors(0).empty());
+  EXPECT_TRUE(csr.OffsetsEndAtColumns());
 }
+
+TEST(CsrBuilderTest, EveryVertexNonEmpty) {
+  // 130 vertices (not a multiple of 64), each with one arc: the bitmap
+  // has three words, the last one partly used.
+  std::vector<Edge> arcs;
+  for (VertexId v = 0; v < 130; ++v) arcs.push_back({v, (v + 7) % 130, 0});
+  const CsrArrays a = BuildArrays(130, arcs);
+  ASSERT_EQ(a.words.size(), 3u);
+  EXPECT_EQ(a.words[2], 0b11u);
+  std::vector<uint32_t> rank = {0, 64, 128};
+  EXPECT_TRUE(std::ranges::equal(a.rank, rank));
+  EXPECT_EQ(a.RowIndexBytes(), 130 * sizeof(VertexId) +
+                                   131 * sizeof(uint64_t) +
+                                   3 * (sizeof(uint64_t) + sizeof(uint32_t)));
+}
+
+// The builder fed random rows by source, at every fill from empty to
+// full: its arrays equal the dense-row oracle (the non-empty rows are
+// exactly the strict increases of the prefix-summed row array).
+class CsrBuilderRandomTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(CsrBuilderRandomTest, ArraysEqualDenseRows) {
+  Rng rng(GetParam());
+  const uint32_t n = 1 + static_cast<uint32_t>(rng.Uniform(500));
+  const double fill = rng.Uniform(101) / 100.0;
+  std::vector<Edge> arcs;
+  for (VertexId v = 0; v < n; ++v) {
+    if (!rng.Bernoulli(fill)) continue;
+    std::set<VertexId> dsts;
+    const uint64_t degree = 1 + rng.Uniform(4);
+    for (uint64_t k = 0; k < degree; ++k) {
+      dsts.insert(static_cast<VertexId>(rng.Uniform(n)));
+    }
+    for (VertexId w : dsts) arcs.push_back({v, w, 0});
+  }
+  testing::ExpectMatchesDenseRows(BuildArrays(n, arcs), n, arcs,
+                                  "fill " + std::to_string(fill));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CsrBuilderRandomTest,
+                         ::testing::Range<uint64_t>(0, 20));
 
 class CsrLayoutAgreementTest : public ::testing::TestWithParam<uint64_t> {};
 
@@ -105,7 +146,8 @@ TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {
   }
   std::vector<Edge> arcs;
   for (auto [a, b] : arc_set) arcs.push_back({a, b, 0});
-  CsrIndex csr = CsrIndex::FromArcs(n, arcs);
+  const CsrArrays arrays = BuildArrays(n, arcs);
+  const CsrIndex csr(arrays);
   EXPECT_EQ(csr.NumArcs(), arcs.size());
   // Every arc must be found; every probed non-arc must not.
   for (const Edge& e : arcs) EXPECT_TRUE(csr.HasArc(e.src, e.dst));
@@ -115,22 +157,21 @@ TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {
     bool expected = arc_set.count({a, b}) > 0;
     EXPECT_EQ(csr.HasArc(a, b), expected);
   }
-  // NonEmptyVertices == distinct sources.
+  // The non-empty rows are the distinct sources.
   std::set<VertexId> sources;
   for (const Edge& e : arcs) sources.insert(e.src);
-  std::vector<VertexId> expected_sources(sources.begin(), sources.end());
-  EXPECT_EQ(csr.NonEmptyVertices(), expected_sources);
+  EXPECT_TRUE(std::ranges::equal(csr.NonEmptySpan(), sources));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrLayoutAgreementTest,
                          ::testing::Range<uint64_t>(0, 25));
 
 // Layout property test: on vertex counts that are not multiples of 64,
-// at fills above and below the rank-bitmap threshold, every lookup of a
-// CsrIndex over borrowed columns equals the standard row array that
-// CompressedRowIndex::Decompress() rebuilds. The word-boundary vertices
-// 0, 63, 64, 127 and |V|-1 get arcs in one half of the cases and none
-// in the other.
+// at fills above and below the rank-bitmap threshold, the arrays of a
+// one-cluster index — built in memory, and mapped from its v2 artifact
+// — equal the dense-row oracle (ExpectMatchesDenseRows), lookups
+// included. The word-boundary vertices 0, 63, 64, 127 and |V|-1 get
+// arcs in one half of the cases and none in the other.
 struct LayoutCase {
   uint32_t n;
   double fill;         // probability that a vertex has arcs
@@ -141,7 +182,7 @@ struct LayoutCase {
 class CsrLayoutPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, LayoutCase>> {};
 
-TEST_P(CsrLayoutPropertyTest, LookupsEqualDecompressedRows) {
+TEST_P(CsrLayoutPropertyTest, LookupsEqualDenseRows) {
   const auto& [seed, c] = GetParam();
   Rng rng(seed * 7919 + c.n);
   const std::vector<VertexId> ends = {0, 63, 64, 127, c.n - 1};
@@ -152,42 +193,30 @@ TEST_P(CsrLayoutPropertyTest, LookupsEqualDecompressedRows) {
     std::set<VertexId> dsts;
     const uint64_t degree = 1 + rng.Uniform(5);
     while (dsts.size() < degree) {
-      dsts.insert(static_cast<VertexId>(rng.Uniform(c.n)));
+      const VertexId w = static_cast<VertexId>(rng.Uniform(c.n));
+      if (w != v) dsts.insert(w);
     }
     for (VertexId w : dsts) arcs.push_back({v, w, 0});
   }
-  CompressedRowBuilder builder;
-  std::vector<VertexId> cols;
-  for (const Edge& e : arcs) {
-    builder.Add(e.src);
-    cols.push_back(e.dst);
-  }
-  const CompressedRowIndex rows = std::move(builder).Finish(c.n);
-  const CsrIndex csr = CsrIndex::FromCompressed(rows, std::span(cols));
+  // One unlabeled directed cluster whose outgoing CSR holds the arcs.
+  const Graph g =
+      testing::MakeGraph(true, std::vector<Label>(c.n, 0), arcs);
+  const Ccsr built = Ccsr::Build(g);
+  ASSERT_EQ(built.NumClusters(), 1u);
+  testing::ExpectMatchesDenseRows(built.clusters()[0].out, c.n, arcs,
+                                  "in memory");
+  EXPECT_EQ(CsrIndex(built.clusters()[0].out).dense(), c.dense)
+      << built.clusters()[0].out.ids.size() << " of " << c.n;
 
-  const std::vector<uint64_t> row = rows.Decompress();
-  ASSERT_EQ(row.size(), c.n + 1u);
-  std::vector<VertexId> non_empty;
-  size_t max_len = 0;
-  for (VertexId v = 0; v < c.n; ++v) {
-    const std::span<const VertexId> want(cols.data() + row[v],
-                                         cols.data() + row[v + 1]);
-    const std::span<const VertexId> got = csr.Neighbors(v);
-    ASSERT_TRUE(std::ranges::equal(got, want)) << "v=" << v;
-    if (!want.empty()) {
-      // Borrowed: the row is the caller's column storage itself.
-      EXPECT_EQ(got.data(), want.data()) << "v=" << v;
-      non_empty.push_back(v);
-    }
-    max_len = std::max(max_len, want.size());
-  }
-  for (VertexId v : {c.n, c.n + 1, c.n + 64, ~VertexId{0}}) {
-    EXPECT_TRUE(csr.Neighbors(v).empty()) << "v=" << v;
-  }
-  EXPECT_EQ(csr.MaxRowLength(), max_len);
-  EXPECT_TRUE(std::ranges::equal(csr.NonEmptySpan(), non_empty));
-  EXPECT_EQ(csr.NumArcs(), arcs.size());
-  EXPECT_EQ(csr.dense(), c.dense) << non_empty.size() << " of " << c.n;
+  const std::string path = testing::ScratchArtifactPath("csr_layout");
+  ASSERT_TRUE(SaveCcsrToFileV2(built, path).ok());
+  std::unique_ptr<MmapCcsr> mapped;
+  ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());
+  ASSERT_TRUE(mapped->ccsr().clusters()[0].out.cols.borrowed());
+  testing::ExpectMatchesDenseRows(mapped->ccsr().clusters()[0].out, c.n, arcs,
+                                  "mmap'd");
+  mapped.reset();
+  std::remove(path.c_str());
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -135,6 +135,21 @@ TEST(EngineTest, TimeLimitFlagsTimeout) {
   EXPECT_TRUE(result.timed_out);
 }
 
+TEST(EngineTest, ExpiredLimitStopsWithinOneDeadlineInterval) {
+  // The limit has passed before the first search node: the run must
+  // notice at its first deadline check. At ~1 us a node, checking every
+  // 1024 nodes enforces a limit within ~1 ms.
+  Graph data = testing::Clique(40);
+  Ccsr gc = Ccsr::Build(data);
+  MatchOptions options;
+  options.variant = MatchVariant::kEdgeInduced;
+  options.time_limit_seconds = 1e-9;
+  MatchResult result = MustMatch(gc, testing::Clique(8), options);
+  EXPECT_TRUE(result.timed_out);
+  EXPECT_GT(result.search_nodes, 0u);
+  EXPECT_LE(result.search_nodes, 1024u);
+}
+
 TEST(EngineTest, SceReuseHappensAndPreservesCounts) {
   // Star data and star pattern: leaf candidates are reusable across
   // sibling leaves.

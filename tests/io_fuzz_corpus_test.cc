@@ -209,9 +209,11 @@ TEST(CcsrIoFuzzTest, EveryV2SectionBoundaryTruncationRejected) {
       std::memcpy(&e, bytes.data() + header.directory.offset +
                           i * sizeof(V2DirEntry),
                   sizeof(V2DirEntry));
-      for (uint64_t off : {e.out_runs_offset, e.out_cols_offset,
-                           e.in_runs_offset, e.in_cols_offset}) {
-        boundaries.push_back(static_cast<size_t>(off));
+      for (const V2CsrEntry& d : {e.out, e.in}) {
+        const V2CsrLayout l = V2CsrLayoutOf(d);
+        for (uint64_t off : {l.ids, l.offsets, l.words, l.rank, l.cols}) {
+          boundaries.push_back(static_cast<size_t>(off));
+        }
       }
     }
     boundaries.push_back(bytes.size() - 1);

@@ -7,13 +7,15 @@
 
 #include <cstddef>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "ccsr/ccsr.h"
+#include "ccsr/ccsr_mmap.h"
 #include "ccsr/ccsr_v2_format.h"
-#include "ccsr/compressed_row.h"
+#include "ccsr/csr.h"
 #include "engine/embedding_verifier.h"
 #include "engine/executor.h"
 #include "engine/matcher.h"
@@ -29,39 +31,28 @@ namespace csce {
 namespace {
 
 // ---------------------------------------------------------------------------
-// CompressedRowIndex::Validate
+// CsrArrays::Validate
 
-TEST(CompressedRowValidateTest, CleanRowsPass) {
-  std::vector<uint64_t> row = {0, 0, 2, 2, 2, 5, 9};
-  EXPECT_TRUE(CompressedRowIndex::Compress(row).Validate().ok());
-  EXPECT_TRUE(CompressedRowIndex().Validate().ok());
+TEST(CsrArraysValidateTest, BuiltArraysPass) {
+  for (uint32_t n : {1u, 10u, 100u, 1000u}) {
+    CsrBuilder builder;
+    for (VertexId v = 0; v < n; v += 3) builder.Add(v, (v + 1) % n);
+    const CsrArrays a = std::move(builder).Finish(n);
+    const Status st = a.Validate(n);
+    EXPECT_TRUE(st.ok()) << "n=" << n << ": " << st.ToString();
+  }
+  EXPECT_TRUE(CsrArrays().Validate(0).ok());
+  EXPECT_TRUE(CsrArrays().Validate(100).ok());
 }
 
-TEST(CompressedRowValidateTest, MutatedRunLengthDetected) {
-  std::vector<uint64_t> row = {0, 0, 2, 2, 5};
-  CompressedRowIndex rows = CompressedRowIndex::Compress(row);
-  ASSERT_TRUE(rows.Validate().ok());
-  // Coverage no longer matches the uncompressed length.
-  rows.mutable_runs()->front().count += 1;
-  Status st = rows.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("cover"), std::string::npos);
-}
-
-TEST(CompressedRowValidateTest, NonMonotoneRunsDetected) {
-  std::vector<uint64_t> row = {0, 3, 7};
-  CompressedRowIndex rows = CompressedRowIndex::Compress(row);
-  (*rows.mutable_runs())[2].value = 2;  // 0, 3, 2: offsets went backwards
-  Status st = rows.Validate();
-  EXPECT_FALSE(st.ok());
-  EXPECT_NE(st.ToString().find("non-monotone"), std::string::npos);
-}
-
-TEST(CompressedRowValidateTest, EmptyRunDetected) {
-  std::vector<uint64_t> row = {0, 4};
-  CompressedRowIndex rows = CompressedRowIndex::Compress(row);
-  (*rows.mutable_runs())[1].count = 0;
-  EXPECT_FALSE(rows.Validate().ok());
+TEST(CsrArraysValidateTest, OffsetsWithoutRowsDetected) {
+  CsrArrays a;
+  a.offsets = std::vector<uint64_t>{0};
+  const Status st = a.Validate(4);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption);
+  EXPECT_NE(st.message().find("1 offsets for 0 non-empty rows"),
+            std::string::npos)
+      << st.ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -89,24 +80,6 @@ TEST(CcsrValidateTest, StaysValidAcrossUpdates) {
 
 // The tests below write the v2 artifact, flip bytes located through its
 // header and directory, and reload it through LoadCcsrFromFile.
-TEST(CcsrLoaderTest, MutatedRunLengthRejected) {
-  // Undirected path with one cluster; every vertex labeled alike.
-  Graph g = testing::MakeGraph(false, {1, 1, 1, 1},
-                               {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
-  Ccsr gc = Ccsr::Build(g);
-  std::string bytes = testing::CcsrV2Bytes(gc);
-  // First run's count field of the first cluster's out-CSR.
-  ASSERT_EQ(testing::ReadV2Header(bytes).num_clusters, 1u);
-  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
-  size_t off = e.out_runs_offset + offsetof(RleRun, count);
-  ASSERT_LT(off + 4, bytes.size());
-  bytes[off] = static_cast<char>(bytes[off] + 1);
-  Ccsr back;
-  Status st = testing::LoadCcsrBytes(bytes, &back);
-  EXPECT_FALSE(st.ok());
-  EXPECT_FALSE(st.ToString().empty());
-}
-
 TEST(CcsrLoaderTest, LabelFlipCaughtByDeepValidation) {
   // Distinct labels so every edge's cluster pins its endpoint labels.
   Graph g = testing::MakeGraph(false, {0, 1, 2, 3},
@@ -125,9 +98,9 @@ TEST(CcsrLoaderTest, LabelFlipCaughtByDeepValidation) {
   EXPECT_NE(st.ToString().find("label"), std::string::npos);
 }
 
-// Damage to one cluster's row runs or columns, caught by the deep
-// validator's walk over the rows. Each graph below has exactly one
-// cluster, so directory entry 0 locates the damaged arrays.
+// Damage to one cluster's row index or columns, caught by the deep
+// validator. Each graph below has exactly one cluster, so directory
+// entry 0 locates the damaged arrays.
 
 // Loads `bytes` and expects Corruption whose message contains `want`.
 void ExpectLoadCorruption(const std::string& bytes, const std::string& want) {
@@ -137,49 +110,217 @@ void ExpectLoadCorruption(const std::string& bytes, const std::string& want) {
   EXPECT_NE(st.message().find(want), std::string::npos) << st.ToString();
 }
 
-uint64_t RunOffset(const V2DirEntry& e, size_t run) {
-  return e.out_runs_offset + run * sizeof(RleRun);
+// Opens `bytes` with MmapCcsr and expects Corruption at Open whose
+// message contains `want`, from the directory alone; the deep loader
+// must refuse it too.
+void ExpectOpenCorruption(const std::string& bytes, const std::string& want) {
+  const std::string path = testing::ScratchArtifactPath("validators_open");
+  testing::WriteFileBytes(path, bytes);
+  std::unique_ptr<MmapCcsr> mapped;
+  Status st = MmapCcsr::Open(path, &mapped);
+  std::remove(path.c_str());
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find(want), std::string::npos) << st.ToString();
+  ExpectLoadCorruption(bytes, want);
+}
+
+uint64_t IdOffset(const V2DirEntry& e, size_t i) {
+  return V2CsrLayoutOf(e.out).ids + i * sizeof(VertexId);
+}
+
+uint64_t RowOffset(const V2DirEntry& e, size_t i) {
+  return V2CsrLayoutOf(e.out).offsets + i * sizeof(uint64_t);
 }
 
 uint64_t ColOffset(const V2DirEntry& e, size_t col) {
-  return e.out_cols_offset + col * sizeof(VertexId);
+  return V2CsrLayoutOf(e.out).cols + col * sizeof(VertexId);
 }
 
-TEST(CcsrLoaderTest, FinalRunValueNotColumnCountRejected) {
-  // Directed arc 0 -> 1: out runs {0 x1}, {1 x3} over |V|+1 = 4 entries.
+// Undirected path 0-1-2-3, one label: ids {0, 1, 2, 3}, offsets
+// {0, 1, 3, 5, 6}, longest row 2, and at 4 of 4 rows a one-word bitmap
+// {0b1111} with rank {0}.
+std::string PathArtifact() {
+  Graph g = testing::MakeGraph(false, {1, 1, 1, 1},
+                               {Edge{0, 1, 0}, Edge{1, 2, 0}, Edge{2, 3, 0}});
+  return testing::CcsrV2Bytes(Ccsr::Build(g));
+}
+
+TEST(CcsrLoaderTest, RowIdsNotStrictlyIncreasingRejected) {
+  std::string bytes = PathArtifact();
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out.ids_count, 4u);
+  testing::PokeBytes(&bytes, IdOffset(e, 2), VertexId{1});  // {0, 1, 1, 3}
+  ExpectLoadCorruption(bytes,
+                       "outgoing: row ids not strictly increasing at row 2");
+}
+
+TEST(CcsrLoaderTest, RowIdOutOfRangeRejected) {
+  std::string bytes = PathArtifact();
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  testing::PokeBytes(&bytes, IdOffset(e, 3), VertexId{4});  // == |V|
+  ExpectLoadCorruption(bytes, "outgoing: row id 4 out of range");
+}
+
+TEST(CcsrLoaderTest, FirstOffsetNotZeroRejected) {
+  std::string bytes = PathArtifact();
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  testing::PokeBytes(&bytes, RowOffset(e, 0), uint64_t{1});
+  ExpectLoadCorruption(bytes, "outgoing: first row offset is 1, expected 0");
+}
+
+TEST(CcsrLoaderTest, OffsetsNotIncreasingRejected) {
+  const std::string clean = PathArtifact();
+  const V2DirEntry e = testing::ReadV2DirEntry(clean, 0);
+  const std::string want =
+      "outgoing: row offsets not strictly increasing at row 1";
+  std::string flat = clean;  // {0, 1, 1, 5, 6}: an empty row listed
+  testing::PokeBytes(&flat, RowOffset(e, 2), uint64_t{1});
+  ExpectLoadCorruption(flat, want);
+  std::string falling = clean;  // {0, 1, 0, 5, 6}
+  testing::PokeBytes(&falling, RowOffset(e, 2), uint64_t{0});
+  ExpectLoadCorruption(falling, want);
+}
+
+TEST(CcsrLoaderTest, FinalOffsetNotColumnCountRejected) {
+  // Directed arc 0 -> 1: out ids {0}, offsets {0, 1}.
   Graph g = testing::MakeGraph(true, {0, 1, 2}, {Edge{0, 1, 0}});
   std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
   const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
-  ASSERT_EQ(e.out_runs_count, 2u);
-  testing::PokeBytes(&bytes, RunOffset(e, 1) + offsetof(RleRun, value),
-                     uint64_t{2});
+  ASSERT_EQ(e.out.ids_count, 1u);
+  testing::PokeBytes(&bytes, RowOffset(e, 1), uint64_t{2});
   ExpectLoadCorruption(bytes,
                        "dir(0,1,NULL)-cluster outgoing: final row offset 2 "
                        "!= column count 1");
+
+  // Open reads no payload, so the mapping opens; the read's O(1) check
+  // refuses the view instead of handing out a row past the columns.
+  const std::string path = testing::ScratchArtifactPath("validators_final");
+  testing::WriteFileBytes(path, bytes);
+  std::unique_ptr<MmapCcsr> mapped;
+  ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());
+  QueryClusters qc;
+  Status st = ReadClusters(mapped->ccsr(),
+                           testing::MakeGraph(true, {0, 1}, {Edge{0, 1, 0}}),
+                           MatchVariant::kEdgeInduced, &qc);
+  EXPECT_EQ(st.code(), StatusCode::kCorruption) << st.ToString();
+  EXPECT_NE(st.message().find("final row offset"), std::string::npos)
+      << st.ToString();
+  mapped.reset();
+  std::remove(path.c_str());
+}
+
+TEST(CcsrLoaderTest, BitmapPresentExactlyAtSixteenthFill) {
+  // Dense: the path's 4 of 4 rows need the bitmap; drop it.
+  std::string dense = PathArtifact();
+  V2DirEntry e = testing::ReadV2DirEntry(dense, 0);
+  ASSERT_EQ(e.out.words_count, 1u);
+  e.out.words_count = 0;
+  testing::WriteV2DirEntry(&dense, 0, e);
+  ExpectOpenCorruption(dense, "array lengths inconsistent");
+
+  // Sparse: 2 of 64 rows stay below 1/16 fill; give them a bitmap.
+  std::vector<Label> labels(64, 0);
+  labels[1] = 1;
+  Graph g = testing::MakeGraph(false, labels, {Edge{0, 1, 0}});
+  std::string sparse = testing::CcsrV2Bytes(Ccsr::Build(g));
+  e = testing::ReadV2DirEntry(sparse, 0);
+  ASSERT_EQ(e.out.words_count, 0u);
+  e.out.words_count = 1;
+  testing::WriteV2DirEntry(&sparse, 0, e);
+  ExpectOpenCorruption(sparse, "array lengths inconsistent");
+}
+
+TEST(CcsrLoaderTest, BitmapWordNotTheRowIdsRejected) {
+  std::string bytes = PathArtifact();
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  testing::PokeBytes(&bytes, V2CsrLayoutOf(e.out).words, uint64_t{0b0111});
+  ExpectLoadCorruption(
+      bytes, "outgoing: rank bitmap word 0 does not match the non-empty rows");
+}
+
+TEST(CcsrLoaderTest, RankCountNotTheRowsBeforeRejected) {
+  // A 130-vertex path: every row non-empty, words {~0, ~0, 0b11} and
+  // rank {0, 64, 128}.
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < 130; ++v) edges.push_back(Edge{v, v + 1, 0});
+  Graph g = testing::MakeGraph(false, std::vector<Label>(130, 0), edges);
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out.words_count, 3u);
+  testing::PokeBytes(&bytes, V2CsrLayoutOf(e.out).rank + sizeof(uint32_t),
+                     uint32_t{63});
+  ExpectLoadCorruption(
+      bytes, "outgoing: rank count of bitmap word 1 is 63, expected 64");
+}
+
+TEST(CcsrLoaderTest, StoredLongestRowWrongRejected) {
+  const std::string clean = PathArtifact();
+  V2DirEntry e = testing::ReadV2DirEntry(clean, 0);
+  ASSERT_EQ(e.out.max_row_length, 2u);
+  std::string short_row = clean;
+  e.out.max_row_length = 1;
+  testing::WriteV2DirEntry(&short_row, 0, e);
+  ExpectLoadCorruption(short_row,
+                       "outgoing: stored longest row 1 != longest row 2");
+  // Longer than all columns: the executor would size buffers from it,
+  // so Open refuses it from the directory.
+  std::string huge_row = clean;
+  e.out.max_row_length = 7;  // 6 columns
+  testing::WriteV2DirEntry(&huge_row, 0, e);
+  ExpectOpenCorruption(huge_row, "array lengths inconsistent");
 }
 
 TEST(CcsrLoaderTest, NonEmptyRowOnForeignLabelRejected) {
-  // Undirected edge {0, 1}; vertex 2 (label 2) has no arcs. Out runs
-  // {0 x1}, {1 x1}, {2 x2}; moving one entry from the last run to the
-  // middle one gives vertex 2 the row [1, 2) and leaves vertex 1 empty.
+  // Undirected edge {0, 1}; vertex 2 (label 2) has no arcs. Ids {0, 1}
+  // become {0, 2}, the bitmap word to match: vertex 2 now owns the row
+  // [1, 2) and vertex 1 is empty.
   Graph g = testing::MakeGraph(false, {0, 1, 2}, {Edge{0, 1, 0}});
   std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
   const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
-  ASSERT_EQ(e.out_runs_count, 3u);
-  testing::PokeBytes(&bytes, RunOffset(e, 1) + offsetof(RleRun, count),
-                     uint32_t{2});
-  testing::PokeBytes(&bytes, RunOffset(e, 2) + offsetof(RleRun, count),
-                     uint32_t{1});
+  ASSERT_EQ(e.out.ids_count, 2u);
+  ASSERT_EQ(e.out.words_count, 1u);
+  testing::PokeBytes(&bytes, IdOffset(e, 1), VertexId{2});
+  testing::PokeBytes(&bytes, V2CsrLayoutOf(e.out).words, uint64_t{0b101});
   ExpectLoadCorruption(bytes,
                        "outgoing: vertex 2 has label 2, not an endpoint "
                        "label of the cluster");
+}
+
+TEST(CcsrLoaderTest, IncomingNotTransposeRejected) {
+  // Arcs 0 -> 2 and 1 -> 3: incoming rows 2: [0] and 3: [1] become
+  // 2: [1] and 3: [0]. Each direction stays well-formed on its own.
+  Graph g = testing::MakeGraph(true, {0, 0, 1, 1},
+                               {Edge{0, 2, 0}, Edge{1, 3, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.in.cols_count, 2u);
+  testing::PokeBytes(&bytes, V2CsrLayoutOf(e.in).cols, VertexId{1});
+  testing::PokeBytes(&bytes, V2CsrLayoutOf(e.in).cols + sizeof(VertexId),
+                     VertexId{0});
+  ExpectLoadCorruption(bytes,
+                       "dir(0,1,NULL)-cluster: incoming CSR is not the "
+                       "transpose of the outgoing CSR");
+}
+
+TEST(CcsrLoaderTest, AsymmetricUndirectedClusterRejected) {
+  // Edges {0, 2} and {1, 3}: rows 0: [2], 1: [3], 2: [0], 3: [1]. Row 0
+  // becomes [3]: arc 0 -> 3 without 3 -> 0, every row still well-formed.
+  Graph g = testing::MakeGraph(false, {0, 0, 1, 1},
+                               {Edge{0, 2, 0}, Edge{1, 3, 0}});
+  std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
+  const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
+  ASSERT_EQ(e.out.cols_count, 4u);
+  testing::PokeBytes(&bytes, ColOffset(e, 0), VertexId{3});
+  ExpectLoadCorruption(bytes,
+                       "und(0,1,NULL)-cluster: undirected cluster arcs are "
+                       "not symmetric");
 }
 
 TEST(CcsrLoaderTest, NeighborOutOfRangeRejected) {
   Graph g = testing::MakeGraph(false, {0, 1}, {Edge{0, 1, 0}});
   std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
   const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
-  ASSERT_EQ(e.out_cols_count, 2u);
+  ASSERT_EQ(e.out.cols_count, 2u);
   testing::PokeBytes(&bytes, ColOffset(e, 0), VertexId{2});  // == |V|
   ExpectLoadCorruption(bytes,
                        "outgoing: neighbor 2 of vertex 0 out of range");
@@ -191,7 +332,7 @@ TEST(CcsrLoaderTest, UnsortedNeighborsRejected) {
                                {Edge{0, 1, 0}, Edge{0, 2, 0}});
   const std::string clean = testing::CcsrV2Bytes(Ccsr::Build(g));
   const V2DirEntry e = testing::ReadV2DirEntry(clean, 0);
-  ASSERT_EQ(e.out_cols_count, 4u);
+  ASSERT_EQ(e.out.cols_count, 4u);
   const std::string want =
       "outgoing: neighbors of vertex 0 not sorted strictly increasing";
   std::string duplicate = clean;  // [1, 1]
@@ -210,7 +351,7 @@ TEST(CcsrLoaderTest, ArcLabelPairMismatchRejected) {
                                {Edge{0, 1, 0}, Edge{0, 2, 0}});
   std::string bytes = testing::CcsrV2Bytes(Ccsr::Build(g));
   const V2DirEntry e = testing::ReadV2DirEntry(bytes, 0);
-  ASSERT_EQ(e.out_cols_count, 4u);
+  ASSERT_EQ(e.out.cols_count, 4u);
   testing::PokeBytes(&bytes, ColOffset(e, 1), VertexId{3});
   ExpectLoadCorruption(bytes,
                        "outgoing: arc (0, 3) labels (0, 2) do not match "
