@@ -1,7 +1,7 @@
 // Micro-kernels (google-benchmark): the hot primitives behind the
 // engine — sorted-set intersection/difference, CSR neighbor lookup in
-// both layouts, the per-query cluster view (Alg. 1 read), and cluster
-// lookup vs raw adjacency probing.
+// both layouts, CCSR build, and cluster lookup vs raw adjacency
+// probing.
 
 #include <benchmark/benchmark.h>
 
@@ -11,7 +11,6 @@
 #include "ccsr/ccsr.h"
 #include "ccsr/csr.h"
 #include "engine/candidates.h"
-#include "gen/datasets.h"
 #include "gen/random_graph.h"
 #include "graph/graph_builder.h"
 #include "util/rng.h"
@@ -67,7 +66,8 @@ void BM_DifferenceInPlace(benchmark::State& state) {
 }
 BENCHMARK(BM_DifferenceInPlace)->Range(1 << 8, 1 << 14);
 
-CsrArrays MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
+// A finished builder holding one random direction's arrays.
+CsrBuilder MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
   Rng rng(seed);
   std::vector<Edge> edges;
   for (uint32_t i = 0; i < arcs; ++i) {
@@ -79,12 +79,13 @@ CsrArrays MakeCsr(uint32_t vertices, uint32_t arcs, uint64_t seed) {
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   CsrBuilder builder;
   for (const Edge& e : edges) builder.Add(e.src, e.dst);
-  return std::move(builder).Finish(vertices);
+  builder.Finish(vertices);
+  return builder;
 }
 
 void BM_CsrNeighborsDense(benchmark::State& state) {
-  const CsrArrays arrays = MakeCsr(1 << 12, 1 << 15, 6);  // dense layout
-  const CsrIndex csr(arrays);
+  const CsrBuilder arrays = MakeCsr(1 << 12, 1 << 15, 6);  // dense layout
+  const CsrIndex csr = arrays.Index();
   Rng rng(7);
   for (auto _ : state) {
     auto nbrs = csr.Neighbors(static_cast<VertexId>(rng.Uniform(1 << 12)));
@@ -94,8 +95,8 @@ void BM_CsrNeighborsDense(benchmark::State& state) {
 BENCHMARK(BM_CsrNeighborsDense);
 
 void BM_CsrNeighborsSparse(benchmark::State& state) {
-  const CsrArrays arrays = MakeCsr(1 << 20, 1 << 10, 8);  // sparse layout
-  const CsrIndex csr(arrays);
+  const CsrBuilder arrays = MakeCsr(1 << 20, 1 << 10, 8);  // sparse layout
+  const CsrIndex csr = arrays.Index();
   Rng rng(9);
   for (auto _ : state) {
     auto nbrs = csr.Neighbors(static_cast<VertexId>(rng.Uniform(1 << 20)));
@@ -117,34 +118,6 @@ void BM_CcsrBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_CcsrBuild)->Range(1 << 14, 1 << 17);
 
-// One cluster read of Algorithm 1 (a ClusterView over the cluster's
-// arrays) on Patent(20): arg 1 = the largest cluster with a rank bitmap,
-// arg 0 = the median-size cluster without one.
-void BM_ClusterView(benchmark::State& state) {
-  static const Ccsr gc = Ccsr::Build(datasets::Patent(20));
-  const bool dense = state.range(0) != 0;
-  std::vector<const CompressedCluster*> picked;
-  for (const CompressedCluster& c : gc.clusters()) {
-    if (CsrIndex(c.out).dense() == dense) picked.push_back(&c);
-  }
-  if (picked.empty()) {
-    state.SkipWithError("no cluster with this layout");
-    return;
-  }
-  std::sort(picked.begin(), picked.end(),
-            [](const CompressedCluster* a, const CompressedCluster* b) {
-              return a->num_edges < b->num_edges;
-            });
-  const CompressedCluster& cluster =
-      *(dense ? picked.back() : picked[picked.size() / 2]);
-  for (auto _ : state) {
-    ClusterView view(cluster);
-    benchmark::DoNotOptimize(view);
-  }
-  state.counters["edges"] = static_cast<double>(cluster.num_edges);
-}
-BENCHMARK(BM_ClusterView)->ArgName("dense")->Arg(1)->Arg(0);
-
 void BM_ClusterHasArcVsGraphHasEdge(benchmark::State& state) {
   LabelConfig labels;
   labels.vertex_labels = 4;
@@ -159,7 +132,7 @@ void BM_ClusterHasArcVsGraphHasEdge(benchmark::State& state) {
   CSCE_CHECK(pb.Build(&pattern).ok());
   CSCE_CHECK(
       ReadClusters(gc, pattern, MatchVariant::kEdgeInduced, &qc).ok());
-  const ClusterView* view = qc.Find(ClusterId::Undirected(0, 1, 0));
+  const CompressedCluster* view = qc.Find(ClusterId::Undirected(0, 1, 0));
   if (view == nullptr) {
     state.SkipWithError("cluster missing");
     return;

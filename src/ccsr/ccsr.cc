@@ -48,7 +48,7 @@ uint64_t LabelPairKey(Label a, Label b) {
 
 // Recomputes the label-pair index (per-vertex neighboring-label
 // bitmasks) from the clusters, O(total non-empty rows). Shared by
-// Ccsr::BuildLabelMasks and the Validate cross-check so a drifting
+// Ccsr::AdoptTables and the Validate cross-check so a drifting
 // persisted table cannot agree with a drifting rebuild.
 void ComputeLabelMasks(const std::vector<CompressedCluster>& clusters,
                        std::span<const Label> vlabels, bool directed,
@@ -74,20 +74,27 @@ void ComputeLabelMasks(const std::vector<CompressedCluster>& clusters,
   }
 }
 
-// Builds one direction of a cluster from arcs sorted by (src, dst).
-CsrArrays BuildDirection(uint32_t num_vertices,
-                         std::span<const Edge> sorted_arcs) {
-  CsrBuilder builder;
-  for (const Edge& a : sorted_arcs) builder.Add(a.src, a.dst);
-  return std::move(builder).Finish(num_vertices);
-}
-
-// One cluster under construction by Ccsr::Build: each direction's rows
-// grow as its arcs stream in, in (src, dst) order.
+// The arrays of one built or rebuilt cluster: each direction's rows
+// grow as its arcs stream in, in (src, dst) order. Once finished, the
+// builders are the cluster's storage (CompressedCluster::storage).
 struct ClusterBuild {
   CsrBuilder out;
   CsrBuilder in;
 };
+
+// Finishes `b` over `num_vertices` rows and makes it the storage of
+// cluster `c`, whose id and num_edges the caller sets.
+void AdoptClusterBuild(uint32_t num_vertices, std::shared_ptr<ClusterBuild> b,
+                       CompressedCluster* c) {
+  b->out.Finish(num_vertices);
+  c->out = b->out.Index();
+  c->in = CsrIndex();
+  if (c->id.directed) {
+    b->in.Finish(num_vertices);
+    c->in = b->in.Index();
+  }
+  c->storage = std::move(b);
+}
 
 // Publishes the index-shape gauges for `ccsr`: cluster count, bytes of
 // the stored representation vs a per-cluster CSR with a full |V|+1 row
@@ -98,7 +105,7 @@ void PublishCcsrGauges(const Ccsr& ccsr) {
   uint64_t raw_bytes = ccsr.vertex_labels().size() * sizeof(Label);
   uint64_t row_index_bytes = 0;
   for (const CompressedCluster& c : ccsr.clusters()) {
-    for (const CsrArrays* d : {&c.out, &c.in}) {
+    for (const CsrIndex* d : {&c.out, &c.in}) {
       if (d == &c.in && !c.id.directed) continue;
       raw_bytes += full_rows + d->cols.size() * sizeof(VertexId);
       row_index_bytes += d->RowIndexBytes();
@@ -120,11 +127,12 @@ bool FullyConnected(const Graph& pattern, VertexId a, VertexId b) {
 }
 
 // Test-suite hook (CSCE_CCSR_MMAP=1, the CI mmap leg): round-trip the
-// freshly built index through a v2 artifact and the mmap view, then
-// deep-copy back to owned storage so the mapping can be dropped and
-// mutation keeps working. Every Build call site in the suite becomes a
-// serialization + mapping cross-check — a v2 layout or span-binding bug
-// surfaces as ordinary test failures instead of only in the mmap tests.
+// freshly built index through a v2 artifact and replace it with the
+// mapped index, which co-owns the mapping; the file is unlinked once
+// mapped. Every Build call site in the suite becomes a serialization +
+// mapping cross-check, running over mapped pages (mutation included,
+// copy-on-write) — a v2 layout or span-binding bug surfaces as ordinary
+// test failures instead of only in the mmap tests.
 void MaybeMmapRoundTrip(Ccsr* out) {
   static const bool enabled = [] {
     const char* env = std::getenv("CSCE_CCSR_MMAP");
@@ -142,31 +150,48 @@ void MaybeMmapRoundTrip(Ccsr* out) {
   std::unique_ptr<MmapCcsr> mapped;
   st = MmapCcsr::Open(path, &mapped);
   CSCE_CHECK(st.ok());
-  Ccsr view = mapped->Release();
-  view.EnsureOwnedStorage();  // the mapping dies with this scope
-  *out = std::move(view);
   std::remove(path.c_str());
+  *out = mapped->Release();
 }
 
 }  // namespace
+
+struct Ccsr::Tables {
+  std::vector<Label> vlabels;
+  std::vector<uint32_t> vlabel_freq;
+  std::vector<uint32_t> out_degree;
+  std::vector<uint32_t> in_degree;
+  std::vector<uint64_t> lpi_out;
+  std::vector<uint64_t> lpi_in;
+
+  Tables() = default;
+  // A heap copy of `g`'s tables, for a mutation to change or for
+  // CopyToHeap; AdoptTables recomputes the label-pair masks.
+  explicit Tables(const Ccsr& g)
+      : vlabels(g.vlabels_.begin(), g.vlabels_.end()),
+        vlabel_freq(g.vlabel_freq_.begin(), g.vlabel_freq_.end()),
+        out_degree(g.out_degree_.begin(), g.out_degree_.end()),
+        in_degree(g.in_degree_.begin(), g.in_degree_.end()) {}
+};
 
 Ccsr Ccsr::Build(const Graph& g) {
   obs::Span span("ccsr.build");
   Ccsr out;
   out.directed_ = g.directed();
   out.num_edges_ = g.NumEdges();
-  out.vlabels_ = g.vertex_labels();
+  Tables tables;
+  tables.vlabels = g.vertex_labels();
 
   Label max_label = 0;
-  for (Label l : out.vlabels_) max_label = std::max(max_label, l);
-  out.vlabel_freq_.assign(out.vlabels_.empty() ? 0 : max_label + 1, 0);
-  for (Label l : out.vlabels_) ++out.vlabel_freq_[l];
+  for (Label l : tables.vlabels) max_label = std::max(max_label, l);
+  tables.vlabel_freq.assign(tables.vlabels.empty() ? 0 : max_label + 1, 0);
+  for (Label l : tables.vlabels) ++tables.vlabel_freq[l];
 
-  out.out_degree_.resize(g.NumVertices());
-  if (g.directed()) out.in_degree_.resize(g.NumVertices());
+  tables.out_degree.resize(g.NumVertices());
+  if (g.directed()) tables.in_degree.resize(g.NumVertices());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    out.out_degree_[v] = g.OutDegree(v);
-    if (g.directed()) out.in_degree_[v] = g.InDegree(v);
+    tables.out_degree[v] = g.OutDegree(v);
+    if (g.directed()) tables.in_degree[v] = g.InDegree(v);
   }
 
   // Bucket arcs by cluster identifier in one pass over the adjacency.
@@ -198,10 +223,10 @@ Ccsr Ccsr::Build(const Graph& g) {
   for (auto& [id, b] : buckets) {
     CompressedCluster cluster;
     cluster.id = id;
-    cluster.out = std::move(b.out).Finish(n);
+    AdoptClusterBuild(n, std::make_shared<ClusterBuild>(std::move(b)),
+                      &cluster);
     cluster.num_edges =
         id.directed ? cluster.out.cols.size() : cluster.out.cols.size() / 2;
-    if (id.directed) cluster.in = std::move(b.in).Finish(n);
     out.clusters_.push_back(std::move(cluster));
   }
 
@@ -211,25 +236,11 @@ Ccsr Ccsr::Build(const Graph& g) {
               return a.id < b.id;
             });
   out.RebuildIndexes();
-  out.BuildLabelMasks();
+  out.AdoptTables(std::move(tables));
   MaybeMmapRoundTrip(&out);
   CcsrMetrics::Get().builds.Increment();
   PublishCcsrGauges(out);
   return out;
-}
-
-void Ccsr::EnsureOwnedStorage() {
-  vlabels_.EnsureOwned();
-  vlabel_freq_.EnsureOwned();
-  out_degree_.EnsureOwned();
-  in_degree_.EnsureOwned();
-  lpi_out_.EnsureOwned();
-  lpi_in_.EnsureOwned();
-  for (CompressedCluster& c : clusters_) {
-    c.out.EnsureOwned();
-    c.in.EnsureOwned();
-  }
-  pager_ = nullptr;
 }
 
 void Ccsr::RebuildIndexes() {
@@ -242,13 +253,28 @@ void Ccsr::RebuildIndexes() {
   }
 }
 
-void Ccsr::BuildLabelMasks() {
-  std::vector<uint64_t> out_masks;
-  std::vector<uint64_t> in_masks;
-  ComputeLabelMasks(clusters_, vlabels_.span(), directed_, &out_masks,
-                    &in_masks);
-  lpi_out_ = std::move(out_masks);
-  lpi_in_ = std::move(in_masks);
+void Ccsr::AdoptTables(Tables t) {
+  ComputeLabelMasks(clusters_, t.vlabels, directed_, &t.lpi_out, &t.lpi_in);
+  auto owned = std::make_shared<const Tables>(std::move(t));
+  vlabels_ = owned->vlabels;
+  vlabel_freq_ = owned->vlabel_freq;
+  out_degree_ = owned->out_degree;
+  in_degree_ = owned->in_degree;
+  lpi_out_ = owned->lpi_out;
+  lpi_in_ = owned->lpi_in;
+  tables_ = std::move(owned);
+}
+
+void Ccsr::CopyToHeap() {
+  for (CompressedCluster& c : clusters_) {
+    auto b = std::make_shared<ClusterBuild>(CsrBuilder(c.out),
+                                            CsrBuilder(c.in));
+    c.out = b->out.Index();
+    c.in = b->in.Index();
+    c.storage = std::move(b);
+  }
+  AdoptTables(Tables(*this));
+  pager_ = nullptr;
 }
 
 const CompressedCluster* Ccsr::Find(const ClusterId& id) const {
@@ -283,25 +309,24 @@ std::vector<Edge> ArcsOf(const CompressedCluster& c) {
   return arcs;
 }
 
-// Rebuilds a cluster's CSR(s) from a sorted arc list.
+// Rebuilds a cluster's CSR(s) from a sorted arc list into fresh
+// arrays, dropping the cluster's handle on its old ones.
 void RebuildCluster(uint32_t num_vertices, std::vector<Edge> arcs,
                     CompressedCluster* c) {
   c->num_edges = c->id.directed ? arcs.size() : arcs.size() / 2;
-  c->out = BuildDirection(num_vertices, arcs);
+  auto b = std::make_shared<ClusterBuild>();
+  for (const Edge& a : arcs) b->out.Add(a.src, a.dst);
   if (c->id.directed) {
     for (Edge& a : arcs) std::swap(a.src, a.dst);
     std::sort(arcs.begin(), arcs.end());
-    c->in = BuildDirection(num_vertices, arcs);
+    for (const Edge& a : arcs) b->in.Add(a.src, a.dst);
   }
+  AdoptClusterBuild(num_vertices, std::move(b), c);
 }
 
 }  // namespace
 
 Status Ccsr::InsertEdges(const std::vector<Edge>& edges) {
-  if (mapped()) {
-    return Status::NotSupported(
-        "index is an mmap'd view; call EnsureOwnedStorage() before mutating");
-  }
   // Group new arcs by cluster.
   std::unordered_map<ClusterId, std::vector<Edge>, ClusterIdHash> delta;
   for (const Edge& e : edges) {
@@ -320,6 +345,7 @@ Status Ccsr::InsertEdges(const std::vector<Edge>& edges) {
     }
   }
 
+  Tables tables(*this);
   bool structure_changed = false;
   for (auto& [id, new_arcs] : delta) {
     std::vector<Edge> arcs;
@@ -344,8 +370,8 @@ Status Ccsr::InsertEdges(const std::vector<Edge>& edges) {
     std::set_difference(merged.begin(), merged.end(), arcs.begin(),
                         arcs.end(), std::back_inserter(added));
     for (const Edge& a : added) {
-      ++out_degree_[a.src];
-      if (directed_) ++in_degree_[a.dst];
+      ++tables.out_degree[a.src];
+      if (directed_) ++tables.in_degree[a.dst];
     }
     num_edges_ += id.directed ? added.size() : added.size() / 2;
 
@@ -364,16 +390,12 @@ Status Ccsr::InsertEdges(const std::vector<Edge>& edges) {
               });
   }
   RebuildIndexes();
-  BuildLabelMasks();
+  AdoptTables(std::move(tables));
   PublishCcsrGauges(*this);
   return Status::OK();
 }
 
 Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
-  if (mapped()) {
-    return Status::NotSupported(
-        "index is an mmap'd view; call EnsureOwnedStorage() before mutating");
-  }
   std::unordered_map<ClusterId, std::vector<Edge>, ClusterIdHash> delta;
   for (const Edge& e : edges) {
     if (e.src >= NumVertices() || e.dst >= NumVertices()) {
@@ -406,6 +428,7 @@ Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
     }
   }
 
+  Tables tables(*this);
   bool structure_changed = false;
   for (const auto& [id, gone_arcs] : delta) {
     size_t slot = index_.at(id);
@@ -415,8 +438,8 @@ Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
     std::set_difference(arcs.begin(), arcs.end(), gone_arcs.begin(),
                         gone_arcs.end(), std::back_inserter(remaining));
     for (const Edge& a : gone_arcs) {
-      --out_degree_[a.src];
-      if (directed_) --in_degree_[a.dst];
+      --tables.out_degree[a.src];
+      if (directed_) --tables.in_degree[a.dst];
     }
     num_edges_ -= id.directed ? gone_arcs.size() : gone_arcs.size() / 2;
     if (remaining.empty()) {
@@ -434,7 +457,7 @@ Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
               });
   }
   RebuildIndexes();
-  BuildLabelMasks();
+  AdoptTables(std::move(tables));
   PublishCcsrGauges(*this);
   return Status::OK();
 }
@@ -442,11 +465,11 @@ Status Ccsr::RemoveEdges(const std::vector<Edge>& edges) {
 namespace {
 
 // Deep check of one direction of a cluster's CSR: the row-index
-// invariants (CsrArrays::Validate), then every row's vertex range,
+// invariants (CsrIndex::Validate), then every row's vertex range,
 // sorted-unique neighbors and endpoint-label homogeneity.
 Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
                                 std::span<const Label> vlabels) {
-  const CsrArrays& d = incoming ? c.in : c.out;
+  const CsrIndex& d = incoming ? c.in : c.out;
   const std::string where =
       c.id.ToString() + (incoming ? " incoming" : " outgoing");
   // Directed clusters orient (src_label, dst_label) along the arc; the
@@ -511,7 +534,7 @@ Status ValidateClusterDirection(const CompressedCluster& c, bool incoming,
 // every row of `to` must be used up at the end: a bijection, found by
 // one merge walk in O(arcs). `next`/`end` are per-vertex cursors into
 // `to`'s rows, all 0 on entry and on return.
-bool IsTranspose(const CsrArrays& to, const CsrArrays& from,
+bool IsTranspose(const CsrIndex& to, const CsrIndex& from,
                  std::vector<uint64_t>* next, std::vector<uint64_t>* end) {
   for (size_t i = 0; i < to.ids.size(); ++i) {
     (*next)[to.ids[i]] = to.offsets[i];
@@ -558,7 +581,7 @@ Status Ccsr::Validate() const {
   }
   std::vector<uint32_t> freq(vlabel_freq_.size(), 0);
   for (Label l : vlabels_) ++freq[l];
-  if (!std::ranges::equal(freq, vlabel_freq_.span())) {
+  if (!std::ranges::equal(freq, vlabel_freq_)) {
     return Status::Corruption("label frequency table does not match the "
                               "vertex labels");
   }
@@ -680,10 +703,10 @@ Status Ccsr::Validate() const {
   {
     std::vector<uint64_t> expect_out;
     std::vector<uint64_t> expect_in;
-    ComputeLabelMasks(clusters_, vlabels_.span(), directed_, &expect_out,
+    ComputeLabelMasks(clusters_, vlabels_, directed_, &expect_out,
                       &expect_in);
-    if (!std::ranges::equal(expect_out, lpi_out_.span()) ||
-        !std::ranges::equal(expect_in, lpi_in_.span())) {
+    if (!std::ranges::equal(expect_out, lpi_out_) ||
+        !std::ranges::equal(expect_in, lpi_in_)) {
       return Status::Corruption("label-pair index does not match the "
                                 "clusters");
     }
@@ -697,14 +720,14 @@ size_t Ccsr::CompressedSizeBytes() const {
   return total;
 }
 
-const ClusterView* QueryClusters::Find(const ClusterId& id) const {
+const CompressedCluster* QueryClusters::Find(const ClusterId& id) const {
   auto it = views_.find(id);
-  return it == views_.end() ? nullptr : &it->second;
+  return it == views_.end() ? nullptr : it->second;
 }
 
-const std::vector<const ClusterView*>& QueryClusters::Star(Label a,
-                                                           Label b) const {
-  static const std::vector<const ClusterView*> kEmpty;
+const std::vector<const CompressedCluster*>& QueryClusters::Star(
+    Label a, Label b) const {
+  static const std::vector<const CompressedCluster*> kEmpty;
   auto it = star_.find(LabelPairKey(a, b));
   return it == star_.end() ? kEmpty : it->second;
 }
@@ -716,34 +739,30 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
     return Status::InvalidArgument(
         "pattern and data graph directedness differ");
   }
-  // A reused QueryClusters would hand back views of whatever index it
-  // was filled from.
+  // A reused QueryClusters would hand back clusters of whatever index
+  // it was filled from.
   CSCE_DCHECK(out->views_.empty() && out->star_.empty());
-  // Registers the view of `cluster` (from the shared cache when given,
-  // made in place otherwise) in the result. The first view whose
+  // Registers `cluster` in the result (through the shared cache when
+  // given, which counts the hit or miss). The first cluster whose
   // offsets do not end at its columns fails the read.
   Status status = Status::OK();
-  auto ensure_view = [out, cache, &status](const CompressedCluster& cluster) {
-    auto it = out->views_.find(cluster.id);
-    if (it == out->views_.end()) {
-      it = out->views_
-               .emplace(cluster.id, cache != nullptr
-                                        ? *cache->Get(cluster.id)
-                                        : ClusterView(cluster))
-               .first;
-      if (status.ok() && !it->second.OffsetsEndAtColumns()) {
+  auto ensure = [out, cache, &status](const CompressedCluster& cluster) {
+    auto [it, inserted] = out->views_.emplace(cluster.id, &cluster);
+    if (inserted) {
+      if (cache != nullptr) it->second = cache->Get(cluster.id);
+      if (status.ok() && !cluster.OffsetsEndAtColumns()) {
         status = Status::Corruption("cluster " + cluster.id.ToString() +
                                     ": final row offset != column count");
       }
     }
-    return &it->second;
+    return it->second;
   };
 
   // Lines 2-11: clusters of edges isomorphic to pattern edges.
   pattern.ForEachEdge([&](const Edge& e) {
     ClusterId id = ClusterId::ForPatternEdge(pattern, e);
     const CompressedCluster* c = gc.Find(id);
-    if (c != nullptr) ensure_view(*c);
+    if (c != nullptr) ensure(*c);
     // Empty cluster: Find() later returns nullptr -> zero embeddings
     // for the whole query; the engine short-circuits.
   });
@@ -760,9 +779,9 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
         Label lb = pattern.VertexLabel(b);
         const uint64_t key = LabelPairKey(la, lb);
         if (out->star_.count(key) > 0) continue;
-        std::vector<const ClusterView*>& views = out->star_[key];
+        std::vector<const CompressedCluster*>& star = out->star_[key];
         for (size_t slot : gc.StarClusters(la, lb)) {
-          views.push_back(ensure_view(gc.clusters()[slot]));
+          star.push_back(ensure(gc.clusters()[slot]));
         }
       }
     }

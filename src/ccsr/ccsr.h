@@ -2,11 +2,12 @@
 #define CSCE_CCSR_CCSR_H_
 
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "ccsr/array_view.h"
 #include "ccsr/cluster_id.h"
 #include "ccsr/csr.h"
 #include "graph/graph.h"
@@ -21,25 +22,61 @@ namespace csce {
 /// clusters store each edge in both orientations in a single CSR (paper
 /// Section IV).
 ///
-/// The arrays are heap vectors for an in-memory (mutable) index and
-/// read-only spans into the mapping for a CCSR v2 artifact opened
-/// through MmapCcsr; a ClusterView is a set of spans over them in both
-/// cases.
+/// The one cluster record: the Ccsr stores it, and a query's reads
+/// (ReadClusters, ClusterCache) hand out const pointers to it. Its
+/// arrays are spans over `storage`, which it co-owns: the CsrBuilders
+/// of a built, rebuilt or loaded cluster, or the mapping of a mapped
+/// index. A pointer to a record is valid
+/// while its Ccsr lives unmodified: InsertEdges/RemoveEdges (and
+/// destroying or reassigning the Ccsr) invalidate it.
 struct CompressedCluster {
   ClusterId id;
   uint64_t num_edges = 0;  // cluster size == |I_C| of one CSR
-  CsrArrays out;
-  CsrArrays in;  // directed clusters only
+  CsrIndex out;
+  CsrIndex in;  // directed clusters only
+  std::shared_ptr<const void> storage;  // what out/in point into
+
+  /// Outgoing cluster-neighbors of v (undirected: all cluster-neighbors).
+  std::span<const VertexId> Out(VertexId v) const { return out.Neighbors(v); }
+  /// Incoming cluster-neighbors of v (undirected: all cluster-neighbors).
+  std::span<const VertexId> In(VertexId v) const {
+    return id.directed ? in.Neighbors(v) : out.Neighbors(v);
+  }
+
+  /// Arc a -> b present? (undirected: edge {a,b} present?)
+  bool HasArc(VertexId a, VertexId b) const { return out.HasArc(a, b); }
+
+  /// Distinct arc sources (undirected: all cluster vertices), sorted;
+  /// the cluster's own row ids, safe to read concurrently.
+  std::span<const VertexId> Sources() const { return out.ids; }
+  /// Distinct arc targets, sorted (same lifetime contract).
+  std::span<const VertexId> Targets() const {
+    return id.directed ? in.ids : out.ids;
+  }
+
+  /// Longest Out(v) / In(v) row — upper bounds for intersection results
+  /// that include a row of this cluster (executor scratch sizing).
+  size_t MaxOutRowLength() const { return out.max_row_length; }
+  size_t MaxInRowLength() const {
+    return id.directed ? in.max_row_length : out.max_row_length;
+  }
+
+  /// Both directions' last offsets end their columns (CsrIndex::
+  /// OffsetsEndAtColumns): the O(1) check a read makes per cluster.
+  bool OffsetsEndAtColumns() const {
+    return out.OffsetsEndAtColumns() && in.OffsetsEndAtColumns();
+  }
 
   size_t SizeBytes() const { return out.SizeBytes() + in.SizeBytes(); }
 };
 
-/// Paging hooks behind a mapped Ccsr (implemented by MmapCcsr). The
-/// matcher calls these with the plan's cluster access order so the
-/// kernel can prefetch (madvise WILLNEED) the clusters enumeration is
-/// about to touch and, under a memory cap, drop (madvise DONTNEED)
-/// clusters behind the frontier. All methods must be thread-safe; for
-/// an in-memory Ccsr there is no pager and the hooks are no-ops.
+/// Paging hooks behind a mapped Ccsr (implemented by the mapping an
+/// MmapCcsr opens). The matcher calls these with the plan's cluster
+/// access order so the kernel can prefetch (madvise WILLNEED) the
+/// clusters enumeration is about to touch and, under a memory cap, drop
+/// (madvise DONTNEED) clusters behind the frontier. All methods must be
+/// thread-safe; for an in-memory Ccsr there is no pager and the hooks
+/// are no-ops.
 class CcsrPager {
  public:
   virtual ~CcsrPager() = default;
@@ -47,60 +84,24 @@ class CcsrPager {
   virtual void AdviseDone() const = 0;
 };
 
-/// A query-ready cluster: spans over the cluster's arrays, built in
-/// O(1) with no allocation. Valid only while the Ccsr it was read from
-/// lives unmodified: InsertEdges/RemoveEdges (and destroying or
-/// reassigning the Ccsr) invalidate every view of it.
-class ClusterView {
- public:
-  explicit ClusterView(const CompressedCluster& c)
-      : id_(c.id), num_edges_(c.num_edges), out_(c.out), in_(c.in) {}
-
-  const ClusterId& id() const { return id_; }
-  uint64_t NumEdges() const { return num_edges_; }
-
-  /// Outgoing cluster-neighbors of v (undirected: all cluster-neighbors).
-  std::span<const VertexId> Out(VertexId v) const { return out_.Neighbors(v); }
-  /// Incoming cluster-neighbors of v (undirected: all cluster-neighbors).
-  std::span<const VertexId> In(VertexId v) const {
-    return id_.directed ? in_.Neighbors(v) : out_.Neighbors(v);
-  }
-
-  /// Arc a -> b present? (undirected: edge {a,b} present?)
-  bool HasArc(VertexId a, VertexId b) const { return out_.HasArc(a, b); }
-
-  /// Distinct arc sources (undirected: all cluster vertices), sorted.
-  /// A view into the cluster's row ids — no copy; valid while the view
-  /// lives and safe to read concurrently.
-  std::span<const VertexId> Sources() const { return out_.NonEmptySpan(); }
-  /// Distinct arc targets, sorted (same lifetime contract).
-  std::span<const VertexId> Targets() const {
-    return id_.directed ? in_.NonEmptySpan() : out_.NonEmptySpan();
-  }
-
-  /// Longest Out(v) / In(v) row — upper bounds for intersection results
-  /// that include a row of this cluster (executor scratch sizing).
-  size_t MaxOutRowLength() const { return out_.MaxRowLength(); }
-  size_t MaxInRowLength() const {
-    return id_.directed ? in_.MaxRowLength() : out_.MaxRowLength();
-  }
-
-  /// Both directions' last offsets end their columns (CsrIndex::
-  /// OffsetsEndAtColumns): the O(1) check a read makes per view.
-  bool OffsetsEndAtColumns() const {
-    return out_.OffsetsEndAtColumns() && in_.OffsetsEndAtColumns();
-  }
-
- private:
-  ClusterId id_;
-  uint64_t num_edges_;
-  CsrIndex out_;
-  CsrIndex in_;  // empty for undirected clusters
-};
-
 /// G_C: the complete clustered-CSR representation of a data graph,
 /// built offline. Replaces the raw graph (the paper drops G after
 /// clustering), so it also carries the vertex labels.
+///
+/// Storage: every array is a read-only span, and the Ccsr co-owns what
+/// the spans point into through shared_ptr handles. There are three
+/// owners:
+/// * Build, and clusters rebuilt by InsertEdges/RemoveEdges: the
+///   CsrBuilder vectors, kept exactly as built;
+/// * LoadCcsrFromFile: exact-size heap copies of a mapped artifact's
+///   arrays, made after Validate; the mapping is then dropped;
+/// * MmapCcsr::Open: the mapping itself.
+/// So a Ccsr is valid on its own whatever made it, outlives the MmapCcsr
+/// it came from, and copies in O(#clusters) by sharing its immutable
+/// storage. Mutation is copy-on-write: it rebuilds the touched clusters
+/// and the vertex tables into fresh heap arrays and drops its handles on
+/// the replaced ones (freed once no copy shares them); a file the index
+/// came from is never written.
 class Ccsr {
  public:
   Ccsr() = default;
@@ -113,18 +114,17 @@ class Ccsr {
     return static_cast<uint32_t>(vlabels_.size());
   }
   uint64_t NumEdges() const { return num_edges_; }
-  Label VertexLabel(VertexId v) const { return vlabels_.span()[v]; }
-  std::span<const Label> vertex_labels() const { return vlabels_.span(); }
+  Label VertexLabel(VertexId v) const { return vlabels_[v]; }
+  std::span<const Label> vertex_labels() const { return vlabels_; }
   uint32_t LabelFrequency(Label l) const {
-    std::span<const uint32_t> freq = vlabel_freq_.span();
-    return l < freq.size() ? freq[l] : 0;
+    return l < vlabel_freq_.size() ? vlabel_freq_[l] : 0;
   }
 
   /// Per-vertex degrees of the original graph, kept for candidate
   /// degree filtering (for undirected graphs in == out == degree).
-  uint32_t OutDegree(VertexId v) const { return out_degree_.span()[v]; }
+  uint32_t OutDegree(VertexId v) const { return out_degree_[v]; }
   uint32_t InDegree(VertexId v) const {
-    return directed_ ? in_degree_.span()[v] : out_degree_.span()[v];
+    return directed_ ? in_degree_[v] : out_degree_[v];
   }
 
   /// Label-pair index (prune pass "lpi"): per-vertex bitmask of the
@@ -133,15 +133,14 @@ class Ccsr {
   /// conservative for label alphabets wider than 64. For undirected
   /// graphs in == out. Derived from the clusters, rebuilt on every
   /// mutation, persisted as CCSR v2 sections.
-  uint64_t OutLabelMask(VertexId v) const { return lpi_out_.span()[v]; }
+  uint64_t OutLabelMask(VertexId v) const { return lpi_out_[v]; }
   uint64_t InLabelMask(VertexId v) const {
-    return directed_ ? lpi_in_.span()[v] : lpi_out_.span()[v];
+    return directed_ ? lpi_in_[v] : lpi_out_[v];
   }
   static uint64_t LabelBit(Label l) { return uint64_t{1} << (l & 63); }
 
-  /// True when this index is a view over an mmap'd v2 artifact. Mapped
-  /// indexes are immutable (InsertEdges/RemoveEdges refuse) and valid
-  /// only while the owning MmapCcsr lives.
+  /// True when this index was opened over an mmap'd v2 artifact
+  /// (MmapCcsr); it co-owns the mapping and its pager.
   bool mapped() const { return pager_ != nullptr; }
 
   /// Plan-driven paging hints; no-ops for in-memory indexes. The
@@ -156,11 +155,6 @@ class Ccsr {
   void AdviseQueryDone() const {
     if (pager_ != nullptr) pager_->AdviseDone();
   }
-
-  /// Deep-copies any borrowed (mmap-backed) storage into owned heap
-  /// memory and detaches from the pager, making the index independent
-  /// of the mapping's lifetime. No-op for in-memory indexes.
-  void EnsureOwnedStorage();
 
   size_t NumClusters() const { return clusters_.size(); }
   const std::vector<CompressedCluster>& clusters() const { return clusters_; }
@@ -189,7 +183,8 @@ class Ccsr {
   size_t CompressedSizeBytes() const;
 
   /// Online maintenance: inserts edges into the index, rebuilding only
-  /// the affected clusters. Endpoints must be existing vertices; edge
+  /// the affected clusters (copy-on-write, also for a loaded or mapped
+  /// index). Endpoints must be existing vertices; edge
   /// direction follows the graph's. Idempotent: already-present edges
   /// are ignored. Degrees and statistics are kept consistent.
   Status InsertEdges(const std::vector<Edge>& edges);
@@ -199,7 +194,7 @@ class Ccsr {
   Status RemoveEdges(const std::vector<Edge>& edges);
 
   /// Deep structural validation (O(|E| + |V|), no allocation per arc):
-  /// per-cluster row-index invariants (CsrArrays::Validate) and
+  /// per-cluster row-index invariants (CsrIndex::Validate) and
   /// row/column consistency, sorted-unique adjacency,
   /// endpoint-label homogeneity against the cluster identifier,
   /// incoming CSR == transpose of outgoing (directed) / symmetry
@@ -212,25 +207,36 @@ class Ccsr {
   Status Validate() const;
 
  private:
-  friend class MmapCcsr;
+  friend class MmapCcsr;  // binds an index over its mapping
+  friend Status LoadCcsrFromFile(const std::string& path, Ccsr* out);
+
+  // The vertex tables of a built or mutated index, in heap memory.
+  struct Tables;
 
   void RebuildIndexes();
-  /// Recomputes lpi_out_/lpi_in_ from the clusters (O(total non-empty
-  /// rows)). Called wherever cluster contents change; the mmap loader
-  /// borrows the artifact's persisted sections instead.
-  void BuildLabelMasks();
+  /// Binds the vertex-table spans to `t` and co-owns it, with the
+  /// label-pair index recomputed from the clusters. Called by Build, by
+  /// every mutation (which copies the tables it changes) and by
+  /// CopyToHeap; a mapped index binds its tables into the mapping.
+  void AdoptTables(Tables t);
+  /// Replaces every array with an exact-size heap copy and drops the
+  /// handles on the old storage and the pager, so a mapping it was
+  /// bound over is released (LoadCcsrFromFile).
+  void CopyToHeap();
 
   bool directed_ = false;
   uint64_t num_edges_ = 0;
-  ArrayOrView<Label> vlabels_;
-  ArrayOrView<uint32_t> vlabel_freq_;
-  ArrayOrView<uint32_t> out_degree_;
-  ArrayOrView<uint32_t> in_degree_;  // empty for undirected graphs
-  ArrayOrView<uint64_t> lpi_out_;    // label-pair index, see OutLabelMask
-  ArrayOrView<uint64_t> lpi_in_;     // empty for undirected graphs
-  // Null for in-memory indexes; a mapped index's paging hooks, owned by
-  // the MmapCcsr the arrays alias (so it outlives every borrowed span).
-  const CcsrPager* pager_ = nullptr;
+  std::span<const Label> vlabels_;
+  std::span<const uint32_t> vlabel_freq_;
+  std::span<const uint32_t> out_degree_;
+  std::span<const uint32_t> in_degree_;  // empty for undirected graphs
+  std::span<const uint64_t> lpi_out_;    // label-pair index, see OutLabelMask
+  std::span<const uint64_t> lpi_in_;     // empty for undirected graphs
+  // What the vertex-table spans point into: a Tables, or the mapping.
+  std::shared_ptr<const void> tables_;
+  // Null for an in-memory index; a mapped index's paging hooks, which
+  // the index co-owns with the mapping they advise.
+  std::shared_ptr<const CcsrPager> pager_;
   std::vector<CompressedCluster> clusters_;
   std::unordered_map<ClusterId, size_t, ClusterIdHash> index_;
   // (min label, max label) -> cluster indices, for negation lookups.
@@ -239,20 +245,20 @@ class Ccsr {
 
 class ClusterCache;
 
-/// G_C^*: the cluster views one query needs (Algorithm 1). Valid while
-/// the Ccsr it was read from lives unmodified (see ClusterView); each
-/// query reads into a fresh one.
+/// G_C^*: the clusters one query needs (Algorithm 1), as pointers to
+/// the Ccsr's own records. Valid while that Ccsr lives unmodified (see
+/// CompressedCluster); each query reads into a fresh one.
 class QueryClusters {
  public:
   /// nullptr means the cluster is empty: no data edge can match.
-  const ClusterView* Find(const ClusterId& id) const;
+  const CompressedCluster* Find(const ClusterId& id) const;
 
-  /// The "(a,b)*-cluster" views for negation checks (may be empty).
-  const std::vector<const ClusterView*>& Star(Label a, Label b) const;
+  /// The "(a,b)*-clusters" for negation checks (may be empty).
+  const std::vector<const CompressedCluster*>& Star(Label a, Label b) const;
 
   size_t NumViews() const { return views_.size(); }
-  /// Bytes the reads decompressed: always 0, since a view is spans over
-  /// the Ccsr's own arrays. Kept as the zero point of the benchmark's
+  /// Bytes the reads decompressed: always 0, since a read hands out the
+  /// Ccsr's own records. Kept as the zero point of the benchmark's
   /// `ccsr.decompressed_bytes` record.
   size_t DecompressedBytes() const { return 0; }
 
@@ -260,20 +266,20 @@ class QueryClusters {
   friend Status ReadClustersImpl(const Ccsr&, const Graph&, MatchVariant,
                                  ClusterCache*, QueryClusters*);
 
-  // Node-based, so the Star pointers into it stay valid as it grows.
-  std::unordered_map<ClusterId, ClusterView, ClusterIdHash> views_;
-  std::unordered_map<uint64_t, std::vector<const ClusterView*>> star_;
+  std::unordered_map<ClusterId, const CompressedCluster*, ClusterIdHash>
+      views_;
+  std::unordered_map<uint64_t, std::vector<const CompressedCluster*>> star_;
 };
 
 /// Algorithm 1 (ReadCSR): selects the clusters needed to match
-/// `pattern` under `variant` and views them. For vertex-induced
+/// `pattern` under `variant`. For vertex-induced
 /// matching this additionally loads the negation clusters between
 /// not-fully-connected pattern vertex pairs. Requires
 /// pattern.directed() == gc.directed().
-/// `out` must be empty (a fresh QueryClusters): views already in it
-/// would be reused as they are, whatever index they came from. A view
-/// whose offsets do not end at its columns (a damaged mapped artifact
-/// that skipped Validate) fails the read with Corruption.
+/// `out` must be empty (a fresh QueryClusters): clusters already in it
+/// would be reused as they are, whatever index they came from. A
+/// cluster whose offsets do not end at its columns (a damaged mapped
+/// artifact that skipped Validate) fails the read with Corruption.
 Status ReadClusters(const Ccsr& gc, const Graph& pattern, MatchVariant variant,
                     QueryClusters* out);
 

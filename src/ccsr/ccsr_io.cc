@@ -6,6 +6,7 @@
 #include <fstream>
 #include <memory>
 #include <ostream>
+#include <span>
 
 #include "ccsr/ccsr_mmap.h"
 #include "ccsr/ccsr_v2_format.h"
@@ -16,15 +17,15 @@ namespace csce {
 
 Status LoadCcsrFromFile(const std::string& path, Ccsr* out) {
   // Open the mapping for its O(#clusters) structural checks, run the
-  // deep validation ("a corrupted artifact must never load"), then
-  // materialize into owned memory so the result keeps the value
-  // semantics callers of this API expect. Callers that want the
-  // out-of-core behavior use MmapCcsr directly.
+  // deep validation ("a corrupted artifact must never load"), then copy
+  // every array into exact-size heap vectors and drop the mapping.
+  // Callers that want the out-of-core behavior use MmapCcsr directly.
   std::unique_ptr<MmapCcsr> mapped;
   CSCE_RETURN_IF_ERROR(MmapCcsr::Open(path, &mapped));
   CSCE_RETURN_IF_ERROR(mapped->ccsr().Validate());
   Ccsr result = mapped->Release();
-  result.EnsureOwnedStorage();
+  mapped.reset();
+  result.CopyToHeap();
   *out = std::move(result);
   return Status::OK();
 }
@@ -52,7 +53,7 @@ void WriteBytes(std::ostream& out, const void* p, uint64_t n, uint64_t* pos) {
 
 // Places one cluster direction's arrays at `*cursor` (V2CsrLayoutOf)
 // and returns their directory record.
-V2CsrEntry PlaceCsr(const CsrArrays& d, uint64_t* cursor) {
+V2CsrEntry PlaceCsr(const CsrIndex& d, uint64_t* cursor) {
   V2CsrEntry e;
   e.offset = V2AlignUp(*cursor, kV2ArrayAlign);
   e.cols_count = d.cols.size();
@@ -72,14 +73,14 @@ void WriteArray(std::ostream& out, uint64_t offset, std::span<const T> a,
 }
 
 // Writes the arrays of one direction where PlaceCsr put them.
-void WriteCsr(std::ostream& out, const CsrArrays& d, const V2CsrEntry& e,
+void WriteCsr(std::ostream& out, const CsrIndex& d, const V2CsrEntry& e,
               uint64_t* pos) {
   const V2CsrLayout l = V2CsrLayoutOf(e);
-  WriteArray(out, l.ids, d.ids.span(), pos);
-  WriteArray(out, l.offsets, d.offsets.span(), pos);
-  WriteArray(out, l.words, d.words.span(), pos);
-  WriteArray(out, l.rank, d.rank.span(), pos);
-  WriteArray(out, l.cols, d.cols.span(), pos);
+  WriteArray(out, l.ids, d.ids, pos);
+  WriteArray(out, l.offsets, d.offsets, pos);
+  WriteArray(out, l.words, d.words, pos);
+  WriteArray(out, l.rank, d.rank, pos);
+  WriteArray(out, l.cols, d.cols, pos);
 }
 
 }  // namespace

@@ -17,11 +17,12 @@ namespace csce {
 /// in on demand.
 Status SaveCcsrToFileV2(const Ccsr& ccsr, const std::string& path);
 
-/// Loads a v2 artifact into owned memory: opens it via mmap (structural
-/// checks), deep-validates, and deep-copies. A legacy v1 stream file
-/// (magic "CCSR") is rejected with Corruption naming v1; rebuild it with
-/// csce_build. Use MmapCcsr directly for the out-of-core (demand-paged)
-/// path.
+/// Loads a v2 artifact into memory: opens it with MmapCcsr (structural
+/// checks), deep-validates, copies every array into exact-size heap
+/// vectors and drops the mapping, so the result keeps no reference to
+/// the file. A legacy v1 stream file (magic "CCSR") is rejected with
+/// Corruption naming v1; rebuild it with csce_build. Use MmapCcsr for
+/// the out-of-core (demand-paged) path.
 Status LoadCcsrFromFile(const std::string& path, Ccsr* out);
 
 }  // namespace csce

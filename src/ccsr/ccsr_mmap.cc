@@ -8,10 +8,16 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <deque>
 #include <string_view>
+#include <unordered_map>
+#include <vector>
 
+#include "ccsr/ccsr_v2_format.h"
 #include "util/crc32.h"
 #include "util/logging.h"
+#include "util/mutex.h"
+#include "util/thread_annotations.h"
 
 namespace csce {
 namespace {
@@ -59,79 +65,124 @@ CSCE_MAP_PRIMITIVE void ReadHeader(const char* map, V2Header* out) {
   std::memcpy(out, map, sizeof(*out));
 }
 
+// The mapping's first four bytes, or 0 when it is shorter.
+CSCE_MAP_PRIMITIVE uint32_t ReadMagic(std::span<const char> image) {
+  uint32_t magic = 0;
+  if (image.size() >= sizeof(magic)) {
+    std::memcpy(&magic, image.data(), sizeof(magic));
+  }
+  return magic;
+}
+
 }  // namespace
 
-Status MmapCcsr::Open(const std::string& path, const Options& options,
-                      std::unique_ptr<MmapCcsr>* out) {
-  auto m = std::make_unique<MmapCcsr>(OpenKey{});
-  CSCE_RETURN_IF_ERROR(m->Init(path, options));
-  *out = std::move(m);
-  return Status::OK();
-}
-
-MmapCcsr::~MmapCcsr() {
-  if (map_ != nullptr) ::munmap(map_, static_cast<size_t>(size_));
-  if (fd_ >= 0) ::close(fd_);
-}
-
-Status MmapCcsr::Init(const std::string& path, const Options& options) {
-  path_ = path;
-  options_ = options;
-
-  fd_ = ::open(path.c_str(), O_RDONLY);
-  if (fd_ < 0) {
-    return Status::IOError("cannot open " + path + ": " + Errno());
+/// The mapping of one v2 file and its paging hooks. Mapped indexes
+/// (and every cluster of them) co-own it; the last owner unmaps.
+class CcsrMapping : public CcsrPager {
+ public:
+  CcsrMapping(char* map, uint64_t size, const MmapCcsr::Options& options)
+      : map_(map), size_(size), options_(options) {}
+  ~CcsrMapping() override {
+    if (map_ != nullptr) ::munmap(map_, static_cast<size_t>(size_));
   }
-  struct stat st;
-  if (::fstat(fd_, &st) != 0) {
-    return Status::IOError("fstat " + path + ": " + Errno());
+  CcsrMapping(const CcsrMapping&) = delete;
+  CcsrMapping& operator=(const CcsrMapping&) = delete;
+
+  std::span<const char> bytes() const {
+    return {map_, static_cast<size_t>(size_)};
   }
-  size_ = static_cast<uint64_t>(st.st_size);
+
+  // One cluster's payload block, rounded out to whole pages: from its
+  // first array to its last — the unit of paging advice. Zero length for
+  // a cluster without arrays.
+  struct Block {
+    uint64_t offset = 0;
+    uint64_t length = 0;
+  };
+
+  /// Installs the clusters' payload blocks (once, before publication).
+  void SetBlocks(const Ccsr& ccsr, std::vector<Block> blocks) {
+    blocks_ = std::move(blocks);
+    for (size_t i = 0; i < blocks_.size(); ++i) {
+      block_index_.emplace(ccsr.clusters()[i].id, i);
+    }
+    MutexLock lock(mu_);
+    advised_count_.assign(blocks_.size(), 0);
+  }
+
+  uint64_t AdvisedWindowBytes() const {
+    MutexLock lock(mu_);
+    return advised_bytes_;
+  }
+
+  // CcsrPager:
+  void AdviseClusters(std::span<const ClusterId> ids) const override;
+  void AdviseDone() const override;
+
+ private:
+  void Advise(const Block& b, int advice) const;
+
+  // Everything below up to mu_ is written before the mapping is
+  // published and read-only afterwards, so it needs no lock.
+  // Mutable pointer because madvise takes void*; the mapping itself is
+  // PROT_READ and never written.
+  char* map_ CSCE_NOT_GUARDED;
+  uint64_t size_ CSCE_NOT_GUARDED;
+  MmapCcsr::Options options_ CSCE_NOT_GUARDED;
+  // Own ClusterId -> block lookup: the index may be mutated (its
+  // cluster slots shift), the file's blocks do not.
+  std::vector<Block> blocks_ CSCE_NOT_GUARDED;
+  std::unordered_map<ClusterId, size_t, ClusterIdHash> block_index_
+      CSCE_NOT_GUARDED;
+
+  mutable Mutex mu_;
+  // FIFO of advised block indexes, only maintained under a memory cap.
+  mutable std::deque<size_t> advised_ CSCE_GUARDED_BY(mu_);
+  mutable std::vector<uint32_t> advised_count_ CSCE_GUARDED_BY(mu_);
+  mutable uint64_t advised_bytes_ CSCE_GUARDED_BY(mu_) = 0;
+};
+
+Status MmapCcsr::Bind(const std::string& path,
+                      const std::shared_ptr<CcsrMapping>& mapping,
+                      Ccsr* out) {
+  const std::span<const char> image = mapping->bytes();
+  const char* map = image.data();
+  const uint64_t size = image.size();
   // A legacy v1 stream file is named by its magic before the v2 size
   // checks, so even a small one gets the rebuild hint.
-  uint32_t magic = 0;
-  if (::pread(fd_, &magic, sizeof(magic), 0) ==
-          static_cast<ssize_t>(sizeof(magic)) &&
-      magic == kV1Magic) {
+  if (ReadMagic(image) == kV1Magic) {
     return Status::Corruption(
         path + ": CCSR v1 stream artifact (magic \"CCSR\"); v1 is no "
         "longer supported — rebuild the index with csce_build, which "
         "writes v2 (magic \"CSR2\")");
   }
-  if (size_ < kV2PageBytes) {
-    return Status::Corruption(path + ": " + std::to_string(size_) +
+  if (size < kV2PageBytes) {
+    return Status::Corruption(path + ": " + std::to_string(size) +
                               " bytes, smaller than the v2 header page");
   }
-  void* map = ::mmap(nullptr, static_cast<size_t>(size_), PROT_READ,
-                     MAP_SHARED, fd_, 0);
-  if (map == MAP_FAILED) {
-    map_ = nullptr;
-    return Status::IOError("mmap " + path + ": " + Errno());
-  }
-  map_ = static_cast<char*>(map);
-
-  ReadHeader(map_, &header_);
-  if (header_.magic != kV2Magic) {
+  V2Header header;
+  ReadHeader(map, &header);
+  if (header.magic != kV2Magic) {
     return Status::Corruption(path + ": bad magic (not a CCSR artifact)");
   }
-  if (header_.version != kV2Version) {
+  if (header.version != kV2Version) {
     return Status::Corruption(
         path + ": unsupported CCSR v2 version " +
-        std::to_string(header_.version) + ", expected " +
+        std::to_string(header.version) + ", expected " +
         std::to_string(kV2Version) +
         " — rebuild the index with csce_build");
   }
-  if (header_.file_bytes != size_) {
+  if (header.file_bytes != size) {
     return Status::Corruption(
-        path + ": file is " + std::to_string(size_) +
-        " bytes but the header claims " + std::to_string(header_.file_bytes) +
+        path + ": file is " + std::to_string(size) +
+        " bytes but the header claims " + std::to_string(header.file_bytes) +
         " (truncated or padded artifact)");
   }
-  if (header_.directed > 1) {
+  if (header.directed > 1) {
     return Status::Corruption(path + ": directed flag is neither 0 nor 1");
   }
-  const uint64_t nv = header_.num_vertices;
-  const bool directed = header_.directed != 0;
+  const uint64_t nv = header.num_vertices;
+  const bool directed = header.directed != 0;
 
   // Section table: every present section page-aligned and inside the
   // file, with the length its record count dictates.
@@ -147,83 +198,71 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
       return Status::Corruption(path + ": section " + name +
                                 " offset not page-aligned");
     }
-    if (s.offset > size_ || s.length > size_ - s.offset) {
+    if (s.offset > size || s.length > size - s.offset) {
       return Status::Corruption(path + ": section " + name +
                                 " escapes the file");
     }
     return Status::OK();
   };
   CSCE_RETURN_IF_ERROR(
-      check_section(header_.vlabels, "vlabels", nv * sizeof(Label)));
+      check_section(header.vlabels, "vlabels", nv * sizeof(Label)));
   CSCE_RETURN_IF_ERROR(
-      check_section(header_.out_degree, "out_degree", nv * sizeof(uint32_t)));
+      check_section(header.out_degree, "out_degree", nv * sizeof(uint32_t)));
   CSCE_RETURN_IF_ERROR(check_section(
-      header_.in_degree, "in_degree", directed ? nv * sizeof(uint32_t) : 0));
-  if (header_.vlabel_freq.length % sizeof(uint32_t) != 0) {
+      header.in_degree, "in_degree", directed ? nv * sizeof(uint32_t) : 0));
+  if (header.vlabel_freq.length % sizeof(uint32_t) != 0) {
     return Status::Corruption(path +
                               ": vlabel_freq section not a whole number of "
                               "records");
   }
-  CSCE_RETURN_IF_ERROR(check_section(header_.vlabel_freq, "vlabel_freq",
-                                     header_.vlabel_freq.length));
+  CSCE_RETURN_IF_ERROR(check_section(header.vlabel_freq, "vlabel_freq",
+                                     header.vlabel_freq.length));
   CSCE_RETURN_IF_ERROR(
-      check_section(header_.directory, "directory",
-                    header_.num_clusters * sizeof(V2DirEntry)));
+      check_section(header.directory, "directory",
+                    header.num_clusters * sizeof(V2DirEntry)));
   CSCE_RETURN_IF_ERROR(
-      check_section(header_.lpi_out, "lpi_out", nv * sizeof(uint64_t)));
-  CSCE_RETURN_IF_ERROR(check_section(header_.lpi_in, "lpi_in",
+      check_section(header.lpi_out, "lpi_out", nv * sizeof(uint64_t)));
+  CSCE_RETURN_IF_ERROR(check_section(header.lpi_in, "lpi_in",
                                      directed ? nv * sizeof(uint64_t) : 0));
 
   // Directory checksum: the directory is the trust root for every raw
   // payload offset, so it gets an integrity check of its own before any
   // entry is interpreted.
   std::string_view dir_bytes;
-  if (!BindBytes(map_, size_, header_.directory.offset,
-                 header_.directory.length, &dir_bytes)) {
+  if (!BindBytes(map, size, header.directory.offset, header.directory.length,
+                 &dir_bytes)) {
     return Status::Corruption(path + ": directory escapes the file");
   }
-  if (util::Crc32(dir_bytes) != header_.directory_crc32) {
+  if (util::Crc32(dir_bytes) != header.directory_crc32) {
     return Status::Corruption(path + ": cluster directory checksum mismatch");
   }
 
   // Bind the vertex-level tables.
-  std::span<const Label> vlabels;
-  std::span<const uint32_t> out_degree;
-  std::span<const uint32_t> in_degree;
-  std::span<const uint32_t> vlabel_freq;
-  std::span<const uint64_t> lpi_out;
-  std::span<const uint64_t> lpi_in;
+  Ccsr ccsr;
   std::span<const V2DirEntry> dir;
-  if (!BindSpan(map_, size_, header_.vlabels.offset, nv, kV2PageBytes,
-                &vlabels) ||
-      !BindSpan(map_, size_, header_.out_degree.offset, nv, kV2PageBytes,
-                &out_degree) ||
-      !BindSpan(map_, size_, header_.in_degree.offset, directed ? nv : 0,
-                kV2PageBytes, &in_degree) ||
-      !BindSpan(map_, size_, header_.vlabel_freq.offset,
-                header_.vlabel_freq.length / sizeof(uint32_t), kV2PageBytes,
-                &vlabel_freq) ||
-      !BindSpan(map_, size_, header_.lpi_out.offset, nv, kV2PageBytes,
-                &lpi_out) ||
-      !BindSpan(map_, size_, header_.lpi_in.offset, directed ? nv : 0,
-                kV2PageBytes, &lpi_in) ||
-      !BindSpan(map_, size_, header_.directory.offset, header_.num_clusters,
+  if (!BindSpan(map, size, header.vlabels.offset, nv, kV2PageBytes,
+                &ccsr.vlabels_) ||
+      !BindSpan(map, size, header.out_degree.offset, nv, kV2PageBytes,
+                &ccsr.out_degree_) ||
+      !BindSpan(map, size, header.in_degree.offset, directed ? nv : 0,
+                kV2PageBytes, &ccsr.in_degree_) ||
+      !BindSpan(map, size, header.vlabel_freq.offset,
+                header.vlabel_freq.length / sizeof(uint32_t), kV2PageBytes,
+                &ccsr.vlabel_freq_) ||
+      !BindSpan(map, size, header.lpi_out.offset, nv, kV2PageBytes,
+                &ccsr.lpi_out_) ||
+      !BindSpan(map, size, header.lpi_in.offset, directed ? nv : 0,
+                kV2PageBytes, &ccsr.lpi_in_) ||
+      !BindSpan(map, size, header.directory.offset, header.num_clusters,
                 kV2PageBytes, &dir)) {
     return Status::Corruption(path + ": section table binds out of range");
   }
-
-  ccsr_.directed_ = directed;
-  ccsr_.num_edges_ = header_.num_edges;
-  ccsr_.vlabels_.Borrow(vlabels);
-  ccsr_.out_degree_.Borrow(out_degree);
-  ccsr_.in_degree_.Borrow(in_degree);
-  ccsr_.vlabel_freq_.Borrow(vlabel_freq);
-  ccsr_.lpi_out_.Borrow(lpi_out);
-  ccsr_.lpi_in_.Borrow(lpi_in);
+  ccsr.directed_ = directed;
+  ccsr.num_edges_ = header.num_edges;
 
   // Directory entries: strictly sorted by ClusterId; every array range
   // bounds-checked into the payload section before a span is bound.
-  const V2Section& payload = header_.payload;
+  const V2Section& payload = header.payload;
   if (payload.length > 0) {
     CSCE_RETURN_IF_ERROR(check_section(payload, "payload", payload.length));
   }
@@ -231,36 +270,32 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
                         uint64_t elem) -> bool {
     if (count == 0) return true;
     uint64_t bytes = count * elem;  // BindSpan re-checks overflow
-    return offset >= payload.offset && offset <= payload.offset + payload.length &&
+    return offset >= payload.offset &&
+           offset <= payload.offset + payload.length &&
            bytes <= payload.offset + payload.length - offset;
   };
   // One array of a direction: bounds-checked into the payload, then
   // bound with its directory count as its length.
   auto bind = [&]<typename T>(uint64_t offset, uint64_t count,
-                              ArrayOrView<T>* out) -> bool {
-    std::span<const T> span;
-    if (!in_payload(offset, count, sizeof(T)) ||
-        !BindSpan(map_, size_, offset, count, kV2ArrayAlign, &span)) {
-      return false;
-    }
-    out->Borrow(span);
-    return true;
+                              std::span<const T>* span) -> bool {
+    return in_payload(offset, count, sizeof(T)) &&
+           BindSpan(map, size, offset, count, kV2ArrayAlign, span);
   };
   // The lengths of one direction's arrays, from the directory alone (no
   // payload page is touched): at most |V| rows, a bitmap exactly at
   // 1/16 fill, columns iff rows and within the file, and a longest row
   // within the columns (the executor sizes buffers from it).
-  auto shape_ok = [this, nv](const V2CsrEntry& e) {
+  auto shape_ok = [size, nv](const V2CsrEntry& e) {
     const uint64_t want_words =
         CsrHasBitmap(e.ids_count, nv) ? CsrBitmapWords(nv) : 0;
     return e.ids_count <= nv && e.words_count == want_words &&
-           e.cols_count <= size_ / sizeof(VertexId) &&
+           e.cols_count <= size / sizeof(VertexId) &&
            e.max_row_length <= e.cols_count &&
            (e.ids_count == 0) == (e.cols_count == 0);
   };
   // Binds each array with its directory count as its length; shape_ok
   // first, so the layout arithmetic cannot overflow.
-  auto bind_csr = [&](const V2CsrEntry& e, CsrArrays* d) -> bool {
+  auto bind_csr = [&](const V2CsrEntry& e, CsrIndex* d) -> bool {
     const V2CsrLayout l = V2CsrLayoutOf(e);
     d->max_row_length = e.max_row_length;
     return bind(l.ids, e.ids_count, &d->ids) &&
@@ -269,20 +304,16 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
            bind(l.rank, e.words_count, &d->rank) &&
            bind(l.cols, e.cols_count, &d->cols);
   };
-  ccsr_.clusters_.clear();
-  ccsr_.clusters_.reserve(dir.size());
-  blocks_.clear();
-  blocks_.reserve(dir.size());
-  block_index_.clear();
-  ClusterId prev_id;
+  ccsr.clusters_.reserve(dir.size());
+  std::vector<CcsrMapping::Block> blocks;
+  blocks.reserve(dir.size());
   for (size_t i = 0; i < dir.size(); ++i) {
     const V2DirEntry& e = dir[i];
     ClusterId id{e.src_label, e.dst_label, e.elabel, e.directed != 0};
-    if (i > 0 && !(prev_id < id)) {
+    if (i > 0 && !(ccsr.clusters_.back().id < id)) {
       return Status::Corruption(path + ": directory not sorted strictly by "
                                 "cluster id at entry " + std::to_string(i));
     }
-    prev_id = id;
     if (id.directed != directed) {
       return Status::Corruption(path + ": cluster " + id.ToString() +
                                 " directedness differs from the header");
@@ -294,17 +325,17 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
                                 " array lengths inconsistent with the "
                                 "vertex count");
     }
-    CompressedCluster c;
+    CompressedCluster& c = ccsr.clusters_.emplace_back();
     c.id = id;
     c.num_edges = e.num_edges;
+    c.storage = mapping;
     if (!bind_csr(e.out, &c.out) || (id.directed && !bind_csr(e.in, &c.in))) {
       return Status::Corruption(path + ": cluster " + id.ToString() +
                                 " arrays escape the payload or are "
                                 "misaligned");
     }
-
-    // The cluster's page-aligned payload block — the unit of paging
-    // advice: from its first array to its last.
+    // The cluster's page-aligned payload block: from its first array to
+    // its last.
     uint64_t lo = UINT64_MAX;
     uint64_t hi = 0;
     for (const V2CsrEntry* d : {&e.out, &e.in}) {
@@ -313,35 +344,68 @@ Status MmapCcsr::Init(const std::string& path, const Options& options) {
       lo = std::min(lo, l.ids);
       hi = std::max(hi, l.end);
     }
-    Block b;
+    CcsrMapping::Block& b = blocks.emplace_back();
     if (lo < hi) {
       b.offset = lo - lo % kV2PageBytes;
-      b.length = std::min(V2AlignUp(hi, kV2PageBytes), size_) - b.offset;
+      b.length = std::min(V2AlignUp(hi, kV2PageBytes), size) - b.offset;
     }
-    block_index_.emplace(id, blocks_.size());
-    blocks_.push_back(b);
-    ccsr_.clusters_.push_back(std::move(c));
   }
-  ccsr_.RebuildIndexes();
-  ccsr_.pager_ = this;
-  {
-    MutexLock lock(mu_);
-    advised_count_.assign(blocks_.size(), 0);
-  }
+  ccsr.RebuildIndexes();
+  mapping->SetBlocks(ccsr, std::move(blocks));
+  ccsr.tables_ = mapping;
+  *out = std::move(ccsr);
   return Status::OK();
+}
+
+Status MmapCcsr::Open(const std::string& path, const Options& options,
+                      std::unique_ptr<MmapCcsr>* out) {
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    return Status::IOError("cannot open " + path + ": " + Errno());
+  }
+  struct stat st;
+  if (::fstat(fd, &st) != 0) {
+    const std::string err = Errno();
+    ::close(fd);
+    return Status::IOError("fstat " + path + ": " + err);
+  }
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  // An empty file cannot be mapped; Bind rejects it as too small.
+  void* map = size == 0 ? nullptr
+                        : ::mmap(nullptr, static_cast<size_t>(size),
+                                 PROT_READ, MAP_SHARED, fd, 0);
+  if (map == MAP_FAILED) {
+    const std::string err = Errno();
+    ::close(fd);
+    return Status::IOError("mmap " + path + ": " + err);
+  }
+  ::close(fd);  // the mapping stays valid without the descriptor
+  auto mapping = std::make_shared<CcsrMapping>(static_cast<char*>(map),
+                                               size, options);
+  auto m = std::make_unique<MmapCcsr>(OpenKey{});
+  CSCE_RETURN_IF_ERROR(Bind(path, mapping, &m->ccsr_));
+  m->ccsr_.pager_ = mapping;
+  m->mapping_ = std::move(mapping);
+  *out = std::move(m);
+  return Status::OK();
+}
+
+uint64_t MmapCcsr::AdvisedWindowBytes() const {
+  return mapping_->AdvisedWindowBytes();
 }
 
 // The one function that turns a block descriptor into a raw mapped
 // range (mmap-bounded-reads): offsets/lengths were bounds-checked
-// against the file when the block was built in Init.
-CSCE_MAP_PRIMITIVE void MmapCcsr::Advise(const Block& b, int advice) const {
+// against the file when the blocks were bound.
+CSCE_MAP_PRIMITIVE void CcsrMapping::Advise(const Block& b,
+                                            int advice) const {
   if (b.length == 0 || map_ == nullptr) return;
   // Paging advice is best-effort by contract; failure (e.g. under
   // memory pressure) only costs performance.
   (void)::madvise(map_ + b.offset, static_cast<size_t>(b.length), advice);
 }
 
-void MmapCcsr::AdviseClusters(std::span<const ClusterId> ids) const {
+void CcsrMapping::AdviseClusters(std::span<const ClusterId> ids) const {
   for (const ClusterId& id : ids) {
     auto it = block_index_.find(id);
     if (it == block_index_.end()) continue;
@@ -366,7 +430,7 @@ void MmapCcsr::AdviseClusters(std::span<const ClusterId> ids) const {
   }
 }
 
-void MmapCcsr::AdviseDone() const {
+void CcsrMapping::AdviseDone() const {
   if (options_.memory_cap_bytes == 0) return;
   MutexLock lock(mu_);
   while (!advised_.empty()) {
@@ -377,11 +441,6 @@ void MmapCcsr::AdviseDone() const {
       Advise(blocks_[slot], MADV_DONTNEED);
     }
   }
-}
-
-uint64_t MmapCcsr::AdvisedWindowBytes() const {
-  MutexLock lock(mu_);
-  return advised_bytes_;
 }
 
 }  // namespace csce

@@ -15,7 +15,7 @@ namespace csce {
 /// Every array sits at a fixed, aligned offset recorded in a header-page
 /// section table, in exactly the representation queries read (raw
 /// Label/uint32_t/uint64_t/VertexId records, little-endian; each
-/// cluster direction is a CsrArrays, see csr.h), so a loader can mmap
+/// cluster direction is a CsrIndex, see csr.h), so a loader can mmap
 /// the file, bind spans into the mapping, and be query-ready in
 /// O(#clusters) without touching the payload bytes — the OS demand-pages
 /// clusters in as enumeration first touches them. Files carrying the
@@ -101,7 +101,7 @@ static_assert(std::is_trivially_copyable_v<V2Header>);
 static_assert(sizeof(V2Header) == 176, "v2 header layout is on-disk ABI");
 static_assert(sizeof(V2Header) <= kV2PageBytes);
 
-/// One cluster direction's arrays (a CsrArrays, see csr.h) in the
+/// One cluster direction's arrays (a CsrIndex, see csr.h) in the
 /// payload: their counts, in records, and where the first one starts.
 /// words_count is CsrBitmapWords(|V|) at or above 1/16 fill
 /// (CsrHasBitmap) and 0 below it; the arrays' positions follow from

@@ -8,7 +8,7 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
                         MatchVariant variant, ClusterCache* cache,
                         QueryClusters* out);
 
-std::shared_ptr<const ClusterView> ClusterCache::Get(const ClusterId& id) {
+const CompressedCluster* ClusterCache::Get(const ClusterId& id) {
   {
     MutexLock lock(mu_);
     auto it = views_.find(id);
@@ -19,13 +19,12 @@ std::shared_ptr<const ClusterView> ClusterCache::Get(const ClusterId& id) {
   }
   const CompressedCluster* c = gc_->Find(id);
   if (c == nullptr) return nullptr;
-  // Two threads racing on the same cluster both make a view; the first
-  // insert wins and the loser's copy is dropped (both are correct).
-  auto view = std::make_shared<const ClusterView>(*c);
+  // Two threads racing on the same cluster both look it up and both
+  // count a miss; they insert the same pointer.
   MutexLock lock(mu_);
-  auto [it, inserted] = views_.emplace(id, view);
+  views_.emplace(id, c);
   ++misses_;
-  return it->second;
+  return c;
 }
 
 Status ReadClustersCached(ClusterCache& cache, const Graph& pattern,

@@ -2,41 +2,28 @@
 
 #include <bit>
 #include <string>
-#include <utility>
 
 namespace csce {
 
-CsrArrays CsrBuilder::Finish(uint32_t num_vertices) && {
+void CsrBuilder::Finish(uint32_t num_vertices) {
   CSCE_DCHECK(ids_.empty() || ids_.back() < num_vertices);
-  CsrArrays out;
   if (!ids_.empty()) {
     CloseRow();
     offsets_.push_back(cols_.size());
   }
-  out.max_row_length = max_row_length_;
   if (CsrHasBitmap(ids_.size(), num_vertices)) {
-    std::vector<uint64_t> words(CsrBitmapWords(num_vertices), 0);
-    for (VertexId v : ids_) words[v >> 6] |= uint64_t{1} << (v & 63);
-    std::vector<uint32_t> rank(words.size());
+    words_.assign(CsrBitmapWords(num_vertices), 0);
+    for (VertexId v : ids_) words_[v >> 6] |= uint64_t{1} << (v & 63);
+    rank_.resize(words_.size());
     uint32_t before = 0;
-    for (size_t w = 0; w < words.size(); ++w) {
-      rank[w] = before;
-      before += static_cast<uint32_t>(std::popcount(words[w]));
+    for (size_t w = 0; w < words_.size(); ++w) {
+      rank_[w] = before;
+      before += static_cast<uint32_t>(std::popcount(words_[w]));
     }
-    out.words = std::move(words);
-    out.rank = std::move(rank);
   }
-  // The vectors become the index's storage: drop their growth slack.
-  ids_.shrink_to_fit();
-  offsets_.shrink_to_fit();
-  cols_.shrink_to_fit();
-  out.ids = std::move(ids_);
-  out.offsets = std::move(offsets_);
-  out.cols = std::move(cols_);
-  return out;
 }
 
-Status CsrArrays::Validate(uint32_t num_vertices) const {
+Status CsrIndex::Validate(uint32_t num_vertices) const {
   const uint64_t k = ids.size();
   if (offsets.size() != (k == 0 ? 0 : k + 1)) {
     return Status::Corruption("row index has " +

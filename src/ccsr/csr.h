@@ -6,7 +6,6 @@
 #include <span>
 #include <vector>
 
-#include "ccsr/array_view.h"
 #include "graph/graph.h"
 #include "util/logging.h"
 #include "util/status.h"
@@ -41,16 +40,56 @@ inline uint64_t CsrBitmapWords(uint64_t num_vertices) {
 /// * cols    — the neighbor rows, concatenated;
 /// * max_row_length — the longest row.
 ///
-/// Arrays are heap-owned for a built index and borrowed from the
-/// mapping for an MmapCcsr (see ArrayOrView). Ccsr::Validate checks
-/// every invariant above; MmapCcsr::Open checks the array lengths.
-struct CsrArrays {
-  ArrayOrView<VertexId> ids;
-  ArrayOrView<uint64_t> offsets;
-  ArrayOrView<uint64_t> words;
-  ArrayOrView<uint32_t> rank;
-  ArrayOrView<VertexId> cols;
+/// The arrays are read-only spans: over a CsrBuilder's vectors, or over
+/// the mapping of a mapped index. Whoever holds the index keeps that
+/// storage alive (a Ccsr co-owns it, see ccsr.h). Validate checks every
+/// invariant above; MmapCcsr::Open checks the array lengths.
+///
+/// Row lookup has two layouts behind one interface:
+/// * with a rank bitmap, Neighbors(v) is a bit test plus a popcount;
+///   O(1);
+/// * without one, a binary search over the row ids; O(log k).
+struct CsrIndex {
+  std::span<const VertexId> ids;
+  std::span<const uint64_t> offsets;
+  std::span<const uint64_t> words;
+  std::span<const uint32_t> rank;
+  std::span<const VertexId> cols;
   uint64_t max_row_length = 0;
+
+  /// Neighbors of v in this cluster direction (sorted, unique).
+  std::span<const VertexId> Neighbors(VertexId v) const {
+    size_t idx;
+    if (!words.empty()) {
+      const size_t w = v >> 6;
+      if (w >= words.size()) return {};
+      const uint64_t word = words[w];
+      const uint64_t bit = uint64_t{1} << (v & 63);
+      if ((word & bit) == 0) return {};
+      idx = rank[w] + PopCount(word & (bit - 1));
+    } else {
+      auto it = std::lower_bound(ids.begin(), ids.end(), v);
+      if (it == ids.end() || *it != v) return {};
+      idx = static_cast<size_t>(it - ids.begin());
+    }
+    return {cols.data() + offsets[idx], cols.data() + offsets[idx + 1]};
+  }
+
+  /// True if arc v -> w is present (binary search within v's range).
+  bool HasArc(VertexId v, VertexId w) const {
+    auto nbrs = Neighbors(v);
+    return std::binary_search(nbrs.begin(), nbrs.end(), w);
+  }
+
+  /// True when the index has a rank bitmap.
+  bool dense() const { return !words.empty(); }
+
+  /// The O(1) check a read makes before it hands out a cluster: the last
+  /// offset ends the columns (none when there are no rows), so no row
+  /// of an intact offsets array reaches past them.
+  bool OffsetsEndAtColumns() const {
+    return offsets.empty() ? cols.empty() : offsets.back() == cols.size();
+  }
 
   /// Bytes of the row index: ids, offsets and the rank bitmap.
   size_t RowIndexBytes() const {
@@ -67,111 +106,14 @@ struct CsrArrays {
   /// first violated invariant.
   Status Validate(uint32_t num_vertices) const;
 
-  friend bool operator==(const CsrArrays&, const CsrArrays&) = default;
-
-  /// Copies borrowed arrays into owned storage (no-op when owned).
-  void EnsureOwned() {
-    ids.EnsureOwned();
-    offsets.EnsureOwned();
-    words.EnsureOwned();
-    rank.EnsureOwned();
-    cols.EnsureOwned();
-  }
-};
-
-/// Fills a CsrArrays from arcs arriving sorted by (src, dst), in
-/// O(#arcs) plus the bitmap words: a new source opens a row, and
-/// Finish() closes the last one and adds the rank bitmap when the fill
-/// calls for it.
-class CsrBuilder {
- public:
-  /// Records arc src -> dst. Arcs must arrive sorted by (src, dst).
-  void Add(VertexId src, VertexId dst) {
-    if (ids_.empty() || src != ids_.back()) {
-      CSCE_DCHECK(ids_.empty() || src > ids_.back());
-      CloseRow();
-      ids_.push_back(src);
-      offsets_.push_back(cols_.size());
-    }
-    cols_.push_back(dst);
-  }
-
-  /// The arrays over `num_vertices` rows; every source added must be
-  /// below `num_vertices`.
-  CsrArrays Finish(uint32_t num_vertices) &&;
-
- private:
-  void CloseRow() {
-    if (!offsets_.empty()) {
-      max_row_length_ =
-          std::max<uint64_t>(max_row_length_, cols_.size() - offsets_.back());
-    }
-  }
-
-  std::vector<VertexId> ids_;
-  std::vector<uint64_t> offsets_;
-  std::vector<VertexId> cols_;
-  uint64_t max_row_length_ = 0;
-};
-
-/// A query-ready, one-direction CSR: spans over a CsrArrays (in memory
-/// or mmap'd), so building one is O(1) and allocates nothing. The spans
-/// are valid while the arrays live unmodified.
-///
-/// Row lookup has two layouts behind one interface:
-/// * with a rank bitmap, Neighbors(v) is a bit test plus a popcount;
-///   O(1);
-/// * without one, a binary search over the row ids; O(log k).
-class CsrIndex {
- public:
-  CsrIndex() = default;
-  explicit CsrIndex(const CsrArrays& a)
-      : ids_(a.ids.span()), offsets_(a.offsets.span()),
-        words_(a.words.span()), rank_(a.rank.span()), cols_(a.cols.span()),
-        max_row_length_(a.max_row_length) {}
-
-  /// Neighbors of v in this cluster direction (sorted, unique).
-  std::span<const VertexId> Neighbors(VertexId v) const {
-    size_t idx;
-    if (!words_.empty()) {
-      const size_t w = v >> 6;
-      if (w >= words_.size()) return {};
-      const uint64_t word = words_[w];
-      const uint64_t bit = uint64_t{1} << (v & 63);
-      if ((word & bit) == 0) return {};
-      idx = rank_[w] + PopCount(word & (bit - 1));
-    } else {
-      auto it = std::lower_bound(ids_.begin(), ids_.end(), v);
-      if (it == ids_.end() || *it != v) return {};
-      idx = static_cast<size_t>(it - ids_.begin());
-    }
-    return {cols_.data() + offsets_[idx], cols_.data() + offsets_[idx + 1]};
-  }
-
-  /// True if arc v -> w is present (binary search within v's range).
-  bool HasArc(VertexId v, VertexId w) const {
-    auto nbrs = Neighbors(v);
-    return std::binary_search(nbrs.begin(), nbrs.end(), w);
-  }
-
-  uint64_t NumArcs() const { return cols_.size(); }
-  /// True when the index has a rank bitmap.
-  bool dense() const { return !words_.empty(); }
-
-  /// The distinct vertices with at least one arc, sorted. Valid while
-  /// the arrays live; safe to read from any number of threads.
-  std::span<const VertexId> NonEmptySpan() const { return ids_; }
-
-  /// Length of the longest neighbor row. An upper bound on any
-  /// intersection result that includes one of this index's rows — the
-  /// executor sizes its zero-allocation scratch buffers from it.
-  size_t MaxRowLength() const { return max_row_length_; }
-
-  /// The O(1) check a read makes before it hands out a view: the last
-  /// offset ends the columns (none when there are no rows), so no row
-  /// of an intact offsets array reaches past them.
-  bool OffsetsEndAtColumns() const {
-    return offsets_.empty() ? cols_.empty() : offsets_.back() == cols_.size();
+  /// Equal contents, wherever the arrays live.
+  friend bool operator==(const CsrIndex& a, const CsrIndex& b) {
+    return std::ranges::equal(a.ids, b.ids) &&
+           std::ranges::equal(a.offsets, b.offsets) &&
+           std::ranges::equal(a.words, b.words) &&
+           std::ranges::equal(a.rank, b.rank) &&
+           std::ranges::equal(a.cols, b.cols) &&
+           a.max_row_length == b.max_row_length;
   }
 
  private:
@@ -183,13 +125,60 @@ class CsrIndex {
     w = (w + (w >> 4)) & 0x0f0f0f0f0f0f0f0fULL;
     return static_cast<uint32_t>((w * 0x0101010101010101ULL) >> 56);
   }
+};
 
-  std::span<const VertexId> ids_;
-  std::span<const uint64_t> offsets_;
-  std::span<const uint64_t> words_;
-  std::span<const uint32_t> rank_;
-  std::span<const VertexId> cols_;
-  size_t max_row_length_ = 0;
+/// Builds one direction's arrays from arcs arriving sorted by
+/// (src, dst), in O(#arcs) plus the bitmap words: a new source opens a
+/// row, and Finish() closes the last one and adds the rank bitmap when
+/// the fill calls for it. The builder then owns the arrays; Index()
+/// spans them.
+class CsrBuilder {
+ public:
+  CsrBuilder() = default;
+  /// A finished builder holding exact-size copies of `index`'s arrays.
+  explicit CsrBuilder(const CsrIndex& index)
+      : ids_(index.ids.begin(), index.ids.end()),
+        offsets_(index.offsets.begin(), index.offsets.end()),
+        words_(index.words.begin(), index.words.end()),
+        rank_(index.rank.begin(), index.rank.end()),
+        cols_(index.cols.begin(), index.cols.end()),
+        max_row_length_(index.max_row_length) {}
+
+  /// Records arc src -> dst. Arcs must arrive sorted by (src, dst).
+  void Add(VertexId src, VertexId dst) {
+    if (ids_.empty() || src != ids_.back()) {
+      CSCE_DCHECK(ids_.empty() || src > ids_.back());
+      CloseRow();
+      ids_.push_back(src);
+      offsets_.push_back(cols_.size());
+    }
+    cols_.push_back(dst);
+  }
+
+  /// Completes the arrays over `num_vertices` rows; every source added
+  /// must be below `num_vertices`. Call once, after the last Add.
+  void Finish(uint32_t num_vertices);
+
+  /// Spans over the finished arrays, valid while this builder lives
+  /// (moving it keeps them valid: the vectors' buffers move along).
+  CsrIndex Index() const {
+    return CsrIndex{ids_, offsets_, words_, rank_, cols_, max_row_length_};
+  }
+
+ private:
+  void CloseRow() {
+    if (!offsets_.empty()) {
+      max_row_length_ =
+          std::max<uint64_t>(max_row_length_, cols_.size() - offsets_.back());
+    }
+  }
+
+  std::vector<VertexId> ids_;
+  std::vector<uint64_t> offsets_;
+  std::vector<uint64_t> words_;
+  std::vector<uint32_t> rank_;
+  std::vector<VertexId> cols_;
+  uint64_t max_row_length_ = 0;
 };
 
 }  // namespace csce

@@ -23,8 +23,7 @@ EmbeddingVerifier::EmbeddingVerifier(const Ccsr& data, const Graph& pattern,
   pattern_.ForEachEdge([&](const Edge& e) {
     const CompressedCluster* c =
         data_.Find(ClusterId::ForPatternEdge(pattern_, e));
-    edges_.push_back(PatternEdge{e, c != nullptr ? CsrIndex(c->out)
-                                                 : CsrIndex()});
+    edges_.push_back(PatternEdge{e, c != nullptr ? c->out : CsrIndex()});
   });
 
   if (variant_ != MatchVariant::kVertexInduced) return;
@@ -111,7 +110,7 @@ Status EmbeddingVerifier::Verify(std::span<const VertexId> mapping) const {
           (c.id.src_label != lu || c.id.dst_label != lw)) {
         continue;
       }
-      if (CsrIndex(c.out).HasArc(fu, fw)) {
+      if (c.out.HasArc(fu, fw)) {
         return Status::Corruption(
             "embedding: induced violation — pattern vertices " +
             std::to_string(ap.u) + " and " + std::to_string(ap.w) +

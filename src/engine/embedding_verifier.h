@@ -22,9 +22,9 @@ namespace csce {
 /// pattern vertices (vertex-induced).
 ///
 /// The verifier looks every cluster it needs up in the CCSR itself and
-/// reads its rows there, independently of the query's views and of any
-/// shared ClusterCache, so a corrupted reused view is caught rather
-/// than echoed.
+/// reads its rows there, independently of the query's QueryClusters
+/// and of any shared ClusterCache, so a wrong cluster handed to the
+/// query is caught rather than echoed.
 ///
 /// Verify() is thread-safe (immutable state plus one atomic counter):
 /// the morsel-parallel runtime invokes the embedding callback

@@ -62,7 +62,7 @@ size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
                       const PlanPosition& pos) {
   if (pos.edges.empty()) {
     if (pos.seed_valid) {
-      const ClusterView* view = qc.Find(pos.seed_cluster);
+      const CompressedCluster* view = qc.Find(pos.seed_cluster);
       if (view == nullptr) return 0;
       return pos.seed_use_sources ? view->Sources().size()
                                   : view->Targets().size();
@@ -71,7 +71,7 @@ size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
   }
   size_t bound = std::numeric_limits<size_t>::max();
   for (const EdgeConstraint& e : pos.edges) {
-    const ClusterView* view = qc.Find(e.cluster);
+    const CompressedCluster* view = qc.Find(e.cluster);
     size_t rows = view == nullptr ? 0
                                   : (e.incoming ? view->MaxInRowLength()
                                                 : view->MaxOutRowLength());
@@ -130,16 +130,16 @@ Status Executor::Prepare(const ExecOptions& options) {
     for (const NegConstraint& c : pos.negations) {
       ResolvedNegation rn;
       rn.pos = c.pos;
-      for (const ClusterView* view : qc_.Star(pos.label, c.other_label)) {
+      for (const CompressedCluster* star : qc_.Star(pos.label, c.other_label)) {
         // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
-        if (c.forbid_from) rn.removals.emplace_back(view, /*use_out=*/true);
+        if (c.forbid_from) rn.removals.emplace_back(star, /*use_out=*/true);
         // Forbidden arc f(u) -> f(w): candidates in In(f(w)).
         if (c.forbid_to) {
-          if (view->id().directed) {
-            rn.removals.emplace_back(view, /*use_out=*/false);
+          if (star->id.directed) {
+            rn.removals.emplace_back(star, /*use_out=*/false);
           } else if (!c.forbid_from) {
-            // Undirected views: In == Out; avoid subtracting twice.
-            rn.removals.emplace_back(view, /*use_out=*/true);
+            // Undirected clusters: In == Out; avoid subtracting twice.
+            rn.removals.emplace_back(star, /*use_out=*/true);
           }
         }
       }
@@ -277,7 +277,7 @@ void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
     // Seeded position: distinct endpoints of the smallest incident
     // cluster, or a label scan for isolated pattern vertices.
     if (pos.seed_valid) {
-      const ClusterView* view = qc_.Find(pos.seed_cluster);
+      const CompressedCluster* view = qc_.Find(pos.seed_cluster);
       if (view == nullptr) return;
       std::span<const VertexId> endpoints =
           pos.seed_use_sources ? view->Sources() : view->Targets();
@@ -293,9 +293,9 @@ void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
     // Gather the neighbor lists and intersect smallest-first.
     lists_.clear();
     for (const ResolvedEdge& e : edges_[depth]) {
-      if (e.view == nullptr) return;  // empty cluster: no candidates
+      if (e.cluster == nullptr) return;  // empty cluster: no candidates
       VertexId w = mapping_by_pos_[e.pos];
-      lists_.push_back(e.incoming ? e.view->In(w) : e.view->Out(w));
+      lists_.push_back(e.incoming ? e.cluster->In(w) : e.cluster->Out(w));
       if (lists_.back().empty()) return;
     }
     // Smallest-first chained intersection, ping-ponging with the

@@ -166,7 +166,7 @@ size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
 /// VertexScratch hot-growth counter is the test hook proving it.
 class Executor {
  public:
-  /// `gc` provides vertex labels, `qc` the query's cluster views, and
+  /// `gc` provides vertex labels, `qc` the query's clusters, and
   /// `plan` the compiled matching order. All must outlive the executor.
   Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan);
 
@@ -217,14 +217,14 @@ class Executor {
  private:
   struct ResolvedEdge {
     uint32_t pos;
-    const ClusterView* view;  // nullptr: empty cluster, no match possible
+    const CompressedCluster* cluster;  // nullptr: empty, no match possible
     bool incoming;
   };
   struct ResolvedNegation {
     uint32_t pos;
-    // Views whose Out(f(w)) (use_out=true) or In(f(w)) lists are
+    // Clusters whose Out(f(w)) (use_out=true) or In(f(w)) lists are
     // forbidden candidates and get subtracted.
-    std::vector<std::pair<const ClusterView*, bool>> removals;
+    std::vector<std::pair<const CompressedCluster*, bool>> removals;
   };
   struct Restriction {
     uint32_t other_pos;

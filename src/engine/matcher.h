@@ -106,7 +106,7 @@ std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data, const Plan& plan);
 class CsceMatcher {
  public:
   /// `data` must outlive the matcher. With a non-null `cache`, queries
-  /// share cluster views (see ccsr/cluster_cache.h); the cache must be
+  /// share cluster lookups (see ccsr/cluster_cache.h); the cache must be
   /// built over the same `data` and must outlive the matcher too.
   explicit CsceMatcher(const Ccsr* data, ClusterCache* cache = nullptr)
       : data_(data), cache_(cache) {}

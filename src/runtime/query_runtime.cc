@@ -10,7 +10,6 @@ struct ServiceMetrics {
   obs::Counter admissions;
   obs::Counter deadline_queue_expired;
   obs::Counter batches;
-  obs::Counter query_retries;
   obs::Histogram queue_wait_seconds;
 
   static const ServiceMetrics& Get() {
@@ -19,20 +18,11 @@ struct ServiceMetrics {
       return ServiceMetrics{r.counter("runtime.admissions"),
                             r.counter("runtime.deadline_queue_expired"),
                             r.counter("runtime.batches"),
-                            r.counter("runtime.query_retries"),
                             r.histogram("runtime.queue_wait_seconds")};
     }();
     return m;
   }
 };
-
-/// Worth a second attempt? Only failures that can heal on their own
-/// (I/O trouble, resource pressure); bad inputs and engine-reported
-/// conditions (timeout, cancellation) fail identically every time.
-bool IsRetryable(const Status& st) {
-  return st.code() == StatusCode::kIOError ||
-         st.code() == StatusCode::kResourceExhausted;
-}
 
 RuntimeOptions Normalize(RuntimeOptions options) {
   if (options.worker_threads == 0) {
@@ -126,27 +116,7 @@ void QueryRuntime::RunOne(const QueryJob& job, double submit_seconds,
   CsceMatcher matcher(data_,
                       options_.share_cluster_views ? &cache_ : nullptr);
   outcome->executed = true;
-  for (;;) {
-    outcome->result = MatchResult{};
-    outcome->status =
-        options_.match_fn
-            ? options_.match_fn(job.pattern, options, &outcome->result)
-            : matcher.Match(job.pattern, options, &outcome->result);
-    if (outcome->status.ok() || !IsRetryable(outcome->status) ||
-        outcome->retries >= options_.max_query_retries ||
-        session_stop_.StopRequested()) {
-      break;
-    }
-    // The retry budget never extends the deadline: re-attempts run on
-    // whatever time the failed ones left behind.
-    if (deadline > 0) {
-      const double elapsed = batch_timer.Seconds() - submit_seconds;
-      if (elapsed >= deadline) break;
-      options.time_limit_seconds = deadline - elapsed;
-    }
-    ++outcome->retries;
-    ServiceMetrics::Get().query_retries.Increment();
-  }
+  outcome->status = matcher.Match(job.pattern, options, &outcome->result);
   outcome->total_seconds = batch_timer.Seconds() - submit_seconds;
   Release();
   Account(*outcome);
@@ -193,7 +163,6 @@ void QueryRuntime::Account(const QueryOutcome& outcome) {
   metrics_.queue_wait_seconds += outcome.queue_wait_seconds;
   metrics_.exec_seconds +=
       outcome.total_seconds - outcome.queue_wait_seconds;
-  metrics_.retries += outcome.retries;
   if (!outcome.status.ok()) {
     ++metrics_.failed;
     return;
@@ -224,7 +193,6 @@ obs::JsonValue RuntimeMetrics::ToJson() const {
   doc.Set("deadline_queue_expired", deadline_queue_expired);
   doc.Set("limit_reached", limit_reached);
   doc.Set("cancelled", cancelled);
-  doc.Set("retries", retries);
   doc.Set("embeddings", embeddings);
   doc.Set("queue_wait_seconds", queue_wait_seconds);
   doc.Set("exec_seconds", exec_seconds);

@@ -2,7 +2,6 @@
 #define CSCE_RUNTIME_QUERY_RUNTIME_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -36,21 +35,10 @@ struct RuntimeOptions {
   /// (queueing counts against it). A job's own time_limit_seconds, if
   /// set, takes precedence. 0 = none.
   double default_deadline_seconds = 0.0;
-  /// Share cluster views across the session's queries via one
-  /// ClusterCache (a view is O(1) spans, so this saves a hash lookup).
+  /// Share cluster lookups across the session's queries via one
+  /// ClusterCache (a read hands out the Ccsr's own records, so this
+  /// saves a hash lookup).
   bool share_cluster_views = true;
-  /// Transient-failure budget: a query whose attempt fails with a
-  /// retryable status (IOError, ResourceExhausted — e.g. a sharded
-  /// backend losing a worker) is re-run up to this many extra times
-  /// within its remaining deadline. 0 = fail on the first error.
-  /// Invalid inputs, cancellations and timeouts are never retried.
-  uint32_t max_query_retries = 0;
-  /// Test seam: when set, replaces the CsceMatcher invocation so the
-  /// retry/outcome accounting can be driven by deterministic failures
-  /// (the runtime-level analogue of shard::FaultInjector).
-  std::function<Status(const Graph& pattern, const MatchOptions& options,
-                       MatchResult* result)>
-      match_fn;
 };
 
 /// One unit of work for the session: a pattern plus its match options.
@@ -68,9 +56,6 @@ struct QueryOutcome {
   Status status = Status::OK();
   MatchResult result;
   bool executed = false;
-  /// Extra attempts consumed recovering from transient failures; the
-  /// reported status/result are those of the final attempt.
-  uint32_t retries = 0;
   double queue_wait_seconds = 0.0;  // submission -> admission
   double total_seconds = 0.0;       // submission -> completion
 };
@@ -86,9 +71,6 @@ struct RuntimeMetrics {
   uint64_t deadline_queue_expired = 0;
   uint64_t limit_reached = 0;
   uint64_t cancelled = 0;
-  /// Total transient-failure retry attempts across all queries
-  /// (RuntimeOptions::max_query_retries governs the per-query budget).
-  uint64_t retries = 0;
   uint64_t embeddings = 0;
   double queue_wait_seconds = 0.0;
   double exec_seconds = 0.0;       // admission -> completion

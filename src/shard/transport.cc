@@ -15,6 +15,7 @@
 #include <deque>
 #include <utility>
 
+#include "util/crc32.h"
 #include "util/mutex.h"
 #include "util/thread_annotations.h"
 
@@ -184,7 +185,7 @@ class FdTransport : public Transport {
       CSCE_RETURN_IF_ERROR(
           ReadAll(frame->payload.data(), frame->payload.size()));
     }
-    if (wire::Crc32(frame->payload) != payload_crc) {
+    if (util::Crc32(frame->payload) != payload_crc) {
       return Fail(MakeError(TransportFault::kCorruption, 0, frame->type,
                             "frame payload crc mismatch"));
     }

@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "graph/graph_builder.h"
+#include "util/crc32.h"
 #include "util/thread_annotations.h"
 
 namespace csce {
@@ -27,29 +28,7 @@ CSCE_WIRE_PRIMITIVE void AppendPod(std::string* buf, const void* p, size_t n) {
   buf->append(reinterpret_cast<const char*>(p), n);
 }
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      entries[i] = c;
-    }
-  }
-};
-
 }  // namespace
-
-uint32_t Crc32(std::string_view bytes) {
-  static const Crc32Table table;
-  uint32_t crc = 0xFFFFFFFFu;
-  for (char ch : bytes) {
-    crc = table.entries[(crc ^ static_cast<uint8_t>(ch)) & 0xFFu] ^ (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
 
 Status EncodeFrame(const Frame& frame, std::string* out) {
   if (frame.payload.size() > kMaxFramePayload) {
@@ -59,7 +38,7 @@ Status EncodeFrame(const Frame& frame, std::string* out) {
   out->reserve(kFrameHeaderBytes + frame.payload.size());
   uint32_t magic = kFrameMagic;
   uint64_t len = frame.payload.size();
-  uint32_t crc = Crc32(frame.payload);
+  uint32_t crc = util::Crc32(frame.payload);
   AppendPod(out, &magic, sizeof(magic));
   AppendPod(out, &frame.type, sizeof(frame.type));
   AppendPod(out, &len, sizeof(len));
@@ -99,7 +78,7 @@ Status DecodeFrame(std::string_view bytes, Frame* out, size_t* consumed) {
   }
   out->type = type;
   out->payload.assign(bytes.substr(kFrameHeaderBytes, len));
-  if (Crc32(out->payload) != crc) {
+  if (util::Crc32(out->payload) != crc) {
     return Status::Corruption("frame payload crc mismatch");
   }
   *consumed = kFrameHeaderBytes + static_cast<size_t>(len);

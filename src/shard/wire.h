@@ -80,11 +80,6 @@ inline constexpr uint64_t kMaxFramePayload = 1ull << 30;
 ///     a serialized CCSR; the worker builds the index itself.
 inline constexpr uint32_t kProtocolVersion = 7;
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
-/// Table-driven, byte-at-a-time: frames are small (task batches cap in
-/// the low megabytes) so simplicity beats a slicing-by-8 variant.
-uint32_t Crc32(std::string_view bytes);
-
 /// Frame types. Requests flow coordinator -> worker, replies back.
 enum class MsgType : uint32_t {
   // Requests.

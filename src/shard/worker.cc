@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "ccsr/ccsr_io.h"
+#include "ccsr/ccsr_mmap.h"
 #include "engine/matcher.h"
 #include "engine/setops/setops.h"
 #include "obs/json.h"
@@ -35,7 +36,7 @@ class ShardWorker::Router final : public Placement {
     for (size_t j = 0; j < n; ++j) {
       const PlanPosition& pos = w_.plan_.positions[j];
       for (const EdgeConstraint& e : pos.edges) {
-        const ClusterView* view = w_.qc_.Find(e.cluster);
+        const CompressedCluster* view = w_.qc_.Find(e.cluster);
         edges_[j].push_back(ResolvedEdge{e.pos, view, e.incoming});
         if (view == nullptr) continue;
         ship_bound = std::max<size_t>(
@@ -148,7 +149,7 @@ class ShardWorker::Router final : public Placement {
  private:
   struct ResolvedEdge {
     uint32_t pos;
-    const ClusterView* view;  // nullptr: empty cluster
+    const CompressedCluster* cluster;  // nullptr: empty cluster
     bool incoming;
   };
 
@@ -188,10 +189,11 @@ class ShardWorker::Router final : public Placement {
     for (const ResolvedEdge& e : edges_[depth]) {
       VertexId w = prefix[e.pos];
       if (!Owned(w)) continue;
-      // An owned parent without a view or row: the edge exists nowhere.
-      if (e.view == nullptr) return false;
+      // An owned parent without a cluster or row: the edge exists
+      // nowhere.
+      if (e.cluster == nullptr) return false;
       std::span<const VertexId> row =
-          e.incoming ? e.view->In(w) : e.view->Out(w);
+          e.incoming ? e.cluster->In(w) : e.cluster->Out(w);
       if (row.empty()) return false;
       lists_.push_back(row);
     }
@@ -348,15 +350,14 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
   num_shards_ = req.num_shards;
   num_threads_ = std::max<uint32_t>(1, req.num_threads);
   // A failed re-load must not leave the worker serving half-replaced
-  // state (worse under mmap: ccsr_ could borrow a dropped mapping).
+  // state.
   loaded_ = false;
   query_active_ = false;
-  // The previous query's executors and views borrow ccsr_'s arrays (or
-  // the mapping behind them): drop them before the index goes.
+  // The previous query's executors and clusters point into ccsr_'s
+  // records: drop them before the index goes.
   routers_.clear();
   qc_ = QueryClusters();
 
-  mmap_.reset();  // drop any previous out-of-core mapping
   if (req.inline_payload) {
     ccsr_ = Ccsr::Build(req.shard_graph);
     owner_ = req.owner;
@@ -369,8 +370,9 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
       // the build/crosscheck path covers semantic validation.
       MmapCcsr::Options mopts;
       mopts.memory_cap_bytes = req.memory_cap_bytes;
-      CSCE_RETURN_IF_ERROR(MmapCcsr::Open(req.ccsr_path, mopts, &mmap_));
-      ccsr_ = mmap_->Release();
+      std::unique_ptr<MmapCcsr> mapped;
+      CSCE_RETURN_IF_ERROR(MmapCcsr::Open(req.ccsr_path, mopts, &mapped));
+      ccsr_ = mapped->Release();  // co-owns the mapping
     } else {
       CSCE_RETURN_IF_ERROR(LoadCcsrFromFile(req.ccsr_path, &ccsr_));
     }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ccsr/ccsr.h"
-#include "ccsr/ccsr_mmap.h"
 #include "engine/executor.h"
 #include "graph/graph.h"
 #include "plan/planner.h"
@@ -57,11 +56,7 @@ class ShardWorker {
   uint32_t shard_id_ = 0;
   uint32_t num_shards_ = 1;
   uint32_t num_threads_ = 1;
-  Ccsr ccsr_;
-  // Set when the LOAD asked for an out-of-core shard: the mapping that
-  // backs ccsr_'s borrowed arrays (and serves as its pager). Must stay
-  // alive as long as ccsr_ does.
-  std::unique_ptr<MmapCcsr> mmap_;
+  Ccsr ccsr_;  // co-owns its storage, the mapping of an mmap'd shard too
   std::vector<uint32_t> owner_;
   std::unique_ptr<ThreadPool> pool_;
 

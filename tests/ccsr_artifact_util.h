@@ -118,7 +118,7 @@ void PokeBytes(std::string* bytes, uint64_t offset, const T& value) {
 /// exactly the strict increases of the array, the bitmap is present
 /// exactly at 1/16 fill, every lookup returns the row inside `got`'s
 /// own columns, and `got` validates.
-inline void ExpectMatchesDenseRows(const CsrArrays& got, uint32_t n,
+inline void ExpectMatchesDenseRows(const CsrIndex& got, uint32_t n,
                                    std::vector<Edge> arcs,
                                    const std::string& where) {
   std::sort(arcs.begin(), arcs.end());
@@ -149,20 +149,19 @@ inline void ExpectMatchesDenseRows(const CsrArrays& got, uint32_t n,
   const Status st = got.Validate(n);
   EXPECT_TRUE(st.ok()) << where << ": " << st.ToString();
 
-  const CsrIndex index(got);
   for (VertexId v = 0; v < n; ++v) {
     const std::span<const VertexId> want(cols.data() + row[v],
                                          cols.data() + row[v + 1]);
-    const std::span<const VertexId> nbrs = index.Neighbors(v);
+    const std::span<const VertexId> nbrs = got.Neighbors(v);
     ASSERT_TRUE(std::ranges::equal(nbrs, want)) << where << " v=" << v;
     if (!nbrs.empty()) {  // a view into the stored columns, not a copy
       EXPECT_EQ(nbrs.data(), got.cols.data() + row[v]) << where;
     }
   }
   for (VertexId v : {n, n + 1, n + 64, ~VertexId{0}}) {
-    EXPECT_TRUE(index.Neighbors(v).empty()) << where << " v=" << v;
+    EXPECT_TRUE(got.Neighbors(v).empty()) << where << " v=" << v;
   }
-  EXPECT_TRUE(index.OffsetsEndAtColumns()) << where;
+  EXPECT_TRUE(got.OffsetsEndAtColumns()) << where;
 }
 
 /// [begin, end) byte ranges of a well-formed v2 artifact that carry

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <memory>
 #include <string>
+
+#include "ccsr/ccsr_mmap.h"
 
 #include "tests/ccsr_artifact_util.h"
 #include "tests/test_util.h"
@@ -52,6 +56,34 @@ TEST(CcsrIoTest, RoundTripsDirected) {
   Ccsr back;
   ASSERT_TRUE(RoundTrip(gc, &back).ok());
   ExpectCcsrEqual(gc, back);
+}
+
+// One image: the built, the loaded and the mapped index of the same
+// graph save identical bytes, whatever storage their spans point into.
+TEST(CcsrIoTest, BuiltLoadedAndMappedSaveOneImage) {
+  Rng rng(35);
+  GraphBuilder empty_builder(false);
+  Graph empty;
+  ASSERT_TRUE(empty_builder.Build(&empty).ok());
+  const Graph graphs[] = {testing::RandomGraph(rng, 80, 0.1, 4, 2, true),
+                          testing::RandomGraph(rng, 80, 0.1, 4, 2, false),
+                          empty};
+  for (const Graph& g : graphs) {
+    const std::string where =
+        g.NumVertices() == 0 ? "empty"
+                             : (g.directed() ? "directed" : "undirected");
+    const Ccsr built = Ccsr::Build(g);
+    const std::string image = testing::CcsrV2Bytes(built);
+    const std::string path = testing::ScratchArtifactPath("ccsr_one_image");
+    testing::WriteFileBytes(path, image);
+    Ccsr loaded;
+    ASSERT_TRUE(LoadCcsrFromFile(path, &loaded).ok()) << where;
+    std::unique_ptr<MmapCcsr> mapped;
+    ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok()) << where;
+    std::remove(path.c_str());
+    EXPECT_TRUE(testing::CcsrV2Bytes(loaded) == image) << where;
+    EXPECT_TRUE(testing::CcsrV2Bytes(mapped->ccsr()) == image) << where;
+  }
 }
 
 TEST(CcsrIoTest, RoundTripsEmptyGraph) {

@@ -2,7 +2,8 @@
 // MmapCcsr must be indistinguishable from the same index built in
 // memory — identical deep validation, identical embeddings and
 // deterministic ExecStats at 1 and 8 threads, with and without a
-// memory cap — and structural damage (directory byte surgery,
+// memory cap, also once the MmapCcsr is gone and after copy-on-write
+// mutation — and structural damage (directory byte surgery,
 // truncation, format confusion) must be rejected at Open() time.
 
 #include "ccsr/ccsr_mmap.h"
@@ -157,8 +158,9 @@ TEST_F(CcsrMmapTest, MemoryCapModeAgreesAndDrainsAdviseWindow) {
 }
 
 TEST_F(CcsrMmapTest, MaterializingLoaderAgreesWithMapping) {
-  // LoadCcsrFromFile on a v2 artifact deep-copies into owned storage;
-  // the result must behave exactly like the original in-memory build.
+  // LoadCcsrFromFile reads a v2 artifact into memory, with no mapping
+  // and no pager; the result must behave exactly like the original
+  // in-memory build.
   Ccsr materialized;
   ASSERT_TRUE(LoadCcsrFromFile(*path_, &materialized).ok());
   EXPECT_FALSE(materialized.mapped());
@@ -173,19 +175,112 @@ TEST_F(CcsrMmapTest, MaterializingLoaderAgreesWithMapping) {
   EXPECT_EQ(got.rows, want.rows);
 }
 
-TEST_F(CcsrMmapTest, MappedViewRefusesMutationUntilOwned) {
+TEST_F(CcsrMmapTest, LoadedIndexKeepsNoMapping) {
+  // LoadCcsrFromFile copies every array out and drops the mapping: the
+  // index stays intact after its artifact is overwritten in place with
+  // other bytes (which a kept shared mapping would see) and deleted.
+  const std::string bytes = ReadFileBytes(*path_);
+  const std::string path = testing::ScratchArtifactPath("ccsr_load_copy");
+  WriteFileBytes(path, bytes);
+  Ccsr loaded;
+  ASSERT_TRUE(LoadCcsrFromFile(path, &loaded).ok());
+  WriteFileBytes(path, std::string(bytes.size(), '\xa5'));
+  std::remove(path.c_str());
+  EXPECT_FALSE(loaded.mapped());
+  const Status deep = loaded.Validate();
+  EXPECT_TRUE(deep.ok()) << deep.ToString();
+  Rng rng(61);
+  Graph pattern;
+  ASSERT_TRUE(
+      SamplePattern(*data_, 5, PatternDensity::kSparse, rng, &pattern).ok());
+  const RunOutcome want = RunMatch(*index_, pattern, 1);
+  const RunOutcome got = RunMatch(loaded, pattern, 1);
+  EXPECT_EQ(got.embeddings, want.embeddings);
+  EXPECT_EQ(got.search_nodes, want.search_nodes);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_TRUE(testing::CcsrV2Bytes(loaded) == bytes);
+}
+
+TEST_F(CcsrMmapTest, IndexOutlivesItsMmapCcsr) {
+  // Both ways out of an MmapCcsr — Release() and a copy of ccsr() —
+  // co-own the mapping and its pager, so they stay usable after the
+  // MmapCcsr is destroyed: deep validation passes, and a match (through
+  // the capped pager's advice) equals the in-memory run.
+  Rng rng(67);
+  Graph pattern;
+  ASSERT_TRUE(
+      SamplePattern(*data_, 5, PatternDensity::kSparse, rng, &pattern).ok());
+  const RunOutcome want = RunMatch(*index_, pattern, 1);
+  MmapCcsr::Options opts;
+  opts.memory_cap_bytes = 1u << 20;
   std::unique_ptr<MmapCcsr> mapped;
-  ASSERT_TRUE(MmapCcsr::Open(*path_, &mapped).ok());
-  Ccsr view = mapped->Release();
-  EXPECT_EQ(view.InsertEdges({{0, 1, 0}}).code(), StatusCode::kNotSupported);
-  view.EnsureOwnedStorage();
-  EXPECT_FALSE(view.mapped());
-  const uint64_t before = view.NumEdges();
-  Status st = view.InsertEdges({{0, 1, 0}});
-  EXPECT_TRUE(st.ok() || st.code() == StatusCode::kInvalidArgument)
-      << st.ToString();
-  if (st.ok()) {
-    EXPECT_GE(view.NumEdges(), before);
+  ASSERT_TRUE(MmapCcsr::Open(*path_, opts, &mapped).ok());
+  const Ccsr copy = mapped->ccsr();
+  const Ccsr released = mapped->Release();
+  mapped.reset();
+  for (const Ccsr* index : {&copy, &released}) {
+    const char* which = index == &copy ? "copy" : "released";
+    EXPECT_TRUE(index->mapped()) << which;
+    const Status deep = index->Validate();
+    EXPECT_TRUE(deep.ok()) << which << ": " << deep.ToString();
+    const RunOutcome got = RunMatch(*index, pattern, 1);
+    EXPECT_EQ(got.embeddings, want.embeddings) << which;
+    EXPECT_EQ(got.search_nodes, want.search_nodes) << which;
+    EXPECT_EQ(got.rows, want.rows) << which;
+  }
+}
+
+// Mutating an opened index is copy-on-write: InsertEdges then
+// RemoveEdges succeed, the result validates and equals a Build of the
+// mutated graph (the same v2 bytes), and the artifact is untouched.
+TEST(CcsrMmapMutationTest, InsertThenRemoveIsCopyOnWrite) {
+  for (bool directed : {false, true}) {
+    Rng rng(directed ? 83 : 84);
+    const Graph g = testing::RandomGraph(rng, 60, 0.1, 3, 2, directed);
+    // Ten new edges, and every fourth existing one to remove.
+    std::vector<Edge> extra;
+    while (extra.size() < 10) {
+      VertexId u = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
+      VertexId v = static_cast<VertexId>(rng.Uniform(g.NumVertices()));
+      if (!directed && u > v) std::swap(u, v);
+      if (u == v || g.HasEdge(u, v) ||
+          std::ranges::any_of(extra, [&](const Edge& e) {
+            return e.src == u && e.dst == v;
+          })) {
+        continue;
+      }
+      extra.push_back(Edge{u, v, static_cast<Label>(rng.Uniform(2))});
+    }
+    std::vector<Edge> gone;
+    std::vector<Edge> kept;
+    size_t i = 0;
+    g.ForEachEdge([&](const Edge& e) {
+      (i++ % 4 == 0 ? gone : kept).push_back(e);
+    });
+    ASSERT_FALSE(gone.empty());
+    kept.insert(kept.end(), extra.begin(), extra.end());
+    const Graph mutated =
+        testing::MakeGraph(directed, g.vertex_labels(), kept);
+
+    const std::string path = testing::ScratchArtifactPath("ccsr_mmap_cow");
+    ASSERT_TRUE(SaveCcsrToFileV2(Ccsr::Build(g), path).ok());
+    const std::string before = ReadFileBytes(path);
+    std::unique_ptr<MmapCcsr> mapped;
+    ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());
+    Ccsr index = mapped->Release();
+    mapped.reset();
+    Status st = index.InsertEdges(extra);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    st = index.RemoveEdges(gone);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    st = index.Validate();
+    EXPECT_TRUE(st.ok()) << "directed=" << directed << ": " << st.ToString();
+    EXPECT_EQ(index.NumEdges(), mutated.NumEdges());
+    EXPECT_TRUE(testing::CcsrV2Bytes(index) ==
+                testing::CcsrV2Bytes(Ccsr::Build(mutated)))
+        << "directed=" << directed;
+    EXPECT_TRUE(ReadFileBytes(path) == before) << "directed=" << directed;
+    std::remove(path.c_str());
   }
 }
 

@@ -107,9 +107,9 @@ TEST(CcsrTest, PaperFig4ClusterContents) {
   Graph pattern = MakeGraph(true, {1, 2}, {{0, 1, 0}});
   ASSERT_TRUE(
       ReadClusters(gc, pattern, MatchVariant::kEdgeInduced, &qc).ok());
-  const ClusterView* view = qc.Find(ClusterId::Directed(1, 2, 0));
+  const CompressedCluster* view = qc.Find(ClusterId::Directed(1, 2, 0));
   ASSERT_NE(view, nullptr);
-  EXPECT_EQ(view->NumEdges(), 3u);
+  EXPECT_EQ(view->num_edges, 3u);
   auto out_v1 = view->Out(0);
   ASSERT_EQ(out_v1.size(), 2u);
   EXPECT_EQ(out_v1[0], 1u);
@@ -121,8 +121,8 @@ TEST(CcsrTest, PaperFig4ClusterContents) {
 }
 
 TEST(CcsrTest, InMemoryViewsAliasClusterColumns) {
-  // Same graph as Fig. 4: a view of an in-memory index borrows the
-  // cluster's column arrays instead of copying them.
+  // Same graph as Fig. 4: a read hands out the index's own cluster
+  // record, whose rows lie inside the cluster's column arrays.
   Graph g = MakeGraph(true, {1, 2, 1, 2, 2},
                       {{0, 1, 0}, {0, 4, 0}, {2, 3, 0}});
   Ccsr gc = Ccsr::Build(g);
@@ -132,20 +132,39 @@ TEST(CcsrTest, InMemoryViewsAliasClusterColumns) {
       ReadClusters(gc, pattern, MatchVariant::kEdgeInduced, &qc).ok());
   const ClusterId id = ClusterId::Directed(1, 2, 0);
   const CompressedCluster* cluster = gc.Find(id);
-  const ClusterView* view = qc.Find(id);
+  const CompressedCluster* view = qc.Find(id);
   ASSERT_NE(cluster, nullptr);
-  ASSERT_NE(view, nullptr);
+  EXPECT_EQ(view, cluster);
   auto inside = [](std::span<const VertexId> row,
                    std::span<const VertexId> cols) {
     return !row.empty() && row.data() >= cols.data() &&
            row.data() + row.size() <= cols.data() + cols.size();
   };
   for (VertexId v : {0u, 2u}) {
-    EXPECT_TRUE(inside(view->Out(v), cluster->out.cols.span())) << v;
+    EXPECT_TRUE(inside(view->Out(v), cluster->out.cols)) << v;
   }
   for (VertexId v : {1u, 3u, 4u}) {
-    EXPECT_TRUE(inside(view->In(v), cluster->in.cols.span())) << v;
+    EXPECT_TRUE(inside(view->In(v), cluster->in.cols)) << v;
   }
+}
+
+// Copies share their storage and mutation is copy-on-write: a copy
+// taken before InsertEdges keeps its clusters and tables, and the
+// arrays a rebuild replaced are freed once no copy holds them.
+TEST(CcsrTest, MutationIsCopyOnWrite) {
+  Ccsr gc = Ccsr::Build(MakeGraph(true, {0, 1, 0}, {{0, 1, 0}}));
+  Ccsr copy = gc;
+  const std::string before = testing::CcsrV2Bytes(copy);
+  ASSERT_TRUE(gc.InsertEdges({{2, 1, 0}}).ok());
+  EXPECT_EQ(gc.NumEdges(), 2u);
+  EXPECT_EQ(copy.NumEdges(), 1u);
+  EXPECT_TRUE(copy.Validate().ok());
+  EXPECT_TRUE(testing::CcsrV2Bytes(copy) == before);
+  const std::weak_ptr<const void> replaced = copy.clusters()[0].storage;
+  copy = Ccsr();
+  // A built cluster's arrays are its own; a mapped one's (the
+  // CSCE_CCSR_MMAP=1 hook) are the mapping, which gc still co-owns.
+  EXPECT_EQ(replaced.expired(), !gc.mapped());
 }
 
 TEST(ReadClustersTest, LoadsOnlyPatternEdgeClusters) {

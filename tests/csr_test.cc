@@ -19,20 +19,21 @@
 namespace csce {
 namespace {
 
-// The arrays of one direction over `n` vertices, from arcs sorted by
-// (src, dst).
-CsrArrays BuildArrays(uint32_t n, std::vector<Edge> arcs) {
+// A finished builder holding the arrays of one direction over `n`
+// vertices, from `arcs` in any order.
+CsrBuilder BuildArrays(uint32_t n, std::vector<Edge> arcs) {
   std::sort(arcs.begin(), arcs.end());
   CsrBuilder builder;
   for (const Edge& a : arcs) builder.Add(a.src, a.dst);
-  return std::move(builder).Finish(n);
+  builder.Finish(n);
+  return builder;
 }
 
 TEST(CsrIndexTest, BasicNeighbors) {
-  const CsrArrays a =
+  const CsrBuilder b =
       BuildArrays(6, {{0, 1, 0}, {0, 5, 0}, {3, 2, 0}, {3, 4, 0}});
-  const CsrIndex csr(a);
-  EXPECT_EQ(csr.NumArcs(), 4u);
+  const CsrIndex csr = b.Index();
+  EXPECT_EQ(csr.cols.size(), 4u);
   auto n0 = csr.Neighbors(0);
   ASSERT_EQ(n0.size(), 2u);
   EXPECT_EQ(n0[0], 1u);
@@ -42,8 +43,8 @@ TEST(CsrIndexTest, BasicNeighbors) {
 }
 
 TEST(CsrIndexTest, HasArc) {
-  const CsrArrays a = BuildArrays(4, {{0, 1, 0}, {0, 3, 0}});
-  const CsrIndex csr(a);
+  const CsrBuilder b = BuildArrays(4, {{0, 1, 0}, {0, 3, 0}});
+  const CsrIndex csr = b.Index();
   EXPECT_TRUE(csr.HasArc(0, 1));
   EXPECT_TRUE(csr.HasArc(0, 3));
   EXPECT_FALSE(csr.HasArc(0, 2));
@@ -51,17 +52,18 @@ TEST(CsrIndexTest, HasArc) {
 }
 
 TEST(CsrIndexTest, NonEmptyVertices) {
-  const CsrArrays a = BuildArrays(10, {{2, 0, 0}, {7, 1, 0}});
+  const CsrBuilder b = BuildArrays(10, {{2, 0, 0}, {7, 1, 0}});
+  const CsrIndex a = b.Index();
   std::vector<VertexId> expected = {2, 7};
-  EXPECT_TRUE(std::ranges::equal(CsrIndex(a).NonEmptySpan(), expected));
+  EXPECT_TRUE(std::ranges::equal(a.ids, expected));
   std::vector<uint64_t> offsets = {0, 1, 2};
   EXPECT_TRUE(std::ranges::equal(a.offsets, offsets));
 }
 
 TEST(CsrIndexTest, SparseLayoutForSmallClusters) {
   // 2 sources out of 10000 vertices: far below the density threshold.
-  const CsrArrays a = BuildArrays(10000, {{5, 6, 0}, {9000, 3, 0}});
-  const CsrIndex csr(a);
+  const CsrBuilder b = BuildArrays(10000, {{5, 6, 0}, {9000, 3, 0}});
+  const CsrIndex csr = b.Index();
   EXPECT_FALSE(csr.dense());
   EXPECT_EQ(csr.Neighbors(5).size(), 1u);
   EXPECT_EQ(csr.Neighbors(9000)[0], 3u);
@@ -71,8 +73,8 @@ TEST(CsrIndexTest, SparseLayoutForSmallClusters) {
 TEST(CsrIndexTest, DenseLayoutForBigClusters) {
   std::vector<Edge> arcs;
   for (VertexId v = 0; v < 100; ++v) arcs.push_back({v, (v + 1) % 100, 0});
-  const CsrArrays a = BuildArrays(100, arcs);
-  const CsrIndex csr(a);
+  const CsrBuilder b = BuildArrays(100, arcs);
+  const CsrIndex csr = b.Index();
   EXPECT_TRUE(csr.dense());
   for (VertexId v = 0; v < 100; ++v) {
     ASSERT_EQ(csr.Neighbors(v).size(), 1u);
@@ -81,13 +83,13 @@ TEST(CsrIndexTest, DenseLayoutForBigClusters) {
 }
 
 TEST(CsrBuilderTest, NoArcsGiveNoArrays) {
-  const CsrArrays a = BuildArrays(100, {});
+  const CsrBuilder b = BuildArrays(100, {});
+  const CsrIndex a = b.Index();
   EXPECT_EQ(a.SizeBytes(), 0u);
   EXPECT_EQ(a.max_row_length, 0u);
   EXPECT_TRUE(a.Validate(100).ok());
-  const CsrIndex csr(a);
-  EXPECT_TRUE(csr.Neighbors(0).empty());
-  EXPECT_TRUE(csr.OffsetsEndAtColumns());
+  EXPECT_TRUE(a.Neighbors(0).empty());
+  EXPECT_TRUE(a.OffsetsEndAtColumns());
 }
 
 TEST(CsrBuilderTest, EveryVertexNonEmpty) {
@@ -95,7 +97,8 @@ TEST(CsrBuilderTest, EveryVertexNonEmpty) {
   // has three words, the last one partly used.
   std::vector<Edge> arcs;
   for (VertexId v = 0; v < 130; ++v) arcs.push_back({v, (v + 7) % 130, 0});
-  const CsrArrays a = BuildArrays(130, arcs);
+  const CsrBuilder b = BuildArrays(130, arcs);
+  const CsrIndex a = b.Index();
   ASSERT_EQ(a.words.size(), 3u);
   EXPECT_EQ(a.words[2], 0b11u);
   std::vector<uint32_t> rank = {0, 64, 128};
@@ -124,7 +127,7 @@ TEST_P(CsrBuilderRandomTest, ArraysEqualDenseRows) {
     }
     for (VertexId w : dsts) arcs.push_back({v, w, 0});
   }
-  testing::ExpectMatchesDenseRows(BuildArrays(n, arcs), n, arcs,
+  testing::ExpectMatchesDenseRows(BuildArrays(n, arcs).Index(), n, arcs,
                                   "fill " + std::to_string(fill));
 }
 
@@ -146,9 +149,9 @@ TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {
   }
   std::vector<Edge> arcs;
   for (auto [a, b] : arc_set) arcs.push_back({a, b, 0});
-  const CsrArrays arrays = BuildArrays(n, arcs);
-  const CsrIndex csr(arrays);
-  EXPECT_EQ(csr.NumArcs(), arcs.size());
+  const CsrBuilder b = BuildArrays(n, arcs);
+  const CsrIndex csr = b.Index();
+  EXPECT_EQ(csr.cols.size(), arcs.size());
   // Every arc must be found; every probed non-arc must not.
   for (const Edge& e : arcs) EXPECT_TRUE(csr.HasArc(e.src, e.dst));
   for (int probe = 0; probe < 100; ++probe) {
@@ -160,7 +163,7 @@ TEST_P(CsrLayoutAgreementTest, DenseAndSparseAgree) {
   // The non-empty rows are the distinct sources.
   std::set<VertexId> sources;
   for (const Edge& e : arcs) sources.insert(e.src);
-  EXPECT_TRUE(std::ranges::equal(csr.NonEmptySpan(), sources));
+  EXPECT_TRUE(std::ranges::equal(csr.ids, sources));
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CsrLayoutAgreementTest,
@@ -205,14 +208,14 @@ TEST_P(CsrLayoutPropertyTest, LookupsEqualDenseRows) {
   ASSERT_EQ(built.NumClusters(), 1u);
   testing::ExpectMatchesDenseRows(built.clusters()[0].out, c.n, arcs,
                                   "in memory");
-  EXPECT_EQ(CsrIndex(built.clusters()[0].out).dense(), c.dense)
+  EXPECT_EQ(built.clusters()[0].out.dense(), c.dense)
       << built.clusters()[0].out.ids.size() << " of " << c.n;
 
   const std::string path = testing::ScratchArtifactPath("csr_layout");
   ASSERT_TRUE(SaveCcsrToFileV2(built, path).ok());
   std::unique_ptr<MmapCcsr> mapped;
   ASSERT_TRUE(MmapCcsr::Open(path, &mapped).ok());
-  ASSERT_TRUE(mapped->ccsr().clusters()[0].out.cols.borrowed());
+  ASSERT_TRUE(mapped->ccsr().mapped());
   testing::ExpectMatchesDenseRows(mapped->ccsr().clusters()[0].out, c.n, arcs,
                                   "mmap'd");
   mapped.reset();

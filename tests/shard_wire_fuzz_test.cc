@@ -18,6 +18,7 @@
 #include "plan/planner.h"
 #include "shard/wire.h"
 #include "tests/test_util.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace csce {
@@ -409,8 +410,8 @@ TEST(ShardWireFuzzTest, Crc32KnownAnswer) {
   // IEEE 802.3 check value: CRC-32("123456789") == 0xCBF43926. Pins the
   // polynomial/reflection choice so both peers of a mixed-version pair
   // would disagree loudly, not subtly.
-  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(Crc32(""), 0u);
+  EXPECT_EQ(util::Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(util::Crc32(""), 0u);
 }
 
 TEST(ShardWireFuzzTest, PayloadCountsValidatedAgainstRemainingBytes) {

@@ -31,23 +31,24 @@ namespace csce {
 namespace {
 
 // ---------------------------------------------------------------------------
-// CsrArrays::Validate
+// CsrIndex::Validate
 
-TEST(CsrArraysValidateTest, BuiltArraysPass) {
+TEST(CsrIndexValidateTest, BuiltArraysPass) {
   for (uint32_t n : {1u, 10u, 100u, 1000u}) {
     CsrBuilder builder;
     for (VertexId v = 0; v < n; v += 3) builder.Add(v, (v + 1) % n);
-    const CsrArrays a = std::move(builder).Finish(n);
-    const Status st = a.Validate(n);
+    builder.Finish(n);
+    const Status st = builder.Index().Validate(n);
     EXPECT_TRUE(st.ok()) << "n=" << n << ": " << st.ToString();
   }
-  EXPECT_TRUE(CsrArrays().Validate(0).ok());
-  EXPECT_TRUE(CsrArrays().Validate(100).ok());
+  EXPECT_TRUE(CsrIndex().Validate(0).ok());
+  EXPECT_TRUE(CsrIndex().Validate(100).ok());
 }
 
-TEST(CsrArraysValidateTest, OffsetsWithoutRowsDetected) {
-  CsrArrays a;
-  a.offsets = std::vector<uint64_t>{0};
+TEST(CsrIndexValidateTest, OffsetsWithoutRowsDetected) {
+  const std::vector<uint64_t> offsets = {0};
+  CsrIndex a;
+  a.offsets = offsets;
   const Status st = a.Validate(4);
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
   EXPECT_NE(st.message().find("1 offsets for 0 non-empty rows"),

@@ -5,10 +5,10 @@
 //   csce_match --graph=data.txt --pattern=p.txt --variant=hom
 //              --time-limit=10 --max=100000 --explain --no-sce
 //
-// Out-of-core mode: --mmap (or CSCE_CCSR_MMAP=1 in the environment)
-// maps a v2 --ccsr artifact instead of streaming it into memory —
-// clusters page in on demand as the query touches them. --memory-cap=N
-// additionally bounds the paging-advice window to N bytes.
+// Out-of-core mode: --mmap maps a v2 --ccsr artifact instead of
+// streaming it into memory — clusters page in on demand as the query
+// touches them. --memory-cap=N additionally bounds the paging-advice window to
+// N bytes.
 //
 // Prints the embedding count and the per-stage breakdown; --print=N
 // additionally streams the first N embeddings. Observability:
@@ -19,8 +19,6 @@
 #include <cstdio>
 #include <memory>
 #include <string>
-
-#include <cstdlib>
 
 #include "ccsr/ccsr.h"
 #include "ccsr/ccsr_io.h"
@@ -66,23 +64,21 @@ int main(int argc, char** argv) {
     obs::TraceRecorder::Install(recorder.get());
   }
 
-  const char* mmap_env = std::getenv("CSCE_CCSR_MMAP");
-  const bool use_mmap = flags.GetBool("mmap") ||
-                        (mmap_env != nullptr && std::string(mmap_env) == "1");
+  const bool use_mmap = flags.GetBool("mmap");
   const uint64_t memory_cap =
       static_cast<uint64_t>(flags.GetInt("memory-cap", 0));
 
   Ccsr index;
-  std::unique_ptr<MmapCcsr> mapping;  // keeps the borrowed index alive
   if (!ccsr_path.empty()) {
     if (use_mmap) {
       MmapCcsr::Options mopts;
       mopts.memory_cap_bytes = memory_cap;
-      if (Status st = MmapCcsr::Open(ccsr_path, mopts, &mapping); !st.ok()) {
+      std::unique_ptr<MmapCcsr> mapped;
+      if (Status st = MmapCcsr::Open(ccsr_path, mopts, &mapped); !st.ok()) {
         std::fprintf(stderr, "mmap ccsr: %s\n", st.ToString().c_str());
         return 1;
       }
-      index = mapping->Release();
+      index = mapped->Release();  // co-owns the mapping
     } else if (Status st = LoadCcsrFromFile(ccsr_path, &index); !st.ok()) {
       std::fprintf(stderr, "load ccsr: %s\n", st.ToString().c_str());
       return 1;

@@ -18,12 +18,11 @@
 // before the next batch starts (a poor man's monitoring endpoint for
 // scripted sessions).
 //
-// Out-of-core mode: --mmap (or CSCE_CCSR_MMAP=1 in the environment)
-// maps v2 --ccsr artifacts instead of streaming them into memory; in
-// sharded modes the flag travels in the kLoad request, so every worker
-// (in-process thread, forked child, or remote --connect node) maps its
-// own shard artifact the same way. --memory-cap=N bounds each mapping's
-// paging-advice window to N bytes.
+// Out-of-core mode: --mmap maps v2 --ccsr artifacts instead of
+// streaming them into memory; in sharded modes the flag travels in the
+// kLoad request, so every worker (in-process thread, forked child, or
+// remote --connect node) maps its own shard artifact the same way.
+// --memory-cap=N bounds each mapping's paging-advice window to N bytes.
 //
 // Proactive pruning: the label-pair filter (lpi) and failing-set
 // backjumping (fs) are on by default; --prune=none turns every pass
@@ -647,9 +646,7 @@ int main(int argc, char** argv) {
   std::string metrics_path = flags.GetString("metrics-json", "");
   int64_t repeat = flags.GetInt("repeat", 1);
   bool quiet = flags.GetBool("quiet");
-  const char* mmap_env = std::getenv("CSCE_CCSR_MMAP");
-  const bool use_mmap = flags.GetBool("mmap") ||
-                        (mmap_env != nullptr && std::string(mmap_env) == "1");
+  const bool use_mmap = flags.GetBool("mmap");
   const uint64_t memory_cap =
       static_cast<uint64_t>(flags.GetInt("memory-cap", 0));
   uint32_t threads_per_query =
@@ -739,18 +736,18 @@ int main(int argc, char** argv) {
   StartSignalWatcher();
 
   Ccsr index;
-  std::unique_ptr<MmapCcsr> mapping;  // keeps a --mmap index alive
   Graph source_graph;  // kept alive only for --graph sharded partitioning
   bool have_graph = false;
   if (!ccsr_path.empty()) {
     if (use_mmap) {
       MmapCcsr::Options mopts;
       mopts.memory_cap_bytes = memory_cap;
-      if (Status st = MmapCcsr::Open(ccsr_path, mopts, &mapping); !st.ok()) {
+      std::unique_ptr<MmapCcsr> mapped;
+      if (Status st = MmapCcsr::Open(ccsr_path, mopts, &mapped); !st.ok()) {
         std::fprintf(stderr, "mmap ccsr: %s\n", st.ToString().c_str());
         return 1;
       }
-      index = mapping->Release();
+      index = mapped->Release();  // co-owns the mapping
     } else if (Status st = LoadCcsrFromFile(ccsr_path, &index); !st.ok()) {
       std::fprintf(stderr, "load ccsr: %s\n", st.ToString().c_str());
       return 1;
@@ -957,8 +954,6 @@ int main(int argc, char** argv) {
   runtime_options.threads_per_query = threads_per_query;
   runtime_options.default_deadline_seconds = flags.GetDouble("deadline", 0);
   runtime_options.share_cluster_views = !flags.GetBool("no-share-views");
-  runtime_options.max_query_retries =
-      static_cast<uint32_t>(flags.GetInt("query-retries", 0));
   for (const std::string& unused : flags.UnusedFlags()) {
     std::fprintf(stderr, "warning: unknown flag --%s\n", unused.c_str());
   }

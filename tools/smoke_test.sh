@@ -126,6 +126,35 @@ if [ "$STATS_LINES" != "2" ]; then
   exit 1
 fi
 
+# Out-of-core mode: --mmap maps the artifact instead of reading it into
+# memory. The mapped index must find the in-memory count, also under a
+# one-page memory cap that drops advised clusters behind the frontier,
+# and serve the same workload.
+for cap in 0 4096; do
+  OUT_MMAP=$("$BIN_DIR/csce_match" --ccsr="$WORK_DIR/g.ccsr" \
+      --pattern="$WORK_DIR/q_0.txt" --variant=edge --mmap \
+      --memory-cap="$cap")
+  COUNT_MMAP=$(printf '%s\n' "$OUT_MMAP" | sed -n 's/.*embeddings=\([0-9]*\).*/\1/p')
+  if [ -z "$COUNT_MMAP" ] || [ "$COUNT_MMAP" != "$COUNT_CCSR" ]; then
+    echo "FAIL: --mmap --memory-cap=$cap found '$COUNT_MMAP', in-memory found '$COUNT_CCSR'"
+    exit 1
+  fi
+done
+OUT_SERVE_MMAP=$("$BIN_DIR/csce_serve" --ccsr="$WORK_DIR/g.ccsr" --mmap \
+    --queries="$WORK_DIR/queries.txt" --threads=4 --inflight=2)
+case "$OUT_SERVE_MMAP" in
+  *'"completed": 3'*) ;;
+  *) echo "FAIL: csce_serve --mmap did not complete all 3 queries"; exit 1 ;;
+esac
+SERVE_MMAP_EDGE=$(printf '%s\n' "$OUT_SERVE_MMAP" | \
+    sed -n 's/.*q_0.txt variant=edge-induced status=ok embeddings=\([0-9]*\).*/\1/p' | \
+    head -1)
+if [ "$SERVE_MMAP_EDGE" != "$COUNT_CCSR" ]; then
+  echo "FAIL: csce_serve --mmap edge count '$SERVE_MMAP_EDGE' != csce_match '$COUNT_CCSR'"
+  exit 1
+fi
+echo "PASS: --mmap matches the in-memory index (csce_match, capped, csce_serve)"
+
 # Self-check mode on Patent(18): deep-validate the CCSR, then re-verify
 # every emitted embedding and every SCE cache reuse against ground
 # truth, serial and morsel-parallel. verified must equal the embedding
