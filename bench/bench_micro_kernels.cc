@@ -1,7 +1,7 @@
 // Micro-kernels (google-benchmark): the hot primitives behind the
 // engine — sorted-set intersection/difference, CSR neighbor lookup in
-// both layouts, CCSR build, and cluster lookup vs raw adjacency
-// probing.
+// both layouts, CCSR build, cluster lookup vs raw adjacency probing,
+// and planning (Planner::MakePlan) on sampled large patterns.
 
 #include <benchmark/benchmark.h>
 
@@ -11,8 +11,11 @@
 #include "ccsr/ccsr.h"
 #include "ccsr/csr.h"
 #include "engine/candidates.h"
+#include "gen/datasets.h"
+#include "gen/pattern_gen.h"
 #include "gen/random_graph.h"
 #include "graph/graph_builder.h"
+#include "plan/planner.h"
 #include "util/rng.h"
 
 namespace csce {
@@ -146,6 +149,46 @@ void BM_ClusterHasArcVsGraphHasEdge(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ClusterHasArcVsGraphHasEdge);
+
+// One full plan (GCF, both DAG builds, LDSF, compile) per iteration,
+// cycling over eight sampled Patent(20) patterns of range(0) vertices
+// (four dense, four sparse); range(1) = 1 plans vertex-induced, else
+// edge-induced.
+struct PatentIndex {
+  Graph graph = datasets::Patent(20);
+  Ccsr index = Ccsr::Build(graph);
+};
+
+void BM_MakePlan(benchmark::State& state) {
+  static const PatentIndex patent;
+  const Graph* data = &patent.graph;
+  const uint32_t size = static_cast<uint32_t>(state.range(0));
+  const MatchVariant variant = state.range(1) == 1
+                                   ? MatchVariant::kVertexInduced
+                                   : MatchVariant::kEdgeInduced;
+  std::vector<Graph> patterns;
+  std::vector<Graph> sparse;
+  CSCE_CHECK(SamplePatterns(*data, size, PatternDensity::kDense, 4, 17,
+                            &patterns)
+                 .ok());
+  CSCE_CHECK(
+      SamplePatterns(*data, size, PatternDensity::kSparse, 4, 19, &sparse)
+          .ok());
+  for (Graph& g : sparse) patterns.push_back(std::move(g));
+  const Planner planner(&patent.index);
+  size_t next = 0;
+  for (auto _ : state) {
+    Plan plan;
+    CSCE_CHECK(planner
+                   .MakePlan(patterns[next], variant, PlanOptions(), &plan)
+                   .ok());
+    benchmark::DoNotOptimize(plan.order.data());
+    next = (next + 1) % patterns.size();
+  }
+}
+BENCHMARK(BM_MakePlan)
+    ->ArgsProduct({{16, 64, 256}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace csce

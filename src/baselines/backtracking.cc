@@ -305,7 +305,8 @@ Status BtState::Run(BaselineResult* result) {
   WallTimer stage;
   GcfOptions gcf;
   gcf.use_cluster_tiebreak = false;  // RI is data-oblivious
-  order_ = GreatestConstraintFirstOrder(pattern_, nullptr, gcf);
+  order_ = GreatestConstraintFirstOrder(
+      PatternContext(pattern_, nullptr, options_.variant), gcf);
   pos_of_.assign(n, 0);
   for (uint32_t j = 0; j < n; ++j) pos_of_[order_[j]] = j;
 

@@ -204,7 +204,8 @@ Status JoinMatcher::Match(const Graph& pattern,
   // RI ordering (data-oblivious, like the originals' default).
   GcfOptions gcf;
   gcf.use_cluster_tiebreak = false;
-  state.order = GreatestConstraintFirstOrder(pattern, nullptr, gcf);
+  state.order = GreatestConstraintFirstOrder(
+      PatternContext(pattern, nullptr, options.variant), gcf);
 
   const uint32_t n = pattern.NumVertices();
   std::vector<uint32_t> pos_of(n, 0);

@@ -770,16 +770,35 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
   // Lines 12-18: negation clusters for vertex-induced matching. We load
   // them for every pattern pair that is not fully connected (for
   // directed patterns a single-direction edge still leaves the reverse
-  // direction to negate).
+  // direction to negate). Each unordered label pair is registered once:
+  // a dense index over the pattern's labels marks the registered pairs,
+  // so a pair of an already-registered label pair is skipped before its
+  // adjacency test.
   if (variant == MatchVariant::kVertexInduced) {
-    for (VertexId a = 0; a < pattern.NumVertices(); ++a) {
-      for (VertexId b = a + 1; b < pattern.NumVertices(); ++b) {
+    const uint32_t n = pattern.NumVertices();
+    std::vector<Label> labels(pattern.vertex_labels());
+    std::sort(labels.begin(), labels.end());
+    labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+    const size_t k = labels.size();
+    std::vector<size_t> index(n);
+    for (VertexId v = 0; v < n; ++v) {
+      index[v] = static_cast<size_t>(
+          std::lower_bound(labels.begin(), labels.end(),
+                           pattern.VertexLabel(v)) -
+          labels.begin());
+    }
+    std::vector<uint8_t> registered(k * k, 0);
+    for (VertexId a = 0; a < n; ++a) {
+      for (VertexId b = a + 1; b < n; ++b) {
+        const size_t lo = std::min(index[a], index[b]);
+        const size_t hi = std::max(index[a], index[b]);
+        if (registered[lo * k + hi] != 0) continue;
         if (FullyConnected(pattern, a, b)) continue;
+        registered[lo * k + hi] = 1;
         Label la = pattern.VertexLabel(a);
         Label lb = pattern.VertexLabel(b);
-        const uint64_t key = LabelPairKey(la, lb);
-        if (out->star_.count(key) > 0) continue;
-        std::vector<const CompressedCluster*>& star = out->star_[key];
+        std::vector<const CompressedCluster*>& star =
+            out->star_[LabelPairKey(la, lb)];
         for (size_t slot : gc.StarClusters(la, lb)) {
           star.push_back(ensure(gc.clusters()[slot]));
         }

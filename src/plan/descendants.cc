@@ -1,42 +1,12 @@
 #include "plan/descendants.h"
 
-#include <queue>
-
-#include "util/bitset.h"
-#include "util/logging.h"
-
 namespace csce {
 
 std::vector<uint32_t> ComputeDescendantSizes(const DependencyDag& dag) {
-  const uint32_t n = dag.NumVertices();
-  std::vector<uint32_t> sizes(n, 0);
-  if (n == 0) return sizes;
-
-  // Kahn peeling from childless vertices, mirroring Algorithm 3: a
-  // vertex is processed once all of its children are done.
-  std::vector<uint32_t> pending_children(n, 0);
-  std::queue<VertexId> ready;
-  for (uint32_t v = 0; v < n; ++v) {
-    pending_children[v] = static_cast<uint32_t>(dag.Children(v).size());
-    if (pending_children[v] == 0) ready.push(v);
+  std::vector<uint32_t> sizes(dag.NumVertices());
+  for (VertexId v = 0; v < dag.NumVertices(); ++v) {
+    sizes[v] = dag.NumDescendants(v);
   }
-
-  std::vector<DynamicBitset> descendants(n, DynamicBitset(n));
-  uint32_t processed = 0;
-  while (!ready.empty()) {
-    VertexId v = ready.front();
-    ready.pop();
-    ++processed;
-    for (VertexId c : dag.Children(v)) {
-      descendants[v].Set(c);
-      descendants[v].OrWith(descendants[c]);
-    }
-    sizes[v] = static_cast<uint32_t>(descendants[v].Count());
-    for (VertexId p : dag.Parents(v)) {
-      if (--pending_children[p] == 0) ready.push(p);
-    }
-  }
-  CSCE_CHECK(processed == n);  // H must be acyclic
   return sizes;
 }
 

@@ -10,9 +10,9 @@ namespace csce {
 
 /// Algorithm 3 (ComputeDescendant): for every DAG vertex, the number of
 /// distinct direct and indirect descendants. Vertices can share
-/// descendants, so this unions descendant *sets* bottom-up (dynamic
-/// programming over a reverse topological order) rather than summing
-/// child counts.
+/// descendants, so these are the popcounts of the DAG's closure rows
+/// (descendant *sets*, unioned once in DependencyDag::Build) rather
+/// than sums of child counts.
 std::vector<uint32_t> ComputeDescendantSizes(const DependencyDag& dag);
 
 }  // namespace csce

@@ -2,55 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
 #include "util/logging.h"
 
 namespace csce {
 namespace {
 
-constexpr uint64_t kNoCluster = std::numeric_limits<uint64_t>::max();
-
-// Direction-blind adjacency of the pattern, deduplicated.
-std::vector<std::vector<VertexId>> UndirectedAdjacency(const Graph& p) {
-  std::vector<std::vector<VertexId>> adj(p.NumVertices());
-  for (VertexId v = 0; v < p.NumVertices(); ++v) {
-    for (const Neighbor& n : p.OutNeighbors(v)) adj[v].push_back(n.v);
-    if (p.directed()) {
-      for (const Neighbor& n : p.InNeighbors(v)) adj[v].push_back(n.v);
-    }
-    std::sort(adj[v].begin(), adj[v].end());
-    adj[v].erase(std::unique(adj[v].begin(), adj[v].end()), adj[v].end());
-  }
-  return adj;
-}
-
-// Smallest data cluster among all pattern arcs between a and b
-// (the paper's |I_C(u_a, u_b)|); kNoCluster if not adjacent.
-uint64_t MinClusterSizeBetween(const Graph& p, const Ccsr* gc, VertexId a,
-                               VertexId b) {
-  if (gc == nullptr) return kNoCluster;
-  uint64_t best = kNoCluster;
-  auto consider = [&](VertexId src, VertexId dst) {
-    for (const Neighbor& n : p.OutNeighbors(src)) {
-      if (n.v != dst) continue;
-      ClusterId id = ClusterId::ForPatternEdge(p, Edge{src, dst, n.elabel});
-      best = std::min(best, gc->ClusterSize(id));
-    }
-  };
-  consider(a, b);
-  if (p.directed()) consider(b, a);
-  return best;
-}
-
-uint64_t MinIncidentClusterSize(const Graph& p, const Ccsr* gc, VertexId x,
-                                const std::vector<VertexId>& neighbors) {
-  uint64_t best = kNoCluster;
-  for (VertexId n : neighbors) {
-    best = std::min(best, MinClusterSizeBetween(p, gc, x, n));
-  }
-  return best;
-}
+constexpr uint64_t kNoCluster = PatternContext::kNoCluster;
 
 // Ranking key for the next-vertex choice: maximize (t1, t2, t3), then
 // minimize (w1, w2, w3, vertex id). Implemented as lexicographic
@@ -77,17 +35,23 @@ struct Rank {
 
 }  // namespace
 
-std::vector<VertexId> GreatestConstraintFirstOrder(const Graph& pattern,
-                                                   const Ccsr* gc,
+std::vector<VertexId> GreatestConstraintFirstOrder(const PatternContext& ctx,
                                                    const GcfOptions& options) {
-  const uint32_t n = pattern.NumVertices();
+  const uint32_t n = ctx.NumVertices();
   std::vector<VertexId> order;
   if (n == 0) return order;
   order.reserve(n);
 
-  const Ccsr* stats = options.use_cluster_tiebreak ? gc : nullptr;
-  std::vector<std::vector<VertexId>> adj = UndirectedAdjacency(pattern);
+  // Cluster sizes are kNoCluster throughout without data statistics.
+  const bool sizes = options.use_cluster_tiebreak && ctx.data() != nullptr;
   std::vector<bool> matched(n, false);
+  // matched_nbrs[v]: neighbors of v already in the order.
+  std::vector<uint32_t> matched_nbrs(n, 0);
+  auto append = [&](VertexId v) {
+    order.push_back(v);
+    matched[v] = true;
+    for (VertexId w : ctx.Neighbors(v)) ++matched_nbrs[w];
+  };
 
   // First vertex: highest degree; ties by smallest incident cluster.
   {
@@ -95,11 +59,13 @@ std::vector<VertexId> GreatestConstraintFirstOrder(const Graph& pattern,
     uint64_t best_cluster = kNoCluster;
     uint32_t best_degree = 0;
     for (VertexId v = 0; v < n; ++v) {
-      uint32_t deg = static_cast<uint32_t>(adj[v].size());
-      uint64_t cluster = stats == nullptr
-                             ? kNoCluster
-                             : MinIncidentClusterSize(pattern, stats, v,
-                                                      adj[v]);
+      uint32_t deg = static_cast<uint32_t>(ctx.Neighbors(v).size());
+      uint64_t cluster = kNoCluster;
+      if (sizes) {
+        for (uint64_t s : ctx.NeighborClusterSizes(v)) {
+          cluster = std::min(cluster, s);
+        }
+      }
       bool better = deg > best_degree ||
                     (deg == best_degree && cluster < best_cluster);
       if (v == 0 || better) {
@@ -108,8 +74,7 @@ std::vector<VertexId> GreatestConstraintFirstOrder(const Graph& pattern,
         best_cluster = cluster;
       }
     }
-    order.push_back(best);
-    matched[best] = true;
+    append(best);
   }
 
   for (uint32_t step = 1; step < n; ++step) {
@@ -118,41 +83,29 @@ std::vector<VertexId> GreatestConstraintFirstOrder(const Graph& pattern,
       if (matched[x]) continue;
       Rank r;
       r.vertex = x;
-      for (VertexId j : adj[x]) {
+      std::span<const VertexId> nbrs = ctx.Neighbors(x);
+      std::span<const uint64_t> cluster = ctx.NeighborClusterSizes(x);
+      for (size_t k = 0; k < nbrs.size(); ++k) {
+        const VertexId j = nbrs[k];
+        const uint64_t w = sizes ? cluster[k] : kNoCluster;
         if (matched[j]) {
           // Rule 1: edges to already-matched vertices.
           ++r.t1;
-          if (stats != nullptr) {
-            r.w1 = std::min(r.w1, MinClusterSizeBetween(pattern, stats, j, x));
-          }
-          continue;
-        }
-        // j is an unmatched neighbor of x: rule 2 if it touches the
-        // matched prefix, rule 3 otherwise.
-        bool touches_matched = false;
-        for (VertexId k : adj[j]) {
-          if (matched[k]) {
-            touches_matched = true;
-            break;
-          }
-        }
-        if (touches_matched) {
+          r.w1 = std::min(r.w1, w);
+        } else if (matched_nbrs[j] > 0) {
+          // Rule 2: an unmatched neighbor touching the matched prefix.
           ++r.t2;
-          if (stats != nullptr) {
-            r.w2 = std::min(r.w2, MinClusterSizeBetween(pattern, stats, x, j));
-          }
+          r.w2 = std::min(r.w2, w);
         } else {
+          // Rule 3: an unmatched neighbor away from the prefix.
           ++r.t3;
-          if (stats != nullptr) {
-            r.w3 = std::min(r.w3, MinClusterSizeBetween(pattern, stats, x, j));
-          }
+          r.w3 = std::min(r.w3, w);
         }
       }
       if (best.vertex == kInvalidVertex || r.BetterThan(best)) best = r;
     }
     CSCE_CHECK(best.vertex != kInvalidVertex);
-    order.push_back(best.vertex);
-    matched[best.vertex] = true;
+    append(best.vertex);
   }
   return order;
 }

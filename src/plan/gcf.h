@@ -3,8 +3,8 @@
 
 #include <vector>
 
-#include "ccsr/ccsr.h"
 #include "graph/graph.h"
+#include "plan/pattern_context.h"
 
 namespace csce {
 
@@ -16,11 +16,12 @@ struct GcfOptions {
 };
 
 /// Greatest-Constraint-First matching order (RI's three rules, paper
-/// Eq. 1) with CCSR-based tie-breaking (Eq. 2). `gc` may be nullptr, in
-/// which case ties fall through to the lowest vertex id
-/// (deterministically), exactly like data-oblivious RI.
-std::vector<VertexId> GreatestConstraintFirstOrder(const Graph& pattern,
-                                                   const Ccsr* gc,
+/// Eq. 1) with CCSR-based tie-breaking (Eq. 2) from the context's
+/// per-pair cluster sizes. Without data in the context, ties fall
+/// through to the lowest vertex id (deterministically), exactly like
+/// data-oblivious RI. A per-vertex count of matched neighbors tells
+/// rule 2 from rule 3 without rescanning adjacency.
+std::vector<VertexId> GreatestConstraintFirstOrder(const PatternContext& ctx,
                                                    const GcfOptions& options);
 
 }  // namespace csce

@@ -2,56 +2,44 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
 #include "util/logging.h"
 
 namespace csce {
 namespace {
 
-constexpr uint64_t kNoCluster = std::numeric_limits<uint64_t>::max();
+constexpr uint64_t kNoCluster = PatternContext::kNoCluster;
 
-uint64_t MinClusterToOrdered(const Graph& p, const Ccsr* gc, VertexId x,
+// Smallest cluster among x's pattern edges to already-ordered vertices.
+uint64_t MinClusterToOrdered(const PatternContext& ctx, VertexId x,
                              const std::vector<bool>& ordered) {
-  if (gc == nullptr) return kNoCluster;
+  std::span<const VertexId> nbrs = ctx.Neighbors(x);
+  std::span<const uint64_t> cluster = ctx.NeighborClusterSizes(x);
   uint64_t best = kNoCluster;
-  auto consider = [&](VertexId src, VertexId dst, VertexId other) {
-    if (!ordered[other]) return;
-    for (const Neighbor& n : p.OutNeighbors(src)) {
-      if (n.v != dst) continue;
-      ClusterId id = ClusterId::ForPatternEdge(p, Edge{src, dst, n.elabel});
-      best = std::min(best, gc->ClusterSize(id));
-    }
-  };
-  for (const Neighbor& n : p.OutNeighbors(x)) consider(x, n.v, n.v);
-  if (p.directed()) {
-    for (const Neighbor& n : p.InNeighbors(x)) consider(n.v, x, n.v);
+  for (size_t k = 0; k < nbrs.size(); ++k) {
+    if (ordered[nbrs[k]]) best = std::min(best, cluster[k]);
   }
   return best;
-}
-
-uint64_t LabelFrequency(const Graph& p, const Ccsr* gc, VertexId x) {
-  Label l = p.VertexLabel(x);
-  // Prefer the data-graph frequency; the pattern's own frequency is the
-  // data-oblivious fallback.
-  return gc != nullptr ? gc->LabelFrequency(l) : p.LabelFrequency(l);
 }
 
 }  // namespace
 
 std::vector<VertexId> LargestDescendantFirstOrder(
-    const DependencyDag& dag, const Graph& pattern, const Ccsr* gc,
+    const DependencyDag& dag, const PatternContext& ctx, bool use_data,
     std::span<const uint32_t> descendant_sizes) {
   const uint32_t n = dag.NumVertices();
   CSCE_CHECK(descendant_sizes.size() == n);
   std::vector<VertexId> order;
   order.reserve(n);
 
+  const bool cluster_stats = use_data && ctx.data() != nullptr;
+  std::vector<uint32_t> num_parents(n, 0);
   std::vector<uint32_t> pending_parents(n, 0);
   std::vector<bool> ready(n, false);
   std::vector<bool> ordered(n, false);
   for (uint32_t v = 0; v < n; ++v) {
-    pending_parents[v] = static_cast<uint32_t>(dag.Parents(v).size());
+    num_parents[v] = dag.NumParents(v);
+    pending_parents[v] = num_parents[v];
     if (pending_parents[v] == 0) ready[v] = true;
   }
 
@@ -72,7 +60,7 @@ std::vector<VertexId> LargestDescendantFirstOrder(
     uint64_t best_freq = kNoCluster;
     for (VertexId v = 0; v < n; ++v) {
       if (!ready[v] || ordered[v]) continue;
-      uint32_t parents = static_cast<uint32_t>(dag.Parents(v).size());
+      uint32_t parents = num_parents[v];
       uint32_t desc = descendant_sizes[v];
       uint64_t cluster = 0;
       uint64_t freq = 0;
@@ -80,8 +68,9 @@ std::vector<VertexId> LargestDescendantFirstOrder(
                        desc == best_desc;
       if (best == kInvalidVertex || parents > best_parents ||
           (parents == best_parents && desc > best_desc) || need_ties) {
-        cluster = MinClusterToOrdered(pattern, gc, v, ordered);
-        freq = LabelFrequency(pattern, gc, v);
+        cluster = cluster_stats ? MinClusterToOrdered(ctx, v, ordered)
+                                : kNoCluster;
+        freq = ctx.LabelFrequency(v, use_data);
       }
       bool better;
       if (best == kInvalidVertex) {
@@ -109,9 +98,9 @@ std::vector<VertexId> LargestDescendantFirstOrder(
     order.push_back(best);
     ordered[best] = true;
     ready[best] = false;
-    for (VertexId c : dag.Children(best)) {
+    dag.ForEachChild(best, [&](VertexId c) {
       if (--pending_parents[c] == 0) ready[c] = true;
-    }
+    });
   }
   return order;
 }

@@ -4,9 +4,9 @@
 #include <span>
 #include <vector>
 
-#include "ccsr/ccsr.h"
 #include "graph/graph.h"
 #include "plan/dag.h"
+#include "plan/pattern_context.h"
 
 namespace csce {
 
@@ -17,9 +17,10 @@ namespace csce {
 /// lowest vertex id (determinism). Unlike Kahn's algorithm, which picks
 /// an arbitrary topological order, this one maximizes candidate reuse.
 ///
-/// `gc` may be nullptr (skips the data-dependent tie-breaks).
+/// With `use_data` false (or no data in the context) the cluster
+/// tie-break is skipped and label frequencies come from the pattern.
 std::vector<VertexId> LargestDescendantFirstOrder(
-    const DependencyDag& dag, const Graph& pattern, const Ccsr* gc,
+    const DependencyDag& dag, const PatternContext& ctx, bool use_data,
     std::span<const uint32_t> descendant_sizes);
 
 }  // namespace csce

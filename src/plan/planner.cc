@@ -11,6 +11,7 @@
 #include "plan/gcf.h"
 #include "plan/ldsf.h"
 #include "plan/nec.h"
+#include "plan/pattern_context.h"
 #include "util/logging.h"
 #include "util/timer.h"
 
@@ -73,28 +74,20 @@ void CompileEdgeConstraints(const Graph& pattern, VertexId u, uint32_t j,
   }
 }
 
-void CompileNegConstraints(const Graph& pattern, const Ccsr* gc, VertexId u,
-                           uint32_t j, std::span<const VertexId> order,
+void CompileNegConstraints(const PatternContext& ctx, VertexId u, uint32_t j,
+                           std::span<const VertexId> order,
                            PlanPosition* pos) {
+  const Graph& pattern = ctx.pattern();
   for (uint32_t i = 0; i < j; ++i) {
     VertexId w = order[i];
-    bool forbid_to;
-    bool forbid_from;
-    if (pattern.directed()) {
-      forbid_to = !pattern.HasEdge(u, w);
-      forbid_from = !pattern.HasEdge(w, u);
-    } else {
-      bool adjacent = pattern.HasEdge(u, w);
-      forbid_to = !adjacent;
-      forbid_from = !adjacent;
-    }
+    bool forbid_to = !ctx.HasArc(u, w);
+    bool forbid_from = !ctx.HasArc(w, u);
     if (!forbid_to && !forbid_from) continue;
-    Label lu = pattern.VertexLabel(u);
-    Label lw = pattern.VertexLabel(w);
     // Vacuous without data edges between the labels (conservative
     // without data statistics).
-    if (gc != nullptr && !gc->HasStarEdges(lu, lw)) continue;
-    pos->negations.push_back(NegConstraint{i, forbid_to, forbid_from, lw});
+    if (!ctx.StarNonEmpty(u, w)) continue;
+    pos->negations.push_back(
+        NegConstraint{i, forbid_to, forbid_from, pattern.VertexLabel(w)});
   }
 }
 
@@ -218,6 +211,9 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
   plan.variant = variant;
   plan.use_sce = options.use_sce;
 
+  // Every data and adjacency question planning asks, answered once.
+  const PatternContext ctx(pattern, data_, variant);
+
   // Step 1: initial order (GCF, paper Section VI), or the systematic
   // cost-based order when requested.
   std::vector<VertexId> initial;
@@ -226,33 +222,42 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
     metrics.cost_based_orders.Increment();
     initial = CostBasedOrder(pattern, *data_, options.cost_beam_width);
   } else if (options.use_gcf) {
+    obs::Span gcf_span("plan.gcf");
     metrics.gcf_orders.Increment();
     GcfOptions gcf;
     gcf.use_cluster_tiebreak = options.use_cluster_tiebreak;
-    initial = GreatestConstraintFirstOrder(pattern, data_, gcf);
+    initial = GreatestConstraintFirstOrder(ctx, gcf);
   } else {
     initial.resize(pattern.NumVertices());
     std::iota(initial.begin(), initial.end(), 0);
   }
 
   // Step 2: dependency DAG (Algorithm 2).
-  DependencyDag dag = DependencyDag::Build(pattern, initial, variant, data_);
+  auto build_dag = [&ctx](std::span<const VertexId> order) {
+    obs::Span dag_span("plan.dag");
+    return DependencyDag::Build(ctx, order);
+  };
+  DependencyDag dag = build_dag(initial);
 
   // Step 3: LDSF fine-tuning (Algorithms 3 and 4). Cost-based orders
   // are kept verbatim: reordering would invalidate their cost estimate.
   if (options.use_ldsf && !cost_based) {
-    metrics.ldsf_refinements.Increment();
-    std::vector<uint32_t> descendant_sizes = ComputeDescendantSizes(dag);
-    plan.order = LargestDescendantFirstOrder(
-        dag, pattern, options.use_cluster_tiebreak ? data_ : nullptr,
-        descendant_sizes);
+    {
+      obs::Span ldsf_span("plan.ldsf");
+      metrics.ldsf_refinements.Increment();
+      std::vector<uint32_t> descendant_sizes = ComputeDescendantSizes(dag);
+      plan.order = LargestDescendantFirstOrder(
+          dag, ctx, options.use_cluster_tiebreak, descendant_sizes);
+    }
     // The final order may imply a (slightly) different DAG for
     // vertex-induced matching, where negation dependencies are
     // position-sensitive; rebuild for faithful statistics.
-    dag = DependencyDag::Build(pattern, plan.order, variant, data_);
+    dag = build_dag(plan.order);
   } else {
     plan.order = std::move(initial);
   }
+
+  obs::Span compile_span("plan.compile");
   plan.dag_edges = dag.NumEdges();
   plan.sce = ComputeSceStats(pattern, plan.order, variant, dag);
 
@@ -274,7 +279,7 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
     }
     CompileEdgeConstraints(pattern, pos.u, j, pos_of, &pos);
     if (variant == MatchVariant::kVertexInduced) {
-      CompileNegConstraints(pattern, data_, pos.u, j, plan.order, &pos);
+      CompileNegConstraints(ctx, pos.u, j, plan.order, &pos);
     }
     std::sort(pos.edges.begin(), pos.edges.end(),
               [](const EdgeConstraint& a, const EdgeConstraint& b) {

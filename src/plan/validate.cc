@@ -157,34 +157,15 @@ Status ValidateDag(const DependencyDag& dag) {
   size_t child_edges = 0;
   size_t parent_edges = 0;
   for (VertexId v = 0; v < n; ++v) {
-    const std::vector<VertexId>& children = dag.Children(v);
-    const std::vector<VertexId>& parents = dag.Parents(v);
-    child_edges += children.size();
-    parent_edges += parents.size();
-    for (size_t k = 0; k < children.size(); ++k) {
-      VertexId c = children[k];
-      if (c >= n) {
-        return Status::Corruption("dag: child " + std::to_string(c) +
-                                  " of vertex " + std::to_string(v) +
-                                  " out of range");
-      }
-      if (k > 0 && children[k] <= children[k - 1]) {
-        return Status::Corruption("dag: children of vertex " +
-                                  std::to_string(v) +
-                                  " not sorted strictly increasing");
-      }
-      const std::vector<VertexId>& mirror = dag.Parents(c);
-      if (!std::binary_search(mirror.begin(), mirror.end(), v)) {
+    dag.ForEachChild(v, [&child_edges](VertexId) { ++child_edges; });
+    // Every parent-row entry has its child-row edge; with equal totals
+    // (checked below) the two rows mirror each other exactly.
+    for (VertexId p : dag.Parents(v)) {
+      ++parent_edges;
+      if (!dag.HasEdge(p, v)) {
         return Status::Corruption(
-            "dag: edge " + std::to_string(v) + " -> " + std::to_string(c) +
-            " missing from the child's parent list");
-      }
-    }
-    for (size_t k = 1; k < parents.size(); ++k) {
-      if (parents[k] <= parents[k - 1]) {
-        return Status::Corruption("dag: parents of vertex " +
-                                  std::to_string(v) +
-                                  " not sorted strictly increasing");
+            "dag: parent row of " + std::to_string(v) + " names " +
+            std::to_string(p) + ", whose child row lacks the edge");
       }
     }
   }
@@ -198,7 +179,7 @@ Status ValidateDag(const DependencyDag& dag) {
   // Kahn's algorithm: all vertices must drain, else there is a cycle.
   std::vector<uint32_t> indegree(n, 0);
   for (VertexId v = 0; v < n; ++v) {
-    indegree[v] = static_cast<uint32_t>(dag.Parents(v).size());
+    indegree[v] = dag.NumParents(v);
   }
   std::vector<VertexId> ready;
   for (VertexId v = 0; v < n; ++v) {
@@ -209,9 +190,9 @@ Status ValidateDag(const DependencyDag& dag) {
     VertexId v = ready.back();
     ready.pop_back();
     ++drained;
-    for (VertexId c : dag.Children(v)) {
+    dag.ForEachChild(v, [&](VertexId c) {
       if (--indegree[c] == 0) ready.push_back(c);
-    }
+    });
   }
   if (drained != n) {
     return Status::Corruption("dag: cycle detected (" +
@@ -416,8 +397,8 @@ Status ValidatePlan(const Ccsr* data, const Graph& pattern, const Plan& plan) {
 
   // The order must be a topological order of its dependency DAG (the
   // LDSF contract), and the recorded diagnostics must match.
-  DependencyDag dag =
-      DependencyDag::Build(pattern, plan.order, plan.variant, data);
+  DependencyDag dag = DependencyDag::Build(
+      PatternContext(pattern, data, plan.variant), plan.order);
   CSCE_RETURN_IF_ERROR(ValidateDag(dag));
   CSCE_RETURN_IF_ERROR(ValidateTopologicalOrder(dag, plan.order));
   if (plan.dag_edges != dag.NumEdges()) {

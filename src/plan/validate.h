@@ -13,9 +13,9 @@
 
 namespace csce {
 
-/// Structural validation of a dependency DAG: children/parents lists
-/// mirror each other exactly, are sorted and duplicate-free, the edge
-/// count matches, and the graph is acyclic.
+/// Structural validation of a dependency DAG: children/parents rows
+/// mirror each other exactly, the edge count matches, and the graph is
+/// acyclic.
 Status ValidateDag(const DependencyDag& dag);
 
 /// Checks that `order` is a permutation of the DAG's vertices and a

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <set>
 #include <span>
 #include <string>
 #include <vector>
@@ -196,6 +197,48 @@ TEST(ReadClustersTest, VertexInducedLoadsNegationClusters) {
   EXPECT_GE(vi_qc.NumViews(), edge_qc.NumViews());
   EXPECT_FALSE(vi_qc.Star(0, 2).empty());
   EXPECT_TRUE(edge_qc.Star(0, 2).empty());
+}
+
+TEST(ReadClustersTest, VertexInducedRegistersExactlyTheNegatedLabelPairs) {
+  // Algorithm 1 lines 12-18: a label pair's star clusters are read iff
+  // some pattern pair with those labels is not fully connected.
+  Rng rng(12);
+  for (int trial = 0; trial < 12; ++trial) {
+    const bool directed = trial % 2 == 1;
+    Graph g = RandomGraph(rng, 40, 0.2, 3, 2, directed);
+    Ccsr gc = Ccsr::Build(g);
+    Graph pattern = RandomGraph(rng, 8, 0.5, 3, 2, directed);
+    QueryClusters qc;
+    ASSERT_TRUE(
+        ReadClusters(gc, pattern, MatchVariant::kVertexInduced, &qc).ok());
+
+    std::set<std::pair<Label, Label>> negated;
+    for (VertexId a = 0; a < pattern.NumVertices(); ++a) {
+      for (VertexId b = a + 1; b < pattern.NumVertices(); ++b) {
+        const bool full = pattern.HasEdge(a, b) &&
+                          (!directed || pattern.HasEdge(b, a));
+        if (full) continue;
+        negated.insert(std::minmax(pattern.VertexLabel(a),
+                                   pattern.VertexLabel(b)));
+      }
+    }
+    std::set<ClusterId> views;
+    pattern.ForEachEdge([&](const Edge& e) {
+      ClusterId id = ClusterId::ForPatternEdge(pattern, e);
+      if (gc.Find(id) != nullptr) views.insert(id);
+    });
+    for (Label la = 0; la < 3; ++la) {
+      for (Label lb = la; lb < 3; ++lb) {
+        const bool read = negated.count({la, lb}) > 0;
+        std::span<const size_t> star = gc.StarClusters(la, lb);
+        EXPECT_EQ(qc.Star(la, lb).size(), read ? star.size() : 0u)
+            << "labels " << la << ", " << lb;
+        if (!read) continue;
+        for (size_t slot : star) views.insert(gc.clusters()[slot].id);
+      }
+    }
+    EXPECT_EQ(qc.NumViews(), views.size());
+  }
 }
 
 TEST(ReadClustersTest, RejectsDirectednessMismatch) {

@@ -9,6 +9,12 @@
 namespace csce {
 namespace {
 
+// Algorithm 2 over a context built for this one call.
+DependencyDag BuildDag(const Graph& p, std::span<const VertexId> order,
+                       MatchVariant variant, const Ccsr* gc) {
+  return DependencyDag::Build(PatternContext(p, gc, variant), order);
+}
+
 using testing::MakeGraph;
 
 std::vector<VertexId> IdentityOrder(uint32_t n) {
@@ -21,7 +27,7 @@ TEST(DagTest, EdgeInducedDagMirrorsPatternEdges) {
   Graph p = testing::Cycle(5);
   auto order = IdentityOrder(5);
   DependencyDag dag =
-      DependencyDag::Build(p, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kEdgeInduced, nullptr);
   EXPECT_EQ(dag.NumEdges(), p.NumEdges());
   // Edges are oriented earlier -> later in the order.
   EXPECT_TRUE(dag.HasPath(0, 1));
@@ -33,9 +39,9 @@ TEST(DagTest, HomomorphicSameAsEdgeInduced) {
   Graph p = testing::RandomGraph(rng, 7, 0.4, 2, 1, false);
   auto order = IdentityOrder(7);
   DependencyDag e =
-      DependencyDag::Build(p, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kEdgeInduced, nullptr);
   DependencyDag h =
-      DependencyDag::Build(p, order, MatchVariant::kHomomorphic, nullptr);
+      BuildDag(p, order, MatchVariant::kHomomorphic, nullptr);
   EXPECT_EQ(e.NumEdges(), h.NumEdges());
 }
 
@@ -43,7 +49,7 @@ TEST(DagTest, RootsAreOrderHeads) {
   Graph p = testing::Path(4);
   auto order = IdentityOrder(4);
   DependencyDag dag =
-      DependencyDag::Build(p, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kEdgeInduced, nullptr);
   auto roots = dag.Roots();
   ASSERT_EQ(roots.size(), 1u);
   EXPECT_EQ(roots[0], 0u);
@@ -54,7 +60,7 @@ TEST(DagTest, IndependenceMatchesPaths) {
   Graph star = testing::Star(3);
   auto order = IdentityOrder(4);
   DependencyDag dag =
-      DependencyDag::Build(star, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(star, order, MatchVariant::kEdgeInduced, nullptr);
   EXPECT_TRUE(dag.Independent(1, 2));
   EXPECT_TRUE(dag.Independent(2, 3));
   EXPECT_FALSE(dag.Independent(0, 1));
@@ -67,9 +73,9 @@ TEST(DagTest, VertexInducedAddsNegationDependencies) {
   Graph p = testing::Path(3);
   std::vector<VertexId> order = {1, 0, 2};
   DependencyDag e =
-      DependencyDag::Build(p, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kEdgeInduced, nullptr);
   DependencyDag v =
-      DependencyDag::Build(p, order, MatchVariant::kVertexInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kVertexInduced, nullptr);
   EXPECT_EQ(e.NumEdges(), 2u);
   EXPECT_EQ(v.NumEdges(), 3u);
   EXPECT_FALSE(v.Independent(0, 2));
@@ -83,7 +89,7 @@ TEST(DagTest, EmptyStarClustersPruneNegation) {
   Graph p = MakeGraph(false, {0, 1, 2}, {{0, 1, 0}, {1, 2, 0}});
   std::vector<VertexId> order = {1, 0, 2};  // center first: pair anchored
   DependencyDag v =
-      DependencyDag::Build(p, order, MatchVariant::kVertexInduced, &gc);
+      BuildDag(p, order, MatchVariant::kVertexInduced, &gc);
   // Pattern pair (0,2) is non-adjacent; labels (0,2) have a data edge?
   // Data edges: (0,1) and (1,2) label pairs -> pair {0,2} has none.
   EXPECT_EQ(v.NumEdges(), 2u);
@@ -97,7 +103,7 @@ TEST(DagTest, AnchoringConditionLine7) {
   Graph p = testing::Path(3);  // edges 0-1, 1-2
   std::vector<VertexId> order = {0, 2, 1};
   DependencyDag v =
-      DependencyDag::Build(p, order, MatchVariant::kVertexInduced, nullptr);
+      BuildDag(p, order, MatchVariant::kVertexInduced, nullptr);
   // Pair (0,2): at j=1 (vertex 2), no earlier neighbor of 2 exists
   // (vertex 1 comes later), so line 7 suppresses the negation edge.
   EXPECT_TRUE(v.Independent(0, 2));
@@ -107,7 +113,7 @@ TEST(SceStatsTest, StarLeavesShowSce) {
   Graph star = testing::Star(4);
   auto order = IdentityOrder(5);
   DependencyDag dag =
-      DependencyDag::Build(star, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(star, order, MatchVariant::kEdgeInduced, nullptr);
   SceStats stats =
       ComputeSceStats(star, order, MatchVariant::kEdgeInduced, dag);
   EXPECT_EQ(stats.pattern_vertices, 5u);
@@ -119,7 +125,7 @@ TEST(SceStatsTest, CliqueHasNoSce) {
   Graph clique = testing::Clique(4);
   auto order = IdentityOrder(4);
   DependencyDag dag =
-      DependencyDag::Build(clique, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(clique, order, MatchVariant::kEdgeInduced, nullptr);
   SceStats stats =
       ComputeSceStats(clique, order, MatchVariant::kEdgeInduced, dag);
   EXPECT_EQ(stats.sce_vertices, 0u);
@@ -132,7 +138,7 @@ TEST(SceStatsTest, DifferentLabelsAttributeToClusters) {
                          {{0, 1, 0}, {0, 2, 0}});
   auto order = IdentityOrder(3);
   DependencyDag dag =
-      DependencyDag::Build(star, order, MatchVariant::kEdgeInduced, nullptr);
+      BuildDag(star, order, MatchVariant::kEdgeInduced, nullptr);
   SceStats stats =
       ComputeSceStats(star, order, MatchVariant::kEdgeInduced, dag);
   EXPECT_EQ(stats.sce_vertices, 1u);

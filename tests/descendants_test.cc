@@ -16,8 +16,9 @@ std::vector<VertexId> IdentityOrder(uint32_t n) {
 }
 
 DependencyDag DagOf(const Graph& p) {
-  return DependencyDag::Build(p, IdentityOrder(p.NumVertices()),
-                              MatchVariant::kEdgeInduced, nullptr);
+  return DependencyDag::Build(
+      PatternContext(p, nullptr, MatchVariant::kEdgeInduced),
+      IdentityOrder(p.NumVertices()));
 }
 
 TEST(DescendantsTest, Chain) {

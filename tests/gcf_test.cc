@@ -10,6 +10,12 @@
 namespace csce {
 namespace {
 
+std::vector<VertexId> Gcf(const Graph& p, const Ccsr* gc,
+                          const GcfOptions& options) {
+  return GreatestConstraintFirstOrder(
+      PatternContext(p, gc, MatchVariant::kEdgeInduced), options);
+}
+
 using testing::MakeGraph;
 
 bool IsPermutation(const std::vector<VertexId>& order, uint32_t n) {
@@ -44,14 +50,14 @@ TEST(GcfTest, ProducesPermutation) {
   Rng rng(4);
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Graph p = testing::RandomGraph(rng, 8, 0.4, 3, 1, seed % 2 == 0);
-    auto order = GreatestConstraintFirstOrder(p, nullptr, GcfOptions{});
+    auto order = Gcf(p, nullptr, GcfOptions{});
     EXPECT_TRUE(IsPermutation(order, p.NumVertices()));
   }
 }
 
 TEST(GcfTest, StartsAtHighestDegree) {
   Graph star = testing::Star(5);  // center 0 has degree 5
-  auto order = GreatestConstraintFirstOrder(star, nullptr, GcfOptions{});
+  auto order = Gcf(star, nullptr, GcfOptions{});
   EXPECT_EQ(order[0], 0u);
 }
 
@@ -60,7 +66,7 @@ TEST(GcfTest, ConnectedPatternsGetConnectedPrefix) {
   for (int i = 0; i < 20; ++i) {
     Graph p = testing::RandomGraph(rng, 9, 0.5, 2, 1, false);
     if (!IsConnected(p)) continue;
-    auto order = GreatestConstraintFirstOrder(p, nullptr, GcfOptions{});
+    auto order = Gcf(p, nullptr, GcfOptions{});
     EXPECT_TRUE(PrefixConnected(p, order));
   }
 }
@@ -68,8 +74,8 @@ TEST(GcfTest, ConnectedPatternsGetConnectedPrefix) {
 TEST(GcfTest, DeterministicWithoutData) {
   Rng rng(8);
   Graph p = testing::RandomGraph(rng, 10, 0.3, 2, 1, false);
-  auto a = GreatestConstraintFirstOrder(p, nullptr, GcfOptions{});
-  auto b = GreatestConstraintFirstOrder(p, nullptr, GcfOptions{});
+  auto a = Gcf(p, nullptr, GcfOptions{});
+  auto b = Gcf(p, nullptr, GcfOptions{});
   EXPECT_EQ(a, b);
 }
 
@@ -100,7 +106,7 @@ TEST(GcfTest, ClusterTieBreakPrefersRareEdges) {
 
   GcfOptions with;
   with.use_cluster_tiebreak = true;
-  auto order = GreatestConstraintFirstOrder(pattern, &gc, with);
+  auto order = Gcf(pattern, &gc, with);
   EXPECT_EQ(order[0], 0u);  // degree-4 hub first either way
   // With cluster statistics, the rare label-2 triangle (vertices 3, 4)
   // must be matched before the frequent label-1 one.

@@ -10,6 +10,19 @@
 namespace csce {
 namespace {
 
+// Algorithm 2 over a context built for this one call.
+DependencyDag BuildDag(const Graph& p, std::span<const VertexId> order,
+                       MatchVariant variant, const Ccsr* gc) {
+  return DependencyDag::Build(PatternContext(p, gc, variant), order);
+}
+
+std::vector<VertexId> Ldsf(const DependencyDag& dag, const Graph& p,
+                           const Ccsr* gc, std::span<const uint32_t> sizes) {
+  return LargestDescendantFirstOrder(
+      dag, PatternContext(p, gc, MatchVariant::kEdgeInduced),
+      /*use_data=*/true, sizes);
+}
+
 std::vector<VertexId> IdentityOrder(uint32_t n) {
   std::vector<VertexId> order(n);
   std::iota(order.begin(), order.end(), 0);
@@ -32,11 +45,11 @@ TEST(LdsfTest, ProducesTopologicalOrder) {
   Rng rng(23);
   for (int i = 0; i < 15; ++i) {
     Graph p = testing::RandomGraph(rng, 10, 0.3, 3, 1, i % 2 == 0);
-    DependencyDag dag = DependencyDag::Build(
+    DependencyDag dag = BuildDag(
         p, IdentityOrder(p.NumVertices()), MatchVariant::kEdgeInduced,
         nullptr);
     auto sizes = ComputeDescendantSizes(dag);
-    auto order = LargestDescendantFirstOrder(dag, p, nullptr, sizes);
+    auto order = Ldsf(dag, p, nullptr, sizes);
     ASSERT_EQ(order.size(), p.NumVertices());
     EXPECT_TRUE(IsTopologicalOrder(dag, order));
   }
@@ -48,11 +61,11 @@ TEST(LdsfTest, PrefersLargerDescendantSize) {
   Graph p = testing::MakeGraph(
       false, {0, 0, 0, 0, 0},
       {{0, 1, 0}, {0, 2, 0}, {1, 3, 0}, {1, 4, 0}});
-  DependencyDag dag = DependencyDag::Build(p, IdentityOrder(5),
+  DependencyDag dag = BuildDag(p, IdentityOrder(5),
                                            MatchVariant::kEdgeInduced,
                                            nullptr);
   auto sizes = ComputeDescendantSizes(dag);
-  auto order = LargestDescendantFirstOrder(dag, p, nullptr, sizes);
+  auto order = Ldsf(dag, p, nullptr, sizes);
   EXPECT_EQ(order[0], 0u);
   EXPECT_EQ(order[1], 1u);
 }
@@ -64,10 +77,10 @@ TEST(LdsfTest, LabelFrequencyBreaksFinalTies) {
   Graph data = testing::MakeGraph(
       false, {0, 1, 1, 1, 2}, {{0, 1, 0}, {0, 2, 0}, {0, 3, 0}, {0, 4, 0}});
   Ccsr gc = Ccsr::Build(data);
-  DependencyDag dag = DependencyDag::Build(p, IdentityOrder(3),
+  DependencyDag dag = BuildDag(p, IdentityOrder(3),
                                            MatchVariant::kEdgeInduced, &gc);
   auto sizes = ComputeDescendantSizes(dag);
-  auto order = LargestDescendantFirstOrder(dag, p, &gc, sizes);
+  auto order = Ldsf(dag, p, &gc, sizes);
   ASSERT_EQ(order[0], 0u);
   // Label 2 occurs once in the data, label 1 three times; the (0,2)
   // cluster is also smaller, so vertex 2 precedes vertex 1.
@@ -77,11 +90,11 @@ TEST(LdsfTest, LabelFrequencyBreaksFinalTies) {
 TEST(LdsfTest, DeterministicOutput) {
   Rng rng(29);
   Graph p = testing::RandomGraph(rng, 9, 0.4, 2, 1, false);
-  DependencyDag dag = DependencyDag::Build(
+  DependencyDag dag = BuildDag(
       p, IdentityOrder(9), MatchVariant::kEdgeInduced, nullptr);
   auto sizes = ComputeDescendantSizes(dag);
-  auto a = LargestDescendantFirstOrder(dag, p, nullptr, sizes);
-  auto b = LargestDescendantFirstOrder(dag, p, nullptr, sizes);
+  auto a = Ldsf(dag, p, nullptr, sizes);
+  auto b = Ldsf(dag, p, nullptr, sizes);
   EXPECT_EQ(a, b);
 }
 

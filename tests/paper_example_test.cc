@@ -155,7 +155,8 @@ TEST(PaperExampleTest, Fig5EdgeInducedDagIsPatternEdges) {
   std::vector<VertexId> order(8);
   std::iota(order.begin(), order.end(), 0);
   DependencyDag dag =
-      DependencyDag::Build(p, order, MatchVariant::kEdgeInduced, nullptr);
+      DependencyDag::Build(
+          PatternContext(p, nullptr, MatchVariant::kEdgeInduced), order);
   EXPECT_EQ(dag.NumEdges(), p.NumEdges());
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,6 +21,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "plan/planner.h"
 #include "tests/test_util.h"
 
 namespace csce {
@@ -120,6 +122,54 @@ TEST(TraceSchemaTest, SpansAreProperlyNestedPerTrack) {
       EXPECT_TRUE(disjoint || a_in_b || b_in_a)
           << "[" << a.begin << "," << a.end << ") vs [" << b.begin << ","
           << b.end << ") on tid " << a.tid;
+    }
+  }
+}
+
+TEST(TraceSchemaTest, PlanPhaseSpansNestUnderPlanMake) {
+  TraceRecorder recorder;
+  TraceRecorder::Install(&recorder);
+  Ccsr gc = Ccsr::Build(testing::Clique(6));
+  Plan plan;
+  Status st = Planner(&gc).MakePlan(testing::Path(5),
+                                    MatchVariant::kVertexInduced,
+                                    PlanOptions(), &plan);
+  TraceRecorder::Install(nullptr);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+
+  struct Interval {
+    int64_t tid;
+    double begin;
+    double end;
+  };
+  std::vector<Interval> make;
+  std::map<std::string, std::vector<Interval>> phases;
+  const JsonValue doc = recorder.ToChromeJson();
+  for (const JsonValue& event : doc.Find("traceEvents")->items()) {
+    if (event.Find("ph")->AsString() != "X") continue;
+    const std::string& name = event.Find("name")->AsString();
+    const double ts = event.Find("ts")->AsDouble();
+    Interval span{event.Find("tid")->AsInt(), ts,
+                  ts + event.Find("dur")->AsDouble()};
+    if (name == "plan.make") {
+      make.push_back(span);
+    } else if (name.rfind("plan.", 0) == 0) {
+      phases[name].push_back(span);
+    }
+  }
+  ASSERT_EQ(make.size(), 1u);
+  // GCF, one LDSF pass and the compile step once; the DAG is built on
+  // the GCF order and again on the final order.
+  const std::map<std::string, size_t> expected = {
+      {"plan.gcf", 1}, {"plan.dag", 2}, {"plan.ldsf", 1}, {"plan.compile", 1}};
+  ASSERT_EQ(phases.size(), expected.size());
+  constexpr double kSlackUs = 1e-3;  // float rounding of ts + dur
+  for (const auto& [name, count] : expected) {
+    ASSERT_EQ(phases[name].size(), count) << name;
+    for (const Interval& s : phases[name]) {
+      EXPECT_EQ(s.tid, make[0].tid) << name;
+      EXPECT_GE(s.begin + kSlackUs, make[0].begin) << name;
+      EXPECT_LE(s.end, make[0].end + kSlackUs) << name;
     }
   }
 }

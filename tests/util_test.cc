@@ -3,6 +3,7 @@
 #include <set>
 
 #include "util/bitset.h"
+#include "util/crc32.h"
 #include "util/memory.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -114,6 +115,50 @@ TEST(BitsetTest, OrWithUnions) {
   EXPECT_TRUE(a.Test(2));
   EXPECT_TRUE(a.Test(65));
   EXPECT_EQ(a.Count(), 3u);
+}
+
+TEST(BitMatrixTest, RowsSetTestCountAndIterate) {
+  // 130 columns: three words per row, the last one partial.
+  BitMatrix m(130);
+  m.Set(1, 0);
+  m.Set(1, 63);
+  m.Set(1, 64);
+  m.Set(1, 129);
+  m.Set(2, 5);
+  EXPECT_TRUE(m.Test(1, 64));
+  EXPECT_FALSE(m.Test(1, 65));
+  EXPECT_FALSE(m.Test(0, 0));
+  EXPECT_EQ(m.RowCount(1), 4u);
+  m.OrRow(2, 1);
+  std::vector<uint32_t> cols;
+  m.ForEachInRow(2, [&cols](uint32_t c) { cols.push_back(c); });
+  EXPECT_EQ(cols, (std::vector<uint32_t>{0, 5, 63, 64, 129}));
+  EXPECT_EQ(m.RowCount(0), 0u);
+}
+
+// The byte-at-a-time CRC-32 the slicing-by-8 form must reproduce.
+uint32_t ByteWiseCrc32(const uint8_t* p, size_t n) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < n; ++i) {
+    crc ^= p[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, MatchesByteWiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(97);
+  std::vector<uint8_t> buf(160);
+  for (uint8_t& b : buf) b = static_cast<uint8_t>(rng.Uniform(256));
+  for (size_t start = 0; start < 8; ++start) {
+    for (size_t len = 0; len <= 130; ++len) {
+      std::string_view bytes(reinterpret_cast<const char*>(&buf[start]), len);
+      ASSERT_EQ(util::Crc32(bytes), ByteWiseCrc32(&buf[start], len))
+          << "start " << start << " length " << len;
+    }
+  }
 }
 
 TEST(TimerTest, MonotonicNonNegative) {

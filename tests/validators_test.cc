@@ -368,7 +368,8 @@ TEST(DagValidateTest, CleanDagAndOrderPass) {
   std::vector<VertexId> order(pattern.NumVertices());
   for (VertexId v = 0; v < pattern.NumVertices(); ++v) order[v] = v;
   DependencyDag dag =
-      DependencyDag::Build(pattern, order, MatchVariant::kEdgeInduced, nullptr);
+      DependencyDag::Build(
+          PatternContext(pattern, nullptr, MatchVariant::kEdgeInduced), order);
   EXPECT_TRUE(ValidateDag(dag).ok());
   EXPECT_TRUE(ValidateTopologicalOrder(dag, order).ok());
 }
@@ -377,7 +378,8 @@ TEST(DagValidateTest, ReversedOrderIsNotTopological) {
   Graph pattern = testing::Path(4);
   std::vector<VertexId> order = {0, 1, 2, 3};
   DependencyDag dag =
-      DependencyDag::Build(pattern, order, MatchVariant::kEdgeInduced, nullptr);
+      DependencyDag::Build(
+          PatternContext(pattern, nullptr, MatchVariant::kEdgeInduced), order);
   std::vector<VertexId> reversed = {3, 2, 1, 0};
   Status st = ValidateTopologicalOrder(dag, reversed);
   EXPECT_FALSE(st.ok());
