@@ -187,7 +187,7 @@ void BM_MakePlan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MakePlan)
-    ->ArgsProduct({{16, 64, 256}, {0, 1}})
+    ->ArgsProduct({{16, 64, 256, 1000, 2000}, {0, 1}})
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

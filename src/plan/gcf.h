@@ -19,8 +19,11 @@ struct GcfOptions {
 /// Eq. 1) with CCSR-based tie-breaking (Eq. 2) from the context's
 /// per-pair cluster sizes. Without data in the context, ties fall
 /// through to the lowest vertex id (deterministically), exactly like
-/// data-oblivious RI. A per-vertex count of matched neighbors tells
-/// rule 2 from rule 3 without rescanning adjacency.
+/// data-oblivious RI. Each unmatched vertex's rank is kept up to date
+/// as vertices are matched (only the new vertex's neighbors and their
+/// neighbors change), and the next vertex comes from a heap ordered by
+/// rank, so a step costs O(deg) heap updates instead of a rescan of the
+/// pattern.
 std::vector<VertexId> GreatestConstraintFirstOrder(const PatternContext& ctx,
                                                    const GcfOptions& options);
 

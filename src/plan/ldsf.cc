@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <queue>
 
 #include "util/logging.h"
 
@@ -10,17 +11,33 @@ namespace {
 
 constexpr uint64_t kNoCluster = PatternContext::kNoCluster;
 
-// Smallest cluster among x's pattern edges to already-ordered vertices.
-uint64_t MinClusterToOrdered(const PatternContext& ctx, VertexId x,
-                             const std::vector<bool>& ordered) {
-  std::span<const VertexId> nbrs = ctx.Neighbors(x);
-  std::span<const uint64_t> cluster = ctx.NeighborClusterSizes(x);
-  uint64_t best = kNoCluster;
-  for (size_t k = 0; k < nbrs.size(); ++k) {
-    if (ordered[nbrs[k]]) best = std::min(best, cluster[k]);
+// Rank of a ready vertex: (1) greatest constraint count — a ready
+// vertex is anchored by all of its DAG parents, and matching the
+// most-constrained vertex first prunes fastest (GCF's principle carries
+// over to the reordering); (2) largest descendant size, the LDSF
+// tie-break that maximizes candidate reuse; (3) smallest cluster to an
+// already-ordered neighbor; (4) rarest label; (5) lowest id.
+struct ReadyKey {
+  uint32_t parents;
+  uint32_t descendants;
+  uint64_t cluster;
+  uint64_t frequency;
+  VertexId vertex;
+
+  bool BetterThan(const ReadyKey& o) const {
+    if (parents != o.parents) return parents > o.parents;
+    if (descendants != o.descendants) return descendants > o.descendants;
+    if (cluster != o.cluster) return cluster < o.cluster;
+    if (frequency != o.frequency) return frequency < o.frequency;
+    return vertex < o.vertex;
   }
-  return best;
-}
+};
+
+struct Worse {
+  bool operator()(const ReadyKey& a, const ReadyKey& b) const {
+    return b.BetterThan(a);
+  }
+};
 
 }  // namespace
 
@@ -33,75 +50,41 @@ std::vector<VertexId> LargestDescendantFirstOrder(
   order.reserve(n);
 
   const bool cluster_stats = use_data && ctx.data() != nullptr;
-  std::vector<uint32_t> num_parents(n, 0);
   std::vector<uint32_t> pending_parents(n, 0);
-  std::vector<bool> ready(n, false);
   std::vector<bool> ordered(n, false);
-  for (uint32_t v = 0; v < n; ++v) {
-    num_parents[v] = dag.NumParents(v);
-    pending_parents[v] = num_parents[v];
-    if (pending_parents[v] == 0) ready[v] = true;
-  }
-
-  // The ready set is tiny (<= pattern size) so a linear scan with the
-  // composite rank beats maintaining a priority queue whose keys (the
-  // cluster tie-break) change as vertices get ordered.
-  //
-  // Rank: (1) greatest constraint count — a ready vertex is anchored by
-  // all of its DAG parents, and matching the most-constrained vertex
-  // first prunes fastest (GCF's principle carries over to the
-  // reordering); (2) largest descendant size, the LDSF tie-break that
-  // maximizes candidate reuse; (3) smallest cluster; (4) rarest label.
-  for (uint32_t step = 0; step < n; ++step) {
-    VertexId best = kInvalidVertex;
-    uint32_t best_parents = 0;
-    uint32_t best_desc = 0;
-    uint64_t best_cluster = kNoCluster;
-    uint64_t best_freq = kNoCluster;
-    for (VertexId v = 0; v < n; ++v) {
-      if (!ready[v] || ordered[v]) continue;
-      uint32_t parents = num_parents[v];
-      uint32_t desc = descendant_sizes[v];
-      uint64_t cluster = 0;
-      uint64_t freq = 0;
-      bool need_ties = best != kInvalidVertex && parents == best_parents &&
-                       desc == best_desc;
-      if (best == kInvalidVertex || parents > best_parents ||
-          (parents == best_parents && desc > best_desc) || need_ties) {
-        cluster = cluster_stats ? MinClusterToOrdered(ctx, v, ordered)
-                                : kNoCluster;
-        freq = ctx.LabelFrequency(v, use_data);
-      }
-      bool better;
-      if (best == kInvalidVertex) {
-        better = true;
-      } else if (parents != best_parents) {
-        better = parents > best_parents;
-      } else if (desc != best_desc) {
-        better = desc > best_desc;
-      } else if (cluster != best_cluster) {
-        better = cluster < best_cluster;
-      } else if (freq != best_freq) {
-        better = freq < best_freq;
-      } else {
-        better = v < best;
-      }
-      if (better) {
-        best = v;
-        best_parents = parents;
-        best_desc = desc;
-        best_cluster = cluster;
-        best_freq = freq;
+  // Every pattern edge is a DAG edge, so a ready vertex's pattern
+  // neighbors are its parents, all ordered, and its children, none of
+  // which can be ordered before it: the smallest cluster to an ordered
+  // neighbor is final when the vertex becomes ready, and each vertex
+  // enters the heap once.
+  auto key = [&](VertexId v) {
+    uint64_t cluster = kNoCluster;
+    if (cluster_stats) {
+      std::span<const VertexId> nbrs = ctx.Neighbors(v);
+      std::span<const uint64_t> sizes = ctx.NeighborClusterSizes(v);
+      for (size_t k = 0; k < nbrs.size(); ++k) {
+        if (ordered[nbrs[k]]) cluster = std::min(cluster, sizes[k]);
       }
     }
-    CSCE_CHECK(best != kInvalidVertex);
+    return ReadyKey{dag.NumParents(v), descendant_sizes[v], cluster,
+                    ctx.LabelFrequency(v, use_data), v};
+  };
+
+  std::priority_queue<ReadyKey, std::vector<ReadyKey>, Worse> ready;
+  for (VertexId v = 0; v < n; ++v) {
+    pending_parents[v] = dag.NumParents(v);
+    if (pending_parents[v] == 0) ready.push(key(v));
+  }
+  while (!ready.empty()) {
+    const VertexId best = ready.top().vertex;
+    ready.pop();
     order.push_back(best);
     ordered[best] = true;
-    ready[best] = false;
     dag.ForEachChild(best, [&](VertexId c) {
-      if (--pending_parents[c] == 0) ready[c] = true;
+      if (--pending_parents[c] == 0) ready.push(key(c));
     });
   }
+  CSCE_CHECK(order.size() == n);
   return order;
 }
 

@@ -14,8 +14,10 @@ namespace csce {
 /// directions. Equivalent vertices always have identical base candidate
 /// sets, enabling candidate-cache sharing in the executor.
 ///
-/// Returns vertex -> class id; class ids are dense, starting at 0, and
-/// ordered by the class's smallest vertex.
+/// Each vertex is compared in place with the earlier class
+/// representatives of its own label; the first equivalent one names its
+/// class. Returns vertex -> class id; class ids are dense, starting at
+/// 0, and ordered by the class's smallest vertex.
 std::vector<uint32_t> ComputeNecClasses(const Graph& pattern);
 
 }  // namespace csce

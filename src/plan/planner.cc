@@ -192,6 +192,94 @@ void CompileLabelPairMasks(bool directed, Plan* plan) {
   }
 }
 
+// Compiles every position of `plan->order`: degree filters, backward
+// edge and negation constraints, the seed of an unconstrained position,
+// dependencies, and the prune directives.
+void CompilePositions(const PatternContext& ctx, const Ccsr* gc,
+                      const PlanOptions& options, Plan* plan) {
+  const Graph& pattern = ctx.pattern();
+  const MatchVariant variant = ctx.variant();
+  const uint32_t n = pattern.NumVertices();
+  std::vector<uint32_t> pos_of(n, 0);
+  for (uint32_t j = 0; j < n; ++j) pos_of[plan->order[j]] = j;
+  plan->positions.resize(n);
+  for (uint32_t j = 0; j < n; ++j) {
+    PlanPosition& pos = plan->positions[j];
+    pos.u = plan->order[j];
+    pos.label = pattern.VertexLabel(pos.u);
+    if (variant != MatchVariant::kHomomorphic && options.use_degree_filter) {
+      // LDF: injectivity forces f(u) to host distinct images of all of
+      // u's pattern neighbors. Not valid under homomorphism, where
+      // neighbors may collapse onto one data vertex.
+      pos.min_out_degree = pattern.OutDegree(pos.u);
+      pos.min_in_degree = pattern.directed() ? pattern.InDegree(pos.u) : 0;
+    }
+    CompileEdgeConstraints(pattern, pos.u, j, pos_of, &pos);
+    if (variant == MatchVariant::kVertexInduced) {
+      CompileNegConstraints(ctx, pos.u, j, plan->order, &pos);
+    }
+    std::sort(pos.edges.begin(), pos.edges.end(),
+              [](const EdgeConstraint& a, const EdgeConstraint& b) {
+                return std::tie(a.pos, a.cluster, a.incoming) <
+                       std::tie(b.pos, b.cluster, b.incoming);
+              });
+    if (pos.edges.empty()) CompileSeed(pattern, gc, pos.u, &pos);
+    for (const EdgeConstraint& e : pos.edges) pos.deps.push_back(e.pos);
+    for (const NegConstraint& c : pos.negations) pos.deps.push_back(c.pos);
+    std::sort(pos.deps.begin(), pos.deps.end());
+    pos.deps.erase(std::unique(pos.deps.begin(), pos.deps.end()),
+                   pos.deps.end());
+  }
+
+  // Proactive pruning directives (engine/prune/prune.h), compiled into
+  // the plan so the executor, the morsel workers, and (over the wire)
+  // the shard workers all act on one consistent directive set.
+  plan->prune = options.prune;
+  if (options.prune.lpi) CompileLabelPairMasks(pattern.directed(), plan);
+}
+
+// NEC cache sharing: positions with identical base-candidate
+// definitions share one cache slot. ComputeNecClasses narrows the
+// search; compiled-constraint equality is the correctness test. That
+// equality is an equivalence, so a position matches at most one
+// unaliased earlier position of its class (the first match a scan of
+// all earlier positions would find): each class keeps a chain of its
+// unaliased positions only.
+void ShareNecCaches(const Graph& pattern, const PlanMetrics& metrics,
+                    Plan* plan) {
+  const uint32_t n = pattern.NumVertices();
+  const std::vector<uint32_t> nec = ComputeNecClasses(pattern);
+  constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+  std::vector<uint32_t> last_root(n, kNone);  // per class
+  std::vector<uint32_t> prev_root(n, kNone);  // per position
+  std::vector<uint32_t> class_count(n, 0);
+  uint64_t aliases = 0;
+  for (uint32_t j = 0; j < n; ++j) {
+    PlanPosition& pos = plan->positions[j];
+    const uint32_t c = nec[pos.u];
+    ++class_count[c];
+    for (uint32_t i = last_root[c]; i != kNone; i = prev_root[i]) {
+      if (SameBaseCandidates(plan->positions[i], pos)) {
+        pos.cache_alias = static_cast<int32_t>(i);
+        ++aliases;
+        break;
+      }
+    }
+    if (pos.cache_alias < 0) {
+      prev_root[j] = last_root[c];
+      last_root[c] = j;
+    }
+  }
+  metrics.nec_aliases.Add(aliases);
+  // NEC class-size distribution over the pattern's vertices, merged
+  // into the registry once.
+  obs::LocalHistogram class_sizes;
+  for (uint32_t count : class_count) {
+    if (count > 0) class_sizes.RecordCount(count);
+  }
+  metrics.nec_class_size.Merge(class_sizes);
+}
+
 }  // namespace
 
 Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
@@ -257,76 +345,15 @@ Status Planner::MakePlan(const Graph& pattern, MatchVariant variant,
     plan.order = std::move(initial);
   }
 
-  obs::Span compile_span("plan.compile");
-  plan.dag_edges = dag.NumEdges();
-  plan.sce = ComputeSceStats(pattern, plan.order, variant, dag);
-
-  // Compile per-position constraints.
-  const uint32_t n = pattern.NumVertices();
-  std::vector<uint32_t> pos_of(n, 0);
-  for (uint32_t j = 0; j < n; ++j) pos_of[plan.order[j]] = j;
-  plan.positions.resize(n);
-  for (uint32_t j = 0; j < n; ++j) {
-    PlanPosition& pos = plan.positions[j];
-    pos.u = plan.order[j];
-    pos.label = pattern.VertexLabel(pos.u);
-    if (variant != MatchVariant::kHomomorphic && options.use_degree_filter) {
-      // LDF: injectivity forces f(u) to host distinct images of all of
-      // u's pattern neighbors. Not valid under homomorphism, where
-      // neighbors may collapse onto one data vertex.
-      pos.min_out_degree = pattern.OutDegree(pos.u);
-      pos.min_in_degree = pattern.directed() ? pattern.InDegree(pos.u) : 0;
-    }
-    CompileEdgeConstraints(pattern, pos.u, j, pos_of, &pos);
-    if (variant == MatchVariant::kVertexInduced) {
-      CompileNegConstraints(ctx, pos.u, j, plan.order, &pos);
-    }
-    std::sort(pos.edges.begin(), pos.edges.end(),
-              [](const EdgeConstraint& a, const EdgeConstraint& b) {
-                return std::tie(a.pos, a.cluster, a.incoming) <
-                       std::tie(b.pos, b.cluster, b.incoming);
-              });
-    if (pos.edges.empty()) CompileSeed(pattern, data_, pos.u, &pos);
-    for (const EdgeConstraint& e : pos.edges) pos.deps.push_back(e.pos);
-    for (const NegConstraint& c : pos.negations) pos.deps.push_back(c.pos);
-    std::sort(pos.deps.begin(), pos.deps.end());
-    pos.deps.erase(std::unique(pos.deps.begin(), pos.deps.end()),
-                   pos.deps.end());
+  {
+    obs::Span compile_span("plan.compile");
+    plan.dag_edges = dag.NumEdges();
+    plan.sce = ComputeSceStats(pattern, plan.order, variant, dag);
+    CompilePositions(ctx, data_, options, &plan);
   }
-
-  // Proactive pruning directives (engine/prune/prune.h), compiled into
-  // the plan so the executor, the morsel workers, and (over the wire)
-  // the shard workers all act on one consistent directive set.
-  plan.prune = options.prune;
-  if (options.prune.lpi) CompileLabelPairMasks(pattern.directed(), &plan);
-
-  // NEC cache sharing: positions with identical base-candidate
-  // definitions share one cache slot. ComputeNecClasses narrows the
-  // search; compiled-constraint equality is the correctness test.
   if (options.use_nec) {
-    std::vector<uint32_t> nec = ComputeNecClasses(pattern);
-    for (uint32_t j = 1; j < n; ++j) {
-      for (uint32_t i = 0; i < j; ++i) {
-        if (nec[plan.positions[i].u] != nec[plan.positions[j].u]) continue;
-        if (!SameBaseCandidates(plan.positions[i], plan.positions[j])) {
-          continue;
-        }
-        int32_t root = plan.positions[i].cache_alias >= 0
-                           ? plan.positions[i].cache_alias
-                           : static_cast<int32_t>(i);
-        plan.positions[j].cache_alias = root;
-        metrics.nec_aliases.Increment();
-        break;
-      }
-    }
-    // NEC class-size distribution over the pattern's vertices.
-    std::vector<uint32_t> class_count(n, 0);
-    for (VertexId u = 0; u < n; ++u) ++class_count[nec[u]];
-    for (uint32_t c = 0; c < n; ++c) {
-      if (class_count[c] > 0) {
-        metrics.nec_class_size.Record(class_count[c]);
-      }
-    }
+    obs::Span nec_span("plan.nec");
+    ShareNecCaches(pattern, metrics, &plan);
   }
 
   plan.plan_seconds = timer.Seconds();

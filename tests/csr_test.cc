@@ -175,12 +175,21 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CsrLayoutAgreementTest,
 // — equal the dense-row oracle (ExpectMatchesDenseRows), lookups
 // included. The word-boundary vertices 0, 63, 64, 127 and |V|-1 get
 // arcs in one half of the cases and none in the other.
+//
+// gtest names each case by the bytes of its LayoutCase, so the struct
+// carries its padding as zeroed members: implicit padding would put
+// stray memory into the test names and make them change between runs.
 struct LayoutCase {
+  LayoutCase(uint32_t n, double fill, bool edges_on_ends, bool dense)
+      : n(n), fill(fill), edges_on_ends(edges_on_ends), dense(dense) {}
   uint32_t n;
+  uint32_t pad0 = 0;
   double fill;         // probability that a vertex has arcs
   bool edges_on_ends;  // word-boundary vertices with (true) or without arcs
   bool dense;          // the layout the fill must select
+  uint8_t pad1[6] = {};
 };
+static_assert(sizeof(LayoutCase) == 24, "LayoutCase has implicit padding");
 
 class CsrLayoutPropertyTest
     : public ::testing::TestWithParam<std::tuple<uint64_t, LayoutCase>> {};

@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -98,6 +99,52 @@ PlanOptions OptionSet(uint32_t k) {
   return o;
 }
 
+// Appends one line per (graph, size, density, variant), continuing the
+// running sample index `k` that seeds the pattern and picks the option
+// set and whether the planner sees the index.
+bool AppendGoldenLines(const std::vector<const GoldenGraph*>& graphs,
+                       std::span<const uint32_t> sizes, uint32_t* k,
+                       std::ostringstream* lines) {
+  const MatchVariant kVariants[] = {MatchVariant::kEdgeInduced,
+                                    MatchVariant::kVertexInduced,
+                                    MatchVariant::kHomomorphic};
+  for (const GoldenGraph* g : graphs) {
+    for (uint32_t size : sizes) {
+      for (PatternDensity density :
+           {PatternDensity::kDense, PatternDensity::kSparse}) {
+        for (MatchVariant variant : kVariants) {
+          Rng rng(1000003ull * (*k + 1));
+          Graph pattern;
+          Status st = SamplePattern(g->graph, size, density, rng, &pattern);
+          EXPECT_TRUE(st.ok()) << st.ToString();
+          if (!st.ok()) return false;
+          const bool with_gc = *k % 3 != 2;
+          Planner planner(with_gc ? &g->index : nullptr);
+          Plan plan;
+          st = planner.MakePlan(pattern, variant, OptionSet(*k), &plan);
+          EXPECT_TRUE(st.ok()) << st.ToString();
+          if (!st.ok()) return false;
+          *lines << g->name << " n=" << size << ' '
+                 << (density == PatternDensity::kDense ? "dense" : "sparse")
+                 << ' ' << VariantName(variant) << ' '
+                 << (with_gc ? "gc" : "nogc") << " opt=" << *k % 4
+                 << " order=";
+          for (size_t i = 0; i < plan.order.size(); ++i) {
+            *lines << (i == 0 ? "" : ",") << plan.order[i];
+          }
+          *lines << " dag=" << plan.dag_edges << " sce="
+                 << plan.sce.pattern_vertices << '/'
+                 << plan.sce.sce_vertices << '/'
+                 << plan.sce.cluster_attributed << " pos=" << std::hex
+                 << Fnv1a64(PositionsText(plan)) << std::dec << '\n';
+          ++*k;
+        }
+      }
+    }
+  }
+  return true;
+}
+
 std::string ComputeGoldenLines() {
   std::vector<GoldenGraph> graphs;
   graphs.push_back({"patent20", datasets::Patent(20), Ccsr()});
@@ -108,45 +155,19 @@ std::string ComputeGoldenLines() {
   graphs.push_back({"patent200", datasets::Patent(200), Ccsr()});
   for (GoldenGraph& g : graphs) g.index = Ccsr::Build(g.graph);
 
-  const uint32_t kSizes[] = {5, 8, 12, 16, 24, 32, 48, 63, 64, 65, 128, 129,
-                             200};
-  const MatchVariant kVariants[] = {MatchVariant::kEdgeInduced,
-                                    MatchVariant::kVertexInduced,
-                                    MatchVariant::kHomomorphic};
   std::ostringstream lines;
   uint32_t k = 0;
-  for (const GoldenGraph& g : graphs) {
-    for (uint32_t size : kSizes) {
-      for (PatternDensity density :
-           {PatternDensity::kDense, PatternDensity::kSparse}) {
-        for (MatchVariant variant : kVariants) {
-          Rng rng(1000003ull * (k + 1));
-          Graph pattern;
-          Status st = SamplePattern(g.graph, size, density, rng, &pattern);
-          EXPECT_TRUE(st.ok()) << st.ToString();
-          if (!st.ok()) return "";
-          const bool with_gc = k % 3 != 2;
-          Planner planner(with_gc ? &g.index : nullptr);
-          Plan plan;
-          st = planner.MakePlan(pattern, variant, OptionSet(k), &plan);
-          EXPECT_TRUE(st.ok()) << st.ToString();
-          if (!st.ok()) return "";
-          lines << g.name << " n=" << size << ' '
-                << (density == PatternDensity::kDense ? "dense" : "sparse")
-                << ' ' << VariantName(variant) << ' '
-                << (with_gc ? "gc" : "nogc") << " opt=" << k % 4
-                << " order=";
-          for (size_t i = 0; i < plan.order.size(); ++i) {
-            lines << (i == 0 ? "" : ",") << plan.order[i];
-          }
-          lines << " dag=" << plan.dag_edges << " sce="
-                << plan.sce.pattern_vertices << '/' << plan.sce.sce_vertices
-                << '/' << plan.sce.cluster_attributed << " pos=" << std::hex
-                << Fnv1a64(PositionsText(plan)) << std::dec << '\n';
-          ++k;
-        }
-      }
-    }
+  const uint32_t kSizes[] = {5, 8, 12, 16, 24, 32, 48, 63, 64, 65, 128, 129,
+                             200};
+  if (!AppendGoldenLines({&graphs[0], &graphs[1], &graphs[2], &graphs[3]},
+                         kSizes, &k, &lines)) {
+    return "";
+  }
+  // The paper's plan-scale regime (Fig. 10), on the few- and
+  // many-label Patent graphs.
+  const uint32_t kPaperSizes[] = {512, 1000, 2000};
+  if (!AppendGoldenLines({&graphs[0], &graphs[3]}, kPaperSizes, &k, &lines)) {
+    return "";
   }
   return lines.str();
 }

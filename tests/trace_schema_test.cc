@@ -158,10 +158,12 @@ TEST(TraceSchemaTest, PlanPhaseSpansNestUnderPlanMake) {
     }
   }
   ASSERT_EQ(make.size(), 1u);
-  // GCF, one LDSF pass and the compile step once; the DAG is built on
-  // the GCF order and again on the final order.
+  // GCF, one LDSF pass, the compile step and the NEC cache sharing
+  // once; the DAG is built on the GCF order and again on the final
+  // order.
   const std::map<std::string, size_t> expected = {
-      {"plan.gcf", 1}, {"plan.dag", 2}, {"plan.ldsf", 1}, {"plan.compile", 1}};
+      {"plan.gcf", 1},     {"plan.dag", 2}, {"plan.ldsf", 1},
+      {"plan.compile", 1}, {"plan.nec", 1}};
   ASSERT_EQ(phases.size(), expected.size());
   constexpr double kSlackUs = 1e-3;  // float rounding of ts + dur
   for (const auto& [name, count] : expected) {
@@ -172,6 +174,10 @@ TEST(TraceSchemaTest, PlanPhaseSpansNestUnderPlanMake) {
       EXPECT_LE(s.end, make[0].end + kSlackUs) << name;
     }
   }
+  // NEC sharing reads the compiled positions: it follows the compile
+  // step rather than nesting in it.
+  EXPECT_GE(phases["plan.nec"][0].begin + kSlackUs,
+            phases["plan.compile"][0].end);
 }
 
 TEST(TraceSchemaTest, WriteFileProducesParseableJson) {
