@@ -3,8 +3,10 @@
 // Patent-like graph with 2000 vertex labels, for all three variants.
 // The cluster read (Algorithm 1, ReadClusters) and planning (MakePlan:
 // GCF, BuildDAG, LDSF, NEC and constraint compilation) are separate
-// columns. Each cell is the best of 3 runs, and the variant order
-// rotates with the size, so no variant always runs first.
+// columns, and so is the mapped-index prefetch schedule derived from
+// the plan (PlanClusterSchedule). Each cell is the best of 3 runs, and
+// the variant order rotates with the size, so no variant always runs
+// first.
 
 #include <algorithm>
 #include <cstdio>
@@ -45,7 +47,7 @@ int main() {
                                {MatchVariant::kHomomorphic, "hom", 'H'}};
   std::printf("%-8s", "size");
   for (const Variant& v : kVariants) {
-    std::printf(" %c read(ms) %c plan(ms)", v.tag, v.tag);
+    std::printf(" %c read(ms) %c plan(ms) %c sched(ms)", v.tag, v.tag, v.tag);
   }
   std::printf(" %14s\n", "peak RSS (GB)");
   std::vector<uint32_t> sizes = {8u, 32u, 128u, 512u, 1000u, 2000u};
@@ -63,9 +65,10 @@ int main() {
     }
     double read_s[3];
     double plan_s[3];
+    double sched_s[3];
     for (int k = 0; k < 3; ++k) {
       const int i = static_cast<int>((s + k) % 3);
-      read_s[i] = plan_s[i] = 1e300;
+      read_s[i] = plan_s[i] = sched_s[i] = 1e300;
       for (int r = 0; r < kRepeats; ++r) {
         WallTimer timer;
         QueryClusters qc;
@@ -78,15 +81,22 @@ int main() {
                                  &plan)
                        .ok());
         plan_s[i] = std::min(plan_s[i], timer.Seconds());
+        timer.Restart();
+        const std::vector<ClusterId> schedule = PlanClusterSchedule(gc, plan);
+        sched_s[i] = std::min(sched_s[i], timer.Seconds());
+        CSCE_CHECK(!schedule.empty());
       }
     }
     std::printf("%-8u", size);
     obs::JsonValue row = obs::JsonValue::Object();
     row.Set("pattern_size", size);
     for (int i = 0; i < 3; ++i) {
-      std::printf(" %10.3f %10.3f", read_s[i] * 1e3, plan_s[i] * 1e3);
+      std::printf(" %10.3f %10.3f %11.3f", read_s[i] * 1e3, plan_s[i] * 1e3,
+                  sched_s[i] * 1e3);
       row.Set(std::string(kVariants[i].name) + "_read_seconds", read_s[i]);
       row.Set(std::string(kVariants[i].name) + "_plan_seconds", plan_s[i]);
+      row.Set(std::string(kVariants[i].name) + "_schedule_seconds",
+              sched_s[i]);
     }
     double rss_gb =
         static_cast<double>(PeakRssBytes()) / (1024.0 * 1024 * 1024);

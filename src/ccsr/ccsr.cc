@@ -721,15 +721,20 @@ size_t Ccsr::CompressedSizeBytes() const {
 }
 
 const CompressedCluster* QueryClusters::Find(const ClusterId& id) const {
-  auto it = views_.find(id);
-  return it == views_.end() ? nullptr : it->second;
+  auto it = std::partition_point(
+      views_.begin(), views_.end(),
+      [&id](const CompressedCluster* c) { return c->id < id; });
+  return it != views_.end() && (*it)->id == id ? *it : nullptr;
 }
 
-const std::vector<const CompressedCluster*>& QueryClusters::Star(
+std::span<const CompressedCluster* const> QueryClusters::Star(
     Label a, Label b) const {
-  static const std::vector<const CompressedCluster*> kEmpty;
-  auto it = star_.find(LabelPairKey(a, b));
-  return it == star_.end() ? kEmpty : it->second;
+  const uint64_t key = LabelPairKey(a, b);
+  auto it = std::lower_bound(star_keys_.begin(), star_keys_.end(), key);
+  if (it == star_keys_.end() || *it != key) return {};
+  const size_t i = static_cast<size_t>(it - star_keys_.begin());
+  const size_t begin = i == 0 ? 0 : star_ends_[i - 1];
+  return std::span(star_views_).subspan(begin, star_ends_[i] - begin);
 }
 
 Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
@@ -741,28 +746,14 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
   }
   // A reused QueryClusters would hand back clusters of whatever index
   // it was filled from.
-  CSCE_DCHECK(out->views_.empty() && out->star_.empty());
-  // Registers `cluster` in the result (through the shared cache when
-  // given, which counts the hit or miss). The first cluster whose
-  // offsets do not end at its columns fails the read.
-  Status status = Status::OK();
-  auto ensure = [out, cache, &status](const CompressedCluster& cluster) {
-    auto [it, inserted] = out->views_.emplace(cluster.id, &cluster);
-    if (inserted) {
-      if (cache != nullptr) it->second = cache->Get(cluster.id);
-      if (status.ok() && !cluster.OffsetsEndAtColumns()) {
-        status = Status::Corruption("cluster " + cluster.id.ToString() +
-                                    ": final row offset != column count");
-      }
-    }
-    return it->second;
-  };
+  CSCE_DCHECK(out->views_.empty() && out->star_keys_.empty());
+  const CompressedCluster* clusters = gc.clusters().data();
+  std::vector<const CompressedCluster*>& views = out->views_;
 
   // Lines 2-11: clusters of edges isomorphic to pattern edges.
   pattern.ForEachEdge([&](const Edge& e) {
-    ClusterId id = ClusterId::ForPatternEdge(pattern, e);
-    const CompressedCluster* c = gc.Find(id);
-    if (c != nullptr) ensure(*c);
+    const CompressedCluster* c = gc.Find(ClusterId::ForPatternEdge(pattern, e));
+    if (c != nullptr) views.push_back(c);
     // Empty cluster: Find() later returns nullptr -> zero embeddings
     // for the whole query; the engine short-circuits.
   });
@@ -770,10 +761,9 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
   // Lines 12-18: negation clusters for vertex-induced matching. We load
   // them for every pattern pair that is not fully connected (for
   // directed patterns a single-direction edge still leaves the reverse
-  // direction to negate). Each unordered label pair is registered once:
-  // a dense index over the pattern's labels marks the registered pairs,
-  // so a pair of an already-registered label pair is skipped before its
-  // adjacency test.
+  // direction to negate). A dense matrix over the pattern's sorted
+  // labels marks each negated label pair once, skipping the adjacency
+  // test of an already-marked pair; it is then read in key order.
   if (variant == MatchVariant::kVertexInduced) {
     const uint32_t n = pattern.NumVertices();
     std::vector<Label> labels(pattern.vertex_labels());
@@ -787,25 +777,42 @@ Status ReadClustersImpl(const Ccsr& gc, const Graph& pattern,
                            pattern.VertexLabel(v)) -
           labels.begin());
     }
-    std::vector<uint8_t> registered(k * k, 0);
+    std::vector<uint8_t> negated(k * k, 0);
     for (VertexId a = 0; a < n; ++a) {
       for (VertexId b = a + 1; b < n; ++b) {
         const size_t lo = std::min(index[a], index[b]);
         const size_t hi = std::max(index[a], index[b]);
-        if (registered[lo * k + hi] != 0) continue;
-        if (FullyConnected(pattern, a, b)) continue;
-        registered[lo * k + hi] = 1;
-        Label la = pattern.VertexLabel(a);
-        Label lb = pattern.VertexLabel(b);
-        std::vector<const CompressedCluster*>& star =
-            out->star_[LabelPairKey(la, lb)];
-        for (size_t slot : gc.StarClusters(la, lb)) {
-          star.push_back(ensure(gc.clusters()[slot]));
+        if (negated[lo * k + hi] == 0 && !FullyConnected(pattern, a, b)) {
+          negated[lo * k + hi] = 1;
         }
       }
     }
+    for (size_t i = 0; i < k * k; ++i) {  // row-major: ascending keys
+      if (negated[i] == 0) continue;
+      std::span<const size_t> star =
+          gc.StarClusters(labels[i / k], labels[i % k]);
+      if (star.empty()) continue;
+      for (size_t slot : star) out->star_views_.push_back(&clusters[slot]);
+      out->star_keys_.push_back(LabelPairKey(labels[i / k], labels[i % k]));
+      out->star_ends_.push_back(out->star_views_.size());
+    }
   }
-  return status;
+
+  // Each cluster once, in slot order (the pointers all point into
+  // Ccsr::clusters()): O(m log m) in the m clusters read, not O(#index
+  // clusters) as a bitmap over slots would be. The shared cache counts
+  // each; one whose offsets do not end at its columns fails the read.
+  views.insert(views.end(), out->star_views_.begin(), out->star_views_.end());
+  std::sort(views.begin(), views.end());
+  views.erase(std::unique(views.begin(), views.end()), views.end());
+  for (const CompressedCluster* c : views) {
+    if (cache != nullptr) cache->Get(c->id);
+    if (!c->OffsetsEndAtColumns()) {
+      return Status::Corruption("cluster " + c->id.ToString() +
+                                ": final row offset != column count");
+    }
+  }
+  return Status::OK();
 }
 
 Status ReadClusters(const Ccsr& gc, const Graph& pattern,

@@ -246,15 +246,16 @@ class Ccsr {
 class ClusterCache;
 
 /// G_C^*: the clusters one query needs (Algorithm 1), as pointers to
-/// the Ccsr's own records. Valid while that Ccsr lives unmodified (see
-/// CompressedCluster); each query reads into a fresh one.
+/// the Ccsr's own records, in flat arrays searched by binary search.
+/// Valid while that Ccsr lives unmodified (see CompressedCluster); each
+/// query reads into a fresh one.
 class QueryClusters {
  public:
-  /// nullptr means the cluster is empty: no data edge can match.
+  /// nullptr: the cluster is empty or unregistered; no edge can match.
   const CompressedCluster* Find(const ClusterId& id) const;
 
-  /// The "(a,b)*-clusters" for negation checks (may be empty).
-  const std::vector<const CompressedCluster*>& Star(Label a, Label b) const;
+  /// The "(a,b)*-clusters" for negation checks (empty if unregistered).
+  std::span<const CompressedCluster* const> Star(Label a, Label b) const;
 
   size_t NumViews() const { return views_.size(); }
   /// Bytes the reads decompressed: always 0, since a read hands out the
@@ -266,9 +267,14 @@ class QueryClusters {
   friend Status ReadClustersImpl(const Ccsr&, const Graph&, MatchVariant,
                                  ClusterCache*, QueryClusters*);
 
-  std::unordered_map<ClusterId, const CompressedCluster*, ClusterIdHash>
-      views_;
-  std::unordered_map<uint64_t, std::vector<const CompressedCluster*>> star_;
+  // Registered clusters in slot order, which is ClusterId order: every
+  // storage model keeps Ccsr::clusters() strictly sorted by id.
+  std::vector<const CompressedCluster*> views_;
+  // Registered label pairs with star clusters by (min, max) label key;
+  // pair i's are star_views_[star_ends_[i - 1], star_ends_[i]).
+  std::vector<uint64_t> star_keys_;
+  std::vector<size_t> star_ends_;
+  std::vector<const CompressedCluster*> star_views_;
 };
 
 /// Algorithm 1 (ReadCSR): selects the clusters needed to match

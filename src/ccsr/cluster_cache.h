@@ -10,10 +10,10 @@
 
 namespace csce {
 
-/// Cross-query cache of cluster lookups. A read hands out pointers to
-/// the Ccsr's own records, so the cache saves no decompression — only
-/// the hash lookup into the Ccsr's cluster index; it stays as the
-/// session-level store QueryRuntime reports hit/miss counts for.
+/// Cross-query cache of cluster lookups, kept for the hit/miss counts
+/// QueryRuntime reports, which the benchmark's `ccsr.cache_hit_ratio`
+/// record reads. It saves no work: a read resolves its clusters against
+/// the Ccsr, and ReadClustersCached only counts each one with a Get.
 ///
 /// Thread-safety: Get/CachedViews/CachedBytes/hits/misses/Clear are
 /// safe to call concurrently (one mutex guards the map), so many
@@ -73,11 +73,10 @@ class ClusterCache {
   uint64_t misses_ CSCE_GUARDED_BY(mu_) = 0;
 };
 
-/// Algorithm 1 backed by the shared cache: like ReadClusters but
-/// lookups made by earlier queries are reused. The returned
-/// QueryClusters stays valid even if the cache is cleared afterwards,
-/// while the Ccsr lives unmodified. `out` must be empty, as for
-/// ReadClusters.
+/// ReadClusters over the cache's Ccsr, counting each registered
+/// cluster as a hit or a miss of the cache. The returned QueryClusters
+/// stays valid even if the cache is cleared afterwards, while the Ccsr
+/// lives unmodified. `out` must be empty, as for ReadClusters.
 Status ReadClustersCached(ClusterCache& cache, const Graph& pattern,
                           MatchVariant variant, QueryClusters* out);
 

@@ -56,28 +56,53 @@ struct EngineMetrics {
 }  // namespace
 
 Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
-    : gc_(gc), qc_(qc), plan_(plan) {}
-
-size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
-                      const PlanPosition& pos) {
-  if (pos.edges.empty()) {
-    if (pos.seed_valid) {
-      const CompressedCluster* view = qc.Find(pos.seed_cluster);
-      if (view == nullptr) return 0;
-      return pos.seed_use_sources ? view->Sources().size()
-                                  : view->Targets().size();
+    : gc_(gc), plan_(plan) {
+  const size_t n = plan_.positions.size();
+  edges_.resize(n);
+  negs_.resize(n);
+  seeds_.resize(n);
+  for (uint32_t j = 0; j < n; ++j) {
+    const PlanPosition& pos = plan_.positions[j];
+    // CandidateBound: the shortest incident cluster row, else the seed
+    // endpoint count, else (label scan) the label frequency.
+    size_t bound = std::numeric_limits<size_t>::max();
+    for (const EdgeConstraint& e : pos.edges) {
+      const CompressedCluster* c = qc.Find(e.cluster);
+      edges_[j].push_back(ResolvedEdge{e.pos, c, e.incoming});
+      bound = std::min(bound, c == nullptr   ? 0
+                              : e.incoming ? c->MaxInRowLength()
+                                           : c->MaxOutRowLength());
     }
-    return gc.LabelFrequency(pos.label);
+    if (pos.edges.empty() && pos.seed_valid) {
+      if (const CompressedCluster* c = qc.Find(pos.seed_cluster)) {
+        seeds_[j] = pos.seed_use_sources ? c->Sources() : c->Targets();
+      }
+      bound = seeds_[j].size();
+    } else if (pos.edges.empty()) {
+      bound = gc_.LabelFrequency(pos.label);
+    }
+    cand_bound_.push_back(bound);
+    for (const NegConstraint& c : pos.negations) {
+      ResolvedNegation rn;
+      rn.pos = c.pos;
+      for (const CompressedCluster* star : qc.Star(pos.label, c.other_label)) {
+        // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
+        if (c.forbid_from) rn.removals.emplace_back(star, /*use_out=*/true);
+        // Forbidden arc f(u) -> f(w): candidates in In(f(w)), which is
+        // Out(f(w)) in an undirected cluster: subtract it only once.
+        if (c.forbid_to && (star->id.directed || !c.forbid_from)) {
+          rn.removals.emplace_back(star, /*use_out=*/!star->id.directed);
+        }
+      }
+      if (!rn.removals.empty()) negs_[j].push_back(std::move(rn));
+    }
+    // NEC cache sharing is only safe together with SCE reuse: an
+    // aliased position recomputing into a shared slot would clobber the
+    // buffer an outer recursion level is iterating.
+    cache_slot_.push_back((plan_.use_sce && pos.cache_alias >= 0)
+                              ? static_cast<uint32_t>(pos.cache_alias)
+                              : j);
   }
-  size_t bound = std::numeric_limits<size_t>::max();
-  for (const EdgeConstraint& e : pos.edges) {
-    const CompressedCluster* view = qc.Find(e.cluster);
-    size_t rows = view == nullptr ? 0
-                                  : (e.incoming ? view->MaxInRowLength()
-                                                : view->MaxOutRowLength());
-    bound = std::min(bound, rows);
-  }
-  return bound;
 }
 
 Status Executor::Prepare(const ExecOptions& options) {
@@ -88,10 +113,7 @@ Status Executor::Prepare(const ExecOptions& options) {
   injective_ = plan_.variant != MatchVariant::kHomomorphic;
   deadline_check_counter_ = 0;
 
-  edges_.assign(n, {});
-  negs_.assign(n, {});
   restrictions_.assign(n, {});
-  cache_slot_.assign(n, 0);
   // CandidateCache holds a VertexScratch (move-only); keep the buffers
   // across reuse of the same executor and just invalidate the entries.
   if (caches_.size() != n) {
@@ -108,7 +130,6 @@ Status Executor::Prepare(const ExecOptions& options) {
     temp_.clear();
     temp_.resize(n);
   }
-  cand_bound_.assign(n, 0);
   routed_ = 0;
   prune_ = options.prune;
   last_lpi_removed_ = 0;
@@ -121,37 +142,6 @@ Status Executor::Prepare(const ExecOptions& options) {
   std::vector<uint32_t> pos_of(n, 0);
   for (uint32_t j = 0; j < n; ++j) pos_of[plan_.positions[j].u] = j;
 
-  for (uint32_t j = 0; j < n; ++j) {
-    const PlanPosition& pos = plan_.positions[j];
-    for (const EdgeConstraint& e : pos.edges) {
-      edges_[j].push_back(
-          ResolvedEdge{e.pos, qc_.Find(e.cluster), e.incoming});
-    }
-    for (const NegConstraint& c : pos.negations) {
-      ResolvedNegation rn;
-      rn.pos = c.pos;
-      for (const CompressedCluster* star : qc_.Star(pos.label, c.other_label)) {
-        // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
-        if (c.forbid_from) rn.removals.emplace_back(star, /*use_out=*/true);
-        // Forbidden arc f(u) -> f(w): candidates in In(f(w)).
-        if (c.forbid_to) {
-          if (star->id.directed) {
-            rn.removals.emplace_back(star, /*use_out=*/false);
-          } else if (!c.forbid_from) {
-            // Undirected clusters: In == Out; avoid subtracting twice.
-            rn.removals.emplace_back(star, /*use_out=*/true);
-          }
-        }
-      }
-      if (!rn.removals.empty()) negs_[j].push_back(std::move(rn));
-    }
-    // NEC cache sharing is only safe together with SCE reuse: an
-    // aliased position recomputing into a shared slot would clobber the
-    // buffer an outer recursion level is iterating.
-    cache_slot_[j] = (plan_.use_sce && pos.cache_alias >= 0)
-                         ? static_cast<uint32_t>(pos.cache_alias)
-                         : j;
-  }
   for (const auto& [a, b] : options.restrictions) {
     if (a >= n || b >= n) {
       return Status::InvalidArgument("restriction vertex out of range");
@@ -171,7 +161,6 @@ Status Executor::Prepare(const ExecOptions& options) {
   size_t max_bound = 0;
   size_t max_lists = 0;
   for (uint32_t j = 0; j < n; ++j) {
-    cand_bound_[j] = CandidateBound(gc_, qc_, plan_.positions[j]);
     max_bound = std::max(max_bound, cand_bound_[j]);
     max_lists = std::max(max_lists, edges_[j].size());
     // Chained intersections ping-pong between the output buffer and the
@@ -277,11 +266,7 @@ void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
     // Seeded position: distinct endpoints of the smallest incident
     // cluster, or a label scan for isolated pattern vertices.
     if (pos.seed_valid) {
-      const CompressedCluster* view = qc_.Find(pos.seed_cluster);
-      if (view == nullptr) return;
-      std::span<const VertexId> endpoints =
-          pos.seed_use_sources ? view->Sources() : view->Targets();
-      for (VertexId v : endpoints) {
+      for (VertexId v : seeds_[depth]) {
         if (gc_.VertexLabel(v) == pos.label) out->push_back(v);
       }
     } else {

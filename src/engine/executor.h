@@ -146,29 +146,39 @@ struct ExecStats {
   double worker_idle_seconds = 0.0;
 };
 
-/// Worst-case size of `pos`'s candidate set, used to pre-size scratch:
-/// the seed endpoint count (seeded), the label frequency (label scan),
-/// else the shortest incident cluster row.
-size_t CandidateBound(const Ccsr& gc, const QueryClusters& qc,
-                      const PlanPosition& pos);
-
 /// The pipelined worst-case-optimal-join executor: grows partial
 /// embeddings one pattern vertex at a time along the plan order,
 /// computing each position's candidates by intersecting cluster
 /// neighbor lists and reusing them via SCE caches.
 ///
-/// Allocation discipline: Prepare() computes a worst-case candidate
-/// bound per position (the shortest incident cluster row, the seed
-/// endpoint count, or the label frequency) and reserves every scratch
-/// buffer once — the per-slot cache storage, a per-depth ping-pong
-/// partner for chained intersections, and the failing-set word arrays.
+/// The constructor resolves every cluster the plan names (edge
+/// constraints, negation stars, seed clusters) once; nothing looks a
+/// cluster up by ClusterId afterwards.
+///
+/// Allocation discipline: Prepare() reserves every scratch buffer once,
+/// to each position's CandidateBound — the per-slot cache storage, a
+/// per-depth ping-pong partner for chained intersections, and the
+/// failing-set word arrays.
 /// After Prepare() the enumeration performs no heap allocation; the
 /// VertexScratch hot-growth counter is the test hook proving it.
 class Executor {
  public:
   /// `gc` provides vertex labels, `qc` the query's clusters, and
-  /// `plan` the compiled matching order. All must outlive the executor.
+  /// `plan` the compiled matching order; `gc` and `plan` must outlive
+  /// the executor.
   Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan);
+
+  /// A plan edge constraint with its cluster resolved.
+  struct ResolvedEdge {
+    uint32_t pos;
+    const CompressedCluster* cluster;  // nullptr: empty, no match possible
+    bool incoming;
+  };
+  std::span<const ResolvedEdge> ResolvedEdges(uint32_t depth) const {
+    return edges_[depth];
+  }
+  /// Worst-case size of `depth`'s candidate set, to pre-size scratch.
+  size_t CandidateBound(uint32_t depth) const { return cand_bound_[depth]; }
 
   /// Runs the enumeration: Prepare + DrainRoots + Finish. Reentrant:
   /// each call resets all state, and `*stats` is zeroed at entry so a
@@ -215,11 +225,6 @@ class Executor {
   CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
 
  private:
-  struct ResolvedEdge {
-    uint32_t pos;
-    const CompressedCluster* cluster;  // nullptr: empty, no match possible
-    bool incoming;
-  };
   struct ResolvedNegation {
     uint32_t pos;
     // Clusters whose Out(f(w)) (use_out=true) or In(f(w)) lists are
@@ -259,8 +264,14 @@ class Executor {
   CSCE_HOT_PATH bool CheckDeadline();
 
   const Ccsr& gc_;
-  const QueryClusters& qc_;
   const Plan& plan_;
+
+  // Resolved once, in the constructor; per position.
+  std::vector<std::vector<ResolvedEdge>> edges_;
+  std::vector<std::vector<ResolvedNegation>> negs_;
+  std::vector<std::span<const VertexId>> seeds_;  // seed cluster endpoints
+  std::vector<uint32_t> cache_slot_;
+  std::vector<size_t> cand_bound_;  // see CandidateBound
 
   // Per-run state.
   const ExecOptions* options_ = nullptr;
@@ -268,12 +279,8 @@ class Executor {
   WallTimer timer_;
   bool aborted_ = false;
   bool injective_ = true;
-  std::vector<std::vector<ResolvedEdge>> edges_;        // per position
-  std::vector<std::vector<ResolvedNegation>> negs_;     // per position
   std::vector<std::vector<Restriction>> restrictions_;  // per position
-  std::vector<uint32_t> cache_slot_;                    // per position
   std::vector<CandidateCache> caches_;
-  std::vector<size_t> cand_bound_;  // per position, see CandidateBound
   std::vector<setops::VertexScratch> temp_;  // per-depth ping-pong partner
   std::vector<std::span<const VertexId>> lists_;  // gather buffer
   setops::VertexScratch sce_oracle_scratch_;  // verify_sce recompute buffer

@@ -1,7 +1,7 @@
 #include "engine/matcher.h"
 
-#include <algorithm>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "engine/embedding_verifier.h"
@@ -9,6 +9,7 @@
 #include "obs/trace.h"
 #include "plan/validate.h"
 #include "runtime/parallel_executor.h"
+#include "util/bitset.h"
 #include "util/memory.h"
 #include "util/mutex.h"
 #include "util/timer.h"
@@ -169,17 +170,25 @@ Status MatchImpl(const Ccsr& data, ClusterCache* cache, const Graph& pattern,
 std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data,
                                            const Plan& plan) {
   std::vector<ClusterId> ids;
-  auto add = [&ids](const ClusterId& id) {
-    if (std::find(ids.begin(), ids.end(), id) == ids.end()) {
-      ids.push_back(id);
-    }
+  // First occurrences: a bit per cluster slot of the index, and a set
+  // of the ids of empty clusters (constraints without data edges).
+  DynamicBitset seen(data.NumClusters());
+  std::set<ClusterId> absent;
+  auto add_slot = [&](size_t slot) {
+    if (!seen.Test(slot)) ids.push_back(data.clusters()[slot].id);
+    seen.Set(slot);
+  };
+  auto add = [&](const ClusterId& id) {
+    const CompressedCluster* c = data.Find(id);
+    if (c != nullptr) add_slot(c - data.clusters().data());
+    if (c == nullptr && absent.insert(id).second) ids.push_back(id);
   };
   for (const PlanPosition& p : plan.positions) {
     if (p.seed_valid) add(p.seed_cluster);
     for (const EdgeConstraint& e : p.edges) add(e.cluster);
     for (const NegConstraint& n : p.negations) {
       for (size_t slot : data.StarClusters(p.label, n.other_label)) {
-        add(data.clusters()[slot].id);
+        add_slot(slot);
       }
     }
   }

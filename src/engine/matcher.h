@@ -86,8 +86,9 @@ struct MatchResult {
 };
 
 /// The clusters `plan` will touch, in matching order, deduplicated on
-/// first occurrence: seed clusters, edge-constraint clusters, and the
-/// star clusters behind each negation constraint. For an mmap'd index
+/// first occurrence (by cluster slot, in linear time): seed clusters,
+/// edge-constraint clusters, and the star clusters behind each negation
+/// constraint; ids of empty clusters too. For an mmap'd index
 /// this is the prefetch schedule handed to the pager
 /// (Ccsr::AdviseQueryClusters) before any cluster bytes are read; the
 /// matcher does this itself, shard workers call it around their own
@@ -106,8 +107,8 @@ std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data, const Plan& plan);
 class CsceMatcher {
  public:
   /// `data` must outlive the matcher. With a non-null `cache`, queries
-  /// share cluster lookups (see ccsr/cluster_cache.h); the cache must be
-  /// built over the same `data` and must outlive the matcher too.
+  /// count their cluster reads in it (ccsr/cluster_cache.h); the cache
+  /// must be built over the same `data` and must outlive the matcher.
   explicit CsceMatcher(const Ccsr* data, ClusterCache* cache = nullptr)
       : data_(data), cache_(cache) {}
 

@@ -35,9 +35,8 @@ struct RuntimeOptions {
   /// (queueing counts against it). A job's own time_limit_seconds, if
   /// set, takes precedence. 0 = none.
   double default_deadline_seconds = 0.0;
-  /// Share cluster lookups across the session's queries via one
-  /// ClusterCache (a read hands out the Ccsr's own records, so this
-  /// saves a hash lookup).
+  /// Count the session's cluster reads in one ClusterCache (hits and
+  /// misses in the metrics; the reads themselves are the same).
   bool share_cluster_views = true;
 };
 

@@ -25,27 +25,22 @@ namespace shard {
 /// because the executor keeps pointers to `options` and the router.
 class ShardWorker::Router final : public Placement {
  public:
-  explicit Router(const ShardWorker& worker)
-      : exec(worker.ccsr_, worker.qc_, worker.plan_), w_(worker) {
-    const size_t n = w_.plan_.positions.size();
-    edges_.resize(n);
+  Router(const ShardWorker& worker, const QueryClusters& qc)
+      : exec(worker.ccsr_, qc, worker.plan_), w_(worker) {
+    const uint32_t n = static_cast<uint32_t>(w_.plan_.positions.size());
     owned_.resize(n);
     // The ship set intersects only the owned parents' rows, so its
     // bound is the largest single row, not CandidateBound's minimum.
     size_t ship_bound = 0;
-    for (size_t j = 0; j < n; ++j) {
-      const PlanPosition& pos = w_.plan_.positions[j];
-      for (const EdgeConstraint& e : pos.edges) {
-        const CompressedCluster* view = w_.qc_.Find(e.cluster);
-        edges_[j].push_back(ResolvedEdge{e.pos, view, e.incoming});
-        if (view == nullptr) continue;
-        ship_bound = std::max<size_t>(
-            ship_bound,
-            e.incoming ? view->MaxInRowLength() : view->MaxOutRowLength());
+    for (uint32_t j = 0; j < n; ++j) {
+      for (const Executor::ResolvedEdge& e : exec.ResolvedEdges(j)) {
+        if (e.cluster == nullptr) continue;
+        ship_bound = std::max(ship_bound, e.incoming
+                                              ? e.cluster->MaxInRowLength()
+                                              : e.cluster->MaxOutRowLength());
       }
-      lists_.reserve(pos.edges.size());  // only ever grows
-      owned_[j].Reserve(CandidateBound(w_.ccsr_, w_.qc_, pos) +
-                        setops::kOutPad);
+      lists_.reserve(exec.ResolvedEdges(j).size());  // only ever grows
+      owned_[j].Reserve(exec.CandidateBound(j) + setops::kOutPad);
     }
     ship_.Reserve(ship_bound + setops::kOutPad);
     ship_tmp_.Reserve(ship_bound + setops::kOutPad);
@@ -58,14 +53,14 @@ class ShardWorker::Router final : public Placement {
   /// return InvalidArgument without crashing.
   CSCE_HOT_PATH Status RunTask(const ShardTask& task) {
     const uint32_t depth = task.depth;
-    if (depth == 0 || depth >= edges_.size() ||
+    if (depth == 0 || depth >= w_.plan_.positions.size() ||
         task.mapping.size() != depth) {
       return Status::InvalidArgument("malformed shard task");
     }
     if (task.target_shard != w_.shard_id_) {
       return Status::InvalidArgument("shard task routed to wrong shard");
     }
-    const bool edgeless = edges_[depth].empty();
+    const bool edgeless = exec.ResolvedEdges(depth).empty();
     if (task.kind == ShardTask::Kind::kLocalOnly ? !edgeless : edgeless) {
       return Status::InvalidArgument("shard task kind inconsistent with plan");
     }
@@ -117,7 +112,7 @@ class ShardWorker::Router final : public Placement {
     }
     // Outside morsel mode every shard covers its own roots.
     if (depth == 0) return OwnedOf(0, exec.Candidates(0));
-    if (edges_[depth].empty()) {
+    if (exec.ResolvedEdges(depth).empty()) {
       // The candidate set is mapping-independent (seed or label scan),
       // so every shard holds it whole. The shard that reached this
       // prefix broadcasts it once; kLocalOnly receivers enumerate their
@@ -133,8 +128,9 @@ class ShardWorker::Router final : public Placement {
       // Every parent row here may be incomplete, so hand the whole
       // extension to the owner of the first parent — exclusively, so
       // every candidate is handled exactly once.
-      EmitTask(ShardTask::Kind::kForward,
-               w_.owner_[prefix[edges_[depth][0].pos]], prefix, {});
+      const uint32_t first_parent = exec.ResolvedEdges(depth)[0].pos;
+      EmitTask(ShardTask::Kind::kForward, w_.owner_[prefix[first_parent]],
+               prefix, {});
       *routed = true;
       return {};
     }
@@ -147,19 +143,13 @@ class ShardWorker::Router final : public Placement {
   std::vector<VertexId> embeddings;  // flat rows, when emitting
 
  private:
-  struct ResolvedEdge {
-    uint32_t pos;
-    const CompressedCluster* cluster;  // nullptr: empty cluster
-    bool incoming;
-  };
-
   CSCE_HOT_PATH bool Owned(VertexId v) const {
     return v < w_.owner_.size() && w_.owner_[v] == w_.shard_id_;
   }
 
   CSCE_HOT_PATH bool OwnsParent(uint32_t depth,
                                 std::span<const VertexId> prefix) const {
-    for (const ResolvedEdge& e : edges_[depth]) {
+    for (const Executor::ResolvedEdge& e : exec.ResolvedEdges(depth)) {
       if (Owned(prefix[e.pos])) return true;
     }
     return false;
@@ -186,7 +176,7 @@ class ShardWorker::Router final : public Placement {
   CSCE_HOT_PATH bool ShipRemote(uint32_t depth,
                                 std::span<const VertexId> prefix) {
     lists_.clear();
-    for (const ResolvedEdge& e : edges_[depth]) {
+    for (const Executor::ResolvedEdge& e : exec.ResolvedEdges(depth)) {
       VertexId w = prefix[e.pos];
       if (!Owned(w)) continue;
       // An owned parent without a cluster or row: the edge exists
@@ -231,7 +221,6 @@ class ShardWorker::Router final : public Placement {
   }
 
   const ShardWorker& w_;
-  std::vector<std::vector<ResolvedEdge>> edges_;  // per position
   std::vector<setops::VertexScratch> owned_;      // per depth
   std::vector<std::span<const VertexId>> lists_;  // gather buffer
   setops::VertexScratch ship_;                    // ship set and its
@@ -353,10 +342,9 @@ Status ShardWorker::HandleLoad(const wire::LoadRequest& req) {
   // state.
   loaded_ = false;
   query_active_ = false;
-  // The previous query's executors and clusters point into ccsr_'s
-  // records: drop them before the index goes.
+  // The previous query's executors point into ccsr_'s records: drop
+  // them before the index goes.
   routers_.clear();
-  qc_ = QueryClusters();
 
   if (req.inline_payload) {
     ccsr_ = Ccsr::Build(req.shard_graph);
@@ -415,16 +403,16 @@ Status ShardWorker::HandlePlan(const wire::PlanRequest& req) {
   if (ccsr_.mapped()) {
     ccsr_.AdviseQueryClusters(PlanClusterSchedule(ccsr_, plan_));
   }
-  qc_ = QueryClusters();  // each query reads into a fresh one
-  CSCE_RETURN_IF_ERROR(
-      ReadClusters(ccsr_, pattern_, req.variant, &qc_));
+  // Each executor resolves the plan's clusters from this read.
+  QueryClusters qc;
+  CSCE_RETURN_IF_ERROR(ReadClusters(ccsr_, pattern_, req.variant, &qc));
 
   // Owned root candidates: the probe computes the full root set against
   // the shard CCSR with the plan's passes. Labels are global and owned
   // vertices have exact local rows, degrees and label masks, so the
   // owned slice this worker's morsel loop drains is exact.
   {
-    Executor probe(ccsr_, qc_, plan_);
+    Executor probe(ccsr_, qc, plan_);
     ExecOptions probe_options;
     probe_options.prune = plan_.prune;
     std::vector<VertexId> roots;
@@ -440,7 +428,7 @@ Status ShardWorker::HandlePlan(const wire::PlanRequest& req) {
   task_next_.store(0, std::memory_order_relaxed);
 
   for (uint32_t t = 0; t < num_threads_; ++t) {
-    routers_.push_back(std::make_unique<Router>(*this));
+    routers_.push_back(std::make_unique<Router>(*this, qc));
     Router& router = *routers_.back();
     ExecOptions& opt = router.options;
     opt.verify_sce = req.verify_sce;

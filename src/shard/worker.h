@@ -69,7 +69,6 @@ class ShardWorker {
   bool query_active_ = false;
   Graph pattern_;
   Plan plan_;
-  QueryClusters qc_;
   std::vector<VertexId> owned_roots_;
   ExecStats probe_stats_;  // the root probe's counters, folded at kFinish
   size_t root_morsel_ = 1;

@@ -201,44 +201,71 @@ TEST(ReadClustersTest, VertexInducedLoadsNegationClusters) {
 
 TEST(ReadClustersTest, VertexInducedRegistersExactlyTheNegatedLabelPairs) {
   // Algorithm 1 lines 12-18: a label pair's star clusters are read iff
-  // some pattern pair with those labels is not fully connected.
+  // some pattern pair with those labels is not fully connected. With 3
+  // labels most label pairs have star clusters; with 40 labels over a
+  // sparse graph most negated pairs have none, as in Patent(2000).
   Rng rng(12);
-  for (int trial = 0; trial < 12; ++trial) {
+  size_t negated_without_stars = 0;
+  size_t negated_with_stars = 0;
+  size_t indexed_unregistered = 0;
+  for (int trial = 0; trial < 24; ++trial) {
     const bool directed = trial % 2 == 1;
-    Graph g = RandomGraph(rng, 40, 0.2, 3, 2, directed);
+    const bool many = trial >= 12;
+    const Label num_labels = many ? 40 : 3;
+    Graph g = RandomGraph(rng, many ? 120 : 40, many ? 0.02 : 0.2,
+                          num_labels, 2, directed);
     Ccsr gc = Ccsr::Build(g);
-    Graph pattern = RandomGraph(rng, 8, 0.5, 3, 2, directed);
-    QueryClusters qc;
-    ASSERT_TRUE(
-        ReadClusters(gc, pattern, MatchVariant::kVertexInduced, &qc).ok());
+    Graph pattern = RandomGraph(rng, many ? 16 : 8, many ? 0.3 : 0.5,
+                                num_labels, 2, directed);
+    for (MatchVariant variant :
+         {MatchVariant::kVertexInduced, MatchVariant::kEdgeInduced}) {
+      const bool vi = variant == MatchVariant::kVertexInduced;
+      QueryClusters qc;
+      ASSERT_TRUE(ReadClusters(gc, pattern, variant, &qc).ok());
 
-    std::set<std::pair<Label, Label>> negated;
-    for (VertexId a = 0; a < pattern.NumVertices(); ++a) {
-      for (VertexId b = a + 1; b < pattern.NumVertices(); ++b) {
-        const bool full = pattern.HasEdge(a, b) &&
-                          (!directed || pattern.HasEdge(b, a));
-        if (full) continue;
-        negated.insert(std::minmax(pattern.VertexLabel(a),
-                                   pattern.VertexLabel(b)));
+      std::set<std::pair<Label, Label>> negated;
+      for (VertexId a = 0; vi && a < pattern.NumVertices(); ++a) {
+        for (VertexId b = a + 1; b < pattern.NumVertices(); ++b) {
+          const bool full = pattern.HasEdge(a, b) &&
+                            (!directed || pattern.HasEdge(b, a));
+          if (full) continue;
+          negated.insert(std::minmax(pattern.VertexLabel(a),
+                                     pattern.VertexLabel(b)));
+        }
+      }
+      std::set<ClusterId> views;
+      pattern.ForEachEdge([&](const Edge& e) {
+        ClusterId id = ClusterId::ForPatternEdge(pattern, e);
+        if (gc.Find(id) != nullptr) views.insert(id);
+      });
+      for (Label la = 0; la < num_labels; ++la) {
+        for (Label lb = la; lb < num_labels; ++lb) {
+          const bool read = negated.count({la, lb}) > 0;
+          std::span<const size_t> star = gc.StarClusters(la, lb);
+          std::span<const CompressedCluster* const> got = qc.Star(la, lb);
+          ASSERT_EQ(got.size(), read ? star.size() : 0u)
+              << "labels " << la << ", " << lb;
+          if (!read) continue;
+          ++(star.empty() ? negated_without_stars : negated_with_stars);
+          for (size_t i = 0; i < star.size(); ++i) {
+            EXPECT_EQ(got[i], &gc.clusters()[star[i]]);
+            views.insert(gc.clusters()[star[i]].id);
+          }
+        }
+      }
+      EXPECT_EQ(qc.NumViews(), views.size());
+      // Find hands out exactly the registered clusters: an indexed
+      // cluster the query did not register (say, a star cluster under
+      // edge-induced matching) is nullptr.
+      for (const CompressedCluster& c : gc.clusters()) {
+        const bool registered = views.count(c.id) > 0;
+        EXPECT_EQ(qc.Find(c.id), registered ? &c : nullptr) << c.id.ToString();
+        indexed_unregistered += !registered;
       }
     }
-    std::set<ClusterId> views;
-    pattern.ForEachEdge([&](const Edge& e) {
-      ClusterId id = ClusterId::ForPatternEdge(pattern, e);
-      if (gc.Find(id) != nullptr) views.insert(id);
-    });
-    for (Label la = 0; la < 3; ++la) {
-      for (Label lb = la; lb < 3; ++lb) {
-        const bool read = negated.count({la, lb}) > 0;
-        std::span<const size_t> star = gc.StarClusters(la, lb);
-        EXPECT_EQ(qc.Star(la, lb).size(), read ? star.size() : 0u)
-            << "labels " << la << ", " << lb;
-        if (!read) continue;
-        for (size_t slot : star) views.insert(gc.clusters()[slot].id);
-      }
-    }
-    EXPECT_EQ(qc.NumViews(), views.size());
   }
+  EXPECT_GT(negated_without_stars, negated_with_stars);
+  EXPECT_GT(indexed_unregistered, 0u);
 }
 
 TEST(ReadClustersTest, RejectsDirectednessMismatch) {

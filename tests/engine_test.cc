@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "graph/isomorphism.h"
@@ -261,6 +262,54 @@ TEST(EngineTest, FailedRunZeroesStatsOnReusedExecutor) {
   // The executor stays reusable after the failure.
   ASSERT_TRUE(executor.Run(ExecOptions{}, &stats).ok());
   EXPECT_EQ(stats.embeddings, 60u);
+}
+
+// The schedule's oracle: the same walk over the plan, deduplicated on
+// first occurrence by a linear search.
+std::vector<ClusterId> NaiveClusterSchedule(const Ccsr& gc, const Plan& plan) {
+  std::vector<ClusterId> ids;
+  auto add = [&ids](const ClusterId& id) {
+    if (std::find(ids.begin(), ids.end(), id) == ids.end()) ids.push_back(id);
+  };
+  for (const PlanPosition& p : plan.positions) {
+    if (p.seed_valid) add(p.seed_cluster);
+    for (const EdgeConstraint& e : p.edges) add(e.cluster);
+    for (const NegConstraint& n : p.negations) {
+      for (size_t slot : gc.StarClusters(p.label, n.other_label)) {
+        add(gc.clusters()[slot].id);
+      }
+    }
+  }
+  return ids;
+}
+
+TEST(PlanClusterScheduleTest, EqualsFirstOccurrenceDeduplication) {
+  // Pattern labels 0-3 and edge labels 0-2 over data labels 0-2 and
+  // edge labels 0-1: some pattern edges name clusters the index lacks.
+  Rng rng(27);
+  size_t absent = 0;
+  size_t stars = 0;
+  for (int trial = 0; trial < 24; ++trial) {
+    const bool directed = trial % 2 == 1;
+    Ccsr gc = Ccsr::Build(testing::RandomGraph(rng, 40, 0.2, 3, 2, directed));
+    Graph pattern = testing::RandomGraph(rng, 6 + trial % 7, 0.45, 4, 3,
+                                         directed);
+    Planner planner(&gc);
+    for (MatchVariant variant :
+         {MatchVariant::kEdgeInduced, MatchVariant::kVertexInduced,
+          MatchVariant::kHomomorphic}) {
+      Plan plan;
+      ASSERT_TRUE(
+          planner.MakePlan(pattern, variant, PlanOptions{}, &plan).ok());
+      const std::vector<ClusterId> want = NaiveClusterSchedule(gc, plan);
+      EXPECT_EQ(PlanClusterSchedule(gc, plan), want)
+          << "trial " << trial << " variant " << static_cast<int>(variant);
+      for (const ClusterId& id : want) absent += gc.Find(id) == nullptr;
+      for (const PlanPosition& p : plan.positions) stars += p.negations.size();
+    }
+  }
+  EXPECT_GT(absent, 0u);  // the empty-cluster path ran
+  EXPECT_GT(stars, 0u);   // and the negation path
 }
 
 }  // namespace
