@@ -1,7 +1,8 @@
 // Micro-kernels (google-benchmark): the hot primitives behind the
 // engine — sorted-set intersection/difference, CSR neighbor lookup in
 // both layouts, CCSR build, cluster lookup vs raw adjacency probing,
-// and planning (Planner::MakePlan) on sampled large patterns.
+// planning (Planner::MakePlan) on sampled large patterns, and the
+// vertex-induced executor (construction plus Run) on such patterns.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "ccsr/ccsr.h"
 #include "ccsr/csr.h"
 #include "engine/candidates.h"
+#include "engine/executor.h"
 #include "gen/datasets.h"
 #include "gen/pattern_gen.h"
 #include "gen/random_graph.h"
@@ -188,6 +190,53 @@ void BM_MakePlan(benchmark::State& state) {
 }
 BENCHMARK(BM_MakePlan)
     ->ArgsProduct({{16, 64, 256, 1000, 2000}, {0, 1}})
+    ->Unit(benchmark::kMicrosecond);
+
+// One vertex-induced query's executor: construction (the negation
+// table) plus Run to the first 100 embeddings, over planned and read
+// Patent(20) samples. The 25 ms limit only caps the rare sample that
+// finds no embedding quickly.
+void BM_ExecutorVertexInduced(benchmark::State& state) {
+  static const PatentIndex patent;
+  const uint32_t size = static_cast<uint32_t>(state.range(0));
+  std::vector<Graph> patterns;
+  std::vector<Graph> sparse;
+  CSCE_CHECK(SamplePatterns(patent.graph, size, PatternDensity::kDense, 4, 23,
+                            &patterns)
+                 .ok());
+  CSCE_CHECK(SamplePatterns(patent.graph, size, PatternDensity::kSparse, 4,
+                            29, &sparse)
+                 .ok());
+  for (Graph& g : sparse) patterns.push_back(std::move(g));
+  const Planner planner(&patent.index);
+  std::vector<Plan> plans(patterns.size());
+  std::vector<QueryClusters> reads(patterns.size());
+  for (size_t i = 0; i < patterns.size(); ++i) {
+    CSCE_CHECK(planner
+                   .MakePlan(patterns[i], MatchVariant::kVertexInduced,
+                             PlanOptions(), &plans[i])
+                   .ok());
+    CSCE_CHECK(ReadClusters(patent.index, patterns[i],
+                            MatchVariant::kVertexInduced, &reads[i])
+                   .ok());
+  }
+  ExecOptions options;
+  options.max_embeddings = 100;
+  options.time_limit_seconds = 0.025;
+  size_t next = 0;
+  for (auto _ : state) {
+    options.prune = plans[next].prune;
+    Executor executor(patent.index, reads[next], plans[next]);
+    ExecStats stats;
+    CSCE_CHECK(executor.Run(options, &stats).ok());
+    benchmark::DoNotOptimize(stats.embeddings);
+    next = (next + 1) % patterns.size();
+  }
+}
+BENCHMARK(BM_ExecutorVertexInduced)
+    ->Arg(16)
+    ->Arg(64)
+    ->Arg(256)
     ->Unit(benchmark::kMicrosecond);
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "engine/setops/setops.h"
 #include "obs/metrics.h"
@@ -55,11 +56,25 @@ struct EngineMetrics {
 
 }  // namespace
 
+uint32_t PositionLabelRanks(const Plan& plan, std::vector<uint32_t>* rank) {
+  const std::vector<PlanPosition>& positions = plan.positions;
+  std::vector<Label> labels(positions.size());
+  for (size_t j = 0; j < positions.size(); ++j) labels[j] = positions[j].label;
+  std::sort(labels.begin(), labels.end());
+  labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
+  rank->resize(positions.size());
+  for (size_t j = 0; j < positions.size(); ++j) {
+    (*rank)[j] = static_cast<uint32_t>(
+        std::lower_bound(labels.begin(), labels.end(), positions[j].label) -
+        labels.begin());
+  }
+  return static_cast<uint32_t>(labels.size());
+}
+
 Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
     : gc_(gc), plan_(plan) {
   const size_t n = plan_.positions.size();
   edges_.resize(n);
-  negs_.resize(n);
   seeds_.resize(n);
   for (uint32_t j = 0; j < n; ++j) {
     const PlanPosition& pos = plan_.positions[j];
@@ -82,20 +97,6 @@ Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
       bound = gc_.LabelFrequency(pos.label);
     }
     cand_bound_.push_back(bound);
-    for (const NegConstraint& c : pos.negations) {
-      ResolvedNegation rn;
-      rn.pos = c.pos;
-      for (const CompressedCluster* star : qc.Star(pos.label, c.other_label)) {
-        // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
-        if (c.forbid_from) rn.removals.emplace_back(star, /*use_out=*/true);
-        // Forbidden arc f(u) -> f(w): candidates in In(f(w)), which is
-        // Out(f(w)) in an undirected cluster: subtract it only once.
-        if (c.forbid_to && (star->id.directed || !c.forbid_from)) {
-          rn.removals.emplace_back(star, /*use_out=*/!star->id.directed);
-        }
-      }
-      if (!rn.removals.empty()) negs_[j].push_back(std::move(rn));
-    }
     // NEC cache sharing is only safe together with SCE reuse: an
     // aliased position recomputing into a shared slot would clobber the
     // buffer an outer recursion level is iterating.
@@ -103,6 +104,74 @@ Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
                               ? static_cast<uint32_t>(pos.cache_alias)
                               : j);
   }
+  BuildNegationTable(qc);
+}
+
+void Executor::BuildNegationTable(const QueryClusters& qc) {
+  const std::vector<PlanPosition>& positions = plan_.positions;
+  const uint32_t n = static_cast<uint32_t>(positions.size());
+  removals_.clear();
+  neg_begin_.assign(n + 1, 0);
+  if (std::all_of(positions.begin(), positions.end(),
+                  [](const PlanPosition& p) { return p.negations.empty(); })) {
+    return;
+  }
+  std::vector<size_t> first_neg(n + 1, 0);
+  for (uint32_t j = 0; j < n; ++j) {
+    first_neg[j + 1] = first_neg[j] + positions[j].negations.size();
+  }
+
+  // Each constraint's "(L(u), L(w))*-clusters", every distinct label
+  // pair resolved once: positions are visited grouped by label, so one
+  // row over the labels, stamped with the group's L(u) rank, holds the
+  // group's pairs.
+  using Star = std::span<const CompressedCluster* const>;
+  std::vector<uint32_t> rank;
+  const uint32_t num_labels = PositionLabelRanks(plan_, &rank);
+  std::vector<uint32_t> by_label(n);
+  std::iota(by_label.begin(), by_label.end(), 0u);
+  std::stable_sort(by_label.begin(), by_label.end(),
+                   [&](uint32_t a, uint32_t b) { return rank[a] < rank[b]; });
+  std::vector<Star> stars(first_neg[n]);
+  std::vector<std::pair<uint32_t, Star>> row(num_labels,
+                                             {UINT32_MAX, Star()});
+  size_t max_removals = 0;
+  for (uint32_t j : by_label) {
+    const std::vector<NegConstraint>& negs = positions[j].negations;
+    for (size_t i = 0; i < negs.size(); ++i) {
+      auto& [stamp, star] = row[rank[negs[i].pos]];
+      if (stamp != rank[j]) {
+        stamp = rank[j];
+        star = qc.Star(positions[j].label, positions[negs[i].pos].label);
+      }
+      stars[first_neg[j] + i] = star;
+      max_removals += 2 * star.size();
+    }
+  }
+
+  removals_.reserve(max_removals);
+  for (uint32_t j = 0; j < n; ++j) {
+    neg_begin_[j] = removals_.size();
+    const std::vector<NegConstraint>& negs = positions[j].negations;
+    for (size_t i = 0; i < negs.size(); ++i) {
+      const NegConstraint& c = negs[i];
+      const uint64_t bit = Ccsr::LabelBit(positions[c.pos].label);
+      for (const CompressedCluster* star : stars[first_neg[j] + i]) {
+        auto add = [&](bool use_out) {
+          removals_.push_back(
+              Removal{star, bit, c.pos, use_out, kInvalidVertex, {}});
+        };
+        // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
+        if (c.forbid_from) add(/*use_out=*/true);
+        // Forbidden arc f(u) -> f(w): candidates in In(f(w)), which is
+        // Out(f(w)) in an undirected cluster: subtract it only once.
+        if (c.forbid_to && (star->id.directed || !c.forbid_from)) {
+          add(/*use_out=*/!star->id.directed);
+        }
+      }
+    }
+  }
+  neg_begin_[n] = removals_.size();
 }
 
 Status Executor::Prepare(const ExecOptions& options) {
@@ -336,22 +405,38 @@ void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
   }
 
   // Vertex-induced negation: subtract the data-neighbors of every
-  // earlier non-neighbor mapping, recording the positions whose list
+  // earlier non-neighbor mapping, recording the positions whose rows
   // removed at least one candidate (see NegRecord).
-  for (const ResolvedNegation& rn : negs_[depth]) {
-    if (out->empty()) break;
-    const VertexId w = mapping_by_pos_[rn.pos];
-    const size_t before = out->size();
-    for (const auto& [view, use_out] : rn.removals) {
-      std::span<const VertexId> list = use_out ? view->Out(w) : view->In(w);
+  const size_t neg_end = neg_begin_[depth + 1];
+  if (neg_begin_[depth] != neg_end && !out->empty()) {
+    // A removal can only hit a candidate with a neighbor labeled L(w)
+    // in its direction. The label masks hold every neighbor label
+    // (folded mod 64, which only adds bits), so a removal whose bit no
+    // candidate carries would remove nothing and is skipped.
+    uint64_t in_mask = 0;
+    uint64_t out_mask = 0;
+    for (VertexId v : out->span()) {
+      in_mask |= gc_.InLabelMask(v);
+      out_mask |= gc_.OutLabelMask(v);
+    }
+    for (size_t r = neg_begin_[depth]; r != neg_end; ++r) {
+      Removal& rm = removals_[r];
+      // Out(f(w)) holds the candidates with an arc from f(w).
+      if (((rm.use_out ? in_mask : out_mask) & rm.label_bit) == 0) continue;
+      const VertexId w = mapping_by_pos_[rm.pos];
+      if (rm.memo_vertex != w) {
+        rm.memo_vertex = w;
+        rm.memo_row = rm.use_out ? rm.star->Out(w) : rm.star->In(w);
+      }
+      if (rm.memo_row.empty()) continue;
+      const size_t before = out->size();
       // Difference is in-place safe (writes trail reads).
-      if (!list.empty()) {
-        out->set_size(setops::Difference(out->span(), list, out->data()));
+      out->set_size(setops::Difference(out->span(), rm.memo_row, out->data()));
+      if (out->size() == before) continue;
+      if (neg_record != nullptr) {
+        neg_record[rm.pos / 64] |= uint64_t{1} << (rm.pos % 64);
       }
       if (out->empty()) break;
-    }
-    if (neg_record != nullptr && out->size() != before) {
-      neg_record[rn.pos / 64] |= uint64_t{1} << (rn.pos % 64);
     }
   }
 

@@ -34,6 +34,12 @@ using RootClaimFn = std::function<std::span<const VertexId>()>;
 
 class Executor;
 
+/// The rank of each position's label among the plan's distinct labels
+/// (rank[j] < the returned count), to index per-label-pair tables by
+/// position: a negation's L(w) is the label of the position it names,
+/// which every mapping there carries. O(n log n).
+uint32_t PositionLabelRanks(const Plan& plan, std::vector<uint32_t>* rank);
+
 /// Decides where each extension's candidates are enumerated. Without a
 /// placement (ExecOptions::placement == nullptr) every candidate is
 /// enumerated locally; the shard layer implements one that keeps the
@@ -225,11 +231,19 @@ class Executor {
   CSCE_HOT_PATH std::span<const VertexId> Candidates(uint32_t depth);
 
  private:
-  struct ResolvedNegation {
+  /// One subtraction of the vertex-induced negation step: candidates
+  /// in star->Out(f(w)) (use_out) or star->In(f(w)) get removed, where
+  /// f(w) is the mapping at `pos`. Rows of the index are immutable while
+  /// the executor lives, so the row looked up last for a data vertex
+  /// stays that vertex's row: the memo skips the lookup when f(w) did
+  /// not change since this removal last ran.
+  struct Removal {
+    const CompressedCluster* star;
+    uint64_t label_bit;  // Ccsr::LabelBit(L(w))
     uint32_t pos;
-    // Clusters whose Out(f(w)) (use_out=true) or In(f(w)) lists are
-    // forbidden candidates and get subtracted.
-    std::vector<std::pair<const CompressedCluster*, bool>> removals;
+    bool use_out;
+    VertexId memo_vertex = kInvalidVertex;  // f(w) of memo_row
+    std::span<const VertexId> memo_row;
   };
   struct Restriction {
     uint32_t other_pos;
@@ -239,6 +253,8 @@ class Executor {
       uint32_t depth);  // false: abort (timeout/limit/callback)
   CSCE_HOT_PATH bool EnumerateOver(uint32_t depth,
                                    std::span<const VertexId> candidates);
+  /// Fills removals_ and neg_begin_ from the plan's negations.
+  void BuildNegationTable(const QueryClusters& qc);
   Status SeedPrefix(std::span<const VertexId> prefix);
   void ClearPrefix(std::span<const VertexId> prefix);
   /// Computes `depth`'s candidate set into `out`. With `neg_record`
@@ -268,7 +284,11 @@ class Executor {
 
   // Resolved once, in the constructor; per position.
   std::vector<std::vector<ResolvedEdge>> edges_;
-  std::vector<std::vector<ResolvedNegation>> negs_;
+  // Every position's negation removals, in plan order: position j's
+  // are removals_[neg_begin_[j], neg_begin_[j + 1]), grouped by `pos`
+  // in the order of its NegConstraints.
+  std::vector<Removal> removals_;
+  std::vector<size_t> neg_begin_;
   std::vector<std::span<const VertexId>> seeds_;  // seed cluster endpoints
   std::vector<uint32_t> cache_slot_;
   std::vector<size_t> cand_bound_;  // see CandidateBound
