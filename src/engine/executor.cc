@@ -1,6 +1,7 @@
 #include "engine/executor.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <numeric>
 
@@ -60,13 +61,12 @@ uint32_t PositionLabelRanks(const Plan& plan, std::vector<uint32_t>* rank) {
   const std::vector<PlanPosition>& positions = plan.positions;
   std::vector<Label> labels(positions.size());
   for (size_t j = 0; j < positions.size(); ++j) labels[j] = positions[j].label;
-  std::sort(labels.begin(), labels.end());
+  std::ranges::sort(labels);
   labels.erase(std::unique(labels.begin(), labels.end()), labels.end());
   rank->resize(positions.size());
   for (size_t j = 0; j < positions.size(); ++j) {
     (*rank)[j] = static_cast<uint32_t>(
-        std::lower_bound(labels.begin(), labels.end(), positions[j].label) -
-        labels.begin());
+        std::ranges::lower_bound(labels, positions[j].label) - labels.begin());
   }
   return static_cast<uint32_t>(labels.size());
 }
@@ -110,7 +110,6 @@ Executor::Executor(const Ccsr& gc, const QueryClusters& qc, const Plan& plan)
 void Executor::BuildNegationTable(const QueryClusters& qc) {
   const std::vector<PlanPosition>& positions = plan_.positions;
   const uint32_t n = static_cast<uint32_t>(positions.size());
-  removals_.clear();
   neg_begin_.assign(n + 1, 0);
   if (std::all_of(positions.begin(), positions.end(),
                   [](const PlanPosition& p) { return p.negations.empty(); })) {
@@ -124,27 +123,36 @@ void Executor::BuildNegationTable(const QueryClusters& qc) {
   // Each constraint's "(L(u), L(w))*-clusters", every distinct label
   // pair resolved once: positions are visited grouped by label, so one
   // row over the labels, stamped with the group's L(u) rank, holds the
-  // group's pairs.
+  // group's pairs. A row entry is keyed by the label rank of the
+  // position w, which ValidatePlan pins to L(w); a constraint whose
+  // other_label differs (a decoded wire plan is not validated) is
+  // looked up on its own.
   using Star = std::span<const CompressedCluster* const>;
   std::vector<uint32_t> rank;
   const uint32_t num_labels = PositionLabelRanks(plan_, &rank);
   std::vector<uint32_t> by_label(n);
   std::iota(by_label.begin(), by_label.end(), 0u);
-  std::stable_sort(by_label.begin(), by_label.end(),
-                   [&](uint32_t a, uint32_t b) { return rank[a] < rank[b]; });
+  std::ranges::stable_sort(by_label, {}, [&](uint32_t j) { return rank[j]; });
   std::vector<Star> stars(first_neg[n]);
   std::vector<std::pair<uint32_t, Star>> row(num_labels,
                                              {UINT32_MAX, Star()});
   size_t max_removals = 0;
   for (uint32_t j : by_label) {
+    const Label lu = positions[j].label;
     const std::vector<NegConstraint>& negs = positions[j].negations;
     for (size_t i = 0; i < negs.size(); ++i) {
-      auto& [stamp, star] = row[rank[negs[i].pos]];
-      if (stamp != rank[j]) {
-        stamp = rank[j];
-        star = qc.Star(positions[j].label, positions[negs[i].pos].label);
+      const NegConstraint& c = negs[i];
+      Star& star = stars[first_neg[j] + i];
+      if (positions[c.pos].label != c.other_label) {
+        star = qc.Star(lu, c.other_label);
+      } else {
+        auto& [stamp, resolved] = row[rank[c.pos]];
+        if (stamp != rank[j]) {
+          stamp = rank[j];
+          resolved = qc.Star(lu, c.other_label);
+        }
+        star = resolved;
       }
-      stars[first_neg[j] + i] = star;
       max_removals += 2 * star.size();
     }
   }
@@ -155,11 +163,11 @@ void Executor::BuildNegationTable(const QueryClusters& qc) {
     const std::vector<NegConstraint>& negs = positions[j].negations;
     for (size_t i = 0; i < negs.size(); ++i) {
       const NegConstraint& c = negs[i];
-      const uint64_t bit = Ccsr::LabelBit(positions[c.pos].label);
+      const auto label_shift = static_cast<uint8_t>(
+          std::countr_zero(Ccsr::LabelBit(c.other_label)));
       for (const CompressedCluster* star : stars[first_neg[j] + i]) {
         auto add = [&](bool use_out) {
-          removals_.push_back(
-              Removal{star, bit, c.pos, use_out, kInvalidVertex, {}});
+          removals_.push_back(Removal{star, c.pos, label_shift, use_out});
         };
         // Forbidden arc f(w) -> f(u): candidates in Out(f(w)).
         if (c.forbid_from) add(/*use_out=*/true);
@@ -420,18 +428,18 @@ void Executor::ComputeCandidates(uint32_t depth, setops::VertexScratch* out,
       out_mask |= gc_.OutLabelMask(v);
     }
     for (size_t r = neg_begin_[depth]; r != neg_end; ++r) {
-      Removal& rm = removals_[r];
+      const Removal& rm = removals_[r];
       // Out(f(w)) holds the candidates with an arc from f(w).
-      if (((rm.use_out ? in_mask : out_mask) & rm.label_bit) == 0) continue;
-      const VertexId w = mapping_by_pos_[rm.pos];
-      if (rm.memo_vertex != w) {
-        rm.memo_vertex = w;
-        rm.memo_row = rm.use_out ? rm.star->Out(w) : rm.star->In(w);
+      if (((rm.use_out ? in_mask : out_mask) >> rm.label_shift & 1) == 0) {
+        continue;
       }
-      if (rm.memo_row.empty()) continue;
+      const VertexId w = mapping_by_pos_[rm.pos];
+      std::span<const VertexId> row =
+          rm.use_out ? rm.star->Out(w) : rm.star->In(w);
+      if (row.empty()) continue;
       const size_t before = out->size();
       // Difference is in-place safe (writes trail reads).
-      out->set_size(setops::Difference(out->span(), rm.memo_row, out->data()));
+      out->set_size(setops::Difference(out->span(), row, out->data()));
       if (out->size() == before) continue;
       if (neg_record != nullptr) {
         neg_record[rm.pos / 64] |= uint64_t{1} << (rm.pos % 64);

@@ -35,9 +35,8 @@ using RootClaimFn = std::function<std::span<const VertexId>()>;
 class Executor;
 
 /// The rank of each position's label among the plan's distinct labels
-/// (rank[j] < the returned count), to index per-label-pair tables by
-/// position: a negation's L(w) is the label of the position it names,
-/// which every mapping there carries. O(n log n).
+/// (rank[j] < the returned count): the executor's negation table and
+/// PlanClusterSchedule key label pairs by it. O(n log n).
 uint32_t PositionLabelRanks(const Plan& plan, std::vector<uint32_t>* rank);
 
 /// Decides where each extension's candidates are enumerated. Without a
@@ -233,17 +232,12 @@ class Executor {
  private:
   /// One subtraction of the vertex-induced negation step: candidates
   /// in star->Out(f(w)) (use_out) or star->In(f(w)) get removed, where
-  /// f(w) is the mapping at `pos`. Rows of the index are immutable while
-  /// the executor lives, so the row looked up last for a data vertex
-  /// stays that vertex's row: the memo skips the lookup when f(w) did
-  /// not change since this removal last ran.
+  /// f(w) is the mapping at `pos`.
   struct Removal {
     const CompressedCluster* star;
-    uint64_t label_bit;  // Ccsr::LabelBit(L(w))
     uint32_t pos;
+    uint8_t label_shift;  // Ccsr::LabelBit(L(w)) == 1 << label_shift
     bool use_out;
-    VertexId memo_vertex = kInvalidVertex;  // f(w) of memo_row
-    std::span<const VertexId> memo_row;
   };
   struct Restriction {
     uint32_t other_pos;

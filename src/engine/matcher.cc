@@ -1,8 +1,7 @@
 #include "engine/matcher.h"
 
-#include <algorithm>
 #include <memory>
-#include <utility>
+#include <set>
 #include <vector>
 
 #include "engine/embedding_verifier.h"
@@ -170,25 +169,28 @@ Status MatchImpl(const Ccsr& data, ClusterCache* cache, const Graph& pattern,
 
 std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data,
                                            const Plan& plan) {
-  // The walk's cluster references in place order, each as a cluster
-  // code: its slot in the index, or for an empty cluster the index's
-  // cluster count plus the id's rank among the empty ids.
-  const uint64_t num_slots = data.NumClusters();
-  std::vector<uint64_t> code;
-  std::vector<std::pair<ClusterId, uint64_t>> absent;  // (id, place)
-  auto add = [&](const ClusterId& id) {
-    if (const CompressedCluster* c = data.Find(id)) {
-      code.push_back(static_cast<uint64_t>(c - data.clusters().data()));
-    } else {
-      absent.emplace_back(id, code.size());
-      code.push_back(num_slots);
-    }
+  std::vector<ClusterId> ids;
+  // First occurrences: a bit per cluster slot of the index, and a set
+  // of the ids of empty clusters (constraints without data edges).
+  DynamicBitset seen(data.NumClusters());
+  std::set<ClusterId> absent;
+  auto add_slot = [&](size_t slot) {
+    if (!seen.Test(slot)) ids.push_back(data.clusters()[slot].id);
+    seen.Set(slot);
   };
-  // A label pair's star clusters are walked at its first negation only:
-  // one bit per pair of the plan's distinct labels.
-  std::vector<uint32_t> rank;
-  uint32_t num_labels = 0;
-  DynamicBitset star_seen;
+  auto add = [&](const ClusterId& id) {
+    const CompressedCluster* c = data.Find(id);
+    if (c != nullptr) add_slot(c - data.clusters().data());
+    if (c == nullptr && absent.insert(id).second) ids.push_back(id);
+  };
+  // A label pair's star clusters are walked at its first negation only
+  // (later walks would add nothing): a bit per ordered pair of label
+  // ranks. A valid plan's L(w) is the label of position w; a negation
+  // whose other_label says otherwise (a decoded wire plan is not
+  // validated) is walked every time.
+  std::vector<uint32_t> rank;  // set up at the first negation
+  size_t num_labels = 0;
+  DynamicBitset walked;
   for (uint32_t j = 0; j < plan.positions.size(); ++j) {
     const PlanPosition& p = plan.positions[j];
     if (p.seed_valid) add(p.seed_cluster);
@@ -196,46 +198,17 @@ std::vector<ClusterId> PlanClusterSchedule(const Ccsr& data,
     for (const NegConstraint& n : p.negations) {
       if (rank.empty()) {
         num_labels = PositionLabelRanks(plan, &rank);
-        star_seen.Resize(size_t{num_labels} * num_labels);
+        walked.Resize(num_labels * num_labels);
       }
-      const size_t pair =
-          size_t{std::min(rank[j], rank[n.pos])} * num_labels +
-          std::max(rank[j], rank[n.pos]);
-      if (star_seen.Test(pair)) continue;
-      star_seen.Set(pair);
-      for (size_t slot :
-           data.StarClusters(p.label, plan.positions[n.pos].label)) {
-        code.push_back(slot);
+      if (plan.positions[n.pos].label == n.other_label) {
+        const size_t pair = rank[j] * num_labels + rank[n.pos];
+        if (walked.Test(pair)) continue;
+        walked.Set(pair);
+      }
+      for (size_t slot : data.StarClusters(p.label, n.other_label)) {
+        add_slot(slot);
       }
     }
-  }
-  std::sort(absent.begin(), absent.end());
-  std::vector<ClusterId> absent_ids;
-  for (const auto& [id, place] : absent) {
-    if (absent_ids.empty() || absent_ids.back() != id) absent_ids.push_back(id);
-    code[place] = num_slots + absent_ids.size() - 1;
-  }
-  // Sorted as code << 32 | place, each code's run starts at its first
-  // place, which gets marked in `code`: the schedule is the marked
-  // places' clusters, in place order.
-  constexpr uint64_t kFirst = uint64_t{1} << 63;
-  std::vector<uint64_t> order(code.size());
-  for (size_t i = 0; i < code.size(); ++i) order[i] = code[i] << 32 | i;
-  std::sort(order.begin(), order.end());
-  size_t num_firsts = 0;
-  for (size_t i = 0; i < order.size(); ++i) {
-    if (i == 0 || order[i] >> 32 != order[i - 1] >> 32) {
-      code[order[i] & 0xFFFFFFFFu] |= kFirst;
-      ++num_firsts;
-    }
-  }
-  std::vector<ClusterId> ids;
-  ids.reserve(num_firsts);
-  for (uint64_t c : code) {
-    if ((c & kFirst) == 0) continue;
-    c &= ~kFirst;
-    ids.push_back(c < num_slots ? data.clusters()[c].id
-                                : absent_ids[c - num_slots]);
   }
   return ids;
 }

@@ -86,10 +86,8 @@ struct MatchResult {
 };
 
 /// The clusters `plan` will touch, in matching order, deduplicated on
-/// first occurrence (by sorting, O(m log m) in the plan's m cluster
-/// references, each label pair's stars counted once, plus a bit per
-/// pair of the plan's k distinct labels; independent of the index's
-/// cluster count): seed clusters,
+/// first occurrence (by cluster slot, in linear time; each label
+/// pair's stars walked once): seed clusters,
 /// edge-constraint clusters, and the star clusters behind each negation
 /// constraint; ids of empty clusters too. For an mmap'd index
 /// this is the prefetch schedule handed to the pager

@@ -289,6 +289,7 @@ TEST(PlanClusterScheduleTest, EqualsFirstOccurrenceDeduplication) {
   Rng rng(27);
   size_t absent = 0;
   size_t stars = 0;
+  size_t relabelled = 0;
   for (int trial = 0; trial < 24; ++trial) {
     const bool directed = trial % 2 == 1;
     Ccsr gc = Ccsr::Build(testing::RandomGraph(rng, 40, 0.2, 3, 2, directed));
@@ -306,10 +307,19 @@ TEST(PlanClusterScheduleTest, EqualsFirstOccurrenceDeduplication) {
           << "trial " << trial << " variant " << static_cast<int>(variant);
       for (const ClusterId& id : want) absent += gc.Find(id) == nullptr;
       for (const PlanPosition& p : plan.positions) stars += p.negations.size();
+      // A negation whose other_label is not the named position's label
+      // (a decoded wire plan is not validated) is walked as it says.
+      std::vector<NegConstraint>& last = plan.positions.back().negations;
+      if (last.empty()) continue;
+      for (NegConstraint& n : last) n.other_label = (n.other_label + 1) % 3;
+      EXPECT_EQ(PlanClusterSchedule(gc, plan), NaiveClusterSchedule(gc, plan))
+          << "trial " << trial << " relabelled negations";
+      ++relabelled;
     }
   }
-  EXPECT_GT(absent, 0u);  // the empty-cluster path ran
-  EXPECT_GT(stars, 0u);   // and the negation path
+  EXPECT_GT(absent, 0u);      // the empty-cluster path ran
+  EXPECT_GT(stars, 0u);       // and the negation path
+  EXPECT_GT(relabelled, 0u);  // and the unvalidated-label path
 }
 
 }  // namespace
